@@ -3,11 +3,17 @@
 All relation decisions are exact.  Two isolated roots are compared by
 refining their certified intervals until the intervals separate; when they
 never can (the roots coincide), the coincidence is proven by locating a root
-of gcd of the two polynomials inside the overlap.  Ratio-equals-q questions
-reduce to the same machinery against an argument-scaled copy of the
-polynomial, so lmesh(p) = q is decided exactly through gcd(p(x), p(qx))
-having a root whose q-multiple partner is its ordered successor.  No epsilon
-thresholds enter any decision.
+of gcd of the two polynomials inside the overlap.  A root is compared with a
+rational point the same way, against the exact root of x - point.
+
+The logarithmic mesh has one decision path: the signs of
+lambda_j - q*lambda_(j+1) for consecutive zeros, each a root comparison of p
+against its scaled copy p(x/q), after reflecting a negative zero set to
+positive.  ``lmesh`` tightens its enclosure of max lambda_j/lambda_(j+1)
+until it agrees with those signs, and ``in_lmesh_class`` reads them directly,
+so lmesh(p) = q is decided exactly through gcd(p(x), p(x/q)).  Decisions
+refine copies of the caller's root sets, never the root sets themselves.  No
+epsilon thresholds enter any decision.
 """
 
 from __future__ import annotations
@@ -82,42 +88,7 @@ class ZerowiseReport:
     any_strict: bool
 
 
-# -- working copies and transforms -----------------------------------------
-
-
-@dataclass
-class _Certified:
-    poly: PolyExact
-    entries: list[RootEntry]
-
-    def lambdas(self) -> list[RootEntry]:
-        out: list[RootEntry] = []
-        for e in self.entries:
-            out.extend([e] * e.multiplicity)
-        return out
-
-
-def _working_copy(rs: RootSet) -> _Certified:
-    return _Certified(rs.poly, [e.copy() for e in rs.roots])
-
-
-def _transform(cr: _Certified, c: Fraction) -> _Certified:
-    """Roots map to c*root (c != 0); intervals, certificates, order follow."""
-    entries = []
-    for e in cr.entries:
-        lo, hi = (c * e.lo, c * e.hi) if c > 0 else (c * e.hi, c * e.lo)
-        entries.append(
-            RootEntry(
-                lo,
-                hi,
-                e.multiplicity,
-                None if e.exact is None else c * e.exact,
-                e.factor.scale_arg(1 / c),
-            )
-        )
-    if c < 0:
-        entries.reverse()
-    return _Certified(cr.poly.scale_arg(1 / c), entries)
+# -- root comparison ---------------------------------------------------------
 
 
 class _PairContext:
@@ -172,22 +143,18 @@ def _compare_roots(ea: RootEntry, eb: RootEntry, ctx: _PairContext) -> int:
 
 
 def compare_root_to_point(entry: RootEntry, point: RationalLike) -> int:
-    """Exact sign of (root - point) for a rational point."""
+    """Exact sign of (root - point) for a rational point.
+
+    ``entry`` is refined in place, and pinned to the point when the root is
+    found there; pass ``entry.copy()`` to leave the caller's entry untouched.
+    """
     pt = rat(point)
-    for _ in range(_COMPARE_BUDGET):
-        if entry.exact is not None:
-            return _sign(entry.exact - pt)
-        if entry.hi < pt:
-            return -1
-        if entry.lo > pt:
-            return 1
-        if entry.factor(pt) == 0:
-            # pt is the unique root of the certificate inside this interval
-            entry.exact = pt
-            entry.lo = entry.hi = pt
-            return 0
-        entry.bisect_once()
-    raise RefinementFailureError("root/point comparison did not terminate")
+    at = RootEntry(pt, pt, 1, pt, PolyExact((-pt, 1)))
+    c = _compare_roots(entry, at, _PairContext(entry.factor, at.factor))
+    if c == 0:
+        # pt is the unique root of the certificate inside the interval
+        entry.exact = entry.lo = entry.hi = pt
+    return c
 
 
 def _require_certified(rs: RootSet, what: str) -> None:
@@ -196,45 +163,6 @@ def _require_certified(rs: RootSet, what: str) -> None:
 
 
 # -- interlacing and the partial order --------------------------------------
-
-
-def _interlace_chain(
-    lam_p: list[RootEntry], lam_r: list[RootEntry], ctx: _PairContext
-) -> tuple[list[int], list[tuple[RootEntry, RootEntry]]]:
-    n, m = len(lam_p), len(lam_r)
-    pairs: list[tuple[RootEntry, RootEntry]] = []
-    if m == n:
-        for k in range(n):
-            pairs.append((lam_p[k], lam_r[k]))
-            if k + 1 < n:
-                pairs.append((lam_r[k], lam_p[k + 1]))
-    else:  # m == n - 1
-        for k in range(m):
-            pairs.append((lam_p[k], lam_r[k]))
-            pairs.append((lam_r[k], lam_p[k + 1]))
-    return [_compare_roots(a, b, ctx) for a, b in pairs], pairs
-
-
-def _interlace_views(p: _Certified, r: _Certified) -> InterlacingReport:
-    n = len(p.lambdas())
-    m = len(r.lambdas())
-    if abs(n - m) >= 2:
-        raise ShapeError(f"zero counts differ by {abs(n - m)}; interlacing needs gap <= 1")
-    if m == n + 1:
-        return InterlacingReport(Relation.NONE, None, None)
-    pattern = DegreePattern.EQUAL_DEGREE if m == n else DegreePattern.DEGREE_MINUS_ONE
-    ctx = _PairContext(p.poly, r.poly)
-    cmps, _ = _interlace_chain(p.lambdas(), r.lambdas(), ctx)
-    if all(c < 0 for c in cmps):
-        return InterlacingReport(Relation.STRICT_INTERLACE, pattern, None)
-    if all(c <= 0 for c in cmps):
-        return InterlacingReport(Relation.WEAK_INTERLACE, pattern, None)
-    witness = next(i for i, c in enumerate(cmps) if c > 0)
-    if pattern is DegreePattern.EQUAL_DEGREE:
-        # chain positions 0, 2, 4, ... are the zero-wise comparisons
-        if all(c <= 0 for i, c in enumerate(cmps) if i % 2 == 0):
-            return InterlacingReport(Relation.DOMINATES, pattern, witness)
-    return InterlacingReport(Relation.NONE, pattern, witness)
 
 
 def interlace(rs_p: RootSet, rs_r: RootSet) -> InterlacingReport:
@@ -248,7 +176,32 @@ def interlace(rs_p: RootSet, rs_r: RootSet) -> InterlacingReport:
     """
     _require_certified(rs_p, "interlace")
     _require_certified(rs_r, "interlace")
-    return _interlace_views(_working_copy(rs_p), _working_copy(rs_r))
+    n, m = rs_p.total_count, rs_r.total_count
+    if abs(n - m) >= 2:
+        raise ShapeError(f"zero counts differ by {abs(n - m)}; interlacing needs gap <= 1")
+    if m == n + 1:
+        return InterlacingReport(Relation.NONE, None, None)
+    pattern = DegreePattern.EQUAL_DEGREE if m == n else DegreePattern.DEGREE_MINUS_ONE
+    p, r = rs_p.copy(), rs_r.copy()
+    lam_p, lam_r = p.lambdas(), r.lambdas()
+    # the alternating chain lam_p[0] <= lam_r[0] <= lam_p[1] <= lam_r[1] <= ...
+    pairs = []
+    for k in range(m):
+        pairs.append((lam_p[k], lam_r[k]))
+        if k + 1 < n:
+            pairs.append((lam_r[k], lam_p[k + 1]))
+    ctx = _PairContext(p.poly, r.poly)
+    cmps = [_compare_roots(a, b, ctx) for a, b in pairs]
+    if all(c < 0 for c in cmps):
+        return InterlacingReport(Relation.STRICT_INTERLACE, pattern, None)
+    if all(c <= 0 for c in cmps):
+        return InterlacingReport(Relation.WEAK_INTERLACE, pattern, None)
+    witness = next(i for i, c in enumerate(cmps) if c > 0)
+    if pattern is DegreePattern.EQUAL_DEGREE:
+        # chain positions 0, 2, 4, ... are the zero-wise comparisons
+        if all(c <= 0 for i, c in enumerate(cmps) if i % 2 == 0):
+            return InterlacingReport(Relation.DOMINATES, pattern, witness)
+    return InterlacingReport(Relation.NONE, pattern, witness)
 
 
 def zerowise_compare(rs_p: RootSet, rs_r: RootSet) -> ZerowiseReport:
@@ -257,20 +210,11 @@ def zerowise_compare(rs_p: RootSet, rs_r: RootSet) -> ZerowiseReport:
     _require_certified(rs_r, "zero-wise comparison")
     if rs_p.total_count != rs_r.total_count:
         raise ShapeError("zero-wise order needs equal zero counts")
-    p = _working_copy(rs_p)
-    r = _working_copy(rs_r)
+    p, r = rs_p.copy(), rs_r.copy()
     ctx = _PairContext(p.poly, r.poly)
-    witness = None
-    any_strict = False
-    holds = True
-    for k, (ea, eb) in enumerate(zip(p.lambdas(), r.lambdas())):
-        c = _compare_roots(ea, eb, ctx)
-        if c > 0 and holds:
-            holds = False
-            witness = k
-        if c < 0:
-            any_strict = True
-    return ZerowiseReport(holds, witness, any_strict)
+    cmps = [_compare_roots(ea, eb, ctx) for ea, eb in zip(p.lambdas(), r.lambdas())]
+    witness = next((k for k, c in enumerate(cmps) if c > 0), None)
+    return ZerowiseReport(witness is None, witness, any(c < 0 for c in cmps))
 
 
 def dominates(rs_p: RootSet, rs_r: RootSet) -> bool:
@@ -281,10 +225,10 @@ def dominates(rs_p: RootSet, rs_r: RootSet) -> bool:
 # -- logarithmic mesh --------------------------------------------------------
 
 
-def _one_signed(cr: _Certified) -> int:
-    """+1 (all roots positive) or -1 (all negative); refines to decide."""
+def _one_signed(rs: RootSet) -> int:
+    """+1 (all roots positive) or -1 (all negative); refines rs to decide."""
     signs = set()
-    for e in cr.entries:
+    for e in rs.roots:
         s = compare_root_to_point(e, 0)
         if s == 0:
             raise LmeshDomainError("logarithmic mesh undefined for a zero at the origin")
@@ -292,6 +236,21 @@ def _one_signed(cr: _Certified) -> int:
     if len(signs) != 1:
         raise LmeshDomainError("logarithmic mesh needs zeros of one sign")
     return signs.pop()
+
+
+def _mesh_signs(rs: RootSet, q: Fraction) -> tuple[list[RootEntry], list[int]]:
+    """The zeros of p (reflected to positive) and sign(lambda_j - q*lambda_(j+1)).
+
+    The zeros are refined copies of the caller's entries.
+    """
+    pos = rs.copy()
+    if _one_signed(pos) < 0:
+        pos = pos.scaled(Fraction(-1))
+    lam = pos.lambdas()
+    scaled = pos.scaled(q)
+    lam_scaled = scaled.lambdas()
+    ctx = _PairContext(pos.poly, scaled.poly)
+    return lam, [_compare_roots(lam[j], lam_scaled[j + 1], ctx) for j in range(len(lam) - 1)]
 
 
 def lmesh(rs: RootSet, q: QValue | RationalLike) -> LmeshResult:
@@ -305,16 +264,7 @@ def lmesh(rs: RootSet, q: QValue | RationalLike) -> LmeshResult:
     _require_certified(rs, "lmesh")
     if rs.total_count < 2:
         raise UndefinedLmeshError("lmesh needs at least two zeros")
-    cr = _working_copy(rs)
-    if _one_signed(cr) < 0:
-        cr = _transform(cr, Fraction(-1))
-    lam = cr.lambdas()
-    scaled = _transform(cr, qv)
-    lam_scaled = scaled.lambdas()
-    ctx = _PairContext(cr.poly, scaled.poly)
-    cmps = [
-        _compare_roots(lam[j], lam_scaled[j + 1], ctx) for j in range(len(lam) - 1)
-    ]
+    lam, cmps = _mesh_signs(rs, qv)
 
     def ratio_bounds() -> tuple[list[Fraction], list[Fraction]]:
         los, his = [], []
@@ -358,19 +308,14 @@ def lmesh(rs: RootSet, q: QValue | RationalLike) -> LmeshResult:
 def in_lmesh_class(rs: RootSet, q: QValue | RationalLike, strict: bool) -> bool:
     """Membership of p in the class with lmesh < q (strict) or <= q (closure).
 
-    Decided through interlacing of p against its argument-scaled copy p(qx),
-    which by construction agrees with the lmesh comparison.  Zero sets of
-    size <= 1 are members vacuously.
+    Decided by the same signs of lambda_j - q*lambda_(j+1) that ``lmesh``
+    resolves: all negative (strict) or none positive (closure).  Zero sets
+    of size <= 1 are members vacuously, though a zero at the origin is still
+    a domain error.
     """
     qv = as_q(q)
     _require_certified(rs, "lmesh class membership")
     if rs.total_count == 0:
         return True
-    cr = _working_copy(rs)
-    if _one_signed(cr) < 0:
-        cr = _transform(cr, Fraction(-1))
-    scaled = _transform(cr, 1 / qv)  # zeros of p(qx)
-    report = _interlace_views(cr, scaled)
-    if strict:
-        return report.relation is Relation.STRICT_INTERLACE
-    return report.relation in (Relation.STRICT_INTERLACE, Relation.WEAK_INTERLACE)
+    _, cmps = _mesh_signs(rs, qv)
+    return all(c < 0 for c in cmps) if strict else all(c <= 0 for c in cmps)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -22,6 +23,9 @@ from .qcore import as_q, rat, rat_str
 from .roots import DEFAULT_EPS, RootSet, isolate_real_roots
 
 _FAMILY_NAMES = {f.value: f for f in Family}
+_RATIONAL_OPTIONS = frozenset(
+    f"--{name}" for name in ("a", "b", "a2", "b2", "q", "eps", "base", "start", "stop", "values")
+)
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -308,9 +312,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--b -1/2`` as ``--b=-1/2`` after every rational option.
+
+    argparse takes a token that starts with '-' for an option unless it reads
+    as a negative integer or decimal, so a negative p/q would leave the
+    option without its value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and re.match(r"-[0-9.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except QZerosError as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateParameterError, InvalidParameterError, RegimeError
-from .qcore import QValue, RationalLike, as_q, qpoch_finite, rat
+from .qcore import QValue, RationalLike, as_q, neg_q_power, qpoch_finite, rat
 from .qhyper import HyperSpec, PolyExact, build_qhyper
 
 
@@ -72,16 +72,6 @@ class FamilyParams:
         return None
 
 
-def _is_neg_q_power(value: Fraction, q: Fraction, lo: int, hi: int) -> int | None:
-    """Return m in [lo, hi] with value == q^-m, else None."""
-    if value < 1 and lo >= 0:
-        return None
-    for m in range(lo, hi + 1):
-        if value * q**m == 1:
-            return m
-    return None
-
-
 def little_q_jacobi(
     n: int,
     a: RationalLike,
@@ -96,8 +86,8 @@ def little_q_jacobi(
     :func:`normalized_little_q_jacobi`.
     """
     av, bv, qv = rat(a), rat(b), as_q(q)
-    m = _is_neg_q_power(av, qv, 1, n)
-    if m is not None:
+    m = neg_q_power(av, qv)
+    if m is not None and 1 <= m <= n:
         raise DegenerateParameterError(
             f"a = q^-{m} is degenerate for the raw series; "
             "use normalized_little_q_jacobi(n, k, b, q) instead"

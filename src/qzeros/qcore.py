@@ -57,6 +57,17 @@ def as_q(q: QValue | RationalLike) -> Fraction:
     return qq
 
 
+def neg_q_power(value: Fraction, q: Fraction) -> int | None:
+    """The integer m >= 0 with value == q^-m, or None when there is none."""
+    if value < 1:
+        return None
+    m = 0
+    while value > 1:
+        value *= q
+        m += 1
+    return m if value == 1 else None
+
+
 def qpoch_finite(a: RationalLike, q: QValue | RationalLike, k: int) -> Fraction:
     """The finite q-Pochhammer symbol (a;q)_k = prod_{j<k} (1 - a*q^j), exactly.
 

@@ -13,7 +13,7 @@ an exact rational root or an exact sign-change certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import InvalidParameterError, InvalidToleranceError, RefinementFailureError
@@ -76,20 +76,40 @@ class RootEntry:
             steps += 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class RootSet:
     """Ordered certified real roots of ``poly``.
 
     Entries are sorted ascending with pairwise disjoint closed intervals,
     each containing exactly one distinct root.  ``total_count`` counts roots
     with multiplicity; ``certified_real_rooted`` is True exactly when that
-    count equals the degree.
+    count equals the degree.  The fields cannot be rebound; code that refines
+    entries works on :meth:`copy` or :meth:`scaled`.
     """
 
     poly: PolyExact
     roots: list[RootEntry]
     total_count: int
     certified_real_rooted: bool
+
+    def copy(self) -> "RootSet":
+        """The same root set with every entry copied, free to refine."""
+        return replace(self, roots=[e.copy() for e in self.roots])
+
+    def scaled(self, c: Fraction) -> "RootSet":
+        """The root set of p(x/c), c != 0: each root maps to c*root.
+
+        Intervals and certificates follow the map; the order reverses when
+        c < 0.
+        """
+        entries = []
+        for e in self.roots:
+            lo, hi = (c * e.lo, c * e.hi) if c > 0 else (c * e.hi, c * e.lo)
+            exact = None if e.exact is None else c * e.exact
+            entries.append(RootEntry(lo, hi, e.multiplicity, exact, e.factor.scale_arg(1 / c)))
+        if c < 0:
+            entries.reverse()
+        return replace(self, poly=self.poly.scale_arg(1 / c), roots=entries)
 
     def lambdas(self) -> list[RootEntry]:
         """The zeros in increasing order with multiplicity: one entry per zero."""

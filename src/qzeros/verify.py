@@ -27,6 +27,7 @@ from .analysis import (
     zerowise_compare,
 )
 from .errors import (
+    ConfigError,
     ConstraintViolationError,
     DegenerateParameterError,
     InvalidParameterError,
@@ -44,7 +45,7 @@ from .families import (
     weight_mass,
 )
 from .qcalc import q_derivative
-from .qcore import Rational, RationalLike, as_q, qpoch_finite, rat, rat_str
+from .qcore import Rational, RationalLike, as_q, neg_q_power, qpoch_finite, rat, rat_str
 from .qhyper import HyperSpec, PolyExact, build_qhyper
 from .roots import RootSet, isolate_real_roots
 
@@ -77,6 +78,23 @@ class VerificationRecord:
         }
 
 
+_CONFIG_KEYS = ("qValues", "nValues", "aValues", "bValues", "tValues", "eps", "checkIds")
+
+
+def _config_int(value) -> int:
+    r = rat(value)
+    if r.denominator != 1:
+        raise ValueError(f"{value!r} is not an integer")
+    return r.numerator
+
+
+def _config_value(key: str, value, parse: Callable):
+    try:
+        return parse(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{key}: cannot parse {value!r} ({exc})") from exc
+
+
 @dataclass
 class GridSpec:
     """Parameter grid consumed by the runner; mirrors the config file format."""
@@ -101,14 +119,32 @@ class GridSpec:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "GridSpec":
+        """The grid of a config document; ConfigError when it is malformed."""
+        if not isinstance(doc, Mapping):
+            raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
+        unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(
+                f"unknown config key(s) {', '.join(unknown)}; allowed keys: {', '.join(_CONFIG_KEYS)}"
+            )
+
+        def values(key: str, parse: Callable) -> list:
+            raw = doc.get(key, [])
+            if not isinstance(raw, list):
+                raise ConfigError(f"{key} must be a list, got {type(raw).__name__}")
+            return [_config_value(key, v, parse) for v in raw]
+
+        n_values = values("nValues", _config_int)
+        if any(n < 0 for n in n_values):
+            raise ConfigError(f"nValues must be >= 0, got {min(n_values)}")
         return cls(
-            q_values=[rat(v) for v in doc.get("qValues", [])],
-            n_values=[int(v) for v in doc.get("nValues", [])],
-            a_values=[rat(v) for v in doc.get("aValues", [])],
-            b_values=[rat(v) for v in doc.get("bValues", [])],
-            t_values=[rat(v) for v in doc.get("tValues", [])],
-            eps=rat(doc.get("eps", "1/1000000")),
-            check_ids=list(doc.get("checkIds", [])),
+            q_values=values("qValues", rat),
+            n_values=n_values,
+            a_values=values("aValues", rat),
+            b_values=values("bValues", rat),
+            t_values=values("tValues", rat),
+            eps=_config_value("eps", doc.get("eps", "1/1000000"), rat),
+            check_ids=values("checkIds", str),
         )
 
     def to_json(self) -> dict:
@@ -146,19 +182,6 @@ def _params_dict(point: Mapping) -> dict:
 
 def _sign_str(c: int) -> str:
     return {-1: "<", 0: "=", 1: ">"}[c]
-
-
-def _is_neg_q_power(value: Fraction, q: Fraction) -> bool:
-    """value == q^-m for some integer m >= 0."""
-    if value < 1:
-        return False
-    power = Fraction(1)
-    while True:
-        if value * power == 1:
-            return True
-        power *= q
-        if value * power < 1:
-            return False
 
 
 def _roots(p: PolyExact) -> RootSet:
@@ -264,7 +287,7 @@ def _need(cond: bool, reason: str) -> None:
 
 def _identity_contig1(q, n, a, b):
     _need(n >= 1, "needs n >= 1")
-    _need(not _is_neg_q_power(b, q), "b = q^-m excluded")
+    _need(neg_q_power(b, q) is None, "b = q^-m excluded")
     lhs = -_jac(n, a, q * q * b, q)
     const = (
         a * (1 - q**n) * (1 - a * b * q ** (n + 3))
@@ -276,7 +299,7 @@ def _identity_contig1(q, n, a, b):
 
 def _identity_contig2(q, n, a, b):
     _need(n >= 1, "needs n >= 1")
-    _need(not _is_neg_q_power(b, q), "b = q^-m excluded")
+    _need(neg_q_power(b, q) is None, "b = q^-m excluded")
     lhs = (1 - a * q) * (1 + b * q**n * (a * q ** (n + 1) - a * q - 1)) * _jac(n, a, b, q)
     rhs = (1 - b * q**n) * (1 - a * q ** (n + 1)) * _jac(n, q * a, b / q, q) + (
         a * q * (1 - q**n) * (1 - a * b * q ** (n + 1))
@@ -286,7 +309,7 @@ def _identity_contig2(q, n, a, b):
 
 def _identity_contig3(q, n, a, b):
     _need(n >= 1, "needs n >= 1")
-    _need(not _is_neg_q_power(b, q), "b = q^-m excluded")
+    _need(neg_q_power(b, q) is None, "b = q^-m excluded")
     lhs = q**n * (1 - a * b * q**n) * _jac(n, a, b, q)
     rhs = (1 - a * b * q ** (2 * n)) * _jac(n, a, b / q, q).scale_arg(q) - (1 - q**n) * _jac(
         n - 1, a, b, q
@@ -295,7 +318,7 @@ def _identity_contig3(q, n, a, b):
 
 
 def _identity_contig4(q, n, a, b):
-    _need(not _is_neg_q_power(b, q), "b = q^-m excluded")
+    _need(neg_q_power(b, q) is None, "b = q^-m excluded")
     lhs = b * q ** (n + 1) * (1 - a * q ** (n + 1)) * _jac(n + 1, a, b, q)
     rhs = (1 - a * b * q ** (2 * n + 2)) * (PolyExact((1, -q * b)) * _jac(n, a, q * b, q)) - (
         1 - b * q ** (n + 1)
@@ -305,7 +328,7 @@ def _identity_contig4(q, n, a, b):
 
 def _identity_contig3_shifted(q, n, a, b):
     _need(n >= 1, "needs n >= 1")
-    _need(not _is_neg_q_power(b, q), "b = q^-m excluded")
+    _need(neg_q_power(b, q) is None, "b = q^-m excluded")
     lhs = (1 - a * b * q ** (2 * n + 1)) * _jac(n, a, b, q).scale_arg(q)
     rhs = (1 - q**n) * _jac(n - 1, a, q * b, q) + q**n * (1 - a * b * q ** (n + 1)) * _jac(
         n, a, q * b, q

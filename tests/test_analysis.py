@@ -62,6 +62,16 @@ def test_lmesh_domain_errors():
         lmesh(rs_of(F(-1), F(1, 2)), Q)
     with pytest.raises(LmeshDomainError):
         lmesh(isolate_real_roots(PolyExact((0, -1, 1))), Q)  # roots 0 and 1
+    # class membership: 0 or 1 zeros are members, but the origin and mixed
+    # signs stay domain errors
+    assert in_lmesh_class(isolate_real_roots(PolyExact((1,))), Q, strict=True)
+    assert in_lmesh_class(rs_of(F(-3)), Q, strict=True)
+    with pytest.raises(LmeshDomainError):
+        in_lmesh_class(isolate_real_roots(PolyExact.x()), Q, strict=False)
+    with pytest.raises(LmeshDomainError):
+        in_lmesh_class(rs_of(F(-1), F(1, 2)), Q, strict=False)
+    with pytest.raises(ShapeError):
+        in_lmesh_class(isolate_real_roots(PolyExact((1, 0, 1))), Q, strict=False)  # x^2 + 1
 
 
 def test_lmesh_boundary_equality_on_degenerate_family():
@@ -173,6 +183,16 @@ def test_family_zero_location_samples():
     assert lmesh(rs, Q).compare_to_q() == -1
 
 
+def test_compare_root_to_point_refines_the_entry_in_place():
+    from qzeros import RootEntry, compare_root_to_point
+
+    e = RootEntry(F(0), F(1), 1, None, PolyExact.from_roots([F(1, 3)]))
+    assert compare_root_to_point(e, F(1, 2)) < 0
+    assert e.hi <= F(1, 2)  # refined, not copied
+    assert compare_root_to_point(e, F(1, 3)) == 0
+    assert e.exact == e.lo == e.hi == F(1, 3)  # pinned to the point
+
+
 def test_interlace_family_sample_point():
     p = isolate_real_roots(little_q_jacobi(3, F(1, 4), F(-1), Q))
     r = isolate_real_roots(little_q_jacobi(2, Q * F(1, 4), Q * F(-1), Q))
@@ -207,14 +227,39 @@ def test_lmesh_scale_invariance(c, roots):
         min_size=2,
         max_size=5,
         unique=True,
-    )
+    ),
+    sign=st.sampled_from([1, -1]),
+    repeat=st.booleans(),
 )
-@settings(max_examples=40, deadline=None)
-def test_class_membership_consistent_with_lmesh(roots):
-    rs = rs_of(*roots)
+@settings(max_examples=60, deadline=None)
+def test_class_membership_consistent_with_lmesh(roots, sign, repeat):
+    # negative zero sets take the reflection path; a repeated zero has ratio 1
+    zeros = [sign * r for r in roots + roots[:1] * repeat]
+    rs = rs_of(*zeros)
     res = lmesh(rs, Q)
     assert in_lmesh_class(rs, Q, strict=True) == (res.compare_to_q() < 0)
     assert in_lmesh_class(rs, Q, strict=False) == (res.compare_to_q() <= 0)
+
+
+def test_decisions_leave_caller_root_sets_unchanged():
+    """Every relation decision refines copies; the caller's entries keep their state."""
+    coarse = F(1, 4)
+    p = isolate_real_roots(little_q_jacobi(3, F(1, 4), F(-1), Q), coarse)
+    r = isolate_real_roots(little_q_jacobi(3, F(1, 2), F(1, 2), Q), coarse)
+    s = isolate_real_roots(little_q_jacobi(2, Q * F(1, 4), Q * F(-1), Q), coarse)
+    assert any(e.exact is None for e in p.roots)
+
+    def state():
+        return [[(e.lo, e.hi, e.exact) for e in rs.roots] for rs in (p, r, s)]
+
+    before = state()
+    interlace(p, s)
+    interlace(p, r)
+    zerowise_compare(p, r)
+    lmesh(p, Q)
+    in_lmesh_class(p, Q, strict=True)
+    in_lmesh_class(r, Q, strict=False)
+    assert state() == before
 
 
 def test_common_interlacer_upgrade_on_family_triple():

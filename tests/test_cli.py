@@ -145,6 +145,24 @@ def test_verify_bad_config_exits_2(tmp_path, capsys):
     assert code == 2 and "JSON" in err
     code, _, _ = run_cli(capsys, "verify", "--config", str(tmp_path / "missing.json"))
     assert code == 2
+    for doc in (
+        '{"qvalues": ["1/2"], "nValues": [2]}',  # unknown key
+        '{"qValues": ["1/2"], "nValues": [-3]}',
+        "[1, 2]",  # not an object
+        '{"qValues": ["abc"], "nValues": [2]}',
+    ):
+        cfg.write_text(doc)
+        code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err, doc
+
+
+def test_negative_rational_option_value(capsys):
+    """A negative p/q may follow its option as the next token."""
+    base = ["roots", "--family", "little-q-jacobi", "--n", "3", "--q", "1/2", "--a", "1/2"]
+    code, spaced, _ = run_cli(capsys, *base, "--b", "-1/2")
+    assert code == 0
+    code, joined, _ = run_cli(capsys, *base, "--b=-1/2")
+    assert code == 0 and spaced == joined
 
 
 def test_sweep_csv(tmp_path, capsys):

@@ -7,9 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qzeros import InvalidParameterError, InvalidToleranceError, QValue, qpoch_finite, qpoch_infinite, rat, rat_str
+from qzeros.qcore import neg_q_power
 
 SMALL_RATIONALS = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 Q_VALUES = st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(9, 10)])
+
+
+def test_neg_q_power():
+    q = F(1, 2)
+    assert neg_q_power(F(1), q) == 0
+    assert neg_q_power(F(8), q) == 3
+    assert neg_q_power(F(6), q) is None
+    assert neg_q_power(F(1, 2), q) is None
+    assert neg_q_power(F(-8), q) is None
 
 
 def test_empty_product():

@@ -1,5 +1,6 @@
 """Certified isolation: exact roots, multiplicities, certificates, refinement."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from math import isqrt
 
@@ -24,6 +25,27 @@ def test_rational_roots_of_linear_factors_are_exact():
     rs = isolate_real_roots(PolyExact((1, -6, 8)))  # (1-2x)(1-4x)
     assert entry_values(rs) == [(F(1, 4), 1), (F(1, 2), 1)]
     assert rs.certified_real_rooted and rs.total_count == 2
+
+
+def test_root_set_is_frozen():
+    rs = isolate_real_roots(PolyExact((1, -6, 8)))
+    with pytest.raises(FrozenInstanceError):
+        rs.roots = []
+
+
+def test_root_set_copy_and_scaled():
+    rs = isolate_real_roots(PolyExact((-2, 0, 1)) * PolyExact((1, -4)))  # +-sqrt2, 1/4
+    dup = rs.copy()
+    assert all(a is not b for a, b in zip(dup.roots, rs.roots))
+    dup.roots[0].bisect_once()
+    assert (dup.roots[0].lo, dup.roots[0].hi) != (rs.roots[0].lo, rs.roots[0].hi)
+    neg = rs.scaled(F(-2))  # roots of p(-x/2): -2 * root, order reversed
+    assert neg.total_count == rs.total_count and neg.certified_real_rooted
+    assert [e.exact for e in neg.roots] == [None, F(-1, 2), None]
+    for e, orig in zip(neg.roots, reversed(rs.roots)):
+        assert (e.lo, e.hi) == (-2 * orig.hi, -2 * orig.lo)
+        assert e.factor.sign_at(e.lo) * e.factor.sign_at(e.hi) <= 0
+        assert neg.poly.sign_at(e.lo) * neg.poly.sign_at(e.hi) <= 0
 
 
 def test_origin_root_with_multiplicity():
