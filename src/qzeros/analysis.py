@@ -122,12 +122,12 @@ def _compare_roots(ea: RootEntry, eb: RootEntry, ctx: _PairContext) -> int:
         if ea.exact is not None and eb.exact is not None:
             return _sign(ea.exact - eb.exact)
         if ea.exact is not None:
-            if eb.factor(ea.exact) == 0 and eb.lo <= ea.exact <= eb.hi:
+            if eb.factor.sign_at(ea.exact) == 0 and eb.lo <= ea.exact <= eb.hi:
                 return 0
             eb.bisect_once()
             continue
         if eb.exact is not None:
-            if ea.factor(eb.exact) == 0 and ea.lo <= eb.exact <= ea.hi:
+            if ea.factor.sign_at(eb.exact) == 0 and ea.lo <= eb.exact <= ea.hi:
                 return 0
             ea.bisect_once()
             continue

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import verify as verify_mod
 from .analysis import interlace, lmesh
-from .errors import QZerosError
+from .errors import InvalidParameterError, QZerosError
 from .families import Family, FamilyParams, build
 from .qcore import as_q, rat, rat_str
 from .roots import DEFAULT_EPS, RootSet, isolate_real_roots
@@ -33,6 +33,18 @@ def _parse_rat(text: str) -> Fraction:
         return rat(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise QZerosError(f"malformed rational {text!r} (expected p or p/q)") from exc
+
+
+def _parse_counts(text: str, option: str) -> list[int]:
+    """A comma-separated list of integers >= 0."""
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise InvalidParameterError(f"{option}: malformed integer list {text!r}") from exc
+    negative = [v for v in values if v < 0]
+    if negative:
+        raise InvalidParameterError(f"{option}: values must be >= 0, got {negative[0]}")
+    return values
 
 
 def decimal_str(x: Fraction, digits: int = 30) -> str:
@@ -80,6 +92,8 @@ def _family_params(args, suffix: str = "") -> FamilyParams:
         return None if value is None else _parse_rat(value)
 
     n = getattr(args, "n" + suffix)
+    if n < 0:
+        raise InvalidParameterError(f"--n{suffix} must be >= 0, got {n}")
     k = getattr(args, "k" + suffix, None)
     return FamilyParams(family=fam, n=n, q=q, a=opt("a"), b=opt("b"), k=k)
 
@@ -143,8 +157,9 @@ def _cmd_lmesh(args) -> int:
 
 
 def _cmd_interlace(args) -> int:
-    rs1 = isolate_real_roots(build(_family_params(args)))
-    rs2 = isolate_real_roots(build(_family_params(args, suffix="2")))
+    # the relation is exact at any interval width, so isolate to separation only
+    rs1 = isolate_real_roots(build(_family_params(args)), None)
+    rs2 = isolate_real_roots(build(_family_params(args, suffix="2")), None)
     report = interlace(rs1, rs2)
     print(
         json.dumps(
@@ -223,7 +238,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    rows = [int(r) for r in args.rows.split(",")] if args.rows else list(range(1, 11))
+    rows = _parse_counts(args.rows, "--rows") if args.rows else list(range(1, 11))
     for r in rows:
         if r not in verify_mod.TABLE1_ROWS:
             raise QZerosError(f"table rows are 1..10, got {r}")
@@ -232,7 +247,7 @@ def _cmd_table1(args) -> int:
         if args.q
         else [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
     )
-    n_values = [int(v) for v in args.n.split(",")] if args.n else [2, 3, 4, 5]
+    n_values = _parse_counts(args.n, "--n") if args.n else [2, 3, 4, 5]
     grid = verify_mod.GridSpec(q_values=q_values, n_values=n_values)
     failed = False
     for r in rows:

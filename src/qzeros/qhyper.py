@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ConstraintViolationError
@@ -28,13 +29,14 @@ class PolyExact:
     is the empty tuple (degree reported as -1).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
         cs = [rat(c) for c in coefficients]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self._ints: tuple[int, ...] | None = None  # see _integer_coeffs
 
     @classmethod
     def zero(cls) -> "PolyExact":
@@ -116,9 +118,32 @@ class PolyExact:
             acc = acc * xv + c
         return acc
 
+    def _integer_coeffs(self) -> tuple[int, ...]:
+        """The coefficients times the lcm of their denominators, computed once."""
+        if self._ints is None:
+            den = lcm(*(c.denominator for c in self.coeffs))
+            self._ints = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+        return self._ints
+
     def sign_at(self, x: RationalLike) -> int:
-        v = self(x)
-        return (v > 0) - (v < 0)
+        """Exact sign of p(x), by integer arithmetic only.
+
+        With x = n/d (d > 0) and the coefficients scaled by a positive
+        integer to c_i, d^deg * p(x) is proportional to
+        sum c_i n^i d^(deg-i), which homogeneous Horner evaluates with no
+        rational and no gcd; its sign is the sign of p(x).
+        """
+        ints = self._integer_coeffs()
+        if not ints:
+            return 0
+        xv = rat(x)
+        n, d = xv.numerator, xv.denominator
+        acc = ints[-1]
+        dpow = 1
+        for c in reversed(ints[:-1]):
+            dpow *= d
+            acc = acc * n + c * dpow
+        return (acc > 0) - (acc < 0)
 
     # -- structural transforms -------------------------------------------
 
@@ -164,13 +189,8 @@ class PolyExact:
         """
         if self.is_zero:
             return self
-        from math import gcd, lcm
-
-        den = lcm(*(c.denominator for c in self.coeffs)) if self.coeffs else 1
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
+        ints = self._integer_coeffs()
+        g = gcd(*ints)
         if positive_leading and ints[-1] < 0:
             g = -g
         return PolyExact(Fraction(v, g) for v in ints)

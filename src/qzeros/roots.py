@@ -1,14 +1,24 @@
 """Certified real-root isolation for exact-coefficient polynomials.
 
 Pipeline: factor out x = 0 exactly, split into square-free factors (Yun),
-isolate each factor's roots by bisection on Sturm sign-variation counts with
-exact rational evaluation, then refine every isolating interval by sign
-bisection until its width drops below the requested eps.  A bisection point
-that hits a root exactly is recorded as an exact rational root (the factor is
-deflated and isolation restarts).  After refinement, the simplest rational in
-each interval (Stern-Brocot) is tested; an exact zero there upgrades the
-interval to an exact root.  Every returned interval therefore carries either
-an exact rational root or an exact sign-change certificate.
+isolate each factor's roots by bisection on Sturm sign-variation counts,
+starting from [-B, B] with B the least power of two at or above the Cauchy
+bound, so that every bisection point is a dyadic rational.  A bisection
+point that hits a root exactly is recorded as an exact rational root (the
+factor is deflated and isolation restarts).  Intervals of different factors
+are then bisected until they are pairwise disjoint.  With ``eps=None``
+isolation stops there; callers that compare roots refine on demand (the
+analysis module does so for every decision).  With a rational eps every
+interval is further refined by sign bisection until its width drops below
+eps, as display output needs.  Last, the simplest rational in each interval
+(Stern-Brocot) is tested; an exact zero there upgrades the interval to an
+exact root.  Every returned interval therefore carries either an exact
+rational root or an exact sign-change certificate.
+
+Every sign test (Sturm variations, bisection, exact-root checks) goes
+through :meth:`PolyExact.sign_at`, which evaluates the polynomial's integer
+coefficients by homogeneous integer Horner: no rational arithmetic and no
+gcd per step.
 """
 
 from __future__ import annotations
@@ -167,6 +177,12 @@ def cauchy_bound(f: PolyExact) -> Fraction:
     return 1 + max(abs(c) / lead for c in f.coeffs[:-1])
 
 
+def _ceil_log2(x: Fraction) -> int:
+    """The least k >= 0 with 2**k >= x, for x > 0."""
+    ceil_x = -(-x.numerator // x.denominator)
+    return max(ceil_x - 1, 0).bit_length()
+
+
 def simplest_rational_between(lo: RationalLike, hi: RationalLike) -> Fraction:
     """The rational of smallest denominator (then numerator) in [lo, hi]."""
     lov, hiv = rat(lo), rat(hi)
@@ -202,7 +218,8 @@ def _isolate_squarefree(f: PolyExact) -> list[RootEntry]:
             entries.append(RootEntry(r, r, 1, r, work))
             return entries
         chain = SturmChain(work)
-        bound = cauchy_bound(work)
+        # a power of two strictly above every root keeps all midpoints dyadic
+        bound = Fraction(2 ** _ceil_log2(cauchy_bound(work)))
         stack = [(-bound, bound)]
         found: list[tuple[Fraction, Fraction]] = []
         deflated = False
@@ -219,7 +236,7 @@ def _isolate_squarefree(f: PolyExact) -> list[RootEntry]:
                 found.append((lo, hi))
                 continue
             mid = (lo + hi) / 2
-            if work(mid) == 0:
+            if work.sign_at(mid) == 0:
                 entries.append(RootEntry(mid, mid, 1, mid, PolyExact((-mid, 1))))
                 work = (work // PolyExact((-mid, 1))).primitive()
                 deflated = True
@@ -259,21 +276,22 @@ def _snap_to_rational(e: RootEntry) -> None:
     if e.exact is not None or e.lo == e.hi:
         return
     candidate = simplest_rational_between(e.lo, e.hi)
-    if e.factor(candidate) == 0:
+    if e.factor.sign_at(candidate) == 0:
         e.exact = candidate
         e.lo = e.hi = candidate
 
 
-def isolate_real_roots(p: PolyExact, eps: RationalLike = DEFAULT_EPS) -> RootSet:
-    """Isolate and refine all real roots of p with certified intervals.
+def isolate_real_roots(p: PolyExact, eps: RationalLike | None = DEFAULT_EPS) -> RootSet:
+    """Isolate all real roots of p with certified intervals.
 
-    Zero roots and rational roots come back with exact values; everything
-    else gets a sign-certified interval of width < eps.  The result is
-    certified real-rooted exactly when the roots found (with multiplicity)
-    account for the full degree.
+    Zero roots and rational roots found on the way come back with exact
+    values; everything else gets a sign-certified interval, of width < eps
+    when eps is given, or just disjoint from the others when eps is None.
+    The result is certified real-rooted exactly when the roots found (with
+    multiplicity) account for the full degree.
     """
-    epsv = rat(eps)
-    if epsv <= 0:
+    epsv = None if eps is None else rat(eps)
+    if epsv is not None and epsv <= 0:
         raise InvalidToleranceError(f"eps must be > 0, got {epsv}")
     if p.is_zero:
         raise InvalidParameterError("cannot isolate roots of the zero polynomial")
@@ -293,7 +311,8 @@ def isolate_real_roots(p: PolyExact, eps: RationalLike = DEFAULT_EPS) -> RootSet
 
     _separate(entries)
     for e in entries:
-        e.refine_below(epsv)
+        if epsv is not None:
+            e.refine_below(epsv)
         _snap_to_rational(e)
     entries.sort(key=lambda e: e.lo)
 

@@ -49,7 +49,6 @@ from .qcore import Rational, RationalLike, as_q, neg_q_power, qpoch_finite, rat,
 from .qhyper import HyperSpec, PolyExact, build_qhyper
 from .roots import RootSet, isolate_real_roots
 
-_ISOLATION_EPS = Fraction(1, 2**64)
 _LIMIT_EXPONENTS = range(4, 21)
 
 
@@ -185,7 +184,8 @@ def _sign_str(c: int) -> str:
 
 
 def _roots(p: PolyExact) -> RootSet:
-    return isolate_real_roots(p, _ISOLATION_EPS)
+    """Isolated to separation only; each decision refines what it needs."""
+    return isolate_real_roots(p, None)
 
 
 def _root_region(
@@ -819,10 +819,13 @@ def _orthogonality_sum(n, m, a, b, q, tol):
         if cutoff > 100_000:
             raise _Skip("tail bound did not contract")
     total = Fraction(0)
-    power = Fraction(1)
-    for k in range(cutoff + 1):
-        total += weight_mass(k, a, b, q) * pn(power) * pm(power)
+    power = Fraction(1)  # q^k
+    mass = weight_mass(0, a, b, q)  # checks the regime
+    for _ in range(cutoff + 1):
+        total += mass * pn(power) * pm(power)
         power *= q
+        # (bq;q)_k/(q;q)_k (aq)^k telescopes from k to k+1
+        mass *= (1 - b * power) / (1 - power) * aq
     return total, tail, cutoff
 
 

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import qzeros
 from qzeros import rat
 from qzeros.cli import decimal_str, main, sci_str
 
@@ -84,6 +89,30 @@ def test_unknown_family_exits_2(capsys):
         capsys, "coeffs", "--family", "nonesuch", "--n", "1", "--q", "1/2"
     )
     assert code == 2 and "unknown family" in err
+
+
+def test_malformed_integer_inputs_exit_2(capsys):
+    """Malformed or negative integer options end in one error line, exit 2."""
+    for argv in (
+        ("table1", "--rows", "abc"),
+        ("table1", "--rows", "1", "--n", "2,-3"),
+        ("coeffs", "--family", "q-bessel", "--n", "-2", "--q", "1/2", "--b", "-1"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_python_m_qzeros_runs_the_cli():
+    src = str(Path(qzeros.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qzeros", "coeffs", "--family", "little-q-jacobi", "--n", "1",
+         "--q", "1/2", "--a", "1/2", "--b", "1/2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1, -5/4"
 
 
 def test_out_of_range_q_exits_2(capsys):

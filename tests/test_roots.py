@@ -13,6 +13,9 @@ from qzeros import (
     PolyExact,
     isolate_real_roots,
     little_q_jacobi,
+    q_bessel,
+    q_laguerre,
+    stieltjes_wigert,
 )
 from qzeros.roots import cauchy_bound, simplest_rational_between
 
@@ -205,3 +208,63 @@ def test_snap_catches_scaled_lattice_roots():
     p = PolyExact.from_roots([q, q**2, q**3])
     rs = isolate_real_roots(p)
     assert [e.exact for e in rs.roots] == [q**3, q**2, q]
+
+
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+DYADICS = st.builds(lambda k, e: F(k, 2**e), st.integers(-(2**14), 2**14), st.integers(0, 40))
+
+
+@st.composite
+def poly_and_point(draw):
+    """A rational polynomial of degree <= 9 and a rational, dyadic or root point."""
+    p = PolyExact(draw(st.lists(RATIONALS, max_size=9)))
+    kind = draw(st.sampled_from(["rational", "dyadic", "root"]))
+    if kind == "root":
+        x = draw(RATIONALS)
+        return p * PolyExact((-x, 1)), x
+    return p, draw(RATIONALS if kind == "rational" else DYADICS)
+
+
+@given(case=poly_and_point())
+@settings(max_examples=200, deadline=None)
+def test_integer_sign_kernel_matches_rational_evaluation(case):
+    """sign_at (integer Horner) agrees with the sign of the Fraction value."""
+    p, x = case
+    v = p(x)
+    assert p.sign_at(x) == (v > 0) - (v < 0)
+
+
+def _acceptance_grid_polynomials():
+    """The polynomials of the acceptance grids, one per family instance."""
+    out = []
+    for q in (F(1, 4), F(1, 2), F(3, 4), F(9, 10)):
+        for n in range(1, 9):
+            for a in (F(1, 4), F(1, 2), F(1)):
+                for b in (F(-2), F(-1, 2), F(0), F(1, 2), F(1)):
+                    out.append(little_q_jacobi(n, a, b, q))
+            out.extend(q_bessel(n, b, q) for b in (F(-2), F(-1, 2)))
+            out.append(stieltjes_wigert(n, q))
+            out.extend(q_laguerre(n, b, q) for b in (F(1, 4), F(1, 2), F(3, 4)))
+    return out
+
+
+def test_lazy_isolation_matches_eager_on_acceptance_grids():
+    """Isolation to separation (eps=None) against refinement to 2^-64.
+
+    Counts, certification and multiplicities agree, and every lazy interval
+    holds its eager interval.  A lazy exact root is the eager one; an eager
+    exact root that the wider lazy interval did not snap to is a proven zero
+    of the lazy entry's factor inside that interval.
+    """
+    for p in _acceptance_grid_polynomials():
+        lazy, eager = isolate_real_roots(p, None), isolate_real_roots(p, F(1, 2**64))
+        assert lazy.total_count == eager.total_count, p
+        assert lazy.certified_real_rooted == eager.certified_real_rooted, p
+        assert len(lazy.roots) == len(eager.roots), p
+        for lz, eg in zip(lazy.roots, eager.roots):
+            assert lz.multiplicity == eg.multiplicity, p
+            assert lz.lo <= eg.lo and eg.hi <= lz.hi, p
+            if lz.exact is not None:
+                assert eg.exact == lz.exact, p
+            elif eg.exact is not None:
+                assert lz.factor.sign_at(eg.exact) == 0, p

@@ -6,6 +6,7 @@ import pytest
 
 from qzeros import (
     GridSpec,
+    isolate_real_roots,
     RegistryError,
     SELFTEST_ID,
     Status,
@@ -17,6 +18,7 @@ from qzeros import (
     run_identity_on_grid,
     summarize,
 )
+from qzeros import verify
 
 Q = F(1, 2)
 
@@ -188,3 +190,33 @@ def test_identity_ids_cover_the_registry():
         "factor-bneg", "factor-anorm", "qdiff-bessel", "bessel-limit", "sw-limit",
     }
     assert expected == set(identity_check_ids())
+
+
+def test_decisions_do_not_depend_on_isolation_width(monkeypatch):
+    """The thm2-lmesh and thmA acceptance grids give identical records with
+    roots isolated to separation only and with roots refined to 2^-64."""
+    grids = [
+        GridSpec(
+            q_values=[F(1, 4), F(1, 2), F(3, 4), F(9, 10)],
+            n_values=list(range(1, 9)),
+            a_values=[F(1, 4), F(1, 2), F(1)],
+            b_values=[F(-2), F(-1, 2), F(0), F(1, 2), F(1)],
+            check_ids=["thm2-lmesh"],
+        )
+    ]
+    for q in (F(1, 2), F(3, 4)):
+        grids.append(
+            GridSpec(
+                q_values=[q],
+                n_values=[1, 3, 5],
+                a_values=[F(1, 2), F(1)],
+                b_values=[F(-1), F(1, 2)],
+                t_values=default_t_values(q),
+                check_ids=["thmA-1", "thmA-2", "thmA-3"],
+            )
+        )
+    lazy = [r.to_json() for g in grids for r in run_checks(g)]
+    monkeypatch.setattr(verify, "_roots", lambda p: isolate_real_roots(p, F(1, 2**64)))
+    eager = [r.to_json() for g in grids for r in run_checks(g)]
+    assert len(lazy) > 400
+    assert lazy == eager
