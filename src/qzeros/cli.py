@@ -201,6 +201,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.steps is not None and args.steps < 1:
+        raise InvalidParameterError(f"--steps must be >= 1, got {args.steps}")
     if args.values:
         values = [_parse_rat(v) for v in args.values.split(",")]
     elif args.start is not None and args.stop is not None and args.steps:
@@ -238,6 +240,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise InvalidParameterError(f"--samples must be >= 1, got {args.samples}")
     rows = _parse_counts(args.rows, "--rows") if args.rows else list(range(1, 11))
     for r in rows:
         if r not in verify_mod.TABLE1_ROWS:
@@ -253,7 +257,7 @@ def _cmd_table1(args) -> int:
     for r in rows:
         check_id = f"table1-row-{r}"
         records = verify_mod.check_property(check_id, grid)
-        if args.samples:
+        if args.samples is not None:
             records = records[: args.samples]
         summary = verify_mod.summarize(records)
         print(

@@ -93,7 +93,7 @@ def little_q_jacobi(
             "use normalized_little_q_jacobi(n, k, b, q) instead"
         )
     spec = HyperSpec(n=n, upper=(av * bv * qv ** (n + 1),), lower=(av * qv,), q=qv)
-    return build_qhyper(spec).scale_arg(qv)
+    return build_qhyper(spec, qv)
 
 
 def little_q_laguerre(n: int, a: RationalLike, q: QValue | RationalLike) -> PolyExact:
@@ -105,7 +105,7 @@ def q_laguerre(n: int, b: RationalLike, q: QValue | RationalLike) -> PolyExact:
     """q-Laguerre polynomial L_n^(b)(x; q) = ((b;q)_n/(q;q)_n) 1phi1(q^-n; b; q, -q^n b x)."""
     bv, qv = rat(b), as_q(q)
     spec = HyperSpec(n=n, upper=(), lower=(bv,), q=qv)
-    series = build_qhyper(spec).scale_arg(-(qv**n) * bv)
+    series = build_qhyper(spec, -(qv**n) * bv)
     return qpoch_finite(bv, qv, n) / qpoch_finite(qv, qv, n) * series
 
 
@@ -113,7 +113,7 @@ def stieltjes_wigert(n: int, q: QValue | RationalLike) -> PolyExact:
     """Stieltjes-Wigert polynomial (1/(q;q)_n) 1phi1(q^-n; 0; q, -q^(n+1) x)."""
     qv = as_q(q)
     spec = HyperSpec(n=n, upper=(), lower=(Fraction(0),), q=qv)
-    series = build_qhyper(spec).scale_arg(-(qv ** (n + 1)))
+    series = build_qhyper(spec, -(qv ** (n + 1)))
     return Fraction(1) / qpoch_finite(qv, qv, n) * series
 
 
@@ -136,20 +136,40 @@ def normalized_little_q_jacobi(
     which vanishes for j < k; the result equals
     c * (qx)^k * p_(n-k)(x; q^k, b) with
     c = (-1)^k q^(C(k,2) - n*k) (b q^(n-k+1);q)_k (q^(k+1);q)_(n-k).
+
+    From j = k on the coefficients telescope by the ratio
+
+        q (1 - q^(j-n)) (1 - b q^(n-k+1+j)) / ((1 - q^(j+1)) (1 - q^(j-k+1))),
+
+    which with q = u/v and b = b_n/b_d is the integer ratio
+    (u^(n-j) - v^(n-j)) (b_d v^e - b_n u^e)
+    / (u^(n-j-1) v^(n-j) b_d (v^(j+1) - u^(j+1)) (v^(j-k+1) - u^(j-k+1)))
+    with e = n-k+1+j.
     """
     bv, qv = rat(b), as_q(q)
     if not 1 <= k <= n:
         raise InvalidParameterError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    out = []
-    for j in range(n + 1):
-        coef = (
-            qpoch_finite(qv ** (-n), qv, j)
-            / qpoch_finite(qv, qv, j)
-            * qpoch_finite(bv * qv ** (n - k + 1), qv, j)
-            * qpoch_finite(qv ** (j - k + 1), qv, n - j)
-            * qv**j
+    first = (  # coefficient k, where (q^(j-k+1);q)_(n-j) is (q;q)_(n-k)
+        qpoch_finite(qv ** (-n), qv, k)
+        / qpoch_finite(qv, qv, k)
+        * qpoch_finite(bv * qv ** (n - k + 1), qv, k)
+        * qpoch_finite(qv, qv, n - k)
+        * qv**k
+    )
+    u, v = qv.numerator, qv.denominator
+    b_num, b_den = bv.numerator, bv.denominator
+    out = [Fraction(0)] * k + [first]
+    num, den = first.numerator, first.denominator  # coefficient j, unreduced
+    for j in range(k, n):
+        e = n - k + 1 + j
+        num *= (u ** (n - j) - v ** (n - j)) * (b_den * v**e - b_num * u**e)
+        if not num:
+            break
+        den *= (
+            u ** (n - j - 1) * v ** (n - j) * b_den
+            * (v ** (j + 1) - u ** (j + 1)) * (v ** (j - k + 1) - u ** (j - k + 1))
         )
-        out.append(coef)
+        out.append(Fraction(num, den))
     return PolyExact(out)
 
 

@@ -71,21 +71,27 @@ def neg_q_power(value: Fraction, q: Fraction) -> int | None:
 def qpoch_finite(a: RationalLike, q: QValue | RationalLike, k: int) -> Fraction:
     """The finite q-Pochhammer symbol (a;q)_k = prod_{j<k} (1 - a*q^j), exactly.
 
-    k = 0 gives the empty product 1.  Telescopes exactly:
-    (a;q)_{k+1} = (a;q)_k * (1 - a*q^k).
+    k = 0 gives the empty product 1.  With a = a_n/a_d and q = u/v the
+    product is prod_{j<k} (a_d v^j - a_n u^j) / (a_d^k v^(k(k-1)/2)): the
+    numerator runs on integers and the result is reduced once.  A vanishing
+    factor returns 0 at once.
     """
     if k < 0:
         raise ValueError(f"q-Pochhammer order must be >= 0, got {k}")
     av = rat(a)
     qv = as_q(q)
-    out = Fraction(1)
-    power = Fraction(1)
+    a_num, a_den = av.numerator, av.denominator
+    u, v = qv.numerator, qv.denominator
+    num = 1
+    upow = vpow = 1  # u^j, v^j
     for _ in range(k):
-        out *= 1 - av * power
-        if out == 0:
-            return out
-        power *= qv
-    return out
+        factor = a_den * vpow - a_num * upow
+        if not factor:
+            return Fraction(0)
+        num *= factor
+        upow *= u
+        vpow *= v
+    return Fraction(num, a_den**k * v ** (k * (k - 1) // 2))
 
 
 def qpoch_vector(params, q: QValue | RationalLike, k: int) -> Fraction:

@@ -8,6 +8,11 @@ vector b has k-th monomial coefficient
 with the convention C(0,2) = C(1,2) = 0, where r = len(a) and s = len(b).
 Lower parameters must avoid {1, q^-1, ..., q^-n}, otherwise some
 denominator (b;q)_k vanishes or the series is conventionally undefined.
+
+Series construction runs on integers: with q = u/v, every factor of the term ratio
+c_(k+1)/c_k is a ratio of integers, the products run as one integer
+numerator and one integer denominator, and each coefficient is reduced once
+when it becomes a ``Fraction``, instead of once per factor.
 """
 
 from __future__ import annotations
@@ -29,14 +34,14 @@ class PolyExact:
     is the empty tuple (degree reported as -1).
     """
 
-    __slots__ = ("coeffs", "_ints")
+    __slots__ = ("coeffs", "_ints", "_den")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
         cs = [rat(c) for c in coefficients]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
-        self._ints: tuple[int, ...] | None = None  # see _integer_coeffs
+        self._ints: tuple[int, ...] | None = None  # see _integer_coeffs, which also sets _den
 
     @classmethod
     def zero(cls) -> "PolyExact":
@@ -121,29 +126,49 @@ class PolyExact:
     def _integer_coeffs(self) -> tuple[int, ...]:
         """The coefficients times the lcm of their denominators, computed once."""
         if self._ints is None:
-            den = lcm(*(c.denominator for c in self.coeffs))
-            self._ints = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+            self._den = lcm(*(c.denominator for c in self.coeffs))
+            self._ints = tuple(c.numerator * (self._den // c.denominator) for c in self.coeffs)
         return self._ints
 
-    def sign_at(self, x: RationalLike) -> int:
-        """Exact sign of p(x), by integer arithmetic only.
+    def _homogeneous(self, n: int, d: int) -> tuple[int, int]:
+        """(h, d^deg) with h = sum c_i n^i d^(deg-i) over the integer-scaled
+        coefficients c_i, by homogeneous Horner: no rational, no gcd.
 
-        With x = n/d (d > 0) and the coefficients scaled by a positive
-        integer to c_i, d^deg * p(x) is proportional to
-        sum c_i n^i d^(deg-i), which homogeneous Horner evaluates with no
-        rational and no gcd; its sign is the sign of p(x).
+        For d > 0, p(n/d) = h / (L d^deg), where L > 0 is the lcm of the
+        coefficient denominators.
         """
         ints = self._integer_coeffs()
-        if not ints:
-            return 0
-        xv = rat(x)
-        n, d = xv.numerator, xv.denominator
         acc = ints[-1]
         dpow = 1
         for c in reversed(ints[:-1]):
             dpow *= d
             acc = acc * n + c * dpow
+        return acc, dpow
+
+    def sign_at(self, x: RationalLike) -> int:
+        """Exact sign of p(x), by integer arithmetic only.
+
+        With x = n/d (d > 0) and the coefficients scaled by a positive
+        integer, d^deg * p(x) is proportional to the homogeneous sum of
+        :meth:`_homogeneous`, so its sign is the sign of p(x).
+        """
+        if not self.coeffs:
+            return 0
+        xv = rat(x)
+        acc, _ = self._homogeneous(xv.numerator, xv.denominator)
         return (acc > 0) - (acc < 0)
+
+    def value_parts(self, n: int, d: int) -> tuple[int, int]:
+        """Integers (h, m) with p(n/d) = h/m for an integer d > 0.
+
+        m = L d^deg, where L is the lcm of the coefficient denominators;
+        h comes from homogeneous integer Horner with no reduction, so a
+        caller summing many values can reduce once.
+        """
+        if not self.coeffs:
+            return 0, 1
+        acc, dpow = self._homogeneous(n, d)
+        return acc, self._den * dpow
 
     # -- structural transforms -------------------------------------------
 
@@ -314,34 +339,51 @@ class HyperSpec:
                 raise ConstraintViolationError(j, b, self.n)
 
 
-def build_qhyper(spec: HyperSpec) -> PolyExact:
-    """Expand the terminating series of ``spec`` into exact coefficients.
+def build_qhyper(spec: HyperSpec, scale: RationalLike = 1) -> PolyExact:
+    """Expand the terminating series of ``spec`` at the argument scale*x.
 
+    The k-th coefficient is the series coefficient times scale^k, so
+    ``build_qhyper(spec, z)`` equals ``build_qhyper(spec).scale_arg(z)``.
     The degree equals spec.n unless an upper parameter of the form q^-m with
-    m < n annihilates the top terms, in which case trailing zero coefficients
-    are stripped.
+    m < n (or scale = 0) annihilates the top terms, in which case trailing
+    zero coefficients are stripped.
+
+    With q = u/v, a = a_n/a_d, b = b_n/b_d and scale = z_n/z_d, the ratio
+    c_(j+1)/c_j is the product of (u^(n-j) - v^(n-j))/u^(n-j),
+    (a_d v^j - a_n u^j)/(a_d v^j) per upper parameter,
+    v^(j+1)/(v^(j+1) - u^(j+1)), b_d v^j/(b_d v^j - b_n u^j) per lower
+    parameter, (-1)^d q^(d j) and z_n/z_d, where d = s - r.  The v^j of the
+    parameter factors cancel against q^(d j), and u^(d j) meets the
+    u^(n-j) of the first factor as u^((d+1) j - n).
     """
-    n, q = spec.n, spec.q
+    n, q, z = spec.n, spec.q, rat(scale)
     d = len(spec.lower) - len(spec.upper)  # s - r
-    ratios = [Fraction(1)]
-    num = Fraction(1)  # (q^-n;q)_k * prod (a;q)_k
-    den = Fraction(1)  # (q;q)_k * prod (b;q)_k
-    qpow_minus_n = q ** (-n)  # q^(k-n), tracked incrementally
-    qpow = Fraction(1)  # q^k
-    qpow_next = q  # q^(k+1)
-    for k in range(n):
-        num *= 1 - qpow_minus_n
-        for a in spec.upper:
-            num *= 1 - a * qpow
-        den *= 1 - qpow_next
-        for b in spec.lower:
-            den *= 1 - b * qpow
-        ratios.append(num / den)
-        qpow_minus_n *= q
-        qpow *= q
-        qpow_next *= q
-    sign = -1 if d % 2 else 1
-    out = []
-    for k, c in enumerate(ratios):
-        out.append(c * (sign ** k) * q ** (d * (k * (k - 1) // 2)))
+    u, v = q.numerator, q.denominator
+    upow = [u**i for i in range(n + 1)]
+    vpow = [v**i for i in range(n + 2)]
+    upper = [(a.numerator, a.denominator) for a in spec.upper]
+    lower = [(b.numerator, b.denominator) for b in spec.lower]
+    step_num = -z.numerator if d % 2 else z.numerator  # (-1)^d z_n
+    step_den = z.denominator
+    for _, a_den in upper:
+        step_den *= a_den
+    for _, b_den in lower:
+        step_num *= b_den
+    num = den = 1  # c_j = num/den, unreduced
+    out = [Fraction(1)]
+    for j in range(n):
+        num *= step_num * (upow[n - j] - vpow[n - j]) * vpow[j + 1]
+        den *= step_den * (vpow[j + 1] - upow[j + 1])
+        for a_num, a_den in upper:
+            num *= a_den * vpow[j] - a_num * upow[j]
+        for b_num, b_den in lower:
+            den *= b_den * vpow[j] - b_num * upow[j]
+        e = (d + 1) * j - n
+        if e >= 0:
+            num *= u**e
+        else:
+            den *= u**-e
+        if not num:
+            break
+        out.append(Fraction(num, den))
     return PolyExact(out)

@@ -818,15 +818,30 @@ def _orthogonality_sum(n, m, a, b, q, tol):
         cutoff += 8
         if cutoff > 100_000:
             raise _Skip("tail bound did not contract")
-    total = Fraction(0)
-    power = Fraction(1)  # q^k
+    # With q = u/v, pn(q^k) and pm(q^k) come as integer pairs from homogeneous
+    # Horner at u^k/v^k, and the mass (bq;q)_k/(q;q)_k (aq)^k telescopes from
+    # k to k+1 by the integer ratio (b_d v^(k+1) - b_n u^(k+1)) a_n u
+    # / (b_d (v^(k+1) - u^(k+1)) a_d v).  The term denominators are
+    # mass_den * L_n v^(k deg pn) * L_m v^(k deg pm), each a multiple of the
+    # one before, so the sum runs as one integer over the latest of them and
+    # is reduced once.
+    u, v = q.numerator, q.denominator
+    step_num, step_den = a.numerator * u, a.denominator * b.denominator * v
+    acc, acc_den = 0, 1
+    upow = vpow = 1  # q^k = upow/vpow
     mass = weight_mass(0, a, b, q)  # checks the regime
+    mass_num, mass_den = mass.numerator, mass.denominator
     for _ in range(cutoff + 1):
-        total += mass * pn(power) * pm(power)
-        power *= q
-        # (bq;q)_k/(q;q)_k (aq)^k telescopes from k to k+1
-        mass *= (1 - b * power) / (1 - power) * aq
-    return total, tail, cutoff
+        hn, dn = pn.value_parts(upow, vpow)
+        hm, dm = pm.value_parts(upow, vpow)
+        den = mass_den * dn * dm
+        acc = acc * (den // acc_den) + mass_num * hn * hm
+        acc_den = den
+        upow *= u
+        vpow *= v
+        mass_num *= (b.denominator * vpow - b.numerator * upow) * step_num
+        mass_den *= (vpow - upow) * step_den
+    return Fraction(acc, acc_den), tail, cutoff
 
 
 # -- Table 1: stated parameter ranges, root regions and mesh bounds ---------
@@ -1097,7 +1112,12 @@ def check_property(check_id: str, grid: GridSpec) -> list[VerificationRecord]:
 
 def run_checks(grid: GridSpec) -> list[VerificationRecord]:
     """Run every check named by the grid, identities first point order, then
-    properties, in the deterministic order the grid lists them."""
+    properties, in the deterministic order the grid lists them.
+
+    A grid that yields no record at all (no check ids, or value lists that
+    leave every check without a point) raises :class:`ConfigError`: an
+    empty report would read as a pass.
+    """
     records: list[VerificationRecord] = []
     for check_id in grid.check_ids:
         if check_id in IDENTITY_CHECKS or check_id == SELFTEST_ID:
@@ -1106,6 +1126,11 @@ def run_checks(grid: GridSpec) -> list[VerificationRecord]:
             records.extend(check_property(check_id, grid))
         else:
             raise RegistryError(f"unknown check {check_id!r}")
+    if not records:
+        raise ConfigError(
+            f"the grid yields no records (checkIds {list(grid.check_ids)}); "
+            "name at least one check and give each of its axes a value"
+        )
     return records
 
 

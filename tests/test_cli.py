@@ -97,6 +97,13 @@ def test_malformed_integer_inputs_exit_2(capsys):
         ("table1", "--rows", "abc"),
         ("table1", "--rows", "1", "--n", "2,-3"),
         ("coeffs", "--family", "q-bessel", "--n", "-2", "--q", "1/2", "--b", "-1"),
+        ("table1", "--rows", "1", "--samples", "-1"),
+        ("table1", "--rows", "1", "--samples", "0"),
+        *(
+            ("sweep", "--family", "little-q-jacobi", "--n", "2", "--q", "1/2", "--b", "1/2",
+             "--vary", "a", "--start", "0", "--stop", "1", "--steps", steps)
+            for steps in ("-3", "0")
+        ),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -179,6 +186,8 @@ def test_verify_bad_config_exits_2(tmp_path, capsys):
         '{"qValues": ["1/2"], "nValues": [-3]}',
         "[1, 2]",  # not an object
         '{"qValues": ["abc"], "nValues": [2]}',
+        '{"qValues": [], "checkIds": ["thm2-lmesh"]}',  # no records
+        '{"qValues": ["1/2"], "nValues": [2]}',  # no check ids
     ):
         cfg.write_text(doc)
         code, _, err = run_cli(capsys, "verify", "--config", str(cfg))

@@ -159,3 +159,33 @@ def test_limit_consistency_small_case():
         if prev is not None:
             assert dev < prev
         prev = dev
+
+
+def _naive_qpoch(a, q, k):
+    out = F(1)
+    for j in range(k):
+        out *= 1 - a * q**j
+    return out
+
+
+def test_normalized_matches_quadratic_formula_on_factor_anorm_grid():
+    """The telescoped coefficients equal the defining formula, evaluated
+    coefficient by coefficient with per-factor Fraction products, on the
+    factor-anorm grid: q in {1/4, 1/2, 3/4, 9/10}, b in {1/3, -1, 3/2},
+    n <= 12, k = 1..n."""
+    checked = 0
+    for q in (F(1, 4), F(1, 2), F(3, 4), F(9, 10)):
+        for b in (F(1, 3), F(-1), F(3, 2)):
+            for n in range(1, 13):
+                for k in range(1, n + 1):
+                    expected = PolyExact(
+                        _naive_qpoch(q ** (-n), q, j)
+                        / _naive_qpoch(q, q, j)
+                        * _naive_qpoch(b * q ** (n - k + 1), q, j)
+                        * _naive_qpoch(q ** (j - k + 1), q, n - j)
+                        * q**j
+                        for j in range(n + 1)
+                    )
+                    assert normalized_little_q_jacobi(n, k, b, q) == expected, (q, b, n, k)
+                    checked += 1
+    assert checked == 936

@@ -55,6 +55,22 @@ def test_telescoping(a, q, k):
     assert qpoch_finite(a, q, k + 1) == qpoch_finite(a, q, k) * (1 - a * q**k)
 
 
+def _naive_qpoch(a, q, k):
+    out = F(1)
+    for j in range(k):
+        out *= 1 - a * q**j
+    return out
+
+
+@given(data=st.data(), q=Q_VALUES, k=st.integers(0, 14))
+@settings(max_examples=200, deadline=None)
+def test_qpoch_finite_matches_naive_product(data, q, k):
+    """The integer kernel equals the per-factor Fraction product, including
+    a = 0, negative a and a = q^-m, whose product vanishes for k > m."""
+    a = data.draw(st.one_of(SMALL_RATIONALS, st.integers(0, 16).map(lambda m: q**-m)))
+    assert qpoch_finite(a, q, k) == _naive_qpoch(a, q, k)
+
+
 @given(q=Q_VALUES, n=st.integers(0, 6), k=st.integers(0, 9))
 @settings(max_examples=60, deadline=None)
 def test_inverse_power_vanishing(q, n, k):

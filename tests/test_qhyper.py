@@ -7,15 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from qzeros import (
     ConstraintViolationError,
+    GridSpec,
     HyperSpec,
     PolyExact,
     build_qhyper,
     poly_gcd,
     qpoch_finite,
     qpoch_vector,
+    run_identity_on_grid,
     square_free_decomposition,
     square_free_part,
 )
+from qzeros import families, verify
 
 Q_VALUES = st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)])
 PARAMS = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
@@ -124,3 +127,83 @@ def test_degree_and_top_coefficient(q, n, a, b):
             / (qpoch_finite(b, q, n) * qpoch_finite(q, q, n))
         )
         assert p.coeffs[-1] == expected_top
+
+
+# -- differential tests against the Fraction recurrence --------------------
+
+
+def _reference_build(spec, scale=1):
+    """The per-step Fraction recurrence that the integer kernel replaced,
+    followed by the argument scaling: the reference for build_qhyper."""
+    n, q = spec.n, spec.q
+    d = len(spec.lower) - len(spec.upper)
+    ratios = [F(1)]
+    num = F(1)
+    den = F(1)
+    qpow_minus_n = q ** (-n)
+    qpow = F(1)
+    qpow_next = q
+    for _ in range(n):
+        num *= 1 - qpow_minus_n
+        for a in spec.upper:
+            num *= 1 - a * qpow
+        den *= 1 - qpow_next
+        for b in spec.lower:
+            den *= 1 - b * qpow
+        ratios.append(num / den)
+        qpow_minus_n *= q
+        qpow *= q
+        qpow_next *= q
+    sign = -1 if d % 2 else 1
+    out = [c * (sign**k) * q ** (d * (k * (k - 1) // 2)) for k, c in enumerate(ratios)]
+    return PolyExact(out).scale_arg(scale)
+
+
+@st.composite
+def _hyper_specs(draw):
+    q = draw(Q_VALUES)
+    n = draw(st.integers(0, 9))
+    # upper parameters include 0, negatives and q^-m, which ends the series
+    # early when m < n
+    upper_param = st.one_of(PARAMS, st.integers(0, 10).map(lambda m: q**-m))
+    upper = tuple(draw(st.lists(upper_param, max_size=3)))
+    lower = tuple(draw(st.lists(PARAMS, max_size=3)))
+    scale = draw(st.one_of(st.just(F(1)), st.just(q), PARAMS))
+    return q, n, upper, lower, scale
+
+
+@given(case=_hyper_specs())
+@settings(max_examples=300, deadline=None)
+def test_build_matches_fraction_recurrence(case):
+    q, n, upper, lower, scale = case
+    try:
+        spec = HyperSpec(n=n, upper=upper, lower=lower, q=q)
+    except ConstraintViolationError:
+        return
+    assert build_qhyper(spec, scale) == _reference_build(spec, scale)
+    assert build_qhyper(spec).scale_arg(scale) == build_qhyper(spec, scale)
+
+
+def test_build_matches_fraction_recurrence_on_acceptance_grid(monkeypatch):
+    """Every series built while the exact-identity and limit acceptance
+    grids run equals the Fraction recurrence at the same argument scale."""
+    built = []
+    integer_build = build_qhyper
+
+    def checked(spec, scale=1):
+        p = integer_build(spec, scale)
+        assert p == _reference_build(spec, scale), (spec, scale)
+        built.append(spec)
+        return p
+
+    monkeypatch.setattr(families, "build_qhyper", checked)
+    monkeypatch.setattr(verify, "build_qhyper", checked)
+    q_grid = [F(1, 4), F(1, 2), F(3, 4), F(9, 10)]
+    a3, b3 = [F(1, 3), F(-2), F(2, 3)], [F(1, 3), F(-1), F(3, 2)]
+    for check_id in verify.identity_check_ids():
+        if check_id in ("bessel-limit", "sw-limit"):
+            grid = GridSpec(q_values=[F(1, 4)], n_values=range(1, 7), b_values=[F(-2), F(-1), F(1, 3)])
+        else:
+            grid = GridSpec(q_values=q_grid, n_values=range(1, 9), a_values=a3, b_values=b3)
+        run_identity_on_grid(check_id, grid)
+    assert len(built) > 5000

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from qzeros import (
+    ConfigError,
     GridSpec,
     isolate_real_roots,
     RegistryError,
@@ -14,9 +15,11 @@ from qzeros import (
     check_property,
     default_t_values,
     identity_check_ids,
+    little_q_jacobi,
     run_checks,
     run_identity_on_grid,
     summarize,
+    weight_mass,
 )
 from qzeros import verify
 
@@ -220,3 +223,31 @@ def test_decisions_do_not_depend_on_isolation_width(monkeypatch):
     eager = [r.to_json() for g in grids for r in run_checks(g)]
     assert len(lazy) > 400
     assert lazy == eager
+
+
+def test_orthogonality_sum_matches_fraction_horner():
+    """The integer-Horner partial sum equals the sum of weight_mass(k) *
+    p_n(q^k) * p_m(q^k) by Fraction Horner, over the same lattice cutoff."""
+    points = [
+        (F(1, 2), F(1, 2), F(1, 2)), (F(1, 4), F(1), F(-1)), (F(3, 4), F(1, 2), F(1, 3)),
+        (F(3, 4), F(1, 4), F(-2)), (F(1, 2), F(1), F(0)),
+    ]
+    for q, a, b in points:
+        for n in range(0, 5):
+            for m in range(n + 1, 6):
+                total, _, cutoff = verify._orthogonality_sum(n, m, a, b, q, F(1, 10**20))
+                pn, pm = little_q_jacobi(n, a, b, q), little_q_jacobi(m, a, b, q)
+                expected = sum(
+                    weight_mass(k, a, b, q) * pn(q**k) * pm(q**k) for k in range(cutoff + 1)
+                )
+                assert total == expected, (q, a, b, n, m)
+
+
+def test_grid_without_records_raises():
+    for grid in (
+        GridSpec(q_values=[], n_values=[2], check_ids=["thm2-lmesh"]),
+        GridSpec(q_values=[Q], n_values=[2]),  # no check ids
+        GridSpec(q_values=[Q], n_values=[2], check_ids=["contig-1"]),  # no a, b values
+    ):
+        with pytest.raises(ConfigError):
+            run_checks(grid)
