@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import verify as verify_mod
 from .analysis import interlace, lmesh
-from .errors import InvalidParameterError, QZerosError
+from .errors import ConfigError, InvalidParameterError, QZerosError
 from .families import Family, FamilyParams, build
 from .qcore import as_q, rat, rat_str
 from .roots import DEFAULT_EPS, RootSet, isolate_real_roots
@@ -182,6 +182,10 @@ def _cmd_verify(args) -> int:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise QZerosError(f"config is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError("config nests too deeply to parse") from exc
     grid = verify_mod.GridSpec.from_json(doc)
     records = verify_mod.run_checks(grid)
     summary = verify_mod.summarize(records)

@@ -189,10 +189,15 @@ def e_factor(k: int, q: QValue | RationalLike) -> PolyExact:
     qv = as_q(q)
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
-    p = PolyExact.one()
+    # With q = u/v each factor is (u^j - v^j x)/u^j: multiply the integer
+    # numerators, then reduce each coefficient once by u^(1+2+...+k).
+    u, v = qv.numerator, qv.denominator
+    ints = [1]
     for j in range(1, k + 1):
-        p = p * PolyExact((1, -(qv ** (-j))))
-    return p
+        uj, vj = u**j, v**j
+        ints = [uj * c - vj * prev for c, prev in zip(ints + [0], [0] + ints)]
+    den = u ** (k * (k + 1) // 2)
+    return PolyExact(Fraction(c, den) for c in ints)
 
 
 def weight_mass(

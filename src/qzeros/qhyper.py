@@ -13,6 +13,11 @@ Series construction runs on integers: with q = u/v, every factor of the term rat
 c_(k+1)/c_k is a ratio of integers, the products run as one integer
 numerator and one integer denominator, and each coefficient is reduced once
 when it becomes a ``Fraction``, instead of once per factor.
+
+``poly_gcd`` first tries to prove its inputs coprime by Euclid modulo the
+prime 2^61 - 1, which settles the common square-free and disjoint-zero cases
+without rational arithmetic; only when that proves nothing does the rational
+Euclid run.
 """
 
 from __future__ import annotations
@@ -250,8 +255,45 @@ class PolyExact:
         return self.divmod(other)[1]
 
 
+# A fixed prime (the Mersenne prime 2^61 - 1) for the coprimality certificate.
+_P = (1 << 61) - 1
+
+
+def _coprime_mod_p(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """True only when the integer polynomials a and b share no factor over Q.
+
+    Proof: a common factor over Q can be taken primitive in Z[x] (Gauss's
+    lemma); its leading coefficient divides lc(a), so when P divides neither
+    leading coefficient the factor keeps its degree mod P and divides both
+    reductions.  A constant gcd over F_P therefore rules it out.  False means
+    only that this test decides nothing.
+    """
+    if not a or not b or a[-1] % _P == 0 or b[-1] % _P == 0:
+        return False
+    a = [c % _P for c in a]
+    b = [c % _P for c in b]
+    while b:
+        inv = pow(b[-1], -1, _P)
+        tail = b[:-1]
+        while len(a) >= len(b):
+            f = a.pop() * inv % _P
+            shift = len(a) - len(tail)
+            for j, c in enumerate(tail):
+                a[shift + j] = (a[shift + j] - f * c) % _P
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def poly_gcd(a: PolyExact, b: PolyExact) -> PolyExact:
-    """Monic gcd over the rationals (Euclid with primitive normalization)."""
+    """Monic gcd over the rationals (Euclid with primitive normalization).
+
+    Coprime inputs, the common case, are proven so by Euclid modulo one
+    prime (:func:`_coprime_mod_p`) without any rational arithmetic.
+    """
+    if _coprime_mod_p(a._integer_coeffs(), b._integer_coeffs()):
+        return PolyExact.one()
     a = a.primitive()
     b = b.primitive()
     while not b.is_zero:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -88,6 +89,8 @@ def _config_int(value) -> int:
 
 
 def _config_value(key: str, value, parse: Callable):
+    if isinstance(value, bool):  # JSON true/false, which rat() would read as 1/0
+        raise ConfigError(f"{key}: cannot parse {value!r} (a boolean is not a value)")
     try:
         return parse(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -183,9 +186,23 @@ def _sign_str(c: int) -> str:
     return {-1: "<", 0: "=", 1: ">"}[c]
 
 
+# The isolations of the current run_checks call, keyed by coefficient tuple.
+_ISOLATED: ContextVar[dict | None] = ContextVar("qzeros_isolated", default=None)
+
+
 def _roots(p: PolyExact) -> RootSet:
-    """Isolated to separation only; each decision refines what it needs."""
-    return isolate_real_roots(p, None)
+    """Isolated to separation only; each decision refines what it needs.
+
+    Inside :func:`run_checks` each distinct polynomial is isolated once: the
+    root set is frozen and every decision refines copies of its entries.
+    """
+    memo = _ISOLATED.get()
+    if memo is None:
+        return isolate_real_roots(p, None)
+    rs = memo.get(p.coeffs)
+    if rs is None:
+        rs = memo[p.coeffs] = isolate_real_roots(p, None)
+    return rs
 
 
 def _root_region(
@@ -1114,18 +1131,25 @@ def run_checks(grid: GridSpec) -> list[VerificationRecord]:
     """Run every check named by the grid, identities first point order, then
     properties, in the deterministic order the grid lists them.
 
+    Each distinct polynomial is isolated once per call (see :func:`_roots`);
+    the memo is dropped when the call returns or raises.
+
     A grid that yields no record at all (no check ids, or value lists that
     leave every check without a point) raises :class:`ConfigError`: an
     empty report would read as a pass.
     """
     records: list[VerificationRecord] = []
-    for check_id in grid.check_ids:
-        if check_id in IDENTITY_CHECKS or check_id == SELFTEST_ID:
-            records.extend(run_identity_on_grid(check_id, grid))
-        elif check_id in PROPERTY_CHECKS:
-            records.extend(check_property(check_id, grid))
-        else:
-            raise RegistryError(f"unknown check {check_id!r}")
+    token = _ISOLATED.set({})
+    try:
+        for check_id in grid.check_ids:
+            if check_id in IDENTITY_CHECKS or check_id == SELFTEST_ID:
+                records.extend(run_identity_on_grid(check_id, grid))
+            elif check_id in PROPERTY_CHECKS:
+                records.extend(check_property(check_id, grid))
+            else:
+                raise RegistryError(f"unknown check {check_id!r}")
+    finally:
+        _ISOLATED.reset(token)
     if not records:
         raise ConfigError(
             f"the grid yields no records (checkIds {list(grid.check_ids)}); "

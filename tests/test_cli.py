@@ -188,10 +188,26 @@ def test_verify_bad_config_exits_2(tmp_path, capsys):
         '{"qValues": ["abc"], "nValues": [2]}',
         '{"qValues": [], "checkIds": ["thm2-lmesh"]}',  # no records
         '{"qValues": ["1/2"], "nValues": [2]}',  # no check ids
+        # JSON booleans, which would otherwise read as 1 and 0
+        '{"qValues": ["1/2"], "nValues": [true], "checkIds": ["sw-lmesh"]}',
+        '{"qValues": ["1/2"], "nValues": [2], "aValues": [false], "bValues": ["1/2"], "checkIds": ["thm2-lmesh"]}',
+        '{"qValues": ["1/2"], "nValues": [2], "aValues": ["1/2"], "bValues": [true], "checkIds": ["thm2-lmesh"]}',
+        '{"qValues": ["1/2"], "nValues": [2], "tValues": [true], "checkIds": ["sw-lmesh"]}',
+        '{"qValues": ["1/2"], "nValues": [2], "eps": true, "checkIds": ["sw-lmesh"]}',
+        '{"qValues": [true], "nValues": [2], "checkIds": ["sw-lmesh"]}',
+        "[" * 100000 + "]" * 100000,  # nests beyond the parser's recursion limit
     ):
         cfg.write_text(doc)
         code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
         assert code == 2 and err.startswith("error: ") and "Traceback" not in err, doc
+
+
+def test_verify_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bytes.json"
+    cfg.write_bytes(b"\xff\xfe")
+    code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and err.startswith("error: ") and "UTF-8" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_negative_rational_option_value(capsys):

@@ -189,3 +189,13 @@ def test_normalized_matches_quadratic_formula_on_factor_anorm_grid():
                     assert normalized_little_q_jacobi(n, k, b, q) == expected, (q, b, n, k)
                     checked += 1
     assert checked == 936
+
+
+def test_e_factor_matches_fraction_product():
+    """The integer kernel against k successive Fraction products of
+    (1 - q^-j x), for k <= 12."""
+    for q in (F(1, 4), F(1, 2), F(2, 3), F(3, 4), F(9, 10), F(7, 11)):
+        reference = PolyExact.one()
+        for k in range(1, 13):
+            reference = reference * PolyExact((1, -(q ** (-k))))
+            assert e_factor(k, q) == reference, (q, k)

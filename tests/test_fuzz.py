@@ -1,0 +1,107 @@
+"""Input fuzzing: random config documents and random CLI argument lists.
+
+A malformed input may only end as a ConfigError/QZerosError (exit 2 with one
+``error:`` line) or an argparse usage error (exit 2); a well-formed one exits
+0 or 1.  No input may leak another exception or print a traceback.
+"""
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from qzeros import GridSpec, QZerosError
+from qzeros.cli import main
+from qzeros.verify import _CONFIG_KEYS
+
+_RATIONAL_TEXT = st.one_of(
+    st.sampled_from(["1/2", "3/4", "-1/2", "0", "1", "2", "1/0", "0/0", "abc", "", " 1/3 ", "1e3", "-"]),
+    st.text(alphabet="0123456789/-.e ", max_size=6),
+)
+_SCALAR = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10, 10),
+    st.floats(allow_nan=True, allow_infinity=True),
+    _RATIONAL_TEXT,
+    st.text(max_size=8),
+)
+_JSON = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+# mostly the real keys, with lists of scalars as values, so parsing reaches
+# the value checks and not only the unknown-key check
+_CONFIG = st.dictionaries(
+    st.sampled_from(_CONFIG_KEYS + ("qvalues",)),
+    st.one_of(st.lists(_SCALAR, max_size=4), _SCALAR),
+    max_size=len(_CONFIG_KEYS),
+)
+
+
+@given(doc=st.one_of(_CONFIG, _JSON))
+@settings(max_examples=400, deadline=None)
+def test_grid_from_json_raises_only_toolkit_errors(doc):
+    try:
+        grid = GridSpec.from_json(doc)
+    except QZerosError:  # ConfigError, or a q outside (0, 1), or eps <= 0
+        return
+    assert isinstance(grid, GridSpec)
+    assert all(type(n) is int and n >= 0 for n in grid.n_values)
+    parsed = [v for raw in doc.values() for v in (raw if isinstance(raw, list) else [raw])]
+    assert not any(isinstance(v, bool) for v in parsed)  # JSON true/false are not values
+
+
+_FAMILIES = st.sampled_from(
+    ["little-q-jacobi", "little-q-laguerre", "q-laguerre", "stieltjes-wigert", "q-bessel",
+     "normalized-little-q-jacobi", "e-factor", "no-such-family"]
+)
+_COUNT_TEXT = st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["", "x", "1.5", "--", "2,3"]))
+
+
+_GOOD_RATIONAL = st.sampled_from(["1/2", "1/4", "3/4", "-1/2", "0", "1"])
+
+
+def _option(name: str, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+@st.composite
+def _family_argv(draw):
+    def opt(name, good, bad):
+        """Mostly a valid value; one draw in ten malformed, one absent."""
+        r = draw(st.integers(0, 9))
+        return [] if r == 0 else [name, draw(bad if r == 1 else good)]
+
+    argv = [draw(st.sampled_from(["coeffs", "roots"]))]
+    argv += opt("--family", _FAMILIES, st.just("no-such-family"))
+    argv += opt("--n", st.integers(0, 4).map(str), _COUNT_TEXT)
+    argv += opt("--q", st.sampled_from(["1/2", "1/3", "3/4"]), _RATIONAL_TEXT)
+    argv += opt("--a", _GOOD_RATIONAL, _RATIONAL_TEXT)
+    argv += opt("--b", _GOOD_RATIONAL, _RATIONAL_TEXT)
+    argv += draw(_option("--k", _COUNT_TEXT))
+    if argv[0] == "roots":
+        argv += draw(_option("--eps", st.sampled_from(["1/16", "1/1024", "0", "-1", "abc", "1/0"])))
+    return argv
+
+
+@st.composite
+def _table1_argv(draw):
+    argv = ["table1"]
+    argv += draw(_option("--rows", st.sampled_from(["1", "3", "9,10", "0", "11", "a", "1,,2", "-1"])))
+    argv += draw(_option("--samples", st.sampled_from(["1", "2", "0", "-1", "x"])))
+    argv += draw(_option("--q", st.sampled_from(["1/2", "1/4,3/4", "2", "0", "abc", "1/2,"])))
+    argv += ["--n", draw(st.sampled_from(["1", "2", "1,2", "0", "-1", "x", ""]))]  # keep degrees small
+    return argv
+
+
+@given(argv=st.one_of(_family_argv(), _table1_argv()))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_exits_cleanly_on_random_arguments(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: a usage error, or --help
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv
+    if code == 2 and err.startswith("error: "):
+        assert len(err.strip().splitlines()) == 1, (argv, err)

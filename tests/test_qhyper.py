@@ -18,7 +18,7 @@ from qzeros import (
     square_free_decomposition,
     square_free_part,
 )
-from qzeros import families, verify
+from qzeros import families, qhyper, verify
 
 Q_VALUES = st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)])
 PARAMS = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
@@ -207,3 +207,58 @@ def test_build_matches_fraction_recurrence_on_acceptance_grid(monkeypatch):
             grid = GridSpec(q_values=q_grid, n_values=range(1, 9), a_values=a3, b_values=b3)
         run_identity_on_grid(check_id, grid)
     assert len(built) > 5000
+
+
+# -- modular coprimality certificate against plain rational Euclid ---------
+
+
+def _rational_gcd(a, b):
+    """Euclid over the rationals with primitive normalization and no modular
+    shortcut: the reference for poly_gcd."""
+    a = a.primitive()
+    b = b.primitive()
+    while not b.is_zero:
+        a, b = b, (a % b).primitive()
+    return a.monic()
+
+
+_COEFF = st.one_of(st.integers(-30, 30), st.builds(F, st.integers(-30, 30), st.integers(1, 7)))
+_POLY = st.lists(_COEFF, min_size=1, max_size=6).map(PolyExact)
+
+
+@given(
+    f=_POLY,
+    g=_POLY,
+    h=st.lists(_COEFF, min_size=2, max_size=4).map(PolyExact),
+    planted=st.booleans(),
+    lead_multiple_of_p=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_poly_gcd_matches_rational_euclid(f, g, h, planted, lead_multiple_of_p):
+    """With and without a planted common factor h, and with a leading
+    coefficient divisible by the certificate's prime, which forces the
+    rational fallback.  A planted 1 + P x vanishes to a constant mod P."""
+    a, b = (f * h, g * h) if planted else (f, g)
+    if lead_multiple_of_p:
+        wide = PolyExact((1, qhyper._P))
+        a, b = a * wide, (b * wide if planted else b)
+    got = poly_gcd(a, b)
+    assert got == _rational_gcd(a, b)
+    if planted and not h.is_zero and not f.is_zero and not g.is_zero:
+        assert got.degree >= h.degree
+
+
+def test_coprimality_certificate_is_only_a_certificate():
+    """x and x + P are coprime over Q but not mod P: the certificate then
+    decides nothing and the rational Euclid proves the gcd is 1."""
+    x, shifted = PolyExact((0, 1)), PolyExact((qhyper._P, 1))
+    assert not qhyper._coprime_mod_p(x._integer_coeffs(), shifted._integer_coeffs())
+    assert poly_gcd(x, shifted) == PolyExact.one()
+    # P divides a leading coefficient: no certificate, however coprime
+    lead_p = PolyExact((1, qhyper._P))
+    assert not qhyper._coprime_mod_p(lead_p._integer_coeffs(), x._integer_coeffs())
+    assert poly_gcd(lead_p, x) == PolyExact.one()
+    # the common case: p and p' of a square-free polynomial
+    p = PolyExact.from_roots([F(1, 2), F(1, 3), 5])
+    assert qhyper._coprime_mod_p(p._integer_coeffs(), p.derivative()._integer_coeffs())
+    assert poly_gcd(p, PolyExact.from_roots([F(1, 3)])) == PolyExact.from_roots([F(1, 3)])

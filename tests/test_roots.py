@@ -15,8 +15,10 @@ from qzeros import (
     little_q_jacobi,
     q_bessel,
     q_laguerre,
+    square_free_decomposition,
     stieltjes_wigert,
 )
+from qzeros import qhyper
 from qzeros.roots import cauchy_bound, simplest_rational_between
 
 
@@ -268,3 +270,19 @@ def test_lazy_isolation_matches_eager_on_acceptance_grids():
                 assert eg.exact == lz.exact, p
             elif eg.exact is not None:
                 assert lz.factor.sign_at(eg.exact) == 0, p
+
+
+def test_square_free_decomposition_unchanged_by_modular_certificate(monkeypatch):
+    """On the acceptance-grid polynomials, the decomposition with the
+    modular coprimality certificate equals the one by rational Euclid alone.
+    They are all square-free, and the certificate proves it for each."""
+    polys = _acceptance_grid_polynomials()
+    assert len(polys) == 672
+    certified = 0
+    for p in polys:
+        f = p.monic()
+        certified += qhyper._coprime_mod_p(f._integer_coeffs(), f.derivative()._integer_coeffs())
+    with_certificate = [square_free_decomposition(p) for p in polys]
+    monkeypatch.setattr(qhyper, "_coprime_mod_p", lambda a, b: False)
+    assert with_certificate == [square_free_decomposition(p) for p in polys]
+    assert certified == len(polys)

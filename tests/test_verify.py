@@ -251,3 +251,81 @@ def test_grid_without_records_raises():
     ):
         with pytest.raises(ConfigError):
             run_checks(grid)
+
+
+def _interlacing_grids() -> list[GridSpec]:
+    """The thm2, thmA and cor acceptance grids, each run as one grid of
+    several checks so that the checks share polynomials."""
+    grids = [
+        GridSpec(
+            q_values=[F(1, 4), F(1, 2), F(3, 4), F(9, 10)],
+            n_values=list(range(1, 7)),
+            a_values=[F(1, 4), F(1, 2), F(1)],
+            b_values=[F(-2), F(-1, 2), F(0), F(1, 2), F(1)],
+            check_ids=["thm2-lmesh", "thm2-i", "thm2-ii", "thm2-iii"],
+        )
+    ]
+    for q in (F(1, 2), F(3, 4)):
+        grids.append(
+            GridSpec(
+                q_values=[q],
+                n_values=[1, 2, 3, 4, 5],
+                a_values=[F(1, 2), F(1)],
+                b_values=[F(-2), F(-1), F(0), F(1, 2)],
+                t_values=default_t_values(q),
+                check_ids=["thmA-1", "thmA-2", "thmA-3", "thm2-i", "thm2-iii", "cor-i", "cor-ii"],
+            )
+        )
+    return grids
+
+
+def test_isolation_memo_matches_fresh_isolation(monkeypatch):
+    """run_checks isolates each distinct polynomial once and gives the same
+    records as isolating afresh at every call."""
+    isolated = []
+    real_isolate = verify.isolate_real_roots
+
+    def counting(p, eps):
+        isolated.append(p.coeffs)
+        return real_isolate(p, eps)
+
+    monkeypatch.setattr(verify, "isolate_real_roots", counting)
+    memo = []
+    for grid in _interlacing_grids():
+        isolated.clear()
+        memo.extend(r.to_json() for r in run_checks(grid))
+        assert len(isolated) == len(set(isolated))
+    monkeypatch.setattr(verify, "_roots", lambda p: real_isolate(p, None))
+    fresh = [r.to_json() for g in _interlacing_grids() for r in run_checks(g)]
+    assert len(memo) > 2000
+    assert memo == fresh
+
+
+def test_isolation_memo_is_scoped_to_one_run(monkeypatch):
+    """The memo is set only inside run_checks, emptied when it returns or
+    raises, and a second run isolates everything again."""
+    sizes = []
+    real_isolate = verify.isolate_real_roots
+
+    def recording(p, eps):
+        memo = verify._ISOLATED.get()
+        sizes.append(None if memo is None else len(memo))
+        return real_isolate(p, eps)
+
+    monkeypatch.setattr(verify, "isolate_real_roots", recording)
+    grid = GridSpec(q_values=[Q], n_values=[2, 3], a_values=[F(1, 2)], b_values=[F(1, 2)],
+                    check_ids=["thm2-lmesh", "thm2-i"])
+    assert verify._ISOLATED.get() is None
+    run_checks(grid)
+    assert verify._ISOLATED.get() is None
+    # thm2-lmesh isolates p_2 and p_3; thm2-i reuses them and adds two more
+    assert sizes == [0, 1, 2, 3]
+    run_checks(grid)
+    assert sizes == [0, 1, 2, 3] * 2
+    bad = GridSpec(q_values=[Q], n_values=[2], a_values=[F(1, 2)], b_values=[F(1, 2)],
+                   check_ids=["thm2-lmesh", "no-such-check"])
+    with pytest.raises(RegistryError):
+        run_checks(bad)
+    assert verify._ISOLATED.get() is None
+    verify._roots(little_q_jacobi(2, F(1, 2), F(1, 2), Q))  # outside a run: no memo
+    assert sizes[-1] is None
