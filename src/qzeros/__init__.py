@@ -53,7 +53,7 @@ from .qhyper import (
     square_free_decomposition,
     square_free_part,
 )
-from .roots import DEFAULT_EPS, RootEntry, RootSet, SturmChain, isolate_real_roots
+from .roots import DEFAULT_EPS, RootEntry, RootSet, isolate_real_roots
 from .verify import (
     SELFTEST_ID,
     GridSpec,
@@ -82,7 +82,7 @@ __all__ = [
     "q_bessel", "normalized_little_q_jacobi", "normalization_constant",
     "e_factor", "weight_mass",
     "q_derivative", "q_bracket",
-    "RootSet", "RootEntry", "SturmChain", "isolate_real_roots", "DEFAULT_EPS",
+    "RootSet", "RootEntry", "isolate_real_roots", "DEFAULT_EPS",
     "Relation", "DegreePattern", "InterlacingReport", "LmeshResult", "ZerowiseReport",
     "interlace", "dominates", "zerowise_compare", "lmesh", "in_lmesh_class",
     "compare_root_to_point",

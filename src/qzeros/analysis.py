@@ -2,9 +2,10 @@
 
 All relation decisions are exact.  Two isolated roots are compared by
 refining their certified intervals until the intervals separate; when they
-never can (the roots coincide), the coincidence is proven by locating a root
-of gcd of the two polynomials inside the overlap.  A root is compared with a
-rational point the same way, against the exact root of x - point.
+never can (the roots coincide), the coincidence is proven by a sign change
+of the square-free part of the gcd of the two polynomials across the
+overlap.  A root is compared with a rational point the same way, against
+the exact root of x - point.
 
 The logarithmic mesh has one decision path: the signs of
 lambda_j - q*lambda_(j+1) for consecutive zeros, each a root comparison of p
@@ -22,15 +23,10 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    LmeshDomainError,
-    RefinementFailureError,
-    ShapeError,
-    UndefinedLmeshError,
-)
+from .errors import LmeshDomainError, RefinementFailureError, ShapeError, UndefinedLmeshError
 from .qcore import QValue, RationalLike, as_q, rat
 from .qhyper import PolyExact, poly_gcd, square_free_part
-from .roots import RootEntry, RootSet, SturmChain
+from .roots import RootEntry, RootSet
 
 _COMPARE_BUDGET = 20_000
 
@@ -92,35 +88,35 @@ class ZerowiseReport:
 
 
 class _PairContext:
-    """Lazily computed square-free gcd chain of two polynomials."""
-
-    _UNSET = object()
+    """The square-free part g of gcd(pa, pb), computed on first use."""
 
     def __init__(self, pa: PolyExact, pb: PolyExact):
         self._pa = pa
         self._pb = pb
-        self._chain = self._UNSET
+        self._g: PolyExact | None = None
 
-    def chain(self) -> SturmChain | None:
-        if self._chain is self._UNSET:
-            g = poly_gcd(self._pa, self._pb)
-            self._chain = SturmChain(square_free_part(g)) if g.degree >= 1 else None
-        return self._chain
+    def coincide(self, ea: RootEntry, eb: RootEntry) -> bool:
+        """Whether overlapping entries of pa and pb hold the same root.
 
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+        The overlap [lo, hi] holds at most one distinct root of pa, since
+        root intervals are separated; so g, which divides pa, has at most
+        one simple root there, and has it exactly when g(lo) g(hi) <= 0.
+        """
+        if self._g is None:
+            self._g = square_free_part(poly_gcd(self._pa, self._pb))
+        g = self._g
+        return g.degree >= 1 and g.sign_at(max(ea.lo, eb.lo)) * g.sign_at(min(ea.hi, eb.hi)) <= 0
 
 
 def _compare_roots(ea: RootEntry, eb: RootEntry, ctx: _PairContext) -> int:
-    """Exact sign of (root_a - root_b); coincidence proven via the gcd chain."""
+    """Exact sign of (root_a - root_b); coincidence proven via the gcd."""
     for _ in range(_COMPARE_BUDGET):
         if ea.hi < eb.lo:
             return -1
         if eb.hi < ea.lo:
             return 1
         if ea.exact is not None and eb.exact is not None:
-            return _sign(ea.exact - eb.exact)
+            return (ea.exact > eb.exact) - (ea.exact < eb.exact)
         if ea.exact is not None:
             if eb.factor.sign_at(ea.exact) == 0 and eb.lo <= ea.exact <= eb.hi:
                 return 0
@@ -131,12 +127,8 @@ def _compare_roots(ea: RootEntry, eb: RootEntry, ctx: _PairContext) -> int:
                 return 0
             ea.bisect_once()
             continue
-        chain = ctx.chain()
-        if chain is not None:
-            lo = max(ea.lo, eb.lo)
-            hi = min(ea.hi, eb.hi)
-            if lo < hi and chain.count(lo, hi) == 1:
-                return 0
+        if ctx.coincide(ea, eb):
+            return 0
         ea.bisect_once()
         eb.bisect_once()
     raise RefinementFailureError("root comparison did not terminate")

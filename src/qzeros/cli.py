@@ -61,7 +61,7 @@ def decimal_str(x: Fraction, digits: int = 30) -> str:
         d = frac.numerator // frac.denominator
         out.append(str(d))
         frac -= d
-    return f"{sign}{whole}." + "".join(out) if out else f"{sign}{whole}"
+    return f"{sign}{rat_str(whole)}." + "".join(out) if out else f"{sign}{rat_str(whole)}"
 
 
 def sci_str(x: Fraction) -> str:

@@ -13,10 +13,12 @@ class ConstraintViolationError(QZerosError):
     """A lower series parameter fell in the forbidden set {1, q^-1, ..., q^-n}."""
 
     def __init__(self, index: int, value, n: int):
+        from .qcore import rat_str  # qcore imports this module
+
         self.index = index
         self.value = value
         super().__init__(
-            f"lower parameter b[{index}] = {value} makes the series denominator "
+            f"lower parameter b[{index}] = {rat_str(value)} makes the series denominator "
             f"vanish or lies in the forbidden set {{q^-1, ..., q^-{n}}}"
         )
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateParameterError, InvalidParameterError, RegimeError
-from .qcore import QValue, RationalLike, as_q, neg_q_power, qpoch_finite, rat
+from .qcore import QValue, RationalLike, as_q, neg_q_power, qpoch_finite, rat, rat_str
 from .qhyper import HyperSpec, PolyExact, build_qhyper
 
 
@@ -214,7 +214,7 @@ def weight_mass(
     av, bv, qv = rat(a), rat(b), as_q(q)
     if not (0 < av * qv < 1 and bv * qv < 1):
         raise RegimeError(
-            f"weight mass needs 0 < aq < 1 and bq < 1, got aq={av * qv}, bq={bv * qv}"
+            f"weight mass needs 0 < aq < 1 and bq < 1, got aq={rat_str(av * qv)}, bq={rat_str(bv * qv)}"
         )
     if k < 0:
         raise InvalidParameterError(f"lattice index must be >= 0, got {k}")

@@ -8,6 +8,7 @@ zero.  Every base q satisfies 0 < q < 1; this is validated once by
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -19,20 +20,50 @@ Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 
+# Exponent-form literals ("1e-5000") are bounded: the value 10^e is built in
+# full, and parsing "1e-10000000" alone takes seconds.
+MAX_EXPONENT = 10_000
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+
+
 def rat(value: RationalLike) -> Fraction:
-    """Parse a rational from an int, a Fraction, or a "p/q" string."""
+    """Parse a rational from an int, a Fraction, or a "p/q" string.
+
+    Strings in decimal or exponent form ("0.25", "1e-3") are read exactly;
+    an exponent beyond +-MAX_EXPONENT raises InvalidParameterError.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        text = value.strip()
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+            raise InvalidParameterError(f"exponent of {text!r} is outside +-{MAX_EXPONENT}")
+        return Fraction(text)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def rat_str(x: Fraction) -> str:
-    """Render a rational as "p" or "p/q"; round-trips through :func:`rat`."""
-    return str(x)
+def _digits(n: int) -> str:
+    """The decimal digits of an integer n >= 0.
+
+    Python refuses int-to-str conversions past a digit limit (4300 by
+    default, never below 640), so a large n is split by divmod with a power
+    of ten and converted in pieces of at most 512 digits.
+    """
+    if n.bit_length() <= 1700:  # n < 2^1700 < 10^512
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits, as log10(2) > 3/10
+    high, low = divmod(n, 10**k)
+    return _digits(high) + _digits(low).zfill(k)
+
+
+def rat_str(x: Fraction | int) -> str:
+    """Render a rational as "p" or "p/q", at any size; round-trips through
+    :func:`rat` (up to its digit limit)."""
+    num = ("-" if x < 0 else "") + _digits(abs(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{_digits(x.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -44,7 +75,7 @@ class QValue:
     def __post_init__(self):
         object.__setattr__(self, "q", rat(self.q))
         if not (0 < self.q < 1):
-            raise InvalidParameterError(f"q must satisfy 0 < q < 1, got {self.q}")
+            raise InvalidParameterError(f"q must satisfy 0 < q < 1, got {rat_str(self.q)}")
 
 
 def as_q(q: QValue | RationalLike) -> Fraction:
@@ -53,7 +84,7 @@ def as_q(q: QValue | RationalLike) -> Fraction:
         return q.q
     qq = rat(q)
     if not (0 < qq < 1):
-        raise InvalidParameterError(f"q must satisfy 0 < q < 1, got {qq}")
+        raise InvalidParameterError(f"q must satisfy 0 < q < 1, got {rat_str(qq)}")
     return qq
 
 
@@ -117,7 +148,7 @@ def qpoch_infinite(
     qv = as_q(q)
     tolv = rat(tol)
     if tolv <= 0:
-        raise InvalidToleranceError(f"tolerance must be > 0, got {tolv}")
+        raise InvalidToleranceError(f"tolerance must be > 0, got {rat_str(tolv)}")
     if av == 0:
         return Fraction(1), Fraction(0)
 

@@ -215,7 +215,7 @@ class PolyExact:
         With ``positive_leading`` the result is sign-canonical (leading
         coefficient > 0), suitable for gcd normalization.  Without it the
         scaling constant is strictly positive, so the sign of every value is
-        preserved; Sturm sequences require this form.
+        preserved.
         """
         if self.is_zero:
             return self

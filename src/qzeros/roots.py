@@ -1,33 +1,34 @@
 """Certified real-root isolation for exact-coefficient polynomials.
 
 Pipeline: factor out x = 0 exactly, split into square-free factors (Yun),
-isolate each factor's roots by bisection on Sturm sign-variation counts,
-starting from [-B, B] with B the least power of two at or above the Cauchy
-bound, so that every bisection point is a dyadic rational.  A bisection
-point that hits a root exactly is recorded as an exact rational root (the
-factor is deflated and isolation restarts).  Intervals of different factors
-are then bisected until they are pairwise disjoint.  With ``eps=None``
-isolation stops there; callers that compare roots refine on demand (the
-analysis module does so for every decision).  With a rational eps every
-interval is further refined by sign bisection until its width drops below
-eps, as display output needs.  Last, the simplest rational in each interval
-(Stern-Brocot) is tested; an exact zero there upgrades the interval to an
-exact root.  Every returned interval therefore carries either an exact
-rational root or an exact sign-change certificate.
+and isolate each factor's roots by Descartes-rule (Vincent-Collins-Akritas)
+bisection on its primitive integer coefficients, over (-2^k, 0) and
+(0, 2^k) with 2^k a Fujiwara bound strictly above every root, so every
+endpoint is dyadic.  A split point that is a root is recorded as an exact
+rational root (the factor is deflated and isolation restarts), so no
+interval ends on a root.  Intervals of different factors are then bisected
+until they are pairwise disjoint.  With ``eps=None`` isolation stops there;
+callers that compare roots refine on demand (the analysis module does so
+for every decision).  With a rational eps every interval is further refined
+by sign bisection until its width drops below eps, as display output needs.
+Last, the simplest rational in each interval (Stern-Brocot) is tested; an
+exact zero there upgrades the interval to an exact root.  Every returned
+interval therefore carries either an exact rational root or an exact
+sign-change certificate.
 
-Every sign test (Sturm variations, bisection, exact-root checks) goes
-through :meth:`PolyExact.sign_at`, which evaluates the polynomial's integer
-coefficients by homogeneous integer Horner: no rational arithmetic and no
-gcd per step.
+All of it runs on integers: Taylor and bit shifts of coefficient vectors,
+homogeneous integer Horner for every sign test, and a continued-fraction
+descent on endpoint numerators and denominators; no gcd runs per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidParameterError, InvalidToleranceError, RefinementFailureError
-from .qcore import RationalLike, rat
+from .qcore import RationalLike, rat, rat_str
 from .qhyper import PolyExact, square_free_decomposition
 
 DEFAULT_EPS = Fraction(1, 2**100)
@@ -75,15 +76,41 @@ class RootEntry:
         else:
             self.hi = mid
 
-    def refine_below(self, width: Fraction, budget: int = DEFAULT_BUDGET) -> None:
-        steps = 0
-        while self.exact is None and self.width >= width:
-            if steps >= budget:
-                raise RefinementFailureError(
-                    f"exceeded {budget} bisections refining toward width {width}"
-                )
-            self.bisect_once()
-            steps += 1
+    def refine_below(self, width: Fraction) -> None:
+        """Bisect until the interval is narrower than ``width`` or the root is found.
+
+        The midpoints and sign rule of :meth:`bisect_once`, on integers: lo
+        and hi are numerators over d 2^m (d their common denominator), and a
+        midpoint sign is Horner over the coefficients times d^(deg-i),
+        shifted by m(deg-i).  It makes exactly the halvings needed, then
+        writes the interval back once.
+        """
+        if self.exact is not None or self.width < width:
+            return
+        ints = self.factor._integer_coeffs()
+        n = len(ints) - 1
+        d = lcm(self.lo.denominator, self.hi.denominator)
+        lo = self.lo.numerator * (d // self.lo.denominator)
+        hi = self.hi.numerator * (d // self.hi.denominator)
+        scaled = [c * d ** (n - i) for i, c in enumerate(ints)]
+        if self._sign_lo == 0:
+            self._sign_lo = self.factor.sign_at(self.lo)
+        rising = self._sign_lo > 0
+        for m in range(1, (self.width // width).bit_length() + 1):
+            mid = lo + hi
+            lo <<= 1
+            hi <<= 1
+            acc = scaled[n]
+            for i in range(n - 1, -1, -1):
+                acc = acc * mid + (scaled[i] << m * (n - i))
+            if acc == 0:
+                self.exact = self.lo = self.hi = Fraction(mid, d << m)
+                return
+            if (acc > 0) == rising:
+                lo = mid
+            else:
+                hi = mid
+        self.lo, self.hi = Fraction(lo, d << m), Fraction(hi, d << m)
 
 
 @dataclass(frozen=True)
@@ -129,127 +156,110 @@ class RootSet:
         return out
 
 
-class SturmChain:
-    """Sturm sequence of a square-free polynomial, primitive-normalized."""
+def root_bound(f: PolyExact) -> int:
+    """A k >= 0 with |root| < 2**k for every root of f.
 
-    def __init__(self, f: PolyExact):
-        self.f = f
-        # chain elements may be rescaled by positive constants only
-        chain = [f.primitive(positive_leading=False), f.derivative().primitive(positive_leading=False)]
-        while chain[-1].degree > 0:
-            rem = (chain[-2] % chain[-1])
-            if rem.is_zero:
-                break
-            chain.append((-rem).primitive(positive_leading=False))
-        if chain[-1].is_zero:
-            chain.pop()
-        self.chain = chain
-        self._cache: dict[Fraction, int] = {}
-
-    def variations(self, x: Fraction) -> int:
-        cached = self._cache.get(x)
-        if cached is not None:
-            return cached
-        signs = [p.sign_at(x) for p in self.chain]
-        count = 0
-        prev = 0
-        for s in signs:
-            if s == 0:
-                continue
-            if prev != 0 and s != prev:
-                count += 1
-            prev = s
-        self._cache[x] = count
-        return count
-
-    def count(self, lo: Fraction, hi: Fraction) -> int:
-        """Distinct roots in (lo, hi]; call with non-root endpoints."""
-        if hi <= lo:
-            return 0
-        return self.variations(lo) - self.variations(hi)
-
-
-def cauchy_bound(f: PolyExact) -> Fraction:
-    """B = 1 + max |e_i / e_n|; every root satisfies |root| < B strictly."""
-    if f.degree < 1:
-        raise InvalidParameterError("root bound needs degree >= 1")
-    lead = abs(f.coeffs[-1])
-    return 1 + max(abs(c) / lead for c in f.coeffs[:-1])
-
-
-def _ceil_log2(x: Fraction) -> int:
-    """The least k >= 0 with 2**k >= x, for x > 0."""
-    ceil_x = -(-x.numerator // x.denominator)
-    return max(ceil_x - 1, 0).bit_length()
+    Fujiwara's bound 2 max_i |c_(n-i)/c_n|^(1/i), by bit lengths: each ratio
+    is below 2^e_i with e_i = bits(c_(n-i)) - bits(c_n) + 1.
+    """
+    ints = f._integer_coeffs()
+    lead = ints[-1].bit_length()
+    exps = [-((lead - abs(c).bit_length() - 1) // i) for i, c in enumerate(reversed(ints[:-1]), 1) if c]
+    return max(1 + max(exps, default=0), 0)
 
 
 def simplest_rational_between(lo: RationalLike, hi: RationalLike) -> Fraction:
-    """The rational of smallest denominator (then numerator) in [lo, hi]."""
-    lov, hiv = rat(lo), rat(hi)
-    if hiv < lov:
-        lov, hiv = hiv, lov
+    """The rational of smallest denominator (then numerator) in [lo, hi].
+
+    Continued-fraction descent on the endpoints' four integers: for
+    0 < lo <= hi, the answer is ceil(lo) when that is <= hi, else t + 1/y
+    with t = floor(lo) and y the answer for [1/(hi - t), 1/(lo - t)].  The
+    steps compose into one matrix (p, p1; r, r1), applied at the end.
+    """
+    lov, hiv = sorted((rat(lo), rat(hi)))
     if lov <= 0 <= hiv:
         return Fraction(0)
-    if lov > 0:
-        return _simplest_positive(lov, hiv)
-    return -_simplest_positive(-hiv, -lov)
+    sign = 1 if lov > 0 else -1
+    lov, hiv = sorted((sign * lov, sign * hiv))
+    a, b, c, d = lov.numerator, lov.denominator, hiv.numerator, hiv.denominator
+    p, p1, r, r1 = 1, 0, 0, 1
+    while -(-a // b) * d > c:  # no integer in [a/b, c/d]
+        t = a // b
+        a, b, c, d = d, c - t * d, b, a - t * b
+        p, p1, r, r1 = p * t + p1, p, r * t + r1, r
+    y = -(-a // b)
+    return Fraction(sign * (p * y + p1), r * y + r1)
 
 
-def _simplest_positive(lo: Fraction, hi: Fraction) -> Fraction:
-    # 0 < lo <= hi; continued-fraction descent
-    floor_lo = lo.numerator // lo.denominator
-    if floor_lo >= lo:  # lo is an integer
-        return Fraction(floor_lo)
-    if floor_lo + 1 <= hi:
-        return Fraction(floor_lo + 1)
-    frac = _simplest_positive(1 / (hi - floor_lo), 1 / (lo - floor_lo))
-    return floor_lo + 1 / frac
+def _taylor_shift(a: list[int]) -> list[int]:
+    """The coefficients of a(x + 1), by n(n+1)/2 integer additions."""
+    a = list(a)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _descartes(a: list[int]) -> int:
+    """Sign variations of (x+1)^n a(1/(x+1)): 0 or 1 is the exact number of
+    roots of a in (0, 1); a larger count bounds it, with the same parity."""
+    signs = [c > 0 for c in _taylor_shift(a[::-1]) if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _vca(ints: tuple[int, ...], k: int) -> tuple[list[tuple[Fraction, Fraction]], Fraction | None]:
+    """Isolating intervals of the real roots, all inside (-2^k, 2^k), of the
+    integer polynomial f = ints, f(0) != 0, by Vincent-Collins-Akritas
+    bisection.
+
+    A node (c, j, a) stands for (c/2^j, (c+1)/2^j) and a polynomial a whose
+    roots in (0, 1) are those of f(+-2^k x) there; its halves are
+    2^n a(x/2) and the Taylor shift of that by 1.  Returns (intervals, None),
+    or (intervals so far, r) as soon as a split point r is a root.
+    """
+    n = len(ints) - 1
+    found = []
+    for side in (1, -1):
+        stack = [(0, 0, [c * side**i << k * i for i, c in enumerate(ints)])]
+        while stack:
+            c, j, a = stack.pop()
+            v = _descartes(a)
+            if v == 0:
+                continue
+            if v == 1:
+                lo, hi = Fraction(c << k, 1 << j), Fraction((c + 1) << k, 1 << j)
+                found.append((lo, hi) if side > 0 else (-hi, -lo))
+                continue
+            left = [coef << (n - i) for i, coef in enumerate(a)]
+            right = _taylor_shift(left)
+            if right[0] == 0:
+                return found, Fraction(side * ((2 * c + 1) << k), 1 << (j + 1))
+            stack.append((2 * c, j + 1, left))
+            stack.append((2 * c + 1, j + 1, right))
+    return found, None
 
 
 def _isolate_squarefree(f: PolyExact) -> list[RootEntry]:
-    """Isolating entries (multiplicity 1) for all real roots of square-free f."""
+    """Isolating entries (multiplicity 1) for all real roots of square-free f,
+    f(0) != 0.
+
+    A root found at a split point is recorded exactly, f is deflated by it
+    and isolation restarts on the quotient.
+    """
     entries: list[RootEntry] = []
     work = f.primitive()
-    while True:
-        if work.degree <= 0:
-            return entries
-        if work.degree == 1:
-            r = -work.coeffs[0] / work.coeffs[1]
-            entries.append(RootEntry(r, r, 1, r, work))
-            return entries
-        chain = SturmChain(work)
-        # a power of two strictly above every root keeps all midpoints dyadic
-        bound = Fraction(2 ** _ceil_log2(cauchy_bound(work)))
-        stack = [(-bound, bound)]
-        found: list[tuple[Fraction, Fraction]] = []
-        deflated = False
-        steps = 0
-        while stack:
-            steps += 1
-            if steps > DEFAULT_BUDGET * max(work.degree, 1):
-                raise RefinementFailureError("root isolation did not terminate")
-            lo, hi = stack.pop()
-            c = chain.count(lo, hi)
-            if c == 0:
-                continue
-            if c == 1:
-                found.append((lo, hi))
-                continue
-            mid = (lo + hi) / 2
-            if work.sign_at(mid) == 0:
-                entries.append(RootEntry(mid, mid, 1, mid, PolyExact((-mid, 1))))
-                work = (work // PolyExact((-mid, 1))).primitive()
-                deflated = True
-                break
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-        if not deflated:
-            entries.extend(RootEntry(lo, hi, 1, None, work) for lo, hi in found)
-            return entries
-
-
-def _overlap(a: RootEntry, b: RootEntry) -> bool:
-    return a.hi >= b.lo and b.hi >= a.lo
+    while work.degree > 1:
+        found, root = _vca(work._integer_coeffs(), root_bound(work))
+        if root is None:
+            return entries + [RootEntry(lo, hi, 1, None, work) for lo, hi in found]
+        linear = PolyExact((-root, 1))
+        entries.append(RootEntry(root, root, 1, root, linear))
+        work = (work // linear).primitive()
+    if work.degree == 1:
+        r = -work.coeffs[0] / work.coeffs[1]
+        entries.append(RootEntry(r, r, 1, r, work))
+    return entries
 
 
 def _separate(entries: list[RootEntry]) -> None:
@@ -257,11 +267,7 @@ def _separate(entries: list[RootEntry]) -> None:
     steps = 0
     while True:
         entries.sort(key=lambda e: (e.lo, e.hi))
-        clashing = [
-            (entries[i], entries[i + 1])
-            for i in range(len(entries) - 1)
-            if _overlap(entries[i], entries[i + 1])
-        ]
+        clashing = [(a, b) for a, b in zip(entries, entries[1:]) if a.hi >= b.lo]
         if not clashing:
             return
         for a, b in clashing:
@@ -292,7 +298,7 @@ def isolate_real_roots(p: PolyExact, eps: RationalLike | None = DEFAULT_EPS) -> 
     """
     epsv = None if eps is None else rat(eps)
     if epsv is not None and epsv <= 0:
-        raise InvalidToleranceError(f"eps must be > 0, got {epsv}")
+        raise InvalidToleranceError(f"eps must be > 0, got {rat_str(epsv)}")
     if p.is_zero:
         raise InvalidParameterError("cannot isolate roots of the zero polynomial")
 

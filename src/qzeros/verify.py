@@ -117,7 +117,7 @@ class GridSpec:
         self.t_values = [rat(t) for t in self.t_values]
         self.eps = rat(self.eps)
         if self.eps <= 0:
-            raise InvalidParameterError(f"grid eps must be > 0, got {self.eps}")
+            raise InvalidParameterError(f"grid eps must be > 0, got {rat_str(self.eps)}")
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "GridSpec":
@@ -611,8 +611,8 @@ def _interlace_outcome(
 
 
 def _jacobi_regime(q, a, b) -> None:
-    _need(0 < a * q < 1, f"needs 0 < aq < 1 (aq = {a * q})")
-    _need(b * q < 1, f"needs bq < 1 (bq = {b * q})")
+    _need(0 < a * q < 1, f"needs 0 < aq < 1 (aq = {rat_str(a * q)})")
+    _need(b * q < 1, f"needs bq < 1 (bq = {rat_str(b * q)})")
 
 
 def _prop_thmA(variant: int):
@@ -635,12 +635,12 @@ def _prop_thm1_monotone(which: str):
     def fn(q, n, b=None, a=None, lo=None, hi=None):
         if which == "a":
             _need(0 < lo * q < 1 and 0 < hi * q < 1, "both a values need 0 < aq < 1")
-            _need(b * q < 1, f"needs bq < 1 (bq = {b * q})")
+            _need(b * q < 1, f"needs bq < 1 (bq = {rat_str(b * q)})")
             # zeros decrease with a: larger a sits zero-wise below smaller a
             first = _roots(_jac(n, hi, b, q))
             second = _roots(_jac(n, lo, b, q))
         else:
-            _need(0 < a * q < 1, f"needs 0 < aq < 1 (aq = {a * q})")
+            _need(0 < a * q < 1, f"needs 0 < aq < 1 (aq = {rat_str(a * q)})")
             _need(lo * q < 1 and hi * q < 1, "both b values need bq < 1")
             # zeros increase with b
             first = _roots(_jac(n, a, lo, q))
@@ -690,20 +690,20 @@ def _prop_thm2_ii(q, n, a, b):
 
 
 def _prop_thm2_iii(q, n, a, b):
-    _need(b < 0, f"needs b < 0 (b = {b})")
-    _need(0 < a * q < 1, f"needs 0 < aq < 1 (aq = {a * q})")
+    _need(b < 0, f"needs b < 0 (b = {rat_str(b)})")
+    _need(0 < a * q < 1, f"needs 0 < aq < 1 (aq = {rat_str(a * q)})")
     p = _roots(_jac(n, a, b, q))
     r = _roots(_jac(n, a, q * q * b, q))
     return _interlace_outcome(p, r, (Relation.STRICT_INTERLACE,))
 
 
 def _t_window(q, t) -> None:
-    _need(q * q <= t <= 1, f"needs q^2 <= t <= 1 (t = {t})")
+    _need(q * q <= t <= 1, f"needs q^2 <= t <= 1 (t = {rat_str(t)})")
 
 
 def _prop_cor_i(q, n, a, b, t1, t2):
-    _need(0 < a * q < 1, f"needs 0 < aq < 1 (aq = {a * q})")
-    _need(0 <= b * q < 1, f"needs 0 <= qb < 1 (qb = {q * b})")
+    _need(0 < a * q < 1, f"needs 0 < aq < 1 (aq = {rat_str(a * q)})")
+    _need(0 <= b * q < 1, f"needs 0 <= qb < 1 (qb = {rat_str(q * b)})")
     _t_window(q, t1)
     _t_window(q, t2)
     _need(t1 * t2 != 1, "needs t1*t2 != 1")
@@ -714,8 +714,8 @@ def _prop_cor_i(q, n, a, b, t1, t2):
 
 
 def _prop_cor_ii(q, n, a, b, t1):
-    _need(0 < a * q < 1, f"needs 0 < aq < 1 (aq = {a * q})")
-    _need(b < 0, f"needs b < 0 (b = {b})")
+    _need(0 < a * q < 1, f"needs 0 < aq < 1 (aq = {rat_str(a * q)})")
+    _need(b < 0, f"needs b < 0 (b = {rat_str(b)})")
     _need(q * q <= t1 < 1, f"needs q^2 <= t1 < 1 (t1 = {t1})")
     p = _roots(_jac(n, a, b, q))
     r = _roots(_jac(n, a, t1 * b, q))
@@ -742,12 +742,12 @@ def _in_class_outcome(
 
 
 def _prop_bessel_lmesh(q, n, b):
-    _need(b < 0, f"needs b < 0 (b = {b})")
+    _need(b < 0, f"needs b < 0 (b = {rat_str(b)})")
     return _in_class_outcome(q_bessel(n, b, q), q, True, (Fraction(0), Fraction(1)))
 
 
 def _prop_bessel_interlace(q, n, b, t):
-    _need(b < 0, f"needs b < 0 (b = {b})")
+    _need(b < 0, f"needs b < 0 (b = {rat_str(b)})")
     _need(q * q < t < 1, f"needs q^2 < t < 1 (t = {t})")
     p = _roots(q_bessel(n, b, q))
     r = _roots(q_bessel(n, t * b, q))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qzeros import (
     DegreePattern,
+    GridSpec,
     LmeshDomainError,
     PolyExact,
     Relation,
@@ -20,8 +21,14 @@ from qzeros import (
     lmesh,
     q_bessel,
     q_laguerre,
+    check_property,
+    default_t_values,
+    poly_gcd,
+    square_free_part,
     zerowise_compare,
 )
+from qzeros import analysis
+from sturm_reference import SturmChain
 
 Q = F(1, 2)
 
@@ -273,3 +280,32 @@ def test_common_interlacer_upgrade_on_family_triple():
     assert interlace(p2, s).relation is Relation.STRICT_INTERLACE
     assert dominates(p1, p2)
     assert interlace(p1, p2).relation is Relation.STRICT_INTERLACE
+
+
+def test_coincidence_sign_test_matches_sturm_count(monkeypatch):
+    """The gcd sign test of _PairContext against the Sturm count of the
+    square-free gcd that it replaced, on every overlap met while the
+    thm2/thmA checks run, and on coincidences at irrational roots."""
+    outcomes = []
+
+    class Checked(analysis._PairContext):
+        def coincide(self, ea, eb):
+            got = super().coincide(ea, eb)
+            lo, hi = max(ea.lo, eb.lo), min(ea.hi, eb.hi)
+            g = poly_gcd(self._pa, self._pb)
+            chain = SturmChain(square_free_part(g)) if g.degree >= 1 else None
+            assert got == (chain is not None and lo < hi and chain.count(lo, hi) == 1), (lo, hi)
+            outcomes.append(got)
+            return got
+
+    monkeypatch.setattr(analysis, "_PairContext", Checked)
+    for q in (F(1, 2), F(3, 4)):
+        for check_id in ("thmA-1", "thmA-2", "thmA-3", "thm2-i", "thm2-ii", "thm2-iii", "thm2-lmesh"):
+            b_values = [F(-2), F(-1)] if check_id == "thm2-iii" else [F(-1), F(1, 2)]
+            grid = GridSpec(q_values=[q], t_values=default_t_values(q), n_values=[1, 3, 5],
+                            a_values=[F(1, 2), F(1)], b_values=b_values)
+            assert all(r.status.value == "Pass" for r in check_property(check_id, grid))
+    shared = PolyExact((-2, 0, 1))
+    interlace(isolate_real_roots(shared * PolyExact((-5, 1))), isolate_real_roots(shared * PolyExact((-6, 1))))
+    lmesh(isolate_real_roots(PolyExact((2, -4, 1)) * PolyExact((F(1, 2), -2, 1))), Q)
+    assert len(outcomes) > 1000 and any(outcomes)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -266,3 +267,30 @@ def test_decimal_and_sci_rendering():
     assert decimal_str(F(3), 4) == "3"
     assert sci_str(F(0)) == "0"
     assert sci_str(F(1, 2**100)).endswith("e-31")
+
+
+def _digits_by_chunks(n):
+    """The decimal digits of n >= 0, 100 at a time: a second algorithm."""
+    parts = []
+    while n >= 10**100:
+        n, r = divmod(n, 10**100)
+        parts.append(f"{r:0100d}")
+    return str(n) + "".join(reversed(parts))
+
+
+def test_huge_rationals_print_exactly(capsys):
+    """Coefficients past Python's 4300-digit int-to-str limit print in full."""
+    code, out, err = run_cli(capsys, "coeffs", "--family", "stieltjes-wigert", "--n", "1", "--q", "1e-5000")
+    assert code == 0 and not err
+    expected = []
+    for c in qzeros.stieltjes_wigert(1, F(1, 10**5000)).coeffs:
+        text = ("-" if c < 0 else "") + _digits_by_chunks(abs(c.numerator))
+        expected.append(text if c.denominator == 1 else f"{text}/{_digits_by_chunks(c.denominator)}")
+    assert out.strip() == ", ".join(expected) and len(out) > 5000
+
+
+def test_out_of_range_exponent_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "coeffs", "--family", "stieltjes-wigert", "--n", "1", "--q", "1e-10000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and err.startswith("error: ") and len(err.strip().splitlines()) == 1

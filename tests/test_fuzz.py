@@ -7,13 +7,23 @@ A malformed input may only end as a ConfigError/QZerosError (exit 2 with one
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qzeros import GridSpec, QZerosError
+from qzeros import GridSpec, InvalidParameterError, QZerosError, rat
 from qzeros.cli import main
+from qzeros.qcore import MAX_EXPONENT
 from qzeros.verify import _CONFIG_KEYS
 
+# exponent form: small exponents, which parse, and ones past
+# qcore.MAX_EXPONENT, which exit 2 at once
+_EXPONENT_TEXT = st.one_of(
+    st.builds("{}{}{}".format, st.sampled_from(["1", "-2", "2.5", ".5", "0", "7/"]),
+              st.sampled_from(["e", "E"]), st.integers(-30, 30)),
+    st.builds("1e{}{}".format, st.sampled_from(["", "-", "+"]), st.integers(10**4 + 1, 10**8)),
+    st.sampled_from(["1e", "e5", "1e1_0", "1e-0", "1e--3", "1e-10000000"]),
+)
 _RATIONAL_TEXT = st.one_of(
     st.sampled_from(["1/2", "3/4", "-1/2", "0", "1", "2", "1/0", "0/0", "abc", "", " 1/3 ", "1e3", "-"]),
     st.text(alphabet="0123456789/-.e ", max_size=6),
+    _EXPONENT_TEXT,
 )
 _SCALAR = st.one_of(
     st.none(),
@@ -105,3 +115,20 @@ def test_cli_exits_cleanly_on_random_arguments(argv, capsys):
     assert "Traceback" not in err, argv
     if code == 2 and err.startswith("error: "):
         assert len(err.strip().splitlines()) == 1, (argv, err)
+
+
+@given(text=_EXPONENT_TEXT)
+@settings(max_examples=200, deadline=None)
+def test_exponent_form_rationals_parse_exactly_or_are_rejected(text):
+    """An exponent-form literal parses to its exact value when its exponent
+    is within +-MAX_EXPONENT, raises InvalidParameterError beyond it, and
+    raises ValueError when it is malformed."""
+    try:
+        value = rat(text)
+    except InvalidParameterError:
+        assert abs(int(text.lower().rsplit("e", 1)[1])) > MAX_EXPONENT
+        return
+    except (ValueError, ZeroDivisionError):
+        return
+    mantissa, exponent = text.lower().rsplit("e", 1)
+    assert value == rat(mantissa) * rat(10) ** int(exponent)

@@ -109,3 +109,23 @@ def test_tail_bound_consistent_under_refinement(a, q):
 def test_rational_round_trip():
     for x in (F(3, 7), F(-22, 9), F(5), F(0)):
         assert rat(rat_str(x)) == x
+
+
+def test_rat_str_prints_past_the_int_to_str_limit():
+    """Python's default limit is 4300 digits; rat_str prints the same exact
+    digits at any size, in pieces below it."""
+    big = 10**5000 + 7
+    assert rat_str(F(big, 3)) == "1" + "0" * 4999 + "7/3"
+    assert rat_str(F(-3, big * 2**40)) == "-3/" + rat_str(big * 2**40)
+    assert rat_str(F(10**9000)) == "1" + "0" * 9000
+    for x in (F(2**1700), F(2**1701 - 1, 10**511), F(-(10**512))):  # around the piece size
+        assert rat(rat_str(x)) == x
+    assert rat_str(7) == "7"
+
+
+def test_exponent_form_is_exact_and_bounded():
+    assert rat("1e-5000") == F(1, 10**5000)
+    assert rat(" 2.5E+3 ") == 2500 and rat("-1e-3") == F(-1, 1000)
+    for text in ("1e-10000000", "1e10001", "-3E-99999"):
+        with pytest.raises(InvalidParameterError):
+            rat(text)

@@ -2,10 +2,11 @@
 
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
+from functools import cache
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qzeros import (
     InvalidParameterError,
@@ -18,8 +19,9 @@ from qzeros import (
     square_free_decomposition,
     stieltjes_wigert,
 )
-from qzeros import qhyper
-from qzeros.roots import cauchy_bound, simplest_rational_between
+from qzeros import qhyper, roots
+from qzeros.roots import root_bound, simplest_rational_between
+from sturm_reference import isolate_squarefree_sturm
 
 
 def entry_values(rs):
@@ -104,10 +106,25 @@ def test_no_real_roots_not_certified():
     assert not rs.certified_real_rooted
 
 
-def test_cauchy_bound_contains_roots():
+def test_root_bound_contains_roots():
     p = PolyExact.from_roots([-9, F(17, 3), F(1, 4)])
-    b = cauchy_bound(p)
+    b = 2 ** root_bound(p)
     assert b > 9 and b > F(17, 3)
+    # roots 2^k lie strictly inside, and the bound is at most 8 times the root
+    for k in (0, 5, 300):
+        assert k < root_bound(PolyExact.from_roots([2**k, 1])) <= k + 3
+        assert k < root_bound(PolyExact((-(4**k), 0, 1))) <= k + 3
+
+
+def test_isolation_far_from_the_origin():
+    """Roots near 2^10000: a loose bound (the Cauchy bound is 2^20002) with
+    fixed step budgets used to end in RefinementFailureError."""
+    p = PolyExact((-2 * 4**10000, 0, 1))  # roots +-sqrt(2) 2^10000
+    rs = isolate_real_roots(p)
+    assert rs.certified_real_rooted and len(rs.roots) == 2
+    for e, sign in zip(rs.roots, (-1, 1)):
+        assert e.exact is None and e.width < F(1, 2**100)
+        assert e.lo * sign > 0 and p.sign_at(e.lo) * p.sign_at(e.hi) < 0
 
 
 def _quad_root_sign(c0, c1, c2, branch, x):
@@ -204,6 +221,57 @@ def test_simplest_rational_between():
     assert simplest_rational_between(F(-22, 7), F(-3)) == -3
 
 
+def _simplest_positive_fraction(lo, hi):
+    floor_lo = lo.numerator // lo.denominator
+    if floor_lo >= lo:  # lo is an integer
+        return F(floor_lo)
+    if floor_lo + 1 <= hi:
+        return F(floor_lo + 1)
+    return floor_lo + 1 / _simplest_positive_fraction(1 / (hi - floor_lo), 1 / (lo - floor_lo))
+
+
+def _simplest_rational_fraction(lo, hi):
+    """The Fraction recursion that the integer descent replaced: the reference
+    for simplest_rational_between."""
+    lo, hi = min(lo, hi), max(lo, hi)
+    if lo <= 0 <= hi:
+        return F(0)
+    if lo > 0:
+        return _simplest_positive_fraction(lo, hi)
+    return -_simplest_positive_fraction(-hi, -lo)
+
+
+_ENDPOINT = st.one_of(
+    st.integers(-40, 40).map(F), st.fractions(min_value=-40, max_value=40, max_denominator=10**12)
+)
+
+
+@st.composite
+def _snap_intervals(draw):
+    """Arbitrary, narrow (width down to 2^-90) and one-point intervals."""
+    lo = draw(_ENDPOINT)
+    kind = draw(st.sampled_from(["any", "narrow", "point"]))
+    if kind == "point":
+        return lo, lo
+    if kind == "narrow":
+        return lo, lo + F(draw(st.integers(1, 9)), 2 ** draw(st.integers(1, 90)))
+    return lo, draw(_ENDPOINT)
+
+
+@given(interval=_snap_intervals())
+@example(interval=(F(-7, 3), F(-2, 3)))  # negative
+@example(interval=(F(-5), F(-3)))  # integer endpoints
+@example(interval=(F(-1, 9), F(2, 7)))  # contains 0
+@example(interval=(F(22, 7), F(22, 7)))  # lo == hi
+@example(interval=(F(355, 113), F(355, 113) + F(1, 2**80)))
+@settings(max_examples=400, deadline=None)
+def test_integer_snapping_matches_fraction_recursion(interval):
+    lo, hi = interval
+    got = simplest_rational_between(lo, hi)
+    assert got == _simplest_rational_fraction(lo, hi)
+    assert min(lo, hi) <= got <= max(lo, hi)
+
+
 def test_snap_catches_scaled_lattice_roots():
     # roots are powers of 9/10; snapping recovers them exactly
     q = F(9, 10)
@@ -236,8 +304,10 @@ def test_integer_sign_kernel_matches_rational_evaluation(case):
     assert p.sign_at(x) == (v > 0) - (v < 0)
 
 
+@cache
 def _acceptance_grid_polynomials():
-    """The polynomials of the acceptance grids, one per family instance."""
+    """The polynomials of the acceptance grids, one per family instance,
+    built once per session and shared by the tests below."""
     out = []
     for q in (F(1, 4), F(1, 2), F(3, 4), F(9, 10)):
         for n in range(1, 9):
@@ -247,7 +317,7 @@ def _acceptance_grid_polynomials():
             out.extend(q_bessel(n, b, q) for b in (F(-2), F(-1, 2)))
             out.append(stieltjes_wigert(n, q))
             out.extend(q_laguerre(n, b, q) for b in (F(1, 4), F(1, 2), F(3, 4)))
-    return out
+    return tuple(out)
 
 
 def test_lazy_isolation_matches_eager_on_acceptance_grids():
@@ -256,10 +326,14 @@ def test_lazy_isolation_matches_eager_on_acceptance_grids():
     Counts, certification and multiplicities agree, and every lazy interval
     holds its eager interval.  A lazy exact root is the eager one; an eager
     exact root that the wider lazy interval did not snap to is a proven zero
-    of the lazy entry's factor inside that interval.
+    of the lazy entry's factor inside that interval.  The integer refinement
+    of ``refine_below`` makes the same steps as ``bisect_once``: each eager
+    entry is its lazy entry bisected below 2^-64 one step at a time, then
+    snapped.
     """
+    eps = F(1, 2**64)
     for p in _acceptance_grid_polynomials():
-        lazy, eager = isolate_real_roots(p, None), isolate_real_roots(p, F(1, 2**64))
+        lazy, eager = isolate_real_roots(p, None), isolate_real_roots(p, eps)
         assert lazy.total_count == eager.total_count, p
         assert lazy.certified_real_rooted == eager.certified_real_rooted, p
         assert len(lazy.roots) == len(eager.roots), p
@@ -270,6 +344,72 @@ def test_lazy_isolation_matches_eager_on_acceptance_grids():
                 assert eg.exact == lz.exact, p
             elif eg.exact is not None:
                 assert lz.factor.sign_at(eg.exact) == 0, p
+            stepped = lz.copy()
+            for _ in range((lz.width // eps).bit_length()):  # the halvings to below eps
+                stepped.bisect_once()
+            roots._snap_to_rational(stepped)
+            assert (stepped.lo, stepped.hi, stepped.exact) == (eg.lo, eg.hi, eg.exact), p
+
+
+def _same_roots(rs, ref, exact=True):
+    """Counts and multiplicities equal, intervals pairwise overlapping and,
+    with ``exact``, the same exact roots."""
+    assert (rs.total_count, rs.certified_real_rooted) == (ref.total_count, ref.certified_real_rooted)
+    assert len(rs.roots) == len(ref.roots)
+    for e, r in zip(rs.roots, ref.roots):
+        assert e.multiplicity == r.multiplicity
+        assert e.lo <= r.hi and r.lo <= e.hi
+        if exact:
+            assert e.exact == r.exact
+        if e.exact is None:  # the sign certificate
+            assert e.factor.sign_at(e.lo) * e.factor.sign_at(e.hi) < 0
+
+
+def _sturm_isolation(p, eps):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots, "_isolate_squarefree", isolate_squarefree_sturm)
+        return isolate_real_roots(p, eps)
+
+
+def test_descartes_isolation_matches_sturm_on_acceptance_grids():
+    """VCA isolation to separation against the Sturm-chain isolator it
+    replaced, on the 672 acceptance-grid polynomials."""
+    for p in _acceptance_grid_polynomials():
+        _same_roots(isolate_real_roots(p, None), _sturm_isolation(p, None))
+
+
+_PLANTED = st.builds(lambda k, e: F(k, 2**e), st.integers(-24, 24), st.integers(0, 3))
+
+
+@given(
+    planted=st.lists(st.tuples(_PLANTED, st.integers(1, 3)), min_size=1, max_size=6),
+    surd=st.sampled_from([None, 2, 3, 5]),
+)
+# roots 1, 2, 3: the bound is 2^4 and 2 is a split point; without the
+# split-point test, (0, 2) would hold one root and end on the next
+@example(planted=[(F(1), 1), (F(2), 1), (F(3), 1)], surd=None)
+@example(planted=[(F(-1, 2), 1), (F(1, 2), 2), (F(3, 4), 1)], surd=2)
+@settings(max_examples=100, deadline=None)
+def test_isolation_with_planted_dyadic_roots(planted, surd):
+    """Planted dyadic roots, many on VCA split points, with multiplicities
+    and an optional pair of roots +-sqrt(surd): every root is found, with its
+    multiplicity, exactly once refined, and the result agrees with the Sturm
+    isolator."""
+    mults: dict = {}
+    for r, m in planted:
+        mults[r] = mults.get(r, 0) + m
+    p = PolyExact.from_roots([r for r, m in mults.items() for _ in range(m)])
+    if surd is not None:
+        p = p * PolyExact((-surd, 0, 1))
+    lazy, fine = isolate_real_roots(p, None), isolate_real_roots(p)
+    assert lazy.certified_real_rooted and fine.certified_real_rooted
+    for rs in (lazy, fine):
+        for r, m in mults.items():
+            (e,) = [e for e in rs.roots if e.lo <= r <= e.hi]
+            assert e.multiplicity == m
+            assert e.exact == r or rs is lazy
+    _same_roots(lazy, _sturm_isolation(p, None), exact=False)
+    _same_roots(fine, _sturm_isolation(p, roots.DEFAULT_EPS))
 
 
 def test_square_free_decomposition_unchanged_by_modular_certificate(monkeypatch):
