@@ -221,7 +221,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     width = 0
     for v in values:
-        setattr(args, args.vary, rat_str(v))
+        setattr(args, args.vary, v)  # a Fraction: rat() passes it through unparsed
         poly = build(_family_params(args))
         rs = isolate_real_roots(poly)
         cells = [rat_str(v)]

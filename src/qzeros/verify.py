@@ -14,6 +14,7 @@ evaluated in deterministic lexicographic order, so records are reproducible.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -46,11 +47,12 @@ from .families import (
     weight_mass,
 )
 from .qcalc import q_derivative
-from .qcore import Rational, RationalLike, as_q, neg_q_power, qpoch_finite, rat, rat_str
+from .qcore import RationalLike, as_q, neg_q_power, qpoch_finite, rat, rat_str
 from .qhyper import HyperSpec, PolyExact, build_qhyper
 from .roots import RootSet, isolate_real_roots
 
 _LIMIT_EXPONENTS = range(4, 21)
+_GRID_EPS = Fraction(1, 10**6)
 
 
 class Status(enum.Enum):
@@ -106,7 +108,7 @@ class GridSpec:
     a_values: list[Fraction] = field(default_factory=list)
     b_values: list[Fraction] = field(default_factory=list)
     t_values: list[Fraction] = field(default_factory=list)
-    eps: Fraction = Fraction(1, 10**6)
+    eps: Fraction = _GRID_EPS
     check_ids: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -149,17 +151,6 @@ class GridSpec:
             check_ids=values("checkIds", str),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "qValues": [rat_str(v) for v in self.q_values],
-            "nValues": self.n_values,
-            "aValues": [rat_str(v) for v in self.a_values],
-            "bValues": [rat_str(v) for v in self.b_values],
-            "tValues": [rat_str(v) for v in self.t_values],
-            "eps": rat_str(self.eps),
-            "checkIds": list(self.check_ids),
-        }
-
 
 def default_t_values(q: RationalLike) -> list[Fraction]:
     """The standard t sample set {q^2, (q^2+1)/2, 1} for a given q."""
@@ -180,10 +171,6 @@ def _fmt(value) -> object:
 
 def _params_dict(point: Mapping) -> dict:
     return {k: _fmt(v) for k, v in point.items()}
-
-
-def _sign_str(c: int) -> str:
-    return {-1: "<", 0: "=", 1: ">"}[c]
 
 
 # The isolations of the current run_checks call, keyed by coefficient tuple.
@@ -285,6 +272,111 @@ class _Skip(Exception):
         super().__init__(reason)
 
 
+@dataclass(frozen=True)
+class _Check:
+    """A registry entry: the grid points it runs at and the function it runs."""
+
+    points: Callable  # GridSpec -> list[dict]
+    fn: Callable  # (**point) -> (Status, witness | None); raises _Skip off-regime
+
+
+def _record(check_id: str, check: _Check, point: dict) -> VerificationRecord:
+    """One check at one point: a point outside the check's hypotheses gives a
+    Skipped record, a library error an Error record."""
+    try:
+        status, witness = check.fn(**point)
+    except _Skip as skip:
+        status, witness = Status.SKIPPED, {"reason": skip.reason}
+    except QZerosError as exc:
+        status, witness = Status.ERROR, {"error": type(exc).__name__, "detail": str(exc)}
+    return VerificationRecord(check_id, _params_dict(point), status, witness)
+
+
+def _axis_points(*axes: str) -> Callable:
+    """The cross product of the named grid axes, in lexicographic order."""
+
+    def build(grid: GridSpec) -> list[dict]:
+        pools = {
+            "q": grid.q_values,
+            "n": grid.n_values,
+            "a": grid.a_values,
+            "b": grid.b_values,
+            "t": grid.t_values,
+            "t1": grid.t_values,
+            "t2": grid.t_values,
+            "eps": [grid.eps],
+        }
+        return [dict(zip(axes, combo)) for combo in itertools.product(*(pools[x] for x in axes))]
+
+    return build
+
+
+def _k_points(*axes: str) -> Callable:
+    """The axis points, each repeated with k = 1..n."""
+
+    def build(grid: GridSpec) -> list[dict]:
+        points = _axis_points(*axes)(grid)
+        return [{**point, "k": k} for point in points for k in range(1, point["n"] + 1)]
+
+    return build
+
+
+_QNAB = _axis_points("q", "n", "a", "b")
+
+
+# --------------------------------------------------------------------------
+# regime guards
+# --------------------------------------------------------------------------
+
+
+def _need(cond: bool, reason: str, name: str | None = None, value: Fraction | None = None) -> None:
+    """Skip the point unless ``cond``; the reason names ``name = value`` if given."""
+    if not cond:
+        raise _Skip(reason if name is None else f"{reason} ({name} = {rat_str(value)})")
+
+
+def _aq_regime(q, a) -> None:
+    _need(0 < a * q < 1, "needs 0 < aq < 1", "aq", a * q)
+
+
+def _bq_regime(q, b) -> None:
+    _need(b * q < 1, "needs bq < 1", "bq", b * q)
+
+
+def _jacobi_regime(q, a, b) -> None:
+    _aq_regime(q, a)
+    _bq_regime(q, b)
+
+
+def _negative(name: str, value) -> None:
+    _need(value < 0, f"needs {name} < 0", name, value)
+
+
+def _unit(name: str, value) -> None:
+    _need(0 < value < 1, f"needs 0 < {name} < 1", name, value)
+
+
+def _t_window(q, t) -> None:
+    _need(q * q <= t <= 1, "needs q^2 <= t <= 1", "t", t)
+
+
+def _t1_window(q, t1) -> None:
+    _need(q * q <= t1 < 1, "needs q^2 <= t1 < 1", "t1", t1)
+
+
+def _t_open(q, t) -> None:
+    _need(q * q < t < 1, "needs q^2 < t < 1", "t", t)
+
+
+def _b_regular(q, b) -> None:
+    _need(neg_q_power(b, q) is None, "b = q^-m excluded")
+
+
+def _contiguous(q, n, b) -> None:
+    _need(n >= 1, "needs n >= 1")
+    _b_regular(q, b)
+
+
 # --------------------------------------------------------------------------
 # identity checks
 # --------------------------------------------------------------------------
@@ -297,14 +389,8 @@ def _jac(n: int, a: Fraction, b: Fraction, q: Fraction) -> PolyExact:
         raise _Skip(str(exc))
 
 
-def _need(cond: bool, reason: str) -> None:
-    if not cond:
-        raise _Skip(reason)
-
-
 def _identity_contig1(q, n, a, b):
-    _need(n >= 1, "needs n >= 1")
-    _need(neg_q_power(b, q) is None, "b = q^-m excluded")
+    _contiguous(q, n, b)
     lhs = -_jac(n, a, q * q * b, q)
     const = (
         a * (1 - q**n) * (1 - a * b * q ** (n + 3))
@@ -315,8 +401,7 @@ def _identity_contig1(q, n, a, b):
 
 
 def _identity_contig2(q, n, a, b):
-    _need(n >= 1, "needs n >= 1")
-    _need(neg_q_power(b, q) is None, "b = q^-m excluded")
+    _contiguous(q, n, b)
     lhs = (1 - a * q) * (1 + b * q**n * (a * q ** (n + 1) - a * q - 1)) * _jac(n, a, b, q)
     rhs = (1 - b * q**n) * (1 - a * q ** (n + 1)) * _jac(n, q * a, b / q, q) + (
         a * q * (1 - q**n) * (1 - a * b * q ** (n + 1))
@@ -325,8 +410,7 @@ def _identity_contig2(q, n, a, b):
 
 
 def _identity_contig3(q, n, a, b):
-    _need(n >= 1, "needs n >= 1")
-    _need(neg_q_power(b, q) is None, "b = q^-m excluded")
+    _contiguous(q, n, b)
     lhs = q**n * (1 - a * b * q**n) * _jac(n, a, b, q)
     rhs = (1 - a * b * q ** (2 * n)) * _jac(n, a, b / q, q).scale_arg(q) - (1 - q**n) * _jac(
         n - 1, a, b, q
@@ -335,7 +419,7 @@ def _identity_contig3(q, n, a, b):
 
 
 def _identity_contig4(q, n, a, b):
-    _need(neg_q_power(b, q) is None, "b = q^-m excluded")
+    _b_regular(q, b)
     lhs = b * q ** (n + 1) * (1 - a * q ** (n + 1)) * _jac(n + 1, a, b, q)
     rhs = (1 - a * b * q ** (2 * n + 2)) * (PolyExact((1, -q * b)) * _jac(n, a, q * b, q)) - (
         1 - b * q ** (n + 1)
@@ -344,8 +428,7 @@ def _identity_contig4(q, n, a, b):
 
 
 def _identity_contig3_shifted(q, n, a, b):
-    _need(n >= 1, "needs n >= 1")
-    _need(neg_q_power(b, q) is None, "b = q^-m excluded")
+    _contiguous(q, n, b)
     lhs = (1 - a * b * q ** (2 * n + 1)) * _jac(n, a, b, q).scale_arg(q)
     rhs = (1 - q**n) * _jac(n - 1, a, q * b, q) + q**n * (1 - a * b * q ** (n + 1)) * _jac(
         n, a, q * b, q
@@ -487,7 +570,7 @@ def _limit_record(devs: list[Fraction], eps: Fraction) -> tuple[Status, dict]:
     return status, witness
 
 
-def _identity_bessel_limit(q, n, b, eps):
+def _identity_bessel_limit(q, n, b, eps=_GRID_EPS):
     target = q_bessel(n, b, q).scale_arg(q)
     pairs = []
     for m in _LIMIT_EXPONENTS:
@@ -496,7 +579,7 @@ def _identity_bessel_limit(q, n, b, eps):
     return _limit_record(_deviation_profile(pairs), eps)
 
 
-def _identity_sw_limit(q, n, eps):
+def _identity_sw_limit(q, n, eps=_GRID_EPS):
     target = stieltjes_wigert(n, q)
     pairs = []
     for m in _LIMIT_EXPONENTS:
@@ -505,30 +588,35 @@ def _identity_sw_limit(q, n, eps):
     return _limit_record(_deviation_profile(pairs), eps)
 
 
-@dataclass(frozen=True)
-class _Identity:
-    axes: tuple[str, ...]
-    fn: Callable
-    expand_k: bool = False  # add k = 1..n to the point
-    is_limit: bool = False
+def _exact(points: Callable, sides: Callable) -> _Check:
+    """An identity check: ``sides`` builds (label, lhs, rhs) comparisons and
+    a witness for a Pass; every comparison must hold coefficient by
+    coefficient.  ``_corrupt_coeff`` is the harness self-test's perturbation."""
+
+    def fn(_corrupt_coeff: int | None = None, **point):
+        comparisons, extra = sides(**point)
+        status, witness = _compare_sides(comparisons, _corrupt_coeff)
+        return status, extra if status is Status.PASS else witness
+
+    return _Check(points, fn)
 
 
-IDENTITY_CHECKS: dict[str, _Identity] = {
-    "contig-1": _Identity(("q", "n", "a", "b"), _identity_contig1),
-    "contig-2": _Identity(("q", "n", "a", "b"), _identity_contig2),
-    "contig-3": _Identity(("q", "n", "a", "b"), _identity_contig3),
-    "contig-4": _Identity(("q", "n", "a", "b"), _identity_contig4),
-    "contig-3-shifted": _Identity(("q", "n", "a", "b"), _identity_contig3_shifted),
-    "qderiv-jacobi": _Identity(("q", "n", "a", "b"), _identity_qderiv_jacobi),
-    "qderiv-hyper": _Identity(("q", "n", "a", "b"), _identity_qderiv_hyper),
-    "recip-1": _Identity(("q", "n", "b"), _identity_recip1),
-    "recip-2": _Identity(("q", "n", "a", "b"), _identity_recip2),
-    "recip-3": _Identity(("q", "n", "a"), _identity_recip3),
-    "factor-bneg": _Identity(("q", "n", "a"), _identity_factor_bneg, expand_k=True),
-    "factor-anorm": _Identity(("q", "n", "b"), _identity_factor_anorm, expand_k=True),
-    "qdiff-bessel": _Identity(("q", "n", "b"), _identity_qdiff_bessel),
-    "bessel-limit": _Identity(("q", "n", "b"), _identity_bessel_limit, is_limit=True),
-    "sw-limit": _Identity(("q", "n"), _identity_sw_limit, is_limit=True),
+IDENTITY_CHECKS: dict[str, _Check] = {
+    "contig-1": _exact(_QNAB, _identity_contig1),
+    "contig-2": _exact(_QNAB, _identity_contig2),
+    "contig-3": _exact(_QNAB, _identity_contig3),
+    "contig-4": _exact(_QNAB, _identity_contig4),
+    "contig-3-shifted": _exact(_QNAB, _identity_contig3_shifted),
+    "qderiv-jacobi": _exact(_QNAB, _identity_qderiv_jacobi),
+    "qderiv-hyper": _exact(_QNAB, _identity_qderiv_hyper),
+    "recip-1": _exact(_axis_points("q", "n", "b"), _identity_recip1),
+    "recip-2": _exact(_QNAB, _identity_recip2),
+    "recip-3": _exact(_axis_points("q", "n", "a"), _identity_recip3),
+    "factor-bneg": _exact(_k_points("q", "n", "a"), _identity_factor_bneg),
+    "factor-anorm": _exact(_k_points("q", "n", "b"), _identity_factor_anorm),
+    "qdiff-bessel": _exact(_axis_points("q", "n", "b"), _identity_qdiff_bessel),
+    "bessel-limit": _Check(_axis_points("q", "n", "b", "eps"), _identity_bessel_limit),
+    "sw-limit": _Check(_axis_points("q", "n", "eps"), _identity_sw_limit),
 }
 
 SELFTEST_ID = "harness-selftest"
@@ -540,7 +628,8 @@ def check_identity(
     *,
     _corrupt_coeff: int | None = None,
 ) -> VerificationRecord:
-    """Run one identity at one parameter point.
+    """Run one identity at one parameter point (the limit checks read eps,
+    default 10^-6).
 
     ``_corrupt_coeff`` perturbs one coefficient of the first right-hand side
     by 1 before comparison; it exists for the harness self-test, which must
@@ -548,32 +637,15 @@ def check_identity(
     """
     if check_id == SELFTEST_ID:
         return _run_selftest(params)
-    spec = IDENTITY_CHECKS.get(check_id)
-    if spec is None:
+    check = IDENTITY_CHECKS.get(check_id)
+    if check is None:
         raise RegistryError(f"unknown identity check {check_id!r}")
-    point = dict(params)
-    shown = _params_dict(point)
-    kwargs = {k: (int(v) if k in ("n", "k") else rat(v)) for k, v in point.items() if k != "eps"}
-    if "q" in kwargs:
-        kwargs["q"] = as_q(kwargs["q"])
-    if spec.is_limit:
-        kwargs["eps"] = rat(point.get("eps", Fraction(1, 10**6)))
-        shown = _params_dict(kwargs)
-    try:
-        if spec.is_limit:
-            status, witness = spec.fn(**kwargs)
-        else:
-            comparisons, extra = spec.fn(**kwargs)
-            status, witness = _compare_sides(comparisons, _corrupt_coeff)
-            if status is Status.PASS and extra:
-                witness = extra
-    except _Skip as skip:
-        return VerificationRecord(check_id, shown, Status.SKIPPED, {"reason": skip.reason})
-    except QZerosError as exc:
-        return VerificationRecord(
-            check_id, shown, Status.ERROR, {"error": type(exc).__name__, "detail": str(exc)}
-        )
-    return VerificationRecord(check_id, shown, status, witness)
+    point = {
+        k: int(v) if k in ("n", "k") else as_q(v) if k == "q" else rat(v) for k, v in params.items()
+    }
+    if _corrupt_coeff is not None:
+        check = _Check(check.points, functools.partial(check.fn, _corrupt_coeff=_corrupt_coeff))
+    return _record(check_id, check, point)
 
 
 def _run_selftest(params: Mapping[str, object]) -> VerificationRecord:
@@ -599,60 +671,58 @@ def _run_selftest(params: Mapping[str, object]) -> VerificationRecord:
 # --------------------------------------------------------------------------
 
 
-def _interlace_outcome(
-    rs_p: RootSet, rs_r: RootSet, accept: tuple[Relation, ...]
-) -> tuple[Status, dict | None]:
-    report = interlace(rs_p, rs_r)
+def _interlaces(pair: tuple[PolyExact, PolyExact], weak_ok: bool = False) -> tuple[Status, dict]:
+    """Pass when the first polynomial is strictly interlaced by the second
+    (or weakly, with ``weak_ok``); the witness names the relation observed."""
+    report = interlace(_roots(pair[0]), _roots(pair[1]))
     witness = {"relation": report.relation.value}
-    if report.relation in accept:
+    if report.relation is Relation.STRICT_INTERLACE or (
+        weak_ok and report.relation is Relation.WEAK_INTERLACE
+    ):
         return Status.PASS, witness
     witness["chain_position"] = report.witness
     return Status.FAIL, witness
 
 
-def _jacobi_regime(q, a, b) -> None:
-    _need(0 < a * q < 1, f"needs 0 < aq < 1 (aq = {rat_str(a * q)})")
-    _need(b * q < 1, f"needs bq < 1 (bq = {rat_str(b * q)})")
+def _interlacing(points: Callable, pair: Callable, weak_ok: bool = False) -> _Check:
+    """An interlacing check: ``pair`` tests its regime and builds (p, r)."""
+    return _Check(points, lambda **point: _interlaces(pair(**point), weak_ok))
 
 
-def _prop_thmA(variant: int):
-    def fn(q, n, a, b):
-        _jacobi_regime(q, a, b)
-        p = _roots(_jac(n + 1, a, b, q))
-        if variant == 1:
-            r = _roots(_jac(n, a, q * b, q))
-        elif variant == 2:
-            r = _roots(_jac(n, a, q * q * b, q))
-        else:
-            p = _roots(_jac(n, a, q * q * b, q))
-            r = _roots(_jac(n, q * a, q * b, q))
-        return _interlace_outcome(p, r, (Relation.STRICT_INTERLACE,))
-
-    return fn
+def _thmA_1(q, n, a, b):
+    _jacobi_regime(q, a, b)
+    return _jac(n + 1, a, b, q), _jac(n, a, q * b, q)
 
 
-def _prop_thm1_monotone(which: str):
-    def fn(q, n, b=None, a=None, lo=None, hi=None):
-        if which == "a":
-            _need(0 < lo * q < 1 and 0 < hi * q < 1, "both a values need 0 < aq < 1")
-            _need(b * q < 1, f"needs bq < 1 (bq = {rat_str(b * q)})")
-            # zeros decrease with a: larger a sits zero-wise below smaller a
-            first = _roots(_jac(n, hi, b, q))
-            second = _roots(_jac(n, lo, b, q))
-        else:
-            _need(0 < a * q < 1, f"needs 0 < aq < 1 (aq = {rat_str(a * q)})")
-            _need(lo * q < 1 and hi * q < 1, "both b values need bq < 1")
-            # zeros increase with b
-            first = _roots(_jac(n, a, lo, q))
-            second = _roots(_jac(n, a, hi, q))
-        rep = zerowise_compare(first, second)
-        witness = {"any_strict_movement": rep.any_strict}
-        if rep.holds:
-            return Status.PASS, witness
-        witness["zero_index"] = rep.witness
-        return Status.FAIL, witness
+def _thmA_2(q, n, a, b):
+    _jacobi_regime(q, a, b)
+    return _jac(n + 1, a, b, q), _jac(n, a, q * q * b, q)
 
-    return fn
+
+def _thmA_3(q, n, a, b):
+    _jacobi_regime(q, a, b)
+    return _jac(n, a, q * q * b, q), _jac(n, q * a, q * b, q)
+
+
+def _thm1_monotone(q, n, lo, hi, a=None, b=None):
+    """Zero-wise order of p_n at the ordered pair lo < hi of a (when the point
+    has no a) or of b."""
+    if a is None:
+        _need(0 < lo * q < 1 and 0 < hi * q < 1, "both a values need 0 < aq < 1")
+        _bq_regime(q, b)
+        # zeros decrease with a: larger a sits zero-wise below smaller a
+        first, second = _jac(n, hi, b, q), _jac(n, lo, b, q)
+    else:
+        _aq_regime(q, a)
+        _need(lo * q < 1 and hi * q < 1, "both b values need bq < 1")
+        # zeros increase with b
+        first, second = _jac(n, a, lo, q), _jac(n, a, hi, q)
+    rep = zerowise_compare(_roots(first), _roots(second))
+    witness = {"any_strict_movement": rep.any_strict}
+    if rep.holds:
+        return Status.PASS, witness
+    witness["zero_index"] = rep.witness
+    return Status.FAIL, witness
 
 
 def _prop_thm2_lmesh(q, n, a, b):
@@ -674,52 +744,38 @@ def _prop_thm2_lmesh(q, n, a, b):
     return Status.PASS, witness
 
 
-def _prop_thm2_i(q, n, a, b):
+def _thm2_i(q, n, a, b):
     _need(n >= 1, "needs n >= 1")
     _jacobi_regime(q, a, b)
-    p = _roots(_jac(n, a, b, q))
-    r = _roots(_jac(n - 1, q * a, q * b, q))
-    return _interlace_outcome(p, r, (Relation.STRICT_INTERLACE,))
+    return _jac(n, a, b, q), _jac(n - 1, q * a, q * b, q)
 
 
-def _prop_thm2_ii(q, n, a, b):
+def _thm2_ii(q, n, a, b):
     _jacobi_regime(q, a, b)
-    p = _roots(_jac(n, a, q * q * b, q))
-    r = _roots(_jac(n, q * q * a, b, q))
-    return _interlace_outcome(p, r, (Relation.STRICT_INTERLACE,))
+    return _jac(n, a, q * q * b, q), _jac(n, q * q * a, b, q)
 
 
-def _prop_thm2_iii(q, n, a, b):
-    _need(b < 0, f"needs b < 0 (b = {rat_str(b)})")
-    _need(0 < a * q < 1, f"needs 0 < aq < 1 (aq = {rat_str(a * q)})")
-    p = _roots(_jac(n, a, b, q))
-    r = _roots(_jac(n, a, q * q * b, q))
-    return _interlace_outcome(p, r, (Relation.STRICT_INTERLACE,))
+def _thm2_iii(q, n, a, b):
+    _negative("b", b)
+    _aq_regime(q, a)
+    return _jac(n, a, b, q), _jac(n, a, q * q * b, q)
 
 
-def _t_window(q, t) -> None:
-    _need(q * q <= t <= 1, f"needs q^2 <= t <= 1 (t = {rat_str(t)})")
-
-
-def _prop_cor_i(q, n, a, b, t1, t2):
-    _need(0 < a * q < 1, f"needs 0 < aq < 1 (aq = {rat_str(a * q)})")
-    _need(0 <= b * q < 1, f"needs 0 <= qb < 1 (qb = {rat_str(q * b)})")
+def _cor_i(q, n, a, b, t1, t2):
+    _aq_regime(q, a)
+    _need(0 <= b * q < 1, "needs 0 <= qb < 1", "qb", q * b)
     _t_window(q, t1)
     _t_window(q, t2)
     _need(t1 * t2 != 1, "needs t1*t2 != 1")
     _need(not (b == 0 and t2 == 1), "degenerate point: both sides identical (b=0, t2=1)")
-    p = _roots(_jac(n, a, t1 * b, q))
-    r = _roots(_jac(n, t2 * a, b, q))
-    return _interlace_outcome(p, r, (Relation.STRICT_INTERLACE,))
+    return _jac(n, a, t1 * b, q), _jac(n, t2 * a, b, q)
 
 
-def _prop_cor_ii(q, n, a, b, t1):
-    _need(0 < a * q < 1, f"needs 0 < aq < 1 (aq = {rat_str(a * q)})")
-    _need(b < 0, f"needs b < 0 (b = {rat_str(b)})")
-    _need(q * q <= t1 < 1, f"needs q^2 <= t1 < 1 (t1 = {t1})")
-    p = _roots(_jac(n, a, b, q))
-    r = _roots(_jac(n, a, t1 * b, q))
-    return _interlace_outcome(p, r, (Relation.STRICT_INTERLACE,))
+def _cor_ii(q, n, a, b, t1):
+    _aq_regime(q, a)
+    _negative("b", b)
+    _t1_window(q, t1)
+    return _jac(n, a, b, q), _jac(n, a, t1 * b, q)
 
 
 def _in_class_outcome(
@@ -742,59 +798,50 @@ def _in_class_outcome(
 
 
 def _prop_bessel_lmesh(q, n, b):
-    _need(b < 0, f"needs b < 0 (b = {rat_str(b)})")
+    _negative("b", b)
     return _in_class_outcome(q_bessel(n, b, q), q, True, (Fraction(0), Fraction(1)))
 
 
-def _prop_bessel_interlace(q, n, b, t):
-    _need(b < 0, f"needs b < 0 (b = {rat_str(b)})")
-    _need(q * q < t < 1, f"needs q^2 < t < 1 (t = {t})")
-    p = _roots(q_bessel(n, b, q))
-    r = _roots(q_bessel(n, t * b, q))
-    return _interlace_outcome(p, r, (Relation.STRICT_INTERLACE, Relation.WEAK_INTERLACE))
+def _bessel_pair(q, n, b, t):
+    _negative("b", b)
+    _t_open(q, t)
+    return q_bessel(n, b, q), q_bessel(n, t * b, q)
 
 
 def _prop_qlag_lmesh(q, n, b):
-    _need(0 < b < 1, f"needs 0 < b < 1 (b = {b})")
+    _unit("b", b)
     return _in_class_outcome(q_laguerre(n, b, q), q * q, True, (Fraction(0), None))
 
 
-def _prop_qlag_interlace(q, n, b, t):
-    _need(0 < b < 1, f"needs 0 < b < 1 (b = {b})")
-    _need(q * q < t < 1, f"needs q^2 < t < 1 (t = {t})")
-    p = _roots(q_laguerre(n, b, q))
-    r = _roots(q_laguerre(n, t * b, q))
-    return _interlace_outcome(p, r, (Relation.STRICT_INTERLACE,))
+def _qlag_pair(q, n, b, t):
+    _unit("b", b)
+    _t_open(q, t)
+    return q_laguerre(n, b, q), q_laguerre(n, t * b, q)
 
 
 def _prop_sw_lmesh(q, n):
     return _in_class_outcome(stieltjes_wigert(n, q), q * q, False, (Fraction(0), None))
 
 
-def _prop_phi21_mono1(q, n, a, b, t1, t2):
-    _need(0 < b < 1, f"needs 0 < b < 1 (b = {b})")
-    _need(0 <= a < b * q ** (n - 1), f"needs 0 <= a < b q^(n-1) (a = {a})")
+def _phi21_mono1(q, n, a, b, t1, t2):
+    _unit("b", b)
+    _need(0 <= a < b * q ** (n - 1), "needs 0 <= a < b q^(n-1)", "a", a)
     _t_window(q, t1)
     _t_window(q, t2)
     _need(t1 * t2 != 1, "needs t1*t2 != 1")
     _need(not (a == 0 and t2 == 1), "degenerate point: both sides identical (a=0, t2=1)")
-    p = _roots(_phi(n, (t1 * a,), (b,), q))
-    r = _roots(_phi(n, (t2 * a,), (t2 * b,), q))
-    return _interlace_outcome(p, r, (Relation.STRICT_INTERLACE,))
+    return _phi(n, (t1 * a,), (b,), q), _phi(n, (t2 * a,), (t2 * b,), q)
 
 
-def _prop_phi21_mono2(q, n, a, b, t1):
-    _need(a < 0, f"needs a < 0 (a = {a})")
-    _need(0 < b < 1, f"needs 0 < b < 1 (b = {b})")
-    _need(q * q <= t1 < 1, f"needs q^2 <= t1 < 1 (t1 = {t1})")
-    p = _roots(_phi(n, (a,), (b,), q))
-    r = _roots(_phi(n, (t1 * a,), (b,), q))
-    return _interlace_outcome(p, r, (Relation.STRICT_INTERLACE,))
+def _phi21_mono2(q, n, a, b, t1):
+    _negative("a", a)
+    _unit("b", b)
+    _t1_window(q, t1)
+    return _phi(n, (a,), (b,), q), _phi(n, (t1 * a,), (b,), q)
 
 
 def _prop_orthogonality(q, a, b, n, m, eps):
     _jacobi_regime(q, a, b)
-    _need(0 < a * q, "needs a > 0")
     s, tail, cutoff = _orthogonality_sum(n, m, a, b, q, eps)
     witness = {
         "abs_sum": f"{float(abs(s)):.3e}",
@@ -883,7 +930,6 @@ class TableRow:
     root region and lmesh bound.  ``note`` records any reading adopted where
     the printed form is unattainable; the runner still reports honestly."""
 
-    row: int
     shape: str  # "2phi1" | "2phi0" | "1phi1"
     a_samples: Callable | None
     b_samples: Callable | None
@@ -895,7 +941,6 @@ class TableRow:
 
 TABLE1_ROWS: dict[int, TableRow] = {
     1: TableRow(
-        1,
         "2phi1",
         lambda q, n, b: _samples_interval(None, b * q ** (n - 1)),
         lambda q, n: _samples_interval(Fraction(0), Fraction(1)),
@@ -904,7 +949,6 @@ TABLE1_ROWS: dict[int, TableRow] = {
         True,
     ),
     2: TableRow(
-        2,
         "2phi1",
         lambda q, n, b: sorted({b * q**j for j in (0, (n - 1) // 2, n - 1)}),
         lambda q, n: _samples_interval(Fraction(0), Fraction(1)),
@@ -914,7 +958,6 @@ TABLE1_ROWS: dict[int, TableRow] = {
         note="top zero equals q exactly (factorization through E_k); region closed at q",
     ),
     3: TableRow(
-        3,
         "2phi1",
         lambda q, n, b: _samples_interval(q ** (1 - n), None),
         lambda q, n: _samples_interval(None, Fraction(0)),
@@ -923,7 +966,6 @@ TABLE1_ROWS: dict[int, TableRow] = {
         True,
     ),
     4: TableRow(
-        4,
         "2phi1",
         lambda q, n, b: _samples_interval(q ** (1 - n), b * q ** (n + 1)),
         lambda q, n: [q ** (-2 * n) * 2, q ** (-2 * n) * 4, q ** (-2 * n) * 16],
@@ -932,7 +974,6 @@ TABLE1_ROWS: dict[int, TableRow] = {
         True,
     ),
     5: TableRow(
-        5,
         "2phi1",
         lambda q, n, b: _samples_interval(None, Fraction(0)),
         lambda q, n: [Fraction(0)],
@@ -941,7 +982,6 @@ TABLE1_ROWS: dict[int, TableRow] = {
         True,
     ),
     6: TableRow(
-        6,
         "2phi1",
         lambda q, n, b: _samples_interval(q ** (1 - n), None),
         lambda q, n: [Fraction(0)],
@@ -950,7 +990,6 @@ TABLE1_ROWS: dict[int, TableRow] = {
         True,
     ),
     7: TableRow(
-        7,
         "2phi0",
         lambda q, n, b: _samples_interval(q ** (1 - n), None),
         None,
@@ -959,7 +998,6 @@ TABLE1_ROWS: dict[int, TableRow] = {
         True,
     ),
     8: TableRow(
-        8,
         "1phi1",
         None,
         lambda q, n: _samples_interval(Fraction(0), Fraction(1)),
@@ -968,7 +1006,6 @@ TABLE1_ROWS: dict[int, TableRow] = {
         True,
     ),
     9: TableRow(
-        9,
         "1phi1",
         None,
         lambda q, n: [Fraction(0)],
@@ -977,7 +1014,6 @@ TABLE1_ROWS: dict[int, TableRow] = {
         False,
     ),
     10: TableRow(
-        10,
         "1phi1",
         None,
         lambda q, n: _samples_interval(None, Fraction(0)),
@@ -988,7 +1024,7 @@ TABLE1_ROWS: dict[int, TableRow] = {
 }
 
 
-def _table_row_points(row: TableRow, grid: "GridSpec") -> list[dict]:
+def _table_row_points(row: TableRow, grid: GridSpec) -> list[dict]:
     points = []
     for q in grid.q_values:
         for n in grid.n_values:
@@ -1007,124 +1043,95 @@ def _table_row_points(row: TableRow, grid: "GridSpec") -> list[dict]:
     return points
 
 
-def _prop_table_row(row_id: int):
-    row = TABLE1_ROWS[row_id]
-
-    def fn(q, n, a=None, b=None):
-        if row.shape == "2phi1":
-            p = _phi(n, (a,), (b,), q)
-        elif row.shape == "2phi0":
-            p = _phi(n, (a,), (), q)
-        else:
-            p = _phi(n, (), (b,), q)
-        lo, hi, lo_open, hi_open = row.region(q, n)
-        status, witness = _in_class_outcome(
-            p, row.mesh_base(q), row.mesh_strict, (lo, hi), (lo_open, hi_open)
-        )
-        if status is Status.PASS and row.note:
-            witness = {"note": row.note}
-        return status, witness
-
-    return fn
-
-
-@dataclass(frozen=True)
-class _Property:
-    points: Callable  # GridSpec -> list[dict]
-    fn: Callable  # (**point) -> (Status, witness | None)
-
-
-def _axis_points(*axes: str):
-    def build(grid: GridSpec) -> list[dict]:
-        pools = {
-            "q": grid.q_values,
-            "n": grid.n_values,
-            "a": grid.a_values,
-            "b": grid.b_values,
-            "t": grid.t_values,
-            "t1": grid.t_values,
-            "t2": grid.t_values,
-        }
-        names = list(axes)
-        return [dict(zip(names, combo)) for combo in itertools.product(*(pools[x] for x in names))]
-
-    return build
+def _table_row(row: TableRow, q, n, a=None, b=None):
+    if row.shape == "2phi1":
+        p = _phi(n, (a,), (b,), q)
+    elif row.shape == "2phi0":
+        p = _phi(n, (a,), (), q)
+    else:
+        p = _phi(n, (), (b,), q)
+    lo, hi, lo_open, hi_open = row.region(q, n)
+    status, witness = _in_class_outcome(
+        p, row.mesh_base(q), row.mesh_strict, (lo, hi), (lo_open, hi_open)
+    )
+    if status is Status.PASS and row.note:
+        witness = {"note": row.note}
+    return status, witness
 
 
 def _pair_points(axis: str):
     """Ordered value pairs (lo < hi) of one axis, crossed with q, n and the other axis."""
+    other = "b" if axis == "a" else "a"
 
     def build(grid: GridSpec) -> list[dict]:
-        values = sorted(set(grid.a_values if axis == "a" else grid.b_values))
-        pairs = [(x, y) for i, x in enumerate(values) for y in values[i + 1 :]]
-        other_name = "b" if axis == "a" else "a"
-        other_pool = grid.b_values if axis == "a" else grid.a_values
-        out = []
-        for q in grid.q_values:
-            for n in grid.n_values:
-                for other in other_pool:
-                    for lo, hi in pairs:
-                        out.append({"q": q, "n": n, other_name: other, "lo": lo, "hi": hi})
-        return out
+        pairs = itertools.combinations(sorted(set(getattr(grid, f"{axis}_values"))), 2)
+        return [
+            {"q": q, "n": n, other: value, "lo": lo, "hi": hi}
+            for q, n, value, (lo, hi) in itertools.product(
+                grid.q_values, grid.n_values, getattr(grid, f"{other}_values"), pairs
+            )
+        ]
 
     return build
 
 
 def _orthogonality_points(grid: GridSpec) -> list[dict]:
-    out = []
-    for q in grid.q_values:
-        for a in grid.a_values:
-            for b in grid.b_values:
-                for n in range(0, 6):
-                    for m in range(n + 1, 6):
-                        out.append({"q": q, "a": a, "b": b, "n": n, "m": m, "eps": grid.eps})
-    return out
+    """Each (q, a, b) with every degree pair 0 <= n < m <= 5."""
+    return [
+        {"q": q, "a": a, "b": b, "n": n, "m": m, "eps": grid.eps}
+        for q, a, b, (n, m) in itertools.product(
+            grid.q_values, grid.a_values, grid.b_values, itertools.combinations(range(6), 2)
+        )
+    ]
 
 
-PROPERTY_CHECKS: dict[str, _Property] = {
-    "thmA-1": _Property(_axis_points("q", "n", "a", "b"), _prop_thmA(1)),
-    "thmA-2": _Property(_axis_points("q", "n", "a", "b"), _prop_thmA(2)),
-    "thmA-3": _Property(_axis_points("q", "n", "a", "b"), _prop_thmA(3)),
-    "thm1-monotone-a": _Property(_pair_points("a"), _prop_thm1_monotone("a")),
-    "thm1-monotone-b": _Property(_pair_points("b"), _prop_thm1_monotone("b")),
-    "thm2-lmesh": _Property(_axis_points("q", "n", "a", "b"), _prop_thm2_lmesh),
-    "thm2-i": _Property(_axis_points("q", "n", "a", "b"), _prop_thm2_i),
-    "thm2-ii": _Property(_axis_points("q", "n", "a", "b"), _prop_thm2_ii),
-    "thm2-iii": _Property(_axis_points("q", "n", "a", "b"), _prop_thm2_iii),
-    "cor-i": _Property(_axis_points("q", "n", "a", "b", "t1", "t2"), _prop_cor_i),
-    "cor-ii": _Property(_axis_points("q", "n", "a", "b", "t1"), _prop_cor_ii),
-    "bessel-lmesh": _Property(_axis_points("q", "n", "b"), _prop_bessel_lmesh),
-    "bessel-interlace": _Property(_axis_points("q", "n", "b", "t"), _prop_bessel_interlace),
-    "qlag-lmesh": _Property(_axis_points("q", "n", "b"), _prop_qlag_lmesh),
-    "qlag-interlace": _Property(_axis_points("q", "n", "b", "t"), _prop_qlag_interlace),
-    "sw-lmesh": _Property(_axis_points("q", "n"), _prop_sw_lmesh),
-    "phi21-mono-1": _Property(_axis_points("q", "n", "a", "b", "t1", "t2"), _prop_phi21_mono1),
-    "phi21-mono-2": _Property(_axis_points("q", "n", "a", "b", "t1"), _prop_phi21_mono2),
-    "orthogonality": _Property(_orthogonality_points, _prop_orthogonality),
+PROPERTY_CHECKS: dict[str, _Check] = {
+    "thmA-1": _interlacing(_QNAB, _thmA_1),
+    "thmA-2": _interlacing(_QNAB, _thmA_2),
+    "thmA-3": _interlacing(_QNAB, _thmA_3),
+    "thm1-monotone-a": _Check(_pair_points("a"), _thm1_monotone),
+    "thm1-monotone-b": _Check(_pair_points("b"), _thm1_monotone),
+    "thm2-lmesh": _Check(_QNAB, _prop_thm2_lmesh),
+    "thm2-i": _interlacing(_QNAB, _thm2_i),
+    "thm2-ii": _interlacing(_QNAB, _thm2_ii),
+    "thm2-iii": _interlacing(_QNAB, _thm2_iii),
+    "cor-i": _interlacing(_axis_points("q", "n", "a", "b", "t1", "t2"), _cor_i),
+    "cor-ii": _interlacing(_axis_points("q", "n", "a", "b", "t1"), _cor_ii),
+    "bessel-lmesh": _Check(_axis_points("q", "n", "b"), _prop_bessel_lmesh),
+    "bessel-interlace": _interlacing(_axis_points("q", "n", "b", "t"), _bessel_pair, weak_ok=True),
+    "qlag-lmesh": _Check(_axis_points("q", "n", "b"), _prop_qlag_lmesh),
+    "qlag-interlace": _interlacing(_axis_points("q", "n", "b", "t"), _qlag_pair),
+    "sw-lmesh": _Check(_axis_points("q", "n"), _prop_sw_lmesh),
+    "phi21-mono-1": _interlacing(_axis_points("q", "n", "a", "b", "t1", "t2"), _phi21_mono1),
+    "phi21-mono-2": _interlacing(_axis_points("q", "n", "a", "b", "t1"), _phi21_mono2),
+    "orthogonality": _Check(_orthogonality_points, _prop_orthogonality),
+    **{
+        f"table1-row-{r}": _Check(
+            functools.partial(_table_row_points, row), functools.partial(_table_row, row)
+        )
+        for r, row in TABLE1_ROWS.items()
+    },
 }
-for _row_id in range(1, 11):
-    PROPERTY_CHECKS[f"table1-row-{_row_id}"] = _Property(
-        (lambda rid: lambda grid: _table_row_points(TABLE1_ROWS[rid], grid))(_row_id),
-        _prop_table_row(_row_id),
-    )
+
+
+def _on_grid(checks: dict[str, _Check], kind: str, check_id: str, grid: GridSpec) -> list:
+    check = checks.get(check_id)
+    if check is None:
+        raise RegistryError(f"unknown {kind} check {check_id!r}")
+    return [_record(check_id, check, point) for point in check.points(grid)]
 
 
 def check_property(check_id: str, grid: GridSpec) -> list[VerificationRecord]:
     """Evaluate one zero-distribution check over the whole grid."""
-    spec = PROPERTY_CHECKS.get(check_id)
-    if spec is None:
-        raise RegistryError(f"unknown property check {check_id!r}")
-    records = []
-    for point in spec.points(grid):
-        shown = _params_dict(point)
-        try:
-            status, witness = spec.fn(**point)
-        except _Skip as skip:
-            status, witness = Status.SKIPPED, {"reason": skip.reason}
-        except QZerosError as exc:
-            status, witness = Status.ERROR, {"error": type(exc).__name__, "detail": str(exc)}
-        records.append(VerificationRecord(check_id, shown, status, witness))
-    return records
+    return _on_grid(PROPERTY_CHECKS, "property", check_id, grid)
+
+
+def run_identity_on_grid(check_id: str, grid: GridSpec) -> list[VerificationRecord]:
+    """Iterate an identity over the grid axes it consumes (plus k = 1..n for
+    the factorization checks and eps for the limit checks)."""
+    if check_id == SELFTEST_ID:
+        return [check_identity(SELFTEST_ID, {})]
+    return _on_grid(IDENTITY_CHECKS, "identity", check_id, grid)
 
 
 def run_checks(grid: GridSpec) -> list[VerificationRecord]:
@@ -1155,28 +1162,6 @@ def run_checks(grid: GridSpec) -> list[VerificationRecord]:
             f"the grid yields no records (checkIds {list(grid.check_ids)}); "
             "name at least one check and give each of its axes a value"
         )
-    return records
-
-
-def run_identity_on_grid(check_id: str, grid: GridSpec) -> list[VerificationRecord]:
-    """Iterate an identity over the grid axes it consumes (plus k = 1..n for
-    the factorization checks and eps for the limit checks)."""
-    if check_id == SELFTEST_ID:
-        return [check_identity(SELFTEST_ID, {})]
-    spec = IDENTITY_CHECKS.get(check_id)
-    if spec is None:
-        raise RegistryError(f"unknown identity check {check_id!r}")
-    points = _axis_points(*spec.axes)(grid)
-    records = []
-    for point in points:
-        if spec.is_limit:
-            point = dict(point)
-            point["eps"] = grid.eps
-        if spec.expand_k:
-            for k in range(1, point["n"] + 1):
-                records.append(check_identity(check_id, {**point, "k": k}))
-        else:
-            records.append(check_identity(check_id, point))
     return records
 
 

@@ -294,3 +294,28 @@ def test_out_of_range_exponent_exits_2_at_once(capsys):
     code, _, err = run_cli(capsys, "coeffs", "--family", "stieltjes-wigert", "--n", "1", "--q", "1e-10000000")
     assert time.perf_counter() - start < 1
     assert code == 2 and err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_verify_guard_message_prints_a_huge_value(tmp_path, capsys):
+    """A regime guard names an offending value past the int-to-str digit limit
+    exactly, in a Skipped record, instead of crashing."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"qValues": ["1/2"], "nValues": [2], "bValues": ["1e5000"], "checkIds": ["qlag-lmesh"]}
+    ))
+    code, out, _ = run_cli(capsys, "verify", "--config", str(config))
+    assert code == 0
+    (record,) = json.loads(out)["records"]
+    assert record["status"] == "SkippedOutOfRegime"
+    assert record["witness"]["reason"] == f"needs 0 < b < 1 (b = 1{'0' * 5000})"
+
+
+def test_sweep_reads_back_a_value_past_the_digit_limit(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--family", "little-q-jacobi", "--n", "2", "--q", "1/2",
+        "--a", "1/2", "--b", "1/2", "--vary", "b", "--values", "1e-6000,1/3",
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["b", "lambda_1", "lambda_2"]
+    assert [row[0] for row in rows[1:]] == ["1/1" + "0" * 6000, "1/3"]

@@ -329,3 +329,28 @@ def test_isolation_memo_is_scoped_to_one_run(monkeypatch):
     assert verify._ISOLATED.get() is None
     verify._roots(little_q_jacobi(2, F(1, 2), F(1, 2), Q))  # outside a run: no memo
     assert sizes[-1] is None
+
+
+def test_thmA3_builds_and_isolates_only_its_pair(monkeypatch):
+    """thmA-3 builds and isolates exactly its two polynomials per point on the
+    criterion-3 grid (it used to build p_(n+1)(a, b) as well and drop it)."""
+    built, isolated = [], []
+    real_build, real_isolate = verify.little_q_jacobi, verify.isolate_real_roots
+
+    def counting_build(*args):
+        built.append(args)
+        return real_build(*args)
+
+    def counting_isolate(p, eps):
+        isolated.append(p.coeffs)
+        return real_isolate(p, eps)
+
+    monkeypatch.setattr(verify, "little_q_jacobi", counting_build)
+    monkeypatch.setattr(verify, "isolate_real_roots", counting_isolate)
+    records = []
+    for q in (F(1, 2), F(3, 4)):
+        grid = GridSpec(q_values=[q], n_values=[1, 3, 5], a_values=[F(1, 2), F(1)],
+                        b_values=[F(-1), F(1, 2)], t_values=default_t_values(q))
+        records += check_property("thmA-3", grid)
+    assert len(records) == 24 and all(r.status is Status.PASS for r in records)
+    assert len(built) == len(isolated) == 48
