@@ -19,7 +19,7 @@ from . import verify as verify_mod
 from .analysis import interlace, lmesh
 from .errors import ConfigError, InvalidParameterError, QZerosError
 from .families import Family, FamilyParams, build
-from .qcore import as_q, rat, rat_str
+from .qcore import as_q, clip, rat, rat_str
 from .roots import DEFAULT_EPS, RootSet, isolate_real_roots
 
 _FAMILY_NAMES = {f.value: f for f in Family}
@@ -32,7 +32,7 @@ def _parse_rat(text: str) -> Fraction:
     try:
         return rat(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise QZerosError(f"malformed rational {text!r} (expected p or p/q)") from exc
+        raise QZerosError(f"malformed rational {clip(repr(text))} (expected p or p/q)") from exc
 
 
 def _parse_counts(text: str, option: str) -> list[int]:
@@ -40,7 +40,7 @@ def _parse_counts(text: str, option: str) -> list[int]:
     try:
         values = [int(v) for v in text.split(",")]
     except ValueError as exc:
-        raise InvalidParameterError(f"{option}: malformed integer list {text!r}") from exc
+        raise InvalidParameterError(f"{option}: malformed integer list {clip(repr(text))}") from exc
     negative = [v for v in values if v < 0]
     if negative:
         raise InvalidParameterError(f"{option}: values must be >= 0, got {negative[0]}")
@@ -180,12 +180,12 @@ def _cmd_verify(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise QZerosError(f"config is not valid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
         except RecursionError as exc:
             raise ConfigError("config nests too deeply to parse") from exc
+        except ValueError as exc:  # malformed JSON, or an integer past the int-from-str limit
+            raise QZerosError(f"config is not valid JSON: {exc}") from exc
     grid = verify_mod.GridSpec.from_json(doc)
     records = verify_mod.run_checks(grid)
     summary = verify_mod.summarize(records)

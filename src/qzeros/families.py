@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import DegenerateParameterError, InvalidParameterError, RegimeError
 from .qcore import QValue, RationalLike, as_q, neg_q_power, qpoch_finite, rat, rat_str
-from .qhyper import HyperSpec, PolyExact, build_qhyper
+from .qhyper import HyperSpec, PolyExact, _telescoped, build_qhyper
 
 
 class Family(enum.Enum):
@@ -158,19 +158,20 @@ def normalized_little_q_jacobi(
     )
     u, v = qv.numerator, qv.denominator
     b_num, b_den = bv.numerator, bv.denominator
-    out = [Fraction(0)] * k + [first]
-    num, den = first.numerator, first.denominator  # coefficient j, unreduced
+    num = first.numerator  # coefficient j is num / (steps[0] ... steps[j]), unreduced
+    nums = [0] * k + [num]
+    steps = [1] * k + [first.denominator]
     for j in range(k, n):
         e = n - k + 1 + j
         num *= (u ** (n - j) - v ** (n - j)) * (b_den * v**e - b_num * u**e)
         if not num:
             break
-        den *= (
+        nums.append(num)
+        steps.append(
             u ** (n - j - 1) * v ** (n - j) * b_den
             * (v ** (j + 1) - u ** (j + 1)) * (v ** (j - k + 1) - u ** (j - k + 1))
         )
-        out.append(Fraction(num, den))
-    return PolyExact(out)
+    return _telescoped(nums, steps)
 
 
 def normalization_constant(n: int, k: int, b: RationalLike, q: QValue | RationalLike) -> Fraction:
@@ -190,14 +191,14 @@ def e_factor(k: int, q: QValue | RationalLike) -> PolyExact:
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     # With q = u/v each factor is (u^j - v^j x)/u^j: multiply the integer
-    # numerators, then reduce each coefficient once by u^(1+2+...+k).
+    # numerators over u^(1+2+...+k) and reduce once.
     u, v = qv.numerator, qv.denominator
     ints = [1]
     for j in range(1, k + 1):
         uj, vj = u**j, v**j
         ints = [uj * c - vj * prev for c, prev in zip(ints + [0], [0] + ints)]
     den = u ** (k * (k + 1) // 2)
-    return PolyExact(Fraction(c, den) for c in ints)
+    return PolyExact.from_ints(ints, den)
 
 
 def weight_mass(

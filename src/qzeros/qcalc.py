@@ -21,11 +21,24 @@ def q_bracket(i: int, q: QValue | RationalLike) -> Fraction:
 
 
 def q_derivative(p: PolyExact, q: QValue | RationalLike) -> PolyExact:
-    """Apply the q-derivative; constants map to the zero polynomial."""
+    """Apply the q-derivative; constants map to the zero polynomial.
+
+    With q = u/v, [i+1]_q = (v^(i+1) - u^(i+1)) / (v^i (v - u)), so over the
+    common denominator den v^(deg-1) (v - u) the i-th coefficient is
+    num_(i+1) (v^(i+1) - u^(i+1)) v^(deg-1-i): one integer pass, one
+    reduction.
+    """
     qv = as_q(q)
-    qpow = qv  # q^(i+1)
+    u, v = qv.numerator, qv.denominator
+    deg = p.degree
+    if deg < 1:
+        return PolyExact.zero()
+    vpow = [1]
+    for _ in range(deg):
+        vpow.append(vpow[-1] * v)
     out = []
-    for i in range(p.degree):
-        out.append((1 - qpow) / (1 - qv) * p.coeff(i + 1))
-        qpow *= qv
-    return PolyExact(out)
+    upow = 1
+    for i in range(deg):
+        upow *= u
+        out.append(p.num[i + 1] * (vpow[i + 1] - upow) * vpow[deg - 1 - i])
+    return PolyExact.from_ints(out, p.den * vpow[deg - 1] * (v - u))

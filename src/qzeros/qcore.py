@@ -24,13 +24,25 @@ RationalLike = Union[Fraction, int, str]
 # full, and parsing "1e-10000000" alone takes seconds.
 MAX_EXPONENT = 10_000
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+# "p" and "p/q" literals are read in pieces, so every value rat_str prints
+# reads back; each digit run is bounded like an exponent, with room for any
+# value an exponent-form literal makes and a product of two of them.
+MAX_DIGITS = 2 * MAX_EXPONENT
+_PLAIN = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
+
+
+def clip(text: str, width: int = 60) -> str:
+    """``text`` for an error message: at most ``width`` characters of it,
+    and its length when it is cut."""
+    return text if len(text) <= width else f"{text[:width]}... ({len(text)} characters)"
 
 
 def rat(value: RationalLike) -> Fraction:
     """Parse a rational from an int, a Fraction, or a "p/q" string.
 
     Strings in decimal or exponent form ("0.25", "1e-3") are read exactly;
-    an exponent beyond +-MAX_EXPONENT raises InvalidParameterError.
+    an exponent beyond +-MAX_EXPONENT, or a "p/q" digit run longer than
+    MAX_DIGITS, raises InvalidParameterError.
     """
     if isinstance(value, Fraction):
         return value
@@ -38,11 +50,28 @@ def rat(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
+        plain = _PLAIN.fullmatch(text)
+        if plain:
+            sign, num, den = plain.groups()
+            if max(len(num), len(den or "")) > MAX_DIGITS:
+                raise InvalidParameterError(f"{clip(repr(text))} has a digit run longer than {MAX_DIGITS}")
+            n = _from_digits(num)
+            return Fraction(-n if sign == "-" else n, _from_digits(den) if den else 1)
         exponent = _EXPONENT.search(text)
         if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
-            raise InvalidParameterError(f"exponent of {text!r} is outside +-{MAX_EXPONENT}")
+            raise InvalidParameterError(f"exponent of {clip(repr(text))} is outside +-{MAX_EXPONENT}")
         return Fraction(text)
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+    raise TypeError(f"cannot interpret {clip(repr(value))} as a rational")
+
+
+def _from_digits(digits: str) -> int:
+    """The integer of a decimal digit string, the inverse of :func:`_digits`:
+    converted in pieces of at most 512 digits, below Python's int-from-str
+    limit."""
+    if len(digits) <= 512:
+        return int(digits)
+    k = len(digits) // 2
+    return _from_digits(digits[:-k]) * 10**k + _from_digits(digits[-k:])
 
 
 def _digits(n: int) -> str:
@@ -61,7 +90,7 @@ def _digits(n: int) -> str:
 
 def rat_str(x: Fraction | int) -> str:
     """Render a rational as "p" or "p/q", at any size; round-trips through
-    :func:`rat` (up to its digit limit)."""
+    :func:`rat` up to MAX_DIGITS digits per run."""
     num = ("-" if x < 0 else "") + _digits(abs(x.numerator))
     return num if x.denominator == 1 else f"{num}/{_digits(x.denominator)}"
 
@@ -74,7 +103,7 @@ class QValue:
 
     def __post_init__(self):
         object.__setattr__(self, "q", rat(self.q))
-        if not (0 < self.q < 1):
+        if not 0 < self.q.numerator < self.q.denominator:
             raise InvalidParameterError(f"q must satisfy 0 < q < 1, got {rat_str(self.q)}")
 
 
@@ -83,20 +112,24 @@ def as_q(q: QValue | RationalLike) -> Fraction:
     if isinstance(q, QValue):
         return q.q
     qq = rat(q)
-    if not (0 < qq < 1):
+    if not 0 < qq.numerator < qq.denominator:  # 0 < q < 1, on integers
         raise InvalidParameterError(f"q must satisfy 0 < q < 1, got {rat_str(qq)}")
     return qq
 
 
 def neg_q_power(value: Fraction, q: Fraction) -> int | None:
-    """The integer m >= 0 with value == q^-m, or None when there is none."""
-    if value < 1:
-        return None
+    """The integer m >= 0 with value == q^-m, or None when there is none.
+
+    With value = p/d and q = u/v this is p u^m = d v^m, on integers.
+    """
+    p, d = value.numerator, value.denominator
+    u, v = q.numerator, q.denominator
     m = 0
-    while value > 1:
-        value *= q
+    while p > d:
+        p *= u
+        d *= v
         m += 1
-    return m if value == 1 else None
+    return m if p == d else None
 
 
 def qpoch_finite(a: RationalLike, q: QValue | RationalLike, k: int) -> Fraction:

@@ -9,15 +9,21 @@ with the convention C(0,2) = C(1,2) = 0, where r = len(a) and s = len(b).
 Lower parameters must avoid {1, q^-1, ..., q^-n}, otherwise some
 denominator (b;q)_k vanishes or the series is conventionally undefined.
 
-Series construction runs on integers: with q = u/v, every factor of the term ratio
-c_(k+1)/c_k is a ratio of integers, the products run as one integer
-numerator and one integer denominator, and each coefficient is reduced once
-when it becomes a ``Fraction``, instead of once per factor.
+``PolyExact`` is one tuple of integers over one positive integer
+denominator, in canonical form; every ring operation runs on integers and
+reduces once per result, and ``coeffs`` is a ``Fraction`` view built on
+first use.
+
+Series construction runs on integers: with q = u/v, every factor of the
+term ratio c_(k+1)/c_k is a ratio of integers, so coefficient k is a running
+integer numerator over a running integer denominator.  Each denominator
+divides the last one, so the polynomial is the numerators scaled to the last
+denominator and reduced once, with no ``Fraction`` per coefficient.
 
 ``poly_gcd`` first tries to prove its inputs coprime by Euclid modulo the
 prime 2^61 - 1, which settles the common square-free and disjoint-zero cases
-without rational arithmetic; only when that proves nothing does the rational
-Euclid run.
+without any division over the rationals; only when that proves nothing does
+Euclid over the rationals run.
 """
 
 from __future__ import annotations
@@ -34,31 +40,60 @@ from .qcore import QValue, RationalLike, as_q, rat
 class PolyExact:
     """Polynomial in the monomial basis with exact rational coefficients.
 
-    ``coeffs[i]`` is the coefficient of x^i.  Trailing zeros are stripped, so
-    the leading coefficient is nonzero except for the zero polynomial, which
-    is the empty tuple (degree reported as -1).
+    Stored as integers over one denominator: the coefficient of x^i is
+    ``num[i] / den``.  The form is canonical: trailing zeros are stripped and
+    den > 0 with gcd(den, *num) = 1, so den is the lcm of the coefficient
+    denominators and the zero polynomial is () over 1 (degree -1).  Every
+    operation runs on integers and reduces once per result.  ``coeffs`` is
+    a read-only ``Fraction`` view, built on first use.  ``num`` and ``den``
+    are read-only by convention.
     """
 
-    __slots__ = ("coeffs", "_ints", "_den")
+    __slots__ = ("num", "den", "_coeffs")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
         cs = [rat(c) for c in coefficients]
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-        self._ints: tuple[int, ...] | None = None  # see _integer_coeffs, which also sets _den
+        den = lcm(*(c.denominator for c in cs))
+        self.num: tuple[int, ...] = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.den: int = den
+        self._coeffs: tuple[Fraction, ...] | None = None
+
+    @classmethod
+    def from_ints(cls, num: Iterable[int], den: int = 1) -> "PolyExact":
+        """The polynomial sum num[i] x^i / den, for any integer den != 0."""
+        out = list(num)
+        while out and not out[-1]:
+            out.pop()
+        g = gcd(den, *out)
+        if den < 0:
+            g = -g
+        if g != 1:
+            out = [c // g for c in out]
+            den //= g
+        return cls._canonical(out, den)
+
+    @classmethod
+    def _canonical(cls, num: Sequence[int], den: int) -> "PolyExact":
+        """num over den, already in canonical form; nothing is checked."""
+        p = object.__new__(cls)
+        p.num = tuple(num)
+        p.den = den
+        p._coeffs = None
+        return p
 
     @classmethod
     def zero(cls) -> "PolyExact":
-        return cls(())
+        return cls._canonical((), 1)
 
     @classmethod
     def one(cls) -> "PolyExact":
-        return cls((1,))
+        return cls._canonical((1,), 1)
 
     @classmethod
     def x(cls) -> "PolyExact":
-        return cls((0, 1))
+        return cls._canonical((0, 1), 1)
 
     @classmethod
     def from_roots(cls, roots: Iterable[RationalLike]) -> "PolyExact":
@@ -69,52 +104,71 @@ class PolyExact:
         return p
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """``coeffs[i]`` is the coefficient of x^i, as a reduced ``Fraction``."""
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple(Fraction(c, den) for c in self.num)
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.num):
+            return Fraction(self.num[i], self.den)
         return Fraction(0)
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "PolyExact") -> "PolyExact":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyExact(self.coeff(i) + other.coeff(i) for i in range(n))
+        """The sum over the lcm of the two denominators, reduced once."""
+        a, b, den = self.num, other.num, self.den
+        if den != other.den:
+            g = gcd(den, other.den)
+            fa, fb = other.den // g, den // g
+            a = [c * fa for c in a]
+            b = [c * fb for c in b]
+            den *= fa
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return PolyExact.from_ints(out, den)
 
     def __sub__(self, other: "PolyExact") -> "PolyExact":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyExact(self.coeff(i) - other.coeff(i) for i in range(n))
+        return self + -other
 
     def __neg__(self) -> "PolyExact":
-        return PolyExact(-c for c in self.coeffs)
+        return PolyExact._canonical([-c for c in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, PolyExact):
-            if self.is_zero or other.is_zero:
+            a, b = self.num, other.num
+            if not a or not b:
                 return PolyExact.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return PolyExact(out)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            return PolyExact.from_ints(out, self.den * other.den)
         c = rat(other)
-        return PolyExact(c * a for a in self.coeffs)
+        return PolyExact.from_ints([c.numerator * x for x in self.num], self.den * c.denominator)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PolyExact) and self.coeffs == other.coeffs
+        return isinstance(other, PolyExact) and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"PolyExact({list(map(str, self.coeffs))})"
@@ -123,29 +177,19 @@ class PolyExact:
 
     def __call__(self, x: RationalLike) -> Fraction:
         xv = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * xv + c
-        return acc
-
-    def _integer_coeffs(self) -> tuple[int, ...]:
-        """The coefficients times the lcm of their denominators, computed once."""
-        if self._ints is None:
-            self._den = lcm(*(c.denominator for c in self.coeffs))
-            self._ints = tuple(c.numerator * (self._den // c.denominator) for c in self.coeffs)
-        return self._ints
+        h, m = self.value_parts(xv.numerator, xv.denominator)
+        return Fraction(h, m)
 
     def _homogeneous(self, n: int, d: int) -> tuple[int, int]:
-        """(h, d^deg) with h = sum c_i n^i d^(deg-i) over the integer-scaled
-        coefficients c_i, by homogeneous Horner: no rational, no gcd.
+        """(h, d^deg) with h = sum num_i n^i d^(deg-i), by homogeneous
+        Horner: no rational, no gcd.
 
-        For d > 0, p(n/d) = h / (L d^deg), where L > 0 is the lcm of the
-        coefficient denominators.
+        For d > 0, p(n/d) = h / (den d^deg).
         """
-        ints = self._integer_coeffs()
-        acc = ints[-1]
+        num = self.num
+        acc = num[-1]
         dpow = 1
-        for c in reversed(ints[:-1]):
+        for c in reversed(num[:-1]):
             dpow *= d
             acc = acc * n + c * dpow
         return acc, dpow
@@ -153,11 +197,11 @@ class PolyExact:
     def sign_at(self, x: RationalLike) -> int:
         """Exact sign of p(x), by integer arithmetic only.
 
-        With x = n/d (d > 0) and the coefficients scaled by a positive
-        integer, d^deg * p(x) is proportional to the homogeneous sum of
-        :meth:`_homogeneous`, so its sign is the sign of p(x).
+        With x = n/d (d > 0), den d^deg p(x) is the homogeneous sum of
+        :meth:`_homogeneous` and den d^deg > 0, so its sign is the sign of
+        p(x).
         """
-        if not self.coeffs:
+        if not self.num:
             return 0
         xv = rat(x)
         acc, _ = self._homogeneous(xv.numerator, xv.denominator)
@@ -166,48 +210,58 @@ class PolyExact:
     def value_parts(self, n: int, d: int) -> tuple[int, int]:
         """Integers (h, m) with p(n/d) = h/m for an integer d > 0.
 
-        m = L d^deg, where L is the lcm of the coefficient denominators;
-        h comes from homogeneous integer Horner with no reduction, so a
-        caller summing many values can reduce once.
+        m = den d^deg; h comes from homogeneous integer Horner with no
+        reduction, so a caller summing many values can reduce once.
         """
-        if not self.coeffs:
+        if not self.num:
             return 0, 1
         acc, dpow = self._homogeneous(n, d)
-        return acc, self._den * dpow
+        return acc, self.den * dpow
 
     # -- structural transforms -------------------------------------------
 
     def derivative(self) -> "PolyExact":
-        return PolyExact(i * c for i, c in enumerate(self.coeffs) if i >= 1)
+        return PolyExact.from_ints([i * c for i, c in enumerate(self.num) if i], self.den)
 
     def scale_arg(self, c: RationalLike) -> "PolyExact":
-        """p(c*x): multiplies the i-th coefficient by c^i."""
+        """p(c*x): with c = s/t, num_i s^i t^(deg-i) over den t^deg."""
+        if not self.num:
+            return self
         cv = rat(c)
-        power = Fraction(1)
+        s, t = cv.numerator, cv.denominator
         out = []
-        for a in self.coeffs:
-            out.append(a * power)
-            power *= cv
-        return PolyExact(out)
+        spow = 1
+        for a in self.num:
+            out.append(a * spow)
+            spow *= s
+        tpow = 1
+        for i in range(len(out) - 2, -1, -1):
+            tpow *= t
+            out[i] *= tpow
+        return PolyExact.from_ints(out, self.den * tpow)
 
     def shift_up(self, k: int) -> "PolyExact":
         """x^k * p."""
         if self.is_zero:
             return self
-        return PolyExact((Fraction(0),) * k + self.coeffs)
+        return PolyExact._canonical((0,) * k + self.num, self.den)
 
     def reversed_to(self, n: int) -> "PolyExact":
         """x^n * p(1/x) with p padded to length n+1; n must be >= degree."""
         if n < self.degree:
             raise ValueError("reversal order below degree")
-        padded = list(self.coeffs) + [Fraction(0)] * (n + 1 - len(self.coeffs))
-        return PolyExact(reversed(padded))
+        out = [0] * (n + 1 - len(self.num)) + list(reversed(self.num))
+        while out and not out[-1]:
+            out.pop()
+        return PolyExact._canonical(out, self.den)
 
     def monic(self) -> "PolyExact":
         if self.is_zero:
             return self
-        lead = self.coeffs[-1]
-        return PolyExact(c / lead for c in self.coeffs)
+        g = gcd(*self.num)
+        if self.num[-1] < 0:
+            g = -g
+        return PolyExact._canonical([c // g for c in self.num], self.num[-1] // g)
 
     def primitive(self, positive_leading: bool = True) -> "PolyExact":
         """Integer-coefficient primitive part; roots are unchanged.
@@ -219,34 +273,55 @@ class PolyExact:
         """
         if self.is_zero:
             return self
-        ints = self._integer_coeffs()
-        g = gcd(*ints)
-        if positive_leading and ints[-1] < 0:
+        g = gcd(*self.num)
+        if positive_leading and self.num[-1] < 0:
             g = -g
-        return PolyExact(Fraction(v, g) for v in ints)
+        return PolyExact._canonical([c // g for c in self.num], 1)
 
     # -- euclidean structure ----------------------------------------------
 
     def divmod(self, other: "PolyExact") -> tuple["PolyExact", "PolyExact"]:
+        """Quotient and remainder over the rationals, by integer division
+        over a common denominator.
+
+        With self = a/A and other = b/B, the loop keeps s a = quot b + rem
+        for integer vectors and an integer s > 0.  To clear rem[i] = c it
+        scales by m = |lc(b)|/g, g = gcd(c, lc(b)), and subtracts
+        (c/g) x^(i-deg b) b (sign-adjusted), so s grows only by what lc(b)
+        fails to divide.  Then self = (quot B / (s A)) other + rem / (s A).
+        """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
+        div = other.num
         dn = len(div) - 1
+        if len(self.num) - 1 < dn:
+            return PolyExact.zero(), self
         lead = div[-1]
-        if len(rem) - 1 < dn:
-            return PolyExact.zero(), PolyExact(rem)
-        quot = [Fraction(0)] * (len(rem) - dn)
+        rem = list(self.num)
+        quot = [0] * (len(rem) - dn)
+        s = 1
         for i in range(len(rem) - 1, dn - 1, -1):
             c = rem[i]
-            if c == 0:
+            if not c:
                 continue
-            f = c / lead
+            g = gcd(c, lead)
+            m, f = lead // g, c // g
+            if m < 0:
+                m, f = -m, -f
+            if m != 1:
+                s *= m
+                rem = [r * m for r in rem[:i]]
+                quot = [v * m for v in quot]
+            else:
+                del rem[i:]
             quot[i - dn] = f
-            rem[i] = Fraction(0)
             for j in range(dn):
                 rem[i - dn + j] -= f * div[j]
-        return PolyExact(quot), PolyExact(rem)
+        den = s * self.den
+        return (
+            PolyExact.from_ints([v * other.den for v in quot], den),
+            PolyExact.from_ints(rem, den),
+        )
 
     def __floordiv__(self, other: "PolyExact") -> "PolyExact":
         return self.divmod(other)[0]
@@ -292,7 +367,7 @@ def poly_gcd(a: PolyExact, b: PolyExact) -> PolyExact:
     Coprime inputs, the common case, are proven so by Euclid modulo one
     prime (:func:`_coprime_mod_p`) without any rational arithmetic.
     """
-    if _coprime_mod_p(a._integer_coeffs(), b._integer_coeffs()):
+    if _coprime_mod_p(a.num, b.num):
         return PolyExact.one()
     a = a.primitive()
     b = b.primitive()
@@ -344,14 +419,22 @@ def square_free_decomposition(p: PolyExact) -> list[tuple[PolyExact, int]]:
 
 
 def _forbidden_lower(value: Fraction, q: Fraction, n: int) -> bool:
-    """True when value lies in {q^0, q^-1, ..., q^-n} (n >= 1 only)."""
-    if n < 1 or value < 1:
+    """True when value lies in {q^0, q^-1, ..., q^-n} (n >= 1 only).
+
+    With value = p/d and q = u/v, value = q^-j is p u^j = d v^j; the right
+    side outgrows the left as j rises, so the scan stops once it does.
+    """
+    if n < 1:
         return False
-    power = Fraction(1)
+    p, d = value.numerator, value.denominator
+    u, v = q.numerator, q.denominator
     for _ in range(n + 1):
-        if value == 1 / power:
+        if p == d:
             return True
-        power *= q
+        if p < d:
+            return False
+        p *= u
+        d *= v
     return False
 
 
@@ -411,21 +494,36 @@ def build_qhyper(spec: HyperSpec, scale: RationalLike = 1) -> PolyExact:
         step_den *= a_den
     for _, b_den in lower:
         step_num *= b_den
-    num = den = 1  # c_j = num/den, unreduced
-    out = [Fraction(1)]
+    num = 1  # c_j = num / (steps[0] ... steps[j]), unreduced
+    nums, steps = [num], [1]
     for j in range(n):
         num *= step_num * (upow[n - j] - vpow[n - j]) * vpow[j + 1]
-        den *= step_den * (vpow[j + 1] - upow[j + 1])
+        step = step_den * (vpow[j + 1] - upow[j + 1])
         for a_num, a_den in upper:
             num *= a_den * vpow[j] - a_num * upow[j]
         for b_num, b_den in lower:
-            den *= b_den * vpow[j] - b_num * upow[j]
+            step *= b_den * vpow[j] - b_num * upow[j]
         e = (d + 1) * j - n
         if e >= 0:
             num *= u**e
         else:
-            den *= u**-e
+            step *= u**-e
         if not num:
             break
-        out.append(Fraction(num, den))
-    return PolyExact(out)
+        nums.append(num)
+        steps.append(step)
+    return _telescoped(nums, steps)
+
+
+def _telescoped(nums: list[int], steps: list[int]) -> PolyExact:
+    """The polynomial with c_j = nums[j] / (steps[0] ... steps[j]), steps nonzero.
+
+    Every denominator divides the last one, so c_j is nums[j] times
+    steps[j+1] ... steps[-1] over it; the result is reduced once.
+    """
+    out = [0] * len(nums)
+    scale = 1
+    for j in range(len(nums) - 1, -1, -1):
+        out[j] = nums[j] * scale
+        scale *= steps[j]
+    return PolyExact.from_ints(out, scale)

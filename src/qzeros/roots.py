@@ -87,7 +87,7 @@ class RootEntry:
         """
         if self.exact is not None or self.width < width:
             return
-        ints = self.factor._integer_coeffs()
+        ints = self.factor.num
         n = len(ints) - 1
         d = lcm(self.lo.denominator, self.hi.denominator)
         lo = self.lo.numerator * (d // self.lo.denominator)
@@ -162,7 +162,7 @@ def root_bound(f: PolyExact) -> int:
     Fujiwara's bound 2 max_i |c_(n-i)/c_n|^(1/i), by bit lengths: each ratio
     is below 2^e_i with e_i = bits(c_(n-i)) - bits(c_n) + 1.
     """
-    ints = f._integer_coeffs()
+    ints = f.num
     lead = ints[-1].bit_length()
     exps = [-((lead - abs(c).bit_length() - 1) // i) for i, c in enumerate(reversed(ints[:-1]), 1) if c]
     return max(1 + max(exps, default=0), 0)
@@ -250,14 +250,14 @@ def _isolate_squarefree(f: PolyExact) -> list[RootEntry]:
     entries: list[RootEntry] = []
     work = f.primitive()
     while work.degree > 1:
-        found, root = _vca(work._integer_coeffs(), root_bound(work))
+        found, root = _vca(work.num, root_bound(work))
         if root is None:
             return entries + [RootEntry(lo, hi, 1, None, work) for lo, hi in found]
         linear = PolyExact((-root, 1))
         entries.append(RootEntry(root, root, 1, root, linear))
         work = (work // linear).primitive()
     if work.degree == 1:
-        r = -work.coeffs[0] / work.coeffs[1]
+        r = Fraction(-work.num[0], work.num[1])
         entries.append(RootEntry(r, r, 1, r, work))
     return entries
 
@@ -304,11 +304,11 @@ def isolate_real_roots(p: PolyExact, eps: RationalLike | None = DEFAULT_EPS) -> 
 
     entries: list[RootEntry] = []
     zero_mult = 0
-    while zero_mult < len(p.coeffs) and p.coeffs[zero_mult] == 0:
+    while not p.num[zero_mult]:
         zero_mult += 1
     if zero_mult:
         entries.append(RootEntry(Fraction(0), Fraction(0), zero_mult, Fraction(0), PolyExact.x()))
-    reduced = PolyExact(p.coeffs[zero_mult:])
+    reduced = PolyExact.from_ints(p.num[zero_mult:], p.den)
 
     for factor, mult in square_free_decomposition(reduced):
         for e in _isolate_squarefree(factor):

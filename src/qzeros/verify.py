@@ -47,7 +47,7 @@ from .families import (
     weight_mass,
 )
 from .qcalc import q_derivative
-from .qcore import RationalLike, as_q, neg_q_power, qpoch_finite, rat, rat_str
+from .qcore import RationalLike, as_q, clip, neg_q_power, qpoch_finite, rat, rat_str
 from .qhyper import HyperSpec, PolyExact, build_qhyper
 from .roots import RootSet, isolate_real_roots
 
@@ -92,11 +92,11 @@ def _config_int(value) -> int:
 
 def _config_value(key: str, value, parse: Callable):
     if isinstance(value, bool):  # JSON true/false, which rat() would read as 1/0
-        raise ConfigError(f"{key}: cannot parse {value!r} (a boolean is not a value)")
+        raise ConfigError(f"{key}: cannot parse {clip(repr(value))} (a boolean is not a value)")
     try:
         return parse(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{key}: cannot parse {value!r} ({exc})") from exc
+        raise ConfigError(f"{key}: cannot parse {clip(repr(value))} ({clip(str(exc))})") from exc
 
 
 @dataclass
@@ -173,7 +173,8 @@ def _params_dict(point: Mapping) -> dict:
     return {k: _fmt(v) for k, v in point.items()}
 
 
-# The isolations of the current run_checks call, keyed by coefficient tuple.
+# The isolations of the current run_checks call, keyed by the polynomial,
+# which hashes and compares as its integer vector and denominator.
 _ISOLATED: ContextVar[dict | None] = ContextVar("qzeros_isolated", default=None)
 
 
@@ -186,9 +187,9 @@ def _roots(p: PolyExact) -> RootSet:
     memo = _ISOLATED.get()
     if memo is None:
         return isolate_real_roots(p, None)
-    rs = memo.get(p.coeffs)
+    rs = memo.get(p)
     if rs is None:
-        rs = memo[p.coeffs] = isolate_real_roots(p, None)
+        rs = memo[p] = isolate_real_roots(p, None)
     return rs
 
 
@@ -256,7 +257,7 @@ def _compare_sides(
             corrupt_coeff = None
         diff = lhs - rhs
         if not diff.is_zero:
-            index = next(i for i, c in enumerate(diff.coeffs) if c != 0)
+            index = next(i for i, c in enumerate(diff.num) if c)
             return Status.FAIL, {
                 "comparison": label,
                 "coeff_index": index,
@@ -546,15 +547,17 @@ def _identity_qdiff_bessel(q, n, b):
 
 
 def _deviation_profile(pairs: list[tuple[PolyExact, PolyExact]]) -> list[Fraction]:
-    """Relative max-coefficient deviations, one per (approximant, target) pair."""
+    """Relative max-coefficient deviations, one per (approximant, target) pair.
+
+    With approximant a/A and target t/T, max |a_i/A - t_i/T| / max |t_i/T|
+    is max |a_i T - t_i A| / (A max |t_i|): one ``Fraction`` per pair.
+    """
     devs = []
     for approx, target in pairs:
-        norm = max(abs(c) for c in target.coeffs)
-        top = max(
-            abs(approx.coeff(i) - target.coeff(i))
-            for i in range(max(approx.degree, target.degree) + 1)
-        )
-        devs.append(top / norm)
+        A, T = approx.den, target.den
+        coeff_pairs = itertools.zip_longest(approx.num, target.num, fillvalue=0)
+        top = max(abs(a * T - t * A) for a, t in coeff_pairs)
+        devs.append(Fraction(top, A * max(map(abs, target.num))))
     return devs
 
 
@@ -857,8 +860,8 @@ def _orthogonality_sum(n, m, a, b, q, tol):
     """Exact partial sum of the discrete pairing plus a proven geometric tail bound."""
     pn = little_q_jacobi(n, a, b, q)
     pm = little_q_jacobi(m, a, b, q)
-    phat_n = PolyExact([abs(c) for c in pn.coeffs])
-    phat_m = PolyExact([abs(c) for c in pm.coeffs])
+    phat_n = PolyExact.from_ints(map(abs, pn.num), pn.den)
+    phat_m = PolyExact.from_ints(map(abs, pm.num), pm.den)
     aq = a * q
     probe = 40
     # positive lower bound for (q;q)_inf and upper bound for sup_k |(bq;q)_k|

@@ -319,3 +319,38 @@ def test_sweep_reads_back_a_value_past_the_digit_limit(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["b", "lambda_1", "lambda_2"]
     assert [row[0] for row in rows[1:]] == ["1/1" + "0" * 6000, "1/3"]
+
+
+def test_verify_reads_back_a_report_value_past_the_digit_limit(tmp_path, capsys):
+    """The 5001-digit parameter a report prints, fed back as a config value,
+    runs and gives the same report."""
+    config, first, second = tmp_path / "config.json", tmp_path / "first.json", tmp_path / "second.json"
+
+    def verify(b, report):
+        config.write_text(json.dumps(
+            {"qValues": ["1/2"], "nValues": [2], "bValues": [b], "checkIds": ["qlag-lmesh"]}
+        ))
+        return main(["verify", "--config", str(config), "--report", str(report)])
+
+    assert verify("1e-5000", first) == 0
+    printed = json.loads(first.read_text())["records"][0]["params"]["b"]
+    assert printed == "1/1" + "0" * 5000
+    assert verify(printed, second) == 0
+    capsys.readouterr()
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_long_malformed_inputs_exit_2_with_a_short_message(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    cases = [
+        '{"qValues": ["1/2"], "nValues": [1], "bValues": ["1/%s"]}' % ("3" * 30000),  # run past MAX_DIGITS
+        '{"qValues": ["1/2"], "nValues": [%s]}' % ("1" * 5000),  # JSON integer past int-from-str limit
+        '{"qValues": ["1/2"], "nValues": [1], "bValues": ["%s"]}' % ("1/2x" * 2000),  # malformed
+    ]
+    for text in cases:
+        config.write_text(text)
+        code, _, err = run_cli(capsys, "verify", "--config", str(config))
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+        assert len(err) < 400, err[:400]
+    code, _, err = run_cli(capsys, "coeffs", "--family", "q-bessel", "--n", "1", "--q", "1/2", "--b", "x" * 5000)
+    assert code == 2 and len(err) < 200

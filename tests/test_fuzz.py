@@ -74,22 +74,52 @@ def _option(name: str, values):
     return st.one_of(st.just([]), values.map(lambda v: [name, v]))
 
 
+def _mostly(draw, name: str, good, bad, absent: int = 1) -> list[str]:
+    """[name, value] with mostly a valid value: of 20 draws, 2 are malformed
+    and ``absent`` leave the option out."""
+    r = draw(st.integers(0, 19))
+    return [] if r < absent else [name, draw(bad if r < absent + 2 else good)]
+
+
+def _family_options(draw, suffix: str = "") -> list[str]:
+    argv = _mostly(draw, "--family" + suffix, _FAMILIES, st.just("no-such-family"))
+    argv += _mostly(draw, "--n" + suffix, st.integers(0, 4).map(str), _COUNT_TEXT)
+    argv += _mostly(draw, "--a" + suffix, _GOOD_RATIONAL, _RATIONAL_TEXT, absent=5)
+    argv += _mostly(draw, "--b" + suffix, _GOOD_RATIONAL, _RATIONAL_TEXT, absent=5)
+    argv += _mostly(draw, "--k" + suffix, st.integers(1, 3).map(str), _COUNT_TEXT, absent=10)
+    return argv
+
+
+def _q_option(draw) -> list[str]:
+    return _mostly(draw, "--q", st.sampled_from(["1/2", "1/3", "3/4"]), _RATIONAL_TEXT)
+
+
 @st.composite
 def _family_argv(draw):
-    def opt(name, good, bad):
-        """Mostly a valid value; one draw in ten malformed, one absent."""
-        r = draw(st.integers(0, 9))
-        return [] if r == 0 else [name, draw(bad if r == 1 else good)]
-
-    argv = [draw(st.sampled_from(["coeffs", "roots"]))]
-    argv += opt("--family", _FAMILIES, st.just("no-such-family"))
-    argv += opt("--n", st.integers(0, 4).map(str), _COUNT_TEXT)
-    argv += opt("--q", st.sampled_from(["1/2", "1/3", "3/4"]), _RATIONAL_TEXT)
-    argv += opt("--a", _GOOD_RATIONAL, _RATIONAL_TEXT)
-    argv += opt("--b", _GOOD_RATIONAL, _RATIONAL_TEXT)
-    argv += draw(_option("--k", _COUNT_TEXT))
+    argv = [draw(st.sampled_from(["coeffs", "roots", "lmesh"]))]
+    argv += _family_options(draw) + _q_option(draw)
     if argv[0] == "roots":
         argv += draw(_option("--eps", st.sampled_from(["1/16", "1/1024", "0", "-1", "abc", "1/0"])))
+    if argv[0] == "lmesh":
+        argv += draw(_option("--base", st.one_of(_GOOD_RATIONAL, _RATIONAL_TEXT)))
+    return argv
+
+
+@st.composite
+def _interlace_argv(draw):
+    return ["interlace"] + _family_options(draw) + _family_options(draw, "2") + _q_option(draw)
+
+
+@st.composite
+def _sweep_argv(draw):
+    """--values, or --start/--stop/--steps (a few steps only), or both."""
+    argv = ["sweep"] + _family_options(draw) + _q_option(draw)
+    argv += _mostly(draw, "--vary", st.sampled_from(["a", "b"]), st.sampled_from(["k", "", "q"]))
+    values = st.lists(_GOOD_RATIONAL, min_size=1, max_size=3).map(",".join)
+    argv += _mostly(draw, "--values", values, _RATIONAL_TEXT, absent=10)
+    argv += _mostly(draw, "--start", _GOOD_RATIONAL, _RATIONAL_TEXT, absent=10)
+    argv += _mostly(draw, "--stop", _GOOD_RATIONAL, _RATIONAL_TEXT, absent=10)
+    argv += _mostly(draw, "--steps", st.integers(1, 3).map(str), _COUNT_TEXT, absent=10)
     return argv
 
 
@@ -103,8 +133,8 @@ def _table1_argv(draw):
     return argv
 
 
-@given(argv=st.one_of(_family_argv(), _table1_argv()))
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.one_of(_family_argv(), _interlace_argv(), _sweep_argv(), _table1_argv()))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_exits_cleanly_on_random_arguments(argv, capsys):
     try:
         code = main(argv)

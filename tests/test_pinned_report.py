@@ -1,5 +1,6 @@
-"""The `verify` report on the benchmark's pinned registry grid is byte-identical
-to the pinned reference, and the registry lists its check ids in pinned order.
+"""The `verify` reports on the benchmark's pinned registry and identity grids
+are byte-identical to the pinned references, and the registry lists its
+check ids in pinned order.
 
 The grid, the pinned id lists and the reference digest are read from
 ``bench/``; nothing there is written.
@@ -28,14 +29,28 @@ def _workloads():
 workloads = _workloads()
 
 
-def test_registry_grid_report_matches_pinned_digest(tmp_path, capsys):
-    config = tmp_path / "registry-grid.json"
+def _report_digest(tmp_path, name: str, grid: dict) -> str:
+    config = tmp_path / f"{name}.json"
     report = tmp_path / "report.json"
-    config.write_text(json.dumps(workloads.REGISTRY_GRID), encoding="utf-8")
+    config.write_text(json.dumps(grid), encoding="utf-8")
     main(["verify", "--config", str(config), "--report", str(report)])
+    return hashlib.sha256(report.read_bytes()).hexdigest()
+
+
+def _pinned_digest(name: str) -> str:
+    return json.loads((BENCH / "reference" / f"{name}.json").read_text(encoding="utf-8"))["sha256"]
+
+
+def test_registry_grid_report_matches_pinned_digest(tmp_path, capsys):
+    digest = _report_digest(tmp_path, "registry-grid", workloads.REGISTRY_GRID)
     capsys.readouterr()
-    pinned = json.loads((BENCH / "reference" / "registry-grid.json").read_text(encoding="utf-8"))
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == pinned["sha256"]
+    assert digest == _pinned_digest("registry-grid")
+
+
+def test_identity_grid_report_matches_pinned_digest(tmp_path, capsys):
+    digest = _report_digest(tmp_path, "identities", workloads.IDENTITY_GRID)
+    capsys.readouterr()
+    assert digest == _pinned_digest("identities")
 
 
 def test_registry_order_matches_pinned_ids():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qzeros import InvalidParameterError, InvalidToleranceError, QValue, qpoch_finite, qpoch_infinite, rat, rat_str
-from qzeros.qcore import neg_q_power
+from qzeros.qcore import MAX_DIGITS, clip, neg_q_power
 
 SMALL_RATIONALS = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 Q_VALUES = st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(9, 10)])
@@ -129,3 +129,22 @@ def test_exponent_form_is_exact_and_bounded():
     for text in ("1e-10000000", "1e10001", "-3E-99999"):
         with pytest.raises(InvalidParameterError):
             rat(text)
+
+
+def test_rat_reads_back_past_the_int_from_str_limit():
+    """"p/q" digit runs are read in pieces, so every value rat_str prints
+    reads back, up to MAX_DIGITS digits per run; a longer run is refused."""
+    for x in (F(1, 10**5000), F(-(10**9000 + 7), 3), F(2**40000 + 1, 10**9999), F(10**MAX_DIGITS - 1)):
+        assert rat(rat_str(x)) == x
+    assert rat(" +" + rat_str(F(10**5000))) == 10**5000
+    with pytest.raises(InvalidParameterError) as exc:
+        rat("1/" + "1" * (MAX_DIGITS + 1))
+    assert len(str(exc.value)) < 200
+    with pytest.raises(ZeroDivisionError):
+        rat("1/" + "0" * 5000)
+
+
+def test_clip_keeps_a_fixed_prefix():
+    assert clip("short") == "short"
+    long = "x" * 5000
+    assert clip(long) == "x" * 60 + "... (5000 characters)"

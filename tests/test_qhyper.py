@@ -252,13 +252,13 @@ def test_coprimality_certificate_is_only_a_certificate():
     """x and x + P are coprime over Q but not mod P: the certificate then
     decides nothing and the rational Euclid proves the gcd is 1."""
     x, shifted = PolyExact((0, 1)), PolyExact((qhyper._P, 1))
-    assert not qhyper._coprime_mod_p(x._integer_coeffs(), shifted._integer_coeffs())
+    assert not qhyper._coprime_mod_p(x.num, shifted.num)
     assert poly_gcd(x, shifted) == PolyExact.one()
     # P divides a leading coefficient: no certificate, however coprime
     lead_p = PolyExact((1, qhyper._P))
-    assert not qhyper._coprime_mod_p(lead_p._integer_coeffs(), x._integer_coeffs())
+    assert not qhyper._coprime_mod_p(lead_p.num, x.num)
     assert poly_gcd(lead_p, x) == PolyExact.one()
     # the common case: p and p' of a square-free polynomial
     p = PolyExact.from_roots([F(1, 2), F(1, 3), 5])
-    assert qhyper._coprime_mod_p(p._integer_coeffs(), p.derivative()._integer_coeffs())
+    assert qhyper._coprime_mod_p(p.num, p.derivative().num)
     assert poly_gcd(p, PolyExact.from_roots([F(1, 3)])) == PolyExact.from_roots([F(1, 3)])

@@ -421,7 +421,7 @@ def test_square_free_decomposition_unchanged_by_modular_certificate(monkeypatch)
     certified = 0
     for p in polys:
         f = p.monic()
-        certified += qhyper._coprime_mod_p(f._integer_coeffs(), f.derivative()._integer_coeffs())
+        certified += qhyper._coprime_mod_p(f.num, f.derivative().num)
     with_certificate = [square_free_decomposition(p) for p in polys]
     monkeypatch.setattr(qhyper, "_coprime_mod_p", lambda a, b: False)
     assert with_certificate == [square_free_decomposition(p) for p in polys]
