@@ -4,8 +4,9 @@ All relation decisions are exact.  Two isolated roots are compared by
 refining their certified intervals until the intervals separate; when they
 never can (the roots coincide), the coincidence is proven by a sign change
 of the square-free part of the gcd of the two polynomials across the
-overlap.  A root is compared with a rational point the same way, against
-the exact root of x - point.
+overlap.  A root is compared with a rational point, exact roots included,
+by refining its interval until the point falls outside it or the factor
+vanishes at the point.
 
 The logarithmic mesh has one decision path: the signs of
 lambda_j - q*lambda_(j+1) for consecutive zeros, each a root comparison of p
@@ -115,22 +116,27 @@ def _compare_roots(ea: RootEntry, eb: RootEntry, ctx: _PairContext) -> int:
             return -1
         if eb.hi < ea.lo:
             return 1
-        if ea.exact is not None and eb.exact is not None:
-            return (ea.exact > eb.exact) - (ea.exact < eb.exact)
-        if ea.exact is not None:
-            if eb.factor.sign_at(ea.exact) == 0 and eb.lo <= ea.exact <= eb.hi:
-                return 0
-            eb.bisect_once()
-            continue
         if eb.exact is not None:
-            if ea.factor.sign_at(eb.exact) == 0 and ea.lo <= eb.exact <= ea.hi:
-                return 0
-            ea.bisect_once()
-            continue
+            return _root_vs_point(ea, eb.exact)
+        if ea.exact is not None:
+            return -_root_vs_point(eb, ea.exact)
         if ctx.coincide(ea, eb):
             return 0
         ea.bisect_once()
         eb.bisect_once()
+    raise RefinementFailureError("root comparison did not terminate")
+
+
+def _root_vs_point(entry: RootEntry, pt: Fraction) -> int:
+    """Exact sign of (root - pt), refining ``entry`` in place."""
+    for _ in range(_COMPARE_BUDGET):
+        if entry.hi < pt:
+            return -1
+        if pt < entry.lo:
+            return 1
+        if entry.exact is not None or entry.factor.sign_at(pt) == 0:
+            return 0  # pt is the unique root of the certificate inside the interval
+        entry.bisect_once()
     raise RefinementFailureError("root comparison did not terminate")
 
 
@@ -141,11 +147,9 @@ def compare_root_to_point(entry: RootEntry, point: RationalLike) -> int:
     found there; pass ``entry.copy()`` to leave the caller's entry untouched.
     """
     pt = rat(point)
-    at = RootEntry(pt, pt, 1, pt, PolyExact((-pt, 1)))
-    c = _compare_roots(entry, at, _PairContext(entry.factor, at.factor))
+    c = _root_vs_point(entry, pt)
     if c == 0:
-        # pt is the unique root of the certificate inside the interval
-        entry.exact = entry.lo = entry.hi = pt
+        entry.pin(pt)
     return c
 
 
@@ -257,44 +261,20 @@ def lmesh(rs: RootSet, q: QValue | RationalLike) -> LmeshResult:
     if rs.total_count < 2:
         raise UndefinedLmeshError("lmesh needs at least two zeros")
     lam, cmps = _mesh_signs(rs, qv)
-
-    def ratio_bounds() -> tuple[list[Fraction], list[Fraction]]:
-        los, his = [], []
-        for j in range(len(lam) - 1):
-            num, den = lam[j], lam[j + 1]
-            los.append(num.lo / den.hi)
-            his.append(min(num.hi / den.lo, Fraction(1)))
-        return los, his
-
-    # tighten the enclosure until it resolves the already-decided comparison
-    los, his = ratio_bounds()
-    if any(c > 0 for c in cmps):
-        exact_eq = False
-        argmax = next(j for j, c in enumerate(cmps) if c > 0)
-        for _ in range(_COMPARE_BUDGET):
-            if los[argmax] > qv:
-                break
-            lam[argmax].bisect_once()
-            lam[argmax + 1].bisect_once()
-            los, his = ratio_bounds()
-        else:
-            raise RefinementFailureError("lmesh enclosure refinement stalled")
-    elif any(c == 0 for c in cmps):
-        exact_eq = True
-        argmax = next(j for j, c in enumerate(cmps) if c == 0)
+    top_sign = max(cmps)
+    # tighten the enclosure until it resolves the already-decided comparison:
+    # raise the first ratio above q, or lower the largest ratio below q
+    for _ in range(_COMPARE_BUDGET):
+        los = [num.lo / den.hi for num, den in zip(lam, lam[1:])]
+        his = [min(num.hi / den.lo, Fraction(1)) for num, den in zip(lam, lam[1:])]
+        argmax = cmps.index(top_sign) if top_sign >= 0 else his.index(max(his))
+        if top_sign == 0 or (los[argmax] > qv if top_sign > 0 else his[argmax] < qv):
+            break
+        lam[argmax].bisect_once()
+        lam[argmax + 1].bisect_once()
     else:
-        exact_eq = False
-        for _ in range(_COMPARE_BUDGET):
-            if max(his) < qv:
-                break
-            j = max(range(len(his)), key=lambda i: (his[i], -i))
-            lam[j].bisect_once()
-            lam[j + 1].bisect_once()
-            los, his = ratio_bounds()
-        else:
-            raise RefinementFailureError("lmesh enclosure refinement stalled")
-        argmax = max(range(len(his)), key=lambda i: (his[i], -i))
-    return LmeshResult(max(los), max(his), argmax, exact_eq, qv)
+        raise RefinementFailureError("lmesh enclosure refinement stalled")
+    return LmeshResult(max(los), max(his), argmax, top_sign == 0, qv)
 
 
 def in_lmesh_class(rs: RootSet, q: QValue | RationalLike, strict: bool) -> bool:

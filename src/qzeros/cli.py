@@ -19,7 +19,7 @@ from . import verify as verify_mod
 from .analysis import interlace, lmesh
 from .errors import ConfigError, InvalidParameterError, QZerosError
 from .families import Family, FamilyParams, build
-from .qcore import as_q, clip, rat, rat_str
+from .qcore import as_q, bounded_count, clip, rat, rat_str
 from .roots import DEFAULT_EPS, RootSet, isolate_real_roots
 
 _FAMILY_NAMES = {f.value: f for f in Family}
@@ -36,47 +36,47 @@ def _parse_rat(text: str) -> Fraction:
 
 
 def _parse_counts(text: str, option: str) -> list[int]:
-    """A comma-separated list of integers >= 0."""
+    """A comma-separated list of integers in 0..MAX_COUNT."""
     try:
         values = [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise InvalidParameterError(f"{option}: malformed integer list {clip(repr(text))}") from exc
-    negative = [v for v in values if v < 0]
-    if negative:
-        raise InvalidParameterError(f"{option}: values must be >= 0, got {negative[0]}")
-    return values
+    return [bounded_count(v, f"{option} values") for v in values]
+
+
+def _shift10(x: Fraction, k: int) -> int:
+    """floor(x * 10^k) for a rational x >= 0 and any integer k, by one
+    integer division."""
+    if k >= 0:
+        return x.numerator * 10**k // x.denominator
+    return x.numerator // (x.denominator * 10**-k)
 
 
 def decimal_str(x: Fraction, digits: int = 30) -> str:
-    """Exact decimal expansion of x truncated to ``digits`` fractional digits."""
+    """Exact decimal expansion of x truncated to ``digits`` fractional digits.
+
+    Trailing zeros are dropped only when the expansion ends within them.
+    """
     sign = "-" if x < 0 else ""
-    x = abs(x)
-    whole = x.numerator // x.denominator
-    frac = x - whole
-    out = []
-    for _ in range(digits):
-        if frac == 0:
-            break
-        frac *= 10
-        d = frac.numerator // frac.denominator
-        out.append(str(d))
-        frac -= d
-    return f"{sign}{rat_str(whole)}." + "".join(out) if out else f"{sign}{rat_str(whole)}"
+    whole, rest = divmod(abs(x.numerator), x.denominator)
+    frac, left = divmod(rest * 10**digits, x.denominator)
+    frac_digits = rat_str(frac).zfill(digits)[:digits]  # empty when digits is 0
+    if not left:
+        frac_digits = frac_digits.rstrip("0")
+    return f"{sign}{rat_str(whole)}.{frac_digits}" if frac_digits else f"{sign}{rat_str(whole)}"
 
 
 def sci_str(x: Fraction) -> str:
     """Short scientific rendering of a nonnegative rational bound."""
     if x == 0:
         return "0"
-    exp = 0
-    v = x
-    while v < 1:
-        v *= 10
-        exp -= 1
-    while v >= 10:
-        v /= 10
-        exp += 1
-    mant = (v * 100).numerator // (v * 100).denominator  # mantissa in [1, 10)
+    # 10^exp <= x < 10^(exp+1) exactly when 100 <= floor(x * 10^(2-exp)) < 1000;
+    # log10(2) = 0.30103 and the bit lengths place exp within a step or two of that
+    exp = (x.numerator.bit_length() - x.denominator.bit_length()) * 30103 // 100000
+    mant = _shift10(x, 2 - exp)
+    while not 100 <= mant < 1000:
+        exp += 1 if mant >= 1000 else -1
+        mant = _shift10(x, 2 - exp)
     return f"{mant / 100:.2f}e{exp:+03d}".replace(".00e", "e")
 
 
@@ -91,10 +91,10 @@ def _family_params(args, suffix: str = "") -> FamilyParams:
         value = getattr(args, attr + suffix, None)
         return None if value is None else _parse_rat(value)
 
-    n = getattr(args, "n" + suffix)
-    if n < 0:
-        raise InvalidParameterError(f"--n{suffix} must be >= 0, got {n}")
+    n = bounded_count(getattr(args, "n" + suffix), f"--n{suffix}")
     k = getattr(args, "k" + suffix, None)
+    if k is not None:
+        bounded_count(k, f"--k{suffix}")
     return FamilyParams(family=fam, n=n, q=q, a=opt("a"), b=opt("b"), k=k)
 
 
@@ -158,8 +158,8 @@ def _cmd_lmesh(args) -> int:
 
 def _cmd_interlace(args) -> int:
     # the relation is exact at any interval width, so isolate to separation only
-    rs1 = isolate_real_roots(build(_family_params(args)), None)
-    rs2 = isolate_real_roots(build(_family_params(args, suffix="2")), None)
+    params = _family_params(args), _family_params(args, suffix="2")
+    rs1, rs2 = (isolate_real_roots(build(p), None) for p in params)
     report = interlace(rs1, rs2)
     print(
         json.dumps(
@@ -205,8 +205,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.steps is not None and args.steps < 1:
-        raise InvalidParameterError(f"--steps must be >= 1, got {args.steps}")
+    if args.steps is not None:
+        bounded_count(args.steps, "--steps", least=1)
     if args.values:
         values = [_parse_rat(v) for v in args.values.split(",")]
     elif args.start is not None and args.stop is not None and args.steps:

@@ -29,6 +29,10 @@ _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
 # value an exponent-form literal makes and a product of two of them.
 MAX_DIGITS = 2 * MAX_EXPONENT
 _PLAIN = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
+# Degrees and step counts from outside (--n, --k, table1 --n, sweep --steps,
+# config nValues) are bounded too: a huge one raises nothing, but builds a
+# polynomial or a list of its size.
+MAX_COUNT = 1000
 
 
 def clip(text: str, width: int = 60) -> str:
@@ -62,6 +66,14 @@ def rat(value: RationalLike) -> Fraction:
             raise InvalidParameterError(f"exponent of {clip(repr(text))} is outside +-{MAX_EXPONENT}")
         return Fraction(text)
     raise TypeError(f"cannot interpret {clip(repr(value))} as a rational")
+
+
+def bounded_count(value: int, what: str, least: int = 0) -> int:
+    """``value`` when least <= value <= MAX_COUNT, else InvalidParameterError."""
+    if not least <= value <= MAX_COUNT:
+        got = clip(rat_str(value))
+        raise InvalidParameterError(f"{what} must be in {least}..{MAX_COUNT}, got {got}")
+    return value
 
 
 def _from_digits(digits: str) -> int:

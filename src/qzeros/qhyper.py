@@ -263,18 +263,16 @@ class PolyExact:
             g = -g
         return PolyExact._canonical([c // g for c in self.num], self.num[-1] // g)
 
-    def primitive(self, positive_leading: bool = True) -> "PolyExact":
+    def primitive(self) -> "PolyExact":
         """Integer-coefficient primitive part; roots are unchanged.
 
-        With ``positive_leading`` the result is sign-canonical (leading
-        coefficient > 0), suitable for gcd normalization.  Without it the
-        scaling constant is strictly positive, so the sign of every value is
-        preserved.
+        The result is sign-canonical (leading coefficient > 0), suitable for
+        gcd normalization.
         """
         if self.is_zero:
             return self
         g = gcd(*self.num)
-        if positive_leading and self.num[-1] < 0:
+        if self.num[-1] < 0:
             g = -g
         return PolyExact._canonical([c // g for c in self.num], 1)
 

@@ -23,7 +23,8 @@ descent on endpoint numerators and denominators; no gcd runs per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
@@ -35,7 +36,6 @@ DEFAULT_EPS = Fraction(1, 2**100)
 DEFAULT_BUDGET = 10_000
 
 
-@dataclass
 class RootEntry:
     """One distinct real root: isolating interval, multiplicity, certificate.
 
@@ -43,74 +43,94 @@ class RootEntry:
     in [lo, hi]; for a non-exact entry factor(lo) and factor(hi) have opposite
     signs.  ``exact`` is set when the root is a known rational, in which case
     lo == hi == exact.
+
+    The entry owns its interval: integer numerators over one denominator
+    d 2^m, so a halving is a shift and one integer Horner.  ``lo``, ``hi``
+    and ``width`` are read-only Fraction views; only :meth:`bisect_once`,
+    :meth:`refine_below` and :meth:`pin` move the interval or set ``exact``.
     """
 
-    lo: Fraction
-    hi: Fraction
-    multiplicity: int
-    exact: Fraction | None
-    factor: PolyExact
-    _sign_lo: int = field(default=0, repr=False)
+    __slots__ = ("multiplicity", "exact", "factor", "_lo", "_hi", "_d", "_m",
+                 "_lo_view", "_hi_view", "_horner")
+
+    def __init__(self, lo, hi, multiplicity: int, exact: Fraction | None, factor: PolyExact):
+        self.multiplicity, self.exact, self.factor = multiplicity, exact, factor
+        self._d = lcm(lo.denominator, hi.denominator)
+        self._lo = lo.numerator * (self._d // lo.denominator)
+        self._hi = hi.numerator * (self._d // hi.denominator)
+        self._m = 0
+        self._lo_view = self._hi_view = None  # lo and hi as Fractions, built when read
+        # the factor's coefficients times d^(deg-i), and whether it is positive at lo
+        self._horner: tuple[list[int], bool] | None = None
+
+    @property
+    def lo(self) -> Fraction:
+        if self._lo_view is None:
+            self._lo_view = Fraction(self._lo, self._d << self._m)
+        return self._lo_view
+
+    @property
+    def hi(self) -> Fraction:
+        if self._hi_view is None:
+            self._hi_view = Fraction(self._hi, self._d << self._m)
+        return self._hi_view
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self._hi - self._lo, self._d << self._m)
 
     def copy(self) -> "RootEntry":
-        return RootEntry(self.lo, self.hi, self.multiplicity, self.exact, self.factor, self._sign_lo)
+        return copy.copy(self)
 
-    def bisect_once(self) -> None:
-        """One refinement step; may discover the root exactly."""
-        if self.exact is not None:
-            return
-        mid = (self.lo + self.hi) / 2
-        s = self.factor.sign_at(mid)
-        if s == 0:
-            self.exact = mid
-            self.lo = self.hi = mid
-            return
-        if self._sign_lo == 0:
-            self._sign_lo = self.factor.sign_at(self.lo)
-        if s == self._sign_lo:
-            self.lo = mid
-        else:
-            self.hi = mid
+    def pin(self, x: Fraction) -> None:
+        """Record x, a zero of the factor in [lo, hi], as the exact root."""
+        self.exact = self._lo_view = self._hi_view = x
+        self._lo = self._hi = x.numerator
+        self._d, self._m = x.denominator, 0
 
-    def refine_below(self, width: Fraction) -> None:
-        """Bisect until the interval is narrower than ``width`` or the root is found.
-
-        The midpoints and sign rule of :meth:`bisect_once`, on integers: lo
-        and hi are numerators over d 2^m (d their common denominator), and a
-        midpoint sign is Horner over the coefficients times d^(deg-i),
-        shifted by m(deg-i).  It makes exactly the halvings needed, then
-        writes the interval back once.
-        """
-        if self.exact is not None or self.width < width:
+    def _halve(self, times: int) -> None:
+        """Halve [lo, hi] ``times`` times, keeping the half that holds the
+        root; a midpoint that is the root pins the entry and stops.  A
+        midpoint's sign is Horner over the coefficients times d^(deg-i),
+        shifted by m(deg-i)."""
+        if self.exact is not None or not times:
             return
-        ints = self.factor.num
-        n = len(ints) - 1
-        d = lcm(self.lo.denominator, self.hi.denominator)
-        lo = self.lo.numerator * (d // self.lo.denominator)
-        hi = self.hi.numerator * (d // self.hi.denominator)
-        scaled = [c * d ** (n - i) for i, c in enumerate(ints)]
-        if self._sign_lo == 0:
-            self._sign_lo = self.factor.sign_at(self.lo)
-        rising = self._sign_lo > 0
-        for m in range(1, (self.width // width).bit_length() + 1):
+        if self._horner is None:
+            n = len(self.factor.num) - 1
+            scaled = [c * self._d ** (n - i) for i, c in enumerate(self.factor.num)]
+            self._horner = scaled, self.factor.sign_at(self.lo) > 0
+        scaled, positive_at_lo = self._horner
+        n = len(scaled) - 1
+        lo, hi, m = self._lo, self._hi, self._m
+        for _ in range(times):
             mid = lo + hi
             lo <<= 1
             hi <<= 1
+            m += 1
             acc = scaled[n]
             for i in range(n - 1, -1, -1):
                 acc = acc * mid + (scaled[i] << m * (n - i))
             if acc == 0:
-                self.exact = self.lo = self.hi = Fraction(mid, d << m)
+                self.pin(Fraction(mid, self._d << m))
                 return
-            if (acc > 0) == rising:
+            if (acc > 0) == positive_at_lo:
                 lo = mid
             else:
                 hi = mid
-        self.lo, self.hi = Fraction(lo, d << m), Fraction(hi, d << m)
+        if lo != self._lo << times:
+            self._lo_view = None
+        if hi != self._hi << times:
+            self._hi_view = None
+        self._lo, self._hi, self._m = lo, hi, m
+
+    def bisect_once(self) -> None:
+        """One refinement step; may discover the root exactly."""
+        self._halve(1)
+
+    def refine_below(self, width: Fraction) -> None:
+        """Bisect until the interval is narrower than ``width`` or the root is
+        found: exactly the halvings needed, counted in advance."""
+        self._halve((self.width // width).bit_length())
 
 
 @dataclass(frozen=True)
@@ -283,8 +303,7 @@ def _snap_to_rational(e: RootEntry) -> None:
         return
     candidate = simplest_rational_between(e.lo, e.hi)
     if e.factor.sign_at(candidate) == 0:
-        e.exact = candidate
-        e.lo = e.hi = candidate
+        e.pin(candidate)
 
 
 def isolate_real_roots(p: PolyExact, eps: RationalLike | None = DEFAULT_EPS) -> RootSet:

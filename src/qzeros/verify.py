@@ -47,7 +47,7 @@ from .families import (
     weight_mass,
 )
 from .qcalc import q_derivative
-from .qcore import RationalLike, as_q, clip, neg_q_power, qpoch_finite, rat, rat_str
+from .qcore import RationalLike, as_q, bounded_count, clip, neg_q_power, qpoch_finite, rat, rat_str
 from .qhyper import HyperSpec, PolyExact, build_qhyper
 from .roots import RootSet, isolate_real_roots
 
@@ -138,12 +138,9 @@ class GridSpec:
                 raise ConfigError(f"{key} must be a list, got {type(raw).__name__}")
             return [_config_value(key, v, parse) for v in raw]
 
-        n_values = values("nValues", _config_int)
-        if any(n < 0 for n in n_values):
-            raise ConfigError(f"nValues must be >= 0, got {min(n_values)}")
         return cls(
             q_values=values("qValues", rat),
-            n_values=n_values,
+            n_values=[bounded_count(n, "nValues") for n in values("nValues", _config_int)],
             a_values=values("aValues", rat),
             b_values=values("bValues", rat),
             t_values=values("tValues", rat),

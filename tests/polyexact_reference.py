@@ -196,19 +196,17 @@ class PolyExact:
         lead = self.coeffs[-1]
         return PolyExact(c / lead for c in self.coeffs)
 
-    def primitive(self, positive_leading: bool = True) -> "PolyExact":
+    def primitive(self) -> "PolyExact":
         """Integer-coefficient primitive part; roots are unchanged.
 
-        With ``positive_leading`` the result is sign-canonical (leading
-        coefficient > 0), suitable for gcd normalization.  Without it the
-        scaling constant is strictly positive, so the sign of every value is
-        preserved.
+        The result is sign-canonical (leading coefficient > 0), suitable for
+        gcd normalization.
         """
         if self.is_zero:
             return self
         ints = self._integer_coeffs()
         g = gcd(*ints)
-        if positive_leading and ints[-1] < 0:
+        if ints[-1] < 0:
             g = -g
         return PolyExact(Fraction(v, g) for v in ints)
 

@@ -12,17 +12,24 @@ from fractions import Fraction
 from qzeros import PolyExact, RootEntry
 
 
+def _positive_primitive(f: PolyExact) -> PolyExact:
+    """The primitive part of f scaled by a positive constant, so the sign of
+    every value is kept."""
+    p = f.primitive()
+    return -p if f.num[-1] < 0 else p
+
+
 class SturmChain:
     """Sturm sequence of a square-free polynomial, primitive-normalized."""
 
     def __init__(self, f: PolyExact):
         # chain elements may be rescaled by positive constants only
-        chain = [f.primitive(positive_leading=False), f.derivative().primitive(positive_leading=False)]
+        chain = [_positive_primitive(f), _positive_primitive(f.derivative())]
         while chain[-1].degree > 0:
             rem = chain[-2] % chain[-1]
             if rem.is_zero:
                 break
-            chain.append((-rem).primitive(positive_leading=False))
+            chain.append(_positive_primitive(-rem))
         if chain[-1].is_zero:
             chain.pop()
         self.chain = chain

@@ -11,10 +11,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qzeros
-from qzeros import rat
+from qzeros import cli, rat, rat_str
+from qzeros import verify as verify_mod
 from qzeros.cli import decimal_str, main, sci_str
+from qzeros.qcore import MAX_COUNT
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +112,36 @@ def test_malformed_integer_inputs_exit_2(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_counts_past_max_count_exit_2_before_building(tmp_path, capsys, monkeypatch):
+    """Degrees, orders and step counts past MAX_COUNT end in one error line,
+    exit 2, before any polynomial or grid is built."""
+
+    def refuse(*args):
+        raise AssertionError("built despite an out-of-range count")
+
+    monkeypatch.setattr(cli, "build", refuse)
+    monkeypatch.setattr(verify_mod, "check_property", refuse)
+    monkeypatch.setattr(verify_mod, "run_checks", refuse)
+    over = str(MAX_COUNT + 1)
+    config = tmp_path / "config.json"
+    grid = {"qValues": ["1/2"], "nValues": [2, 10**30], "checkIds": ["sw-lmesh"]}
+    config.write_text(json.dumps(grid))
+    for argv in (
+        ("roots", "--family", "stieltjes-wigert", "--n", over, "--q", "1/2"),
+        ("roots", "--family", "stieltjes-wigert", "--n", str(10**30), "--q", "1/2"),
+        ("coeffs", "--family", "e-factor", "--n", "1", "--k", over, "--q", "1/2"),
+        ("interlace", "--family", "stieltjes-wigert", "--n", "2", "--family2", "stieltjes-wigert",
+         "--n2", over, "--q", "1/2"),
+        ("table1", "--rows", "1", "--n", f"2,{over}"),
+        ("sweep", "--family", "little-q-jacobi", "--n", "2", "--q", "1/2", "--b", "1/2",
+         "--vary", "a", "--start", "0", "--stop", "1", "--steps", over),
+        ("verify", "--config", str(config)),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, argv
+        assert f"..{MAX_COUNT}, got" in err, argv
 
 
 def test_python_m_qzeros_runs_the_cli():
@@ -269,6 +302,66 @@ def test_decimal_and_sci_rendering():
     assert sci_str(F(1, 2**100)).endswith("e-31")
 
 
+def _decimal_str_by_digits(x, digits=30):
+    """The digit-at-a-time Fraction expansion that ``decimal_str`` replaced."""
+    sign = "-" if x < 0 else ""
+    x = abs(x)
+    whole = x.numerator // x.denominator
+    frac = x - whole
+    out = []
+    for _ in range(digits):
+        if frac == 0:
+            break
+        frac *= 10
+        d = frac.numerator // frac.denominator
+        out.append(str(d))
+        frac -= d
+    return f"{sign}{rat_str(whole)}." + "".join(out) if out else f"{sign}{rat_str(whole)}"
+
+
+def _sci_str_by_steps(x):
+    """The step-by-ten Fraction loop that ``sci_str`` replaced."""
+    if x == 0:
+        return "0"
+    exp = 0
+    v = x
+    while v < 1:
+        v *= 10
+        exp -= 1
+    while v >= 10:
+        v /= 10
+        exp += 1
+    mant = (v * 100).numerator // (v * 100).denominator
+    return f"{mant / 100:.2f}e{exp:+03d}".replace(".00e", "e")
+
+
+_SIGNED = st.integers(-(10**40), 10**40)
+_RENDERED = st.one_of(
+    st.just(F(0)),
+    st.fractions(max_denominator=10**40),
+    st.builds(lambda k, e: F(k, 10**e), _SIGNED.filter(bool), st.integers(0, 45)),  # near 30 digits
+    # below 1e-30
+    st.builds(lambda k, e: F(k, 10**e), st.integers(-999, 999).filter(bool), st.integers(31, 80)),
+    st.builds(lambda k: F(k, 10**30), _SIGNED),  # exactly 30 fractional digits or fewer
+    st.integers(10**29, 10**30 - 1).map(F),  # 30 integer digits
+)
+
+
+@given(
+    x=_RENDERED,
+    shift=st.sampled_from([0, 0, 4350, -4350]),
+    digits=st.sampled_from([0, 1, 20, 30, 32, 45]),
+)
+@settings(max_examples=250, deadline=None)
+def test_decimal_and_sci_rendering_match_the_digit_loops(x, shift, digits):
+    """One integer division renders every value exactly as the loops did,
+    also past 4300 digits (x times 10^shift; Hypothesis cannot print such a
+    value, so it draws x and shift)."""
+    x *= F(10) ** shift
+    assert decimal_str(x, digits) == _decimal_str_by_digits(x, digits)
+    assert sci_str(abs(x)) == _sci_str_by_steps(abs(x))
+
+
 def _digits_by_chunks(n):
     """The decimal digits of n >= 0, 100 at a time: a second algorithm."""
     parts = []
@@ -346,6 +439,7 @@ def test_long_malformed_inputs_exit_2_with_a_short_message(tmp_path, capsys):
         '{"qValues": ["1/2"], "nValues": [1], "bValues": ["1/%s"]}' % ("3" * 30000),  # run past MAX_DIGITS
         '{"qValues": ["1/2"], "nValues": [%s]}' % ("1" * 5000),  # JSON integer past int-from-str limit
         '{"qValues": ["1/2"], "nValues": [1], "bValues": ["%s"]}' % ("1/2x" * 2000),  # malformed
+        '{"qValues": ["1/2"], "nValues": ["-1%s"]}' % ("0" * 5000),  # a count past the digit limit
     ]
     for text in cases:
         config.write_text(text)

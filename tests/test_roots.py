@@ -12,6 +12,8 @@ from qzeros import (
     InvalidParameterError,
     InvalidToleranceError,
     PolyExact,
+    RootEntry,
+    RootSet,
     isolate_real_roots,
     little_q_jacobi,
     q_bessel,
@@ -305,19 +307,74 @@ def test_integer_sign_kernel_matches_rational_evaluation(case):
 
 
 @cache
-def _acceptance_grid_polynomials():
-    """The polynomials of the acceptance grids, one per family instance,
+def _acceptance_grid():
+    """(q, polynomial) for the acceptance grids, one per family instance,
     built once per session and shared by the tests below."""
     out = []
     for q in (F(1, 4), F(1, 2), F(3, 4), F(9, 10)):
         for n in range(1, 9):
             for a in (F(1, 4), F(1, 2), F(1)):
                 for b in (F(-2), F(-1, 2), F(0), F(1, 2), F(1)):
-                    out.append(little_q_jacobi(n, a, b, q))
-            out.extend(q_bessel(n, b, q) for b in (F(-2), F(-1, 2)))
-            out.append(stieltjes_wigert(n, q))
-            out.extend(q_laguerre(n, b, q) for b in (F(1, 4), F(1, 2), F(3, 4)))
+                    out.append((q, little_q_jacobi(n, a, b, q)))
+            out.extend((q, q_bessel(n, b, q)) for b in (F(-2), F(-1, 2)))
+            out.append((q, stieltjes_wigert(n, q)))
+            out.extend((q, q_laguerre(n, b, q)) for b in (F(1, 4), F(1, 2), F(3, 4)))
     return tuple(out)
+
+
+def _acceptance_grid_polynomials():
+    return tuple(p for _, p in _acceptance_grid())
+
+
+class FractionBisection:
+    """The bisection step on Fraction endpoints that the integer interval of
+    ``RootEntry`` replaced: the arithmetic midpoint, its sign by
+    ``PolyExact.sign_at``, and the factor's sign at lo taken once."""
+
+    def __init__(self, entry):
+        self.lo, self.hi, self.exact, self.factor = entry.lo, entry.hi, entry.exact, entry.factor
+        self._sign_lo = 0
+
+    def bisect_once(self):
+        if self.exact is not None:
+            return
+        mid = (self.lo + self.hi) / 2
+        s = self.factor.sign_at(mid)
+        if s == 0:
+            self.exact = self.lo = self.hi = mid
+            return
+        if self._sign_lo == 0:
+            self._sign_lo = self.factor.sign_at(self.lo)
+        if s == self._sign_lo:
+            self.lo = mid
+        else:
+            self.hi = mid
+
+
+def test_integer_bisection_matches_fraction_bisection_on_acceptance_grids():
+    """Each step of ``RootEntry.bisect_once`` gives the (lo, hi, exact) of the
+    Fraction step it replaced: on every acceptance-grid root set isolated to
+    separation, and on its scaled(q) and scaled(-1) copies as lmesh uses
+    them, whose denominators are not powers of two; and on two planted
+    entries whose root is a midpoint of a later step."""
+    planted = RootSet(PolyExact.one(), [
+        RootEntry(F(0), F(1), 1, None, PolyExact.from_roots([F(3, 8)])),
+        RootEntry(F(1, 3), F(2, 3), 1, None, PolyExact.from_roots([F(7, 12), F(2)])),
+    ], 2, False)
+    cases = [(q, isolate_real_roots(p, None)) for q, p in _acceptance_grid()] + [(F(3, 4), planted)]
+    steps = pins = 0
+    for q, rs in cases:
+        for root_set in (rs.copy(), rs.scaled(q), rs.scaled(F(-1))):
+            for e in root_set.roots:
+                ref = FractionBisection(e)
+                for _ in range(10):
+                    was_open = e.exact is None
+                    e.bisect_once()
+                    ref.bisect_once()
+                    assert (e.lo, e.hi, e.exact) == (ref.lo, ref.hi, ref.exact), (rs.poly, q)
+                    steps += was_open
+                    pins += was_open and e.exact is not None
+    assert steps > 50_000 and pins == 6
 
 
 def test_lazy_isolation_matches_eager_on_acceptance_grids():
