@@ -23,7 +23,6 @@ from .errors import (
     InvalidToleranceError,
     LmeshDomainError,
     QZerosError,
-    RefinementFailureError,
     RegimeError,
     RegistryError,
     ShapeError,
@@ -91,7 +90,7 @@ __all__ = [
     "summarize", "default_t_values", "identity_check_ids", "property_check_ids",
     "QZerosError", "InvalidToleranceError", "ConstraintViolationError",
     "DegenerateParameterError", "InvalidParameterError", "RegimeError",
-    "RefinementFailureError", "LmeshDomainError", "UndefinedLmeshError",
+    "LmeshDomainError", "UndefinedLmeshError",
     "ShapeError", "RegistryError", "ConfigError",
     "__version__",
 ]

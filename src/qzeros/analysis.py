@@ -1,12 +1,13 @@
 """Zero interlacing, the zero-wise partial order, and the logarithmic mesh.
 
-All relation decisions are exact.  Two isolated roots are compared by
-refining their certified intervals until the intervals separate; when they
-never can (the roots coincide), the coincidence is proven by a sign change
-of the square-free part of the gcd of the two polynomials across the
-overlap.  A root is compared with a rational point, exact roots included,
-by refining its interval until the point falls outside it or the factor
-vanishes at the point.
+All relation decisions are exact.  Two isolated roots are compared by the
+one root comparison of the roots module, which isolation also sorts by: it
+refines the certified intervals until they separate, and here it is given
+a coincidence test for roots that never separate, a sign change of the
+square-free part of the gcd of the two polynomials across the overlap.  A
+root is compared with a rational point, exact roots included, by refining
+its interval until the point falls outside it or the factor vanishes at the
+point.  Every decision runs until it is decided; no step budget applies.
 
 The logarithmic mesh has one decision path: the signs of
 lambda_j - q*lambda_(j+1) for consecutive zeros, each a root comparison of p
@@ -24,12 +25,10 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LmeshDomainError, RefinementFailureError, ShapeError, UndefinedLmeshError
+from .errors import LmeshDomainError, ShapeError, UndefinedLmeshError
 from .qcore import QValue, RationalLike, as_q, rat
 from .qhyper import PolyExact, poly_gcd, square_free_part
-from .roots import RootEntry, RootSet
-
-_COMPARE_BUDGET = 20_000
+from .roots import RootEntry, RootSet, _compare_roots, _root_vs_point
 
 
 class Relation(enum.Enum):
@@ -109,37 +108,6 @@ class _PairContext:
         return g.degree >= 1 and g.sign_at(max(ea.lo, eb.lo)) * g.sign_at(min(ea.hi, eb.hi)) <= 0
 
 
-def _compare_roots(ea: RootEntry, eb: RootEntry, ctx: _PairContext) -> int:
-    """Exact sign of (root_a - root_b); coincidence proven via the gcd."""
-    for _ in range(_COMPARE_BUDGET):
-        if ea.hi < eb.lo:
-            return -1
-        if eb.hi < ea.lo:
-            return 1
-        if eb.exact is not None:
-            return _root_vs_point(ea, eb.exact)
-        if ea.exact is not None:
-            return -_root_vs_point(eb, ea.exact)
-        if ctx.coincide(ea, eb):
-            return 0
-        ea.bisect_once()
-        eb.bisect_once()
-    raise RefinementFailureError("root comparison did not terminate")
-
-
-def _root_vs_point(entry: RootEntry, pt: Fraction) -> int:
-    """Exact sign of (root - pt), refining ``entry`` in place."""
-    for _ in range(_COMPARE_BUDGET):
-        if entry.hi < pt:
-            return -1
-        if pt < entry.lo:
-            return 1
-        if entry.exact is not None or entry.factor.sign_at(pt) == 0:
-            return 0  # pt is the unique root of the certificate inside the interval
-        entry.bisect_once()
-    raise RefinementFailureError("root comparison did not terminate")
-
-
 def compare_root_to_point(entry: RootEntry, point: RationalLike) -> int:
     """Exact sign of (root - point) for a rational point.
 
@@ -186,8 +154,8 @@ def interlace(rs_p: RootSet, rs_r: RootSet) -> InterlacingReport:
         pairs.append((lam_p[k], lam_r[k]))
         if k + 1 < n:
             pairs.append((lam_r[k], lam_p[k + 1]))
-    ctx = _PairContext(p.poly, r.poly)
-    cmps = [_compare_roots(a, b, ctx) for a, b in pairs]
+    coincide = _PairContext(p.poly, r.poly).coincide
+    cmps = [_compare_roots(a, b, coincide) for a, b in pairs]
     if all(c < 0 for c in cmps):
         return InterlacingReport(Relation.STRICT_INTERLACE, pattern, None)
     if all(c <= 0 for c in cmps):
@@ -207,8 +175,8 @@ def zerowise_compare(rs_p: RootSet, rs_r: RootSet) -> ZerowiseReport:
     if rs_p.total_count != rs_r.total_count:
         raise ShapeError("zero-wise order needs equal zero counts")
     p, r = rs_p.copy(), rs_r.copy()
-    ctx = _PairContext(p.poly, r.poly)
-    cmps = [_compare_roots(ea, eb, ctx) for ea, eb in zip(p.lambdas(), r.lambdas())]
+    coincide = _PairContext(p.poly, r.poly).coincide
+    cmps = [_compare_roots(ea, eb, coincide) for ea, eb in zip(p.lambdas(), r.lambdas())]
     witness = next((k for k, c in enumerate(cmps) if c > 0), None)
     return ZerowiseReport(witness is None, witness, any(c < 0 for c in cmps))
 
@@ -245,8 +213,8 @@ def _mesh_signs(rs: RootSet, q: Fraction) -> tuple[list[RootEntry], list[int]]:
     lam = pos.lambdas()
     scaled = pos.scaled(q)
     lam_scaled = scaled.lambdas()
-    ctx = _PairContext(pos.poly, scaled.poly)
-    return lam, [_compare_roots(lam[j], lam_scaled[j + 1], ctx) for j in range(len(lam) - 1)]
+    coincide = _PairContext(pos.poly, scaled.poly).coincide
+    return lam, [_compare_roots(lam[j], lam_scaled[j + 1], coincide) for j in range(len(lam) - 1)]
 
 
 def lmesh(rs: RootSet, q: QValue | RationalLike) -> LmeshResult:
@@ -254,7 +222,9 @@ def lmesh(rs: RootSet, q: QValue | RationalLike) -> LmeshResult:
 
     Negative zero sets are reflected first (lmesh of p(-x)).  The returned
     enclosure always resolves the three-way comparison with q; equality is
-    established exactly, never numerically.
+    established exactly, never numerically.  The enclosure is refined until
+    it does: a strict sign of lambda_j - q*lambda_(j+1) is reached by
+    refinement, since the enclosed ratios converge to the true ones.
     """
     qv = as_q(q)
     _require_certified(rs, "lmesh")
@@ -264,17 +234,14 @@ def lmesh(rs: RootSet, q: QValue | RationalLike) -> LmeshResult:
     top_sign = max(cmps)
     # tighten the enclosure until it resolves the already-decided comparison:
     # raise the first ratio above q, or lower the largest ratio below q
-    for _ in range(_COMPARE_BUDGET):
+    while True:
         los = [num.lo / den.hi for num, den in zip(lam, lam[1:])]
         his = [min(num.hi / den.lo, Fraction(1)) for num, den in zip(lam, lam[1:])]
         argmax = cmps.index(top_sign) if top_sign >= 0 else his.index(max(his))
         if top_sign == 0 or (los[argmax] > qv if top_sign > 0 else his[argmax] < qv):
-            break
+            return LmeshResult(max(los), max(his), argmax, top_sign == 0, qv)
         lam[argmax].bisect_once()
         lam[argmax + 1].bisect_once()
-    else:
-        raise RefinementFailureError("lmesh enclosure refinement stalled")
-    return LmeshResult(max(los), max(his), argmax, top_sign == 0, qv)
 
 
 def in_lmesh_class(rs: RootSet, q: QValue | RationalLike, strict: bool) -> bool:

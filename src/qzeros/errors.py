@@ -36,10 +36,6 @@ class RegimeError(QZerosError):
     """Parameters outside the orthogonality regime of an operation that requires it."""
 
 
-class RefinementFailureError(QZerosError):
-    """Interval refinement exceeded its bisection budget."""
-
-
 class LmeshDomainError(QZerosError):
     """Logarithmic mesh requested for zeros of mixed sign or with a zero at the origin."""
 

@@ -34,9 +34,24 @@ class Family(enum.Enum):
     E_FACTOR = "e-factor"
 
 
+# The parameters each family takes (besides n and q); giving any other is an error.
+PARAMETERS = {
+    Family.LITTLE_Q_JACOBI: ("a", "b"),
+    Family.LITTLE_Q_LAGUERRE: ("a",),
+    Family.Q_LAGUERRE: ("b",),
+    Family.STIELTJES_WIGERT: (),
+    Family.Q_BESSEL: ("b",),
+    Family.NORMALIZED_LITTLE_Q_JACOBI: ("b", "k"),
+    Family.E_FACTOR: ("k",),
+}
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     """A family tag with its parameters and the computed regime flag.
+
+    A parameter the family does not take (see ``PARAMETERS``) is an
+    InvalidParameterError, never silently ignored.
 
     ``orthogonal_regime`` is True when the parameters satisfy the family's
     orthogonality hypotheses (little q-Jacobi: 0 < aq < 1 and bq < 1;
@@ -53,6 +68,13 @@ class FamilyParams:
     orthogonal_regime: bool | None = None
 
     def __post_init__(self):
+        takes = PARAMETERS[self.family]
+        for name in ("a", "b", "k"):
+            if getattr(self, name) is not None and name not in takes:
+                raise InvalidParameterError(
+                    f"{self.family.value} does not take parameter {name} "
+                    f"(it takes {', '.join(takes) or 'only n and q'})"
+                )
         object.__setattr__(self, "q", as_q(self.q))
         if self.a is not None:
             object.__setattr__(self, "a", rat(self.a))

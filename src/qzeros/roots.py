@@ -6,11 +6,12 @@ bisection on its primitive integer coefficients, over (-2^k, 0) and
 (0, 2^k) with 2^k a Fujiwara bound strictly above every root, so every
 endpoint is dyadic.  A split point that is a root is recorded as an exact
 rational root (the factor is deflated and isolation restarts), so no
-interval ends on a root.  Intervals of different factors are then bisected
-until they are pairwise disjoint.  With ``eps=None`` isolation stops there;
-callers that compare roots refine on demand (the analysis module does so
-for every decision).  With a rational eps every interval is further refined
-by sign bisection until its width drops below eps, as display output needs.
+interval ends on a root.  The entries are then sorted by the exact root
+comparison that the analysis decisions use too; it bisects two overlapping
+intervals until they are disjoint, with no step budget.  With ``eps=None``
+isolation stops there; callers that compare roots refine on demand.  With a
+rational eps every interval is further refined by sign bisection until its
+width drops below eps, as display output needs.
 Last, the simplest rational in each interval (Stern-Brocot) is tested; an
 exact zero there upgrades the interval to an exact root.  Every returned
 interval therefore carries either an exact rational root or an exact
@@ -26,14 +27,14 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cmp_to_key
 from math import lcm
 
-from .errors import InvalidParameterError, InvalidToleranceError, RefinementFailureError
+from .errors import InvalidParameterError, InvalidToleranceError
 from .qcore import RationalLike, rat, rat_str
 from .qhyper import PolyExact, square_free_decomposition
 
 DEFAULT_EPS = Fraction(1, 2**100)
-DEFAULT_BUDGET = 10_000
 
 
 class RootEntry:
@@ -282,20 +283,49 @@ def _isolate_squarefree(f: PolyExact) -> list[RootEntry]:
     return entries
 
 
-def _separate(entries: list[RootEntry]) -> None:
-    """Refine until all closed intervals are pairwise disjoint."""
-    steps = 0
+def _root_vs_point(entry: RootEntry, pt: Fraction) -> int:
+    """Exact sign of (root - pt), refining ``entry`` in place; it ends,
+    since a point other than the root leaves the interval after finitely
+    many halvings."""
     while True:
-        entries.sort(key=lambda e: (e.lo, e.hi))
-        clashing = [(a, b) for a, b in zip(entries, entries[1:]) if a.hi >= b.lo]
-        if not clashing:
-            return
-        for a, b in clashing:
-            a.bisect_once()
-            b.bisect_once()
-        steps += 1
-        if steps > DEFAULT_BUDGET:
-            raise RefinementFailureError("could not separate root intervals")
+        if entry.hi < pt:
+            return -1
+        if pt < entry.lo:
+            return 1
+        if entry.exact is not None or entry.factor.sign_at(pt) == 0:
+            return 0  # pt is the unique root of the certificate inside the interval
+        entry.bisect_once()
+
+
+def _compare_roots(ea: RootEntry, eb: RootEntry, coincide=None) -> int:
+    """Exact sign of (root_a - root_b), refining both entries in place; a
+    nonzero sign leaves the two intervals disjoint.
+
+    ``coincide(ea, eb)`` tells whether overlapping intervals hold one shared
+    root; without it the roots must be distinct.  It ends: distinct roots
+    separate after finitely many halvings, and the gcd sign test proves a
+    shared root the first time the two intervals overlap.
+    """
+    while True:
+        if ea.hi < eb.lo:
+            return -1
+        if eb.hi < ea.lo:
+            return 1
+        if eb.exact is not None:
+            return _root_vs_point(ea, eb.exact)
+        if ea.exact is not None:
+            return -_root_vs_point(eb, ea.exact)
+        if coincide is not None and coincide(ea, eb):
+            return 0
+        ea.bisect_once()
+        eb.bisect_once()
+
+
+def _separate(entries: list[RootEntry]) -> None:
+    """Sort entries of distinct roots by :func:`_compare_roots`.  A comparison
+    sort compares every pair it leaves adjacent, so the intervals come out
+    ascending and pairwise disjoint."""
+    entries.sort(key=cmp_to_key(_compare_roots))
 
 
 def _snap_to_rational(e: RootEntry) -> None:
@@ -339,7 +369,6 @@ def isolate_real_roots(p: PolyExact, eps: RationalLike | None = DEFAULT_EPS) -> 
         if epsv is not None:
             e.refine_below(epsv)
         _snap_to_rational(e)
-    entries.sort(key=lambda e: e.lo)
 
     total = sum(e.multiplicity for e in entries)
     return RootSet(

@@ -215,25 +215,27 @@ def _lattice_separated(rs: RootSet, q: Fraction) -> tuple[bool, dict | None]:
 
     Assumes all roots already verified inside (0, 1).  A zero exactly at a
     lattice point belongs to no open cell and is reported in the detail.
+    Each zero's k, the least with q^k <= zero, is found by galloping on k
+    (1, 2, 4, ... until q^k <= zero, which a zero above 0 reaches) and then
+    bisecting on k.
     """
     cells: dict[int, int] = {}
     at_lattice: list[int] = []
     for e in rs.roots:
         w = e.copy()
-        k = 1
-        power = q
-        while True:
-            c = compare_root_to_point(w, power)
-            if c > 0:
-                cells[k] = cells.get(k, 0) + e.multiplicity
-                break
-            if c == 0:
-                at_lattice.append(k)
-                break
-            k += 1
-            power *= q
-            if k > 1000:
-                return False, {"reason": "zero not located above q^1000"}
+        lo, hi = 0, 1  # q^lo > zero >= q^hi; c is the sign of zero - q^hi
+        c = compare_root_to_point(w, q)
+        while c < 0:
+            lo, hi = hi, 2 * hi
+            c = compare_root_to_point(w, q**hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            m = compare_root_to_point(w, q**mid)
+            lo, hi, c = (mid, hi, c) if m < 0 else (lo, mid, m)
+        if c > 0:
+            cells[hi] = cells.get(hi, 0) + e.multiplicity
+        else:
+            at_lattice.append(hi)
     bad = [k for k, cnt in cells.items() if cnt > 1]
     if bad:
         return False, {"crowded_cells": bad}

@@ -114,6 +114,25 @@ def test_malformed_integer_inputs_exit_2(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
+@pytest.mark.parametrize("argv, word", [
+    (("coeffs", "--family", "little-q-laguerre", "--n", "2", "--q", "1/2", "--a", "1/2",
+      "--b", "7"), "b"),
+    (("coeffs", "--family", "q-bessel", "--n", "2", "--q", "1/2", "--a", "1/2", "--b", "-1"), "a"),
+    (("coeffs", "--family", "little-q-jacobi", "--n", "2", "--q", "1/2", "--a", "1/2",
+      "--k", "1"), "k"),
+    (("sweep", "--family", "stieltjes-wigert", "--n", "2", "--q", "1/2", "--vary", "a",
+      "--values", "1/4,1/2"), "a"),
+    (("interlace", "--family", "stieltjes-wigert", "--n", "2", "--family2", "q-laguerre",
+      "--n2", "1", "--b2", "1/2", "--a2", "1/2", "--q", "1/2"), "a"),
+])
+def test_parameter_the_family_does_not_take_exits_2(capsys, argv, word):
+    """A family option the family does not use is an error, not ignored."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "", argv
+    assert err.startswith("error: ") and err.count("\n") == 1, argv
+    assert f"does not take parameter {word}" in err, argv
+
+
 def test_counts_past_max_count_exit_2_before_building(tmp_path, capsys, monkeypatch):
     """Degrees, orders and step counts past MAX_COUNT end in one error line,
     exit 2, before any polynomial or grid is built."""

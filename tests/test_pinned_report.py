@@ -1,9 +1,10 @@
 """The `verify` reports on the benchmark's pinned registry and identity grids
 are byte-identical to the pinned references, and the registry lists its
-check ids in pinned order.
+check ids in pinned order.  The pinned relation decisions and the
+high-degree `qzeros roots` calls match their references too.
 
-The grid, the pinned id lists and the reference digest are read from
-``bench/``; nothing there is written.
+The grids, the pinned id lists, the reference digests and the reference
+outcomes are read from ``bench/``; nothing there is written.
 """
 
 import hashlib
@@ -37,8 +38,12 @@ def _report_digest(tmp_path, name: str, grid: dict) -> str:
     return hashlib.sha256(report.read_bytes()).hexdigest()
 
 
+def _reference(name: str):
+    return json.loads((BENCH / "reference" / f"{name}.json").read_text(encoding="utf-8"))
+
+
 def _pinned_digest(name: str) -> str:
-    return json.loads((BENCH / "reference" / f"{name}.json").read_text(encoding="utf-8"))["sha256"]
+    return _reference(name)["sha256"]
 
 
 def test_registry_grid_report_matches_pinned_digest(tmp_path, capsys):
@@ -56,3 +61,19 @@ def test_identity_grid_report_matches_pinned_digest(tmp_path, capsys):
 def test_registry_order_matches_pinned_ids():
     pinned = workloads.IDENTITY_IDS + workloads.PROPERTY_IDS
     assert identity_check_ids() + property_check_ids() == pinned
+
+
+def test_decisions_match_pinned_outcomes():
+    draws = workloads.decide_draws(workloads.DECIDE_DEFAULT_SEED)
+    assert workloads.decide_outcomes(draws) == _reference("decide-coarse")
+
+
+def test_high_degree_roots_match_reference():
+    reference = _reference("roots-highdeg")
+    for n in workloads.ROOTS_DEGREES:
+        for family in workloads.ROOTS_CASES:
+            code, text = workloads.roots_call(family, n)
+            assert code == 0, (family, n)
+            ref = reference[workloads.roots_key(family, n)]
+            problems = workloads.check_roots(json.loads(text), ref, workloads.ROOTS_EPS)
+            assert problems == [], (family, n)

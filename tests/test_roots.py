@@ -119,8 +119,8 @@ def test_root_bound_contains_roots():
 
 
 def test_isolation_far_from_the_origin():
-    """Roots near 2^10000: a loose bound (the Cauchy bound is 2^20002) with
-    fixed step budgets used to end in RefinementFailureError."""
+    """Roots near 2^10000, where the Cauchy bound is 2^20002: isolation and
+    refinement take every halving the roots need, with no step budget."""
     p = PolyExact((-2 * 4**10000, 0, 1))  # roots +-sqrt(2) 2^10000
     rs = isolate_real_roots(p)
     assert rs.certified_real_rooted and len(rs.roots) == 2
@@ -433,6 +433,48 @@ def test_descartes_isolation_matches_sturm_on_acceptance_grids():
     replaced, on the 672 acceptance-grid polynomials."""
     for p in _acceptance_grid_polynomials():
         _same_roots(isolate_real_roots(p, None), _sturm_isolation(p, None))
+
+
+def _separate_by_rounds(entries):
+    """The separation that the comparison sort replaced: sort by (lo, hi),
+    bisect both entries of every overlapping adjacent pair, and repeat until
+    no adjacent pair overlaps."""
+    while True:
+        entries.sort(key=lambda e: (e.lo, e.hi))
+        clashing = [(a, b) for a, b in zip(entries, entries[1:]) if a.hi >= b.lo]
+        if not clashing:
+            return
+        for a, b in clashing:
+            a.bisect_once()
+            b.bisect_once()
+
+
+def _isolation_by_rounds(p, eps):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots, "_separate", _separate_by_rounds)
+        return isolate_real_roots(p, eps)
+
+
+def test_separation_by_sort_matches_rounds_on_acceptance_grids():
+    """Separation by a sort on the exact root comparison against the
+    round-based separation it replaced, on the 672 acceptance-grid
+    polynomials and on products p_n(x; a, b) p_(n-1)(x; qa, qb)^2, whose
+    interlacing zeros lie in two square-free factors.  Refined to 2^-64
+    every entry is the same; isolated to separation, counts,
+    multiplicities and exact roots agree, and the intervals are ascending,
+    pairwise disjoint and each overlaps the reference interval."""
+    products = []
+    for q in (F(1, 4), F(1, 2), F(3, 4), F(9, 10)):
+        for n in range(2, 7):
+            partner = little_q_jacobi(n - 1, q / 2, -q / 2, q)
+            products.append(little_q_jacobi(n, F(1, 2), F(-1, 2), q) * partner * partner)
+    for p in _acceptance_grid_polynomials() + tuple(products):
+        fine, ref = isolate_real_roots(p, F(1, 2**64)), _isolation_by_rounds(p, F(1, 2**64))
+        assert [(e.lo, e.hi, e.exact, e.multiplicity) for e in fine.roots] == [
+            (e.lo, e.hi, e.exact, e.multiplicity) for e in ref.roots], p
+        lazy = isolate_real_roots(p, None)
+        _same_roots(lazy, _isolation_by_rounds(p, None))
+        assert all(a.hi < b.lo for a, b in zip(lazy.roots, lazy.roots[1:])), p
 
 
 _PLANTED = st.builds(lambda k, e: F(k, 2**e), st.integers(-24, 24), st.integers(0, 3))

@@ -1,5 +1,6 @@
 """Check registry: identities, properties, regimes, witnesses, determinism."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from qzeros import (
     ConfigError,
     GridSpec,
+    PolyExact,
     isolate_real_roots,
     RegistryError,
     SELFTEST_ID,
@@ -184,6 +186,51 @@ def test_summary_counts():
     assert summary["total"] == len(records) == 4
     assert summary["pass"] + summary["fail"] + summary["skipped"] + summary["error"] == 4
     assert summary["skipped"] == 2  # the a = 3 points
+
+
+def test_lattice_cells_found_for_q_near_one():
+    """thm2-lmesh locates each zero's lattice cell by galloping and bisecting
+    on k, so zeros below q^1000 are placed too: at q = 999/1000 (cells
+    k ~ 1100) and q = 9999/10000 (k ~ 11000) every record passes."""
+    for q in (F(999, 1000), F(9999, 10000)):
+        grid = GridSpec(q_values=[q], n_values=[1, 2, 3], a_values=[F(1, 2)], b_values=[F(-1)])
+        records = check_property("thm2-lmesh", grid)
+        assert [r.status for r in records] == [Status.PASS] * 3, [r.witness for r in records]
+
+
+def test_lattice_cell_costs_log_k_comparisons(monkeypatch):
+    """A zero in cell k costs at most 2 * bit_length(k) + 1 root-versus-point
+    comparisons (galloping, then bisecting on k), not a walk over k."""
+    q = F(999, 1000)
+    zeros_poly = PolyExact((F(1, 8), -1, 1)) * PolyExact.from_roots([F(1, 3)])
+    rs = isolate_real_roots(zeros_poly, None)  # zeros (2 +- sqrt 2)/4 and 1/3, all above 1/7
+    k_max = math.ceil(math.log(7) / -math.log(q))
+    assert q**k_max <= F(1, 7)  # every zero lies in a cell k <= k_max ~ 1900
+    probes = []
+    real = verify.compare_root_to_point
+    monkeypatch.setattr(
+        verify, "compare_root_to_point", lambda e, pt: probes.append(pt) or real(e, pt)
+    )
+    assert verify._lattice_separated(rs, q) == (True, None)
+    assert len(probes) <= len(rs.roots) * (2 * k_max.bit_length() + 1), len(probes)
+
+
+def test_lattice_cells_and_lattice_points_unchanged():
+    """Cells and zeros at lattice points are those of a walk over k = 1, 2, ..."""
+    q = F(1, 2)
+    for zeros in ([F(3, 4), F(3, 8)], [F(1, 2), F(1, 16)], [F(1, 3), F(1, 5), F(1, 2**40)]):
+        rs = isolate_real_roots(PolyExact.from_roots(zeros), None)
+        ok, detail = verify._lattice_separated(rs, q)
+        walked = []
+        for z in sorted(zeros):
+            k = 1
+            while z < q**k:
+                k += 1
+            walked.append((k, z == q**k))
+        at_lattice = [k for k, on in walked if on]
+        assert ok and detail == ({"zeros_at_lattice_points": at_lattice} if at_lattice else None)
+    crowded = isolate_real_roots(PolyExact.from_roots([F(3, 4), F(5, 8), F(1, 3)]), None)
+    assert verify._lattice_separated(crowded, q) == (False, {"crowded_cells": [1]})
 
 
 def test_identity_ids_cover_the_registry():
