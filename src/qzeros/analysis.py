@@ -5,9 +5,9 @@ one root comparison of the roots module, which isolation also sorts by: it
 refines the certified intervals until they separate, and here it is given
 a coincidence test for roots that never separate, a sign change of the
 square-free part of the gcd of the two polynomials across the overlap.  A
-root is compared with a rational point, exact roots included, by refining
-its interval until the point falls outside it or the factor vanishes at the
-point.  Every decision runs until it is decided; no step budget applies.
+root is compared with a rational point, exact roots included, by at most
+one sign evaluation of its factor at the point, with no refinement.  Every
+decision runs until it is decided; no step budget applies.
 
 The logarithmic mesh has one decision path: the signs of
 lambda_j - q*lambda_(j+1) for consecutive zeros, each a root comparison of p
@@ -109,16 +109,9 @@ class _PairContext:
 
 
 def compare_root_to_point(entry: RootEntry, point: RationalLike) -> int:
-    """Exact sign of (root - point) for a rational point.
-
-    ``entry`` is refined in place, and pinned to the point when the root is
-    found there; pass ``entry.copy()`` to leave the caller's entry untouched.
-    """
-    pt = rat(point)
-    c = _root_vs_point(entry, pt)
-    if c == 0:
-        entry.pin(pt)
-    return c
+    """Exact sign of (root - point) for a rational point, by at most one sign
+    evaluation; ``entry`` is left unchanged."""
+    return _root_vs_point(entry, rat(point))
 
 
 def _require_certified(rs: RootSet, what: str) -> None:
@@ -190,7 +183,7 @@ def dominates(rs_p: RootSet, rs_r: RootSet) -> bool:
 
 
 def _one_signed(rs: RootSet) -> int:
-    """+1 (all roots positive) or -1 (all negative); refines rs to decide."""
+    """+1 (all roots positive) or -1 (all negative); rs is left unchanged."""
     signs = set()
     for e in rs.roots:
         s = compare_root_to_point(e, 0)
@@ -207,9 +200,7 @@ def _mesh_signs(rs: RootSet, q: Fraction) -> tuple[list[RootEntry], list[int]]:
 
     The zeros are refined copies of the caller's entries.
     """
-    pos = rs.copy()
-    if _one_signed(pos) < 0:
-        pos = pos.scaled(Fraction(-1))
+    pos = rs.scaled(Fraction(-1)) if _one_signed(rs) < 0 else rs.copy()
     lam = pos.lambdas()
     scaled = pos.scaled(q)
     lam_scaled = scaled.lambdas()
@@ -235,8 +226,9 @@ def lmesh(rs: RootSet, q: QValue | RationalLike) -> LmeshResult:
     # tighten the enclosure until it resolves the already-decided comparison:
     # raise the first ratio above q, or lower the largest ratio below q
     while True:
-        los = [num.lo / den.hi for num, den in zip(lam, lam[1:])]
-        his = [min(num.hi / den.lo, Fraction(1)) for num, den in zip(lam, lam[1:])]
+        ends = [(e.lo, e.hi) for e in lam]
+        los = [lo / hi for (lo, _), (_, hi) in zip(ends, ends[1:])]
+        his = [min(hi / lo, Fraction(1)) for (_, hi), (lo, _) in zip(ends, ends[1:])]
         argmax = cmps.index(top_sign) if top_sign >= 0 else his.index(max(his))
         if top_sign == 0 or (los[argmax] > qv if top_sign > 0 else his[argmax] < qv):
             return LmeshResult(max(los), max(his), argmax, top_sign == 0, qv)

@@ -257,12 +257,16 @@ def _cmd_table1(args) -> int:
     )
     n_values = _parse_counts(args.n, "--n") if args.n else [2, 3, 4, 5]
     grid = verify_mod.GridSpec(q_values=q_values, n_values=n_values)
-    failed = False
+    runs = []
     for r in rows:
         check_id = f"table1-row-{r}"
         records = verify_mod.check_property(check_id, grid)
-        if args.samples is not None:
-            records = records[: args.samples]
+        if not records:
+            # as in run_checks: an empty row would read as a pass
+            raise ConfigError(f"{check_id} yields no records for --q and --n given")
+        runs.append((check_id, records[: args.samples]))
+    failed = False
+    for check_id, records in runs:
         summary = verify_mod.summarize(records)
         print(
             f"{check_id}: pass={summary['pass']} fail={summary['fail']} "

@@ -46,13 +46,13 @@ class RootEntry:
     lo == hi == exact.
 
     The entry owns its interval: integer numerators over one denominator
-    d 2^m, so a halving is a shift and one integer Horner.  ``lo``, ``hi``
-    and ``width`` are read-only Fraction views; only :meth:`bisect_once`,
+    d 2^m, so a halving is a shift and one integer Horner, and comparisons
+    cross-multiply the numerators.  ``lo``, ``hi`` and ``width`` are
+    read-only Fraction views, built on each read; only :meth:`bisect_once`,
     :meth:`refine_below` and :meth:`pin` move the interval or set ``exact``.
     """
 
-    __slots__ = ("multiplicity", "exact", "factor", "_lo", "_hi", "_d", "_m",
-                 "_lo_view", "_hi_view", "_horner")
+    __slots__ = ("multiplicity", "exact", "factor", "_lo", "_hi", "_d", "_m", "_horner")
 
     def __init__(self, lo, hi, multiplicity: int, exact: Fraction | None, factor: PolyExact):
         self.multiplicity, self.exact, self.factor = multiplicity, exact, factor
@@ -60,21 +60,16 @@ class RootEntry:
         self._lo = lo.numerator * (self._d // lo.denominator)
         self._hi = hi.numerator * (self._d // hi.denominator)
         self._m = 0
-        self._lo_view = self._hi_view = None  # lo and hi as Fractions, built when read
         # the factor's coefficients times d^(deg-i), and whether it is positive at lo
         self._horner: tuple[list[int], bool] | None = None
 
     @property
     def lo(self) -> Fraction:
-        if self._lo_view is None:
-            self._lo_view = Fraction(self._lo, self._d << self._m)
-        return self._lo_view
+        return Fraction(self._lo, self._d << self._m)
 
     @property
     def hi(self) -> Fraction:
-        if self._hi_view is None:
-            self._hi_view = Fraction(self._hi, self._d << self._m)
-        return self._hi_view
+        return Fraction(self._hi, self._d << self._m)
 
     @property
     def width(self) -> Fraction:
@@ -85,9 +80,17 @@ class RootEntry:
 
     def pin(self, x: Fraction) -> None:
         """Record x, a zero of the factor in [lo, hi], as the exact root."""
-        self.exact = self._lo_view = self._hi_view = x
+        self.exact = x
         self._lo = self._hi = x.numerator
         self._d, self._m = x.denominator, 0
+
+    def _frame(self) -> tuple[list[int], bool]:
+        """``_horner``, built on first use; a halving keeps the sign at lo."""
+        if self._horner is None:
+            n = len(self.factor.num) - 1
+            scaled = [c * self._d ** (n - i) for i, c in enumerate(self.factor.num)]
+            self._horner = scaled, self.factor.value_parts(self._lo, self._d << self._m)[0] > 0
+        return self._horner
 
     def _halve(self, times: int) -> None:
         """Halve [lo, hi] ``times`` times, keeping the half that holds the
@@ -96,11 +99,7 @@ class RootEntry:
         shifted by m(deg-i)."""
         if self.exact is not None or not times:
             return
-        if self._horner is None:
-            n = len(self.factor.num) - 1
-            scaled = [c * self._d ** (n - i) for i, c in enumerate(self.factor.num)]
-            self._horner = scaled, self.factor.sign_at(self.lo) > 0
-        scaled, positive_at_lo = self._horner
+        scaled, positive_at_lo = self._frame()
         n = len(scaled) - 1
         lo, hi, m = self._lo, self._hi, self._m
         for _ in range(times):
@@ -118,10 +117,6 @@ class RootEntry:
                 lo = mid
             else:
                 hi = mid
-        if lo != self._lo << times:
-            self._lo_view = None
-        if hi != self._hi << times:
-            self._hi_view = None
         self._lo, self._hi, self._m = lo, hi, m
 
     def bisect_once(self) -> None:
@@ -284,17 +279,24 @@ def _isolate_squarefree(f: PolyExact) -> list[RootEntry]:
 
 
 def _root_vs_point(entry: RootEntry, pt: Fraction) -> int:
-    """Exact sign of (root - pt), refining ``entry`` in place; it ends,
-    since a point other than the root leaves the interval after finitely
-    many halvings."""
-    while True:
-        if entry.hi < pt:
-            return -1
-        if pt < entry.lo:
-            return 1
-        if entry.exact is not None or entry.factor.sign_at(pt) == 0:
-            return 0  # pt is the unique root of the certificate inside the interval
-        entry.bisect_once()
+    """Exact sign of (root - pt) by at most one sign evaluation, leaving the
+    entry unchanged: [lo, hi] holds one simple root, so a point inside lies
+    below it exactly when the factor has its sign at lo there."""
+    x, den = pt.numerator * (entry._d << entry._m), pt.denominator
+    if x < entry._lo * den:
+        return 1
+    if x > entry._hi * den:
+        return -1
+    s = 0 if entry.exact is not None else entry.factor.sign_at(pt)
+    return s if s == 0 or entry._frame()[1] else -s
+
+
+def _order(ea: RootEntry, eb: RootEntry) -> int:
+    """-1 or +1 when ea's interval lies below or above eb's, 0 if they meet."""
+    da, db = ea._d << ea._m, eb._d << eb._m
+    if ea._hi * db < eb._lo * da:
+        return -1
+    return 1 if eb._hi * da < ea._lo * db else 0
 
 
 def _compare_roots(ea: RootEntry, eb: RootEntry, coincide=None) -> int:
@@ -307,14 +309,16 @@ def _compare_roots(ea: RootEntry, eb: RootEntry, coincide=None) -> int:
     shared root the first time the two intervals overlap.
     """
     while True:
-        if ea.hi < eb.lo:
-            return -1
-        if eb.hi < ea.lo:
-            return 1
+        c = _order(ea, eb)
+        if c:
+            return c
         if eb.exact is not None:
-            return _root_vs_point(ea, eb.exact)
+            c = _root_vs_point(ea, eb.exact)
+            while c and not _order(ea, eb):
+                ea.bisect_once()
+            return c
         if ea.exact is not None:
-            return -_root_vs_point(eb, ea.exact)
+            return -_compare_roots(eb, ea)
         if coincide is not None and coincide(ea, eb):
             return 0
         ea.bisect_once()

@@ -179,7 +179,7 @@ def _roots(p: PolyExact) -> RootSet:
     """Isolated to separation only; each decision refines what it needs.
 
     Inside :func:`run_checks` each distinct polynomial is isolated once: the
-    root set is frozen and every decision refines copies of its entries.
+    root set is frozen, and decisions refine copies of its entries or none.
     """
     memo = _ISOLATED.get()
     if memo is None:
@@ -200,11 +200,11 @@ def _root_region(
     """All roots inside the interval; returns (ok, index of first offender)."""
     for idx, e in enumerate(rs.roots):
         if lo is not None:
-            c = compare_root_to_point(e.copy(), lo)
+            c = compare_root_to_point(e, lo)
             if c < 0 or (lo_open and c == 0):
                 return False, idx
         if hi is not None:
-            c = compare_root_to_point(e.copy(), hi)
+            c = compare_root_to_point(e, hi)
             if c > 0 or (hi_open and c == 0):
                 return False, idx
     return True, None
@@ -222,15 +222,14 @@ def _lattice_separated(rs: RootSet, q: Fraction) -> tuple[bool, dict | None]:
     cells: dict[int, int] = {}
     at_lattice: list[int] = []
     for e in rs.roots:
-        w = e.copy()
         lo, hi = 0, 1  # q^lo > zero >= q^hi; c is the sign of zero - q^hi
-        c = compare_root_to_point(w, q)
+        c = compare_root_to_point(e, q)
         while c < 0:
             lo, hi = hi, 2 * hi
-            c = compare_root_to_point(w, q**hi)
+            c = compare_root_to_point(e, q**hi)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            m = compare_root_to_point(w, q**mid)
+            m = compare_root_to_point(e, q**mid)
             lo, hi, c = (mid, hi, c) if m < 0 else (lo, mid, m)
         if c > 0:
             cells[hi] = cells.get(hi, 0) + e.multiplicity

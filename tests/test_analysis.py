@@ -185,19 +185,27 @@ def test_family_zero_location_samples():
     rs = isolate_real_roots(q_bessel(3, F(-2), Q))
     assert rs.certified_real_rooted
     for e in rs.roots:
-        assert compare_root_to_point(e.copy(), 0) > 0
-        assert compare_root_to_point(e.copy(), 1) < 0
+        assert compare_root_to_point(e, 0) > 0
+        assert compare_root_to_point(e, 1) < 0
     assert lmesh(rs, Q).compare_to_q() == -1
 
 
-def test_compare_root_to_point_refines_the_entry_in_place():
+def test_compare_root_to_point_leaves_the_entry_unchanged():
+    """The sign of (root - point) is decided without refining or pinning the
+    entry: inside the interval, at its endpoints, and for an exact entry."""
     from qzeros import RootEntry, compare_root_to_point
 
     e = RootEntry(F(0), F(1), 1, None, PolyExact.from_roots([F(1, 3)]))
-    assert compare_root_to_point(e, F(1, 2)) < 0
-    assert e.hi <= F(1, 2)  # refined, not copied
-    assert compare_root_to_point(e, F(1, 3)) == 0
-    assert e.exact == e.lo == e.hi == F(1, 3)  # pinned to the point
+    exact = RootEntry(F(2, 5), F(2, 5), 1, F(2, 5), PolyExact.from_roots([F(2, 5)]))
+    cases = [
+        (e, F(1, 2), -1), (e, F(1, 3), 0), (e, F(1, 4), 1),
+        (e, F(0), 1), (e, F(1), -1), (e, F(-1), 1), (e, F(2), -1),  # endpoints and outside
+        (exact, F(2, 5), 0), (exact, F(1, 2), -1), (exact, F(1, 3), 1),
+    ]
+    for entry, point, sign in cases:
+        before = (entry.lo, entry.hi, entry.exact)
+        assert compare_root_to_point(entry, point) == sign, (before, point)
+        assert (entry.lo, entry.hi, entry.exact) == before
 
 
 def test_interlace_family_sample_point():

@@ -313,6 +313,14 @@ def test_table1_command(capsys):
     assert "fail=0" in lines[0] and "fail=0" in lines[1]
 
 
+def test_table1_row_without_records_exits_2(capsys):
+    """A row selection the grid leaves without records is an error, not a
+    line of zero counts that exits 0."""
+    code, out, err = run_cli(capsys, "table1", "--rows", "1", "--n", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: table1-row-1") and len(err.strip().splitlines()) == 1
+
+
 def test_decimal_and_sci_rendering():
     assert decimal_str(F(1, 4), 6) == "0.25"
     assert decimal_str(F(-22, 7), 4).startswith("-3.1428")

@@ -477,6 +477,41 @@ def test_separation_by_sort_matches_rounds_on_acceptance_grids():
         assert all(a.hi < b.lo for a, b in zip(lazy.roots, lazy.roots[1:])), p
 
 
+def _root_vs_point_by_bisection(entry, pt):
+    """The root-versus-point comparison that one sign evaluation replaced:
+    bisect the entry until pt leaves the interval or the factor vanishes at
+    pt, evaluating the factor at pt on every step."""
+    while True:
+        if entry.hi < pt:
+            return -1
+        if pt < entry.lo:
+            return 1
+        if entry.exact is not None or entry.factor.sign_at(pt) == 0:
+            return 0
+        entry.bisect_once()
+
+
+def test_root_vs_point_matches_bisection_on_acceptance_grids():
+    """One sign evaluation against the bisecting comparison it replaced, run
+    on a copy, on every entry of the 672 acceptance-grid polynomials isolated
+    to separation: at 0, 1 and q^k for k = 1..2n, at the entry's own lo, hi
+    and midpoint, and at the exact roots of its neighbours.  The entry is
+    left unchanged."""
+    compared = inside = 0
+    for q, p in _acceptance_grid():
+        rs = isolate_real_roots(p, None)
+        lattice = [F(0), F(1)] + [q**k for k in range(1, 2 * p.degree + 1)]
+        for i, e in enumerate(rs.roots):
+            neighbours = [n.exact for n in rs.roots[max(i - 1, 0):i + 2] if n.exact is not None]
+            before = (e.lo, e.hi, e.exact)
+            for pt in lattice + [e.lo, e.hi, (e.lo + e.hi) / 2] + neighbours:
+                assert roots._root_vs_point(e, pt) == _root_vs_point_by_bisection(e.copy(), pt), (p, pt)
+                compared += 1
+                inside += e.lo <= pt <= e.hi
+            assert (e.lo, e.hi, e.exact) == before, p
+    assert compared > 45_000 and inside > 10_000, (compared, inside)
+
+
 _PLANTED = st.builds(lambda k, e: F(k, 2**e), st.integers(-24, 24), st.integers(0, 3))
 
 

@@ -215,6 +215,40 @@ def test_lattice_cell_costs_log_k_comparisons(monkeypatch):
     assert len(probes) <= len(rs.roots) * (2 * k_max.bit_length() + 1), len(probes)
 
 
+def test_root_versus_point_work_and_shared_root_sets(monkeypatch):
+    """Each ``compare_root_to_point`` call makes at most one ``sign_at`` call
+    and no halving; the factor's sign at lo, which the halving frame keeps,
+    is taken at most once per entry.  The zero-location checks leave a shared
+    root set's intervals unchanged, so they need no copies of it."""
+    from qzeros import RootEntry, compare_root_to_point, in_lmesh_class
+
+    q = F(9, 10)
+    rs = isolate_real_roots(little_q_jacobi(12, F(1, 2), F(-1, 2), q), None)
+    counts = {}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+        return wrapped
+
+    for cls, name in ((PolyExact, "sign_at"), (PolyExact, "value_parts"), (RootEntry, "_halve")):
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    for e in rs.roots:
+        for pt in [F(0), F(1), e.lo, e.hi, (e.lo + e.hi) / 2] + [q**k for k in range(1, 25)]:
+            sign_at_before = counts.get("sign_at", 0)
+            compare_root_to_point(e, pt)
+            assert counts.get("sign_at", 0) - sign_at_before <= 1
+    assert "_halve" not in counts and counts.get("value_parts", 0) <= len(rs.roots)
+    assert counts["sign_at"] >= 3 * len(rs.roots), counts  # lo, hi and the midpoint lie inside
+    monkeypatch.undo()
+    shared = [(e.lo, e.hi, e.exact) for e in rs.roots]
+    assert verify._root_region(rs, F(0), F(1)) == (True, None)
+    assert verify._lattice_separated(rs, q) == (True, None)
+    assert in_lmesh_class(rs, q, strict=True)
+    assert [(e.lo, e.hi, e.exact) for e in rs.roots] == shared
+
+
 def test_lattice_cells_and_lattice_points_unchanged():
     """Cells and zeros at lattice points are those of a walk over k = 1, 2, ..."""
     q = F(1, 2)
