@@ -178,16 +178,34 @@ def qpoch_vector(params, q: QValue | RationalLike, k: int) -> Fraction:
     return out
 
 
+def _round_to_bits(x: Fraction, bits: int) -> Fraction:
+    """x rounded toward zero to a dyadic of ``bits`` significant bits:
+    |x - result| < |x| 2^-bits."""
+    n, d = abs(x.numerator), x.denominator
+    shift = n.bit_length() - d.bit_length() - bits - 1  # n / (d 2^shift) >= 2^bits
+    sign = -1 if x < 0 else 1
+    if shift >= 0:
+        return Fraction(sign * (n // (d << shift)) << shift)
+    return Fraction(sign * ((n << -shift) // d), 1 << -shift)
+
+
 def qpoch_infinite(
     a: RationalLike, q: QValue | RationalLike, tol: RationalLike
 ) -> tuple[Fraction, Fraction]:
     """Truncated infinite product (a;q)_inf with a certified error bound.
 
-    Returns (v, err) with |v - (a;q)_inf| <= err <= tol.  Truncation stops at
-    the first index J where the geometric tail S = |a| q^J / (1-q) drops below
-    tol/2 and the rigorous remainder bound |P_J| * S/(1-S) is itself <= tol
-    (the second condition only extends J when the partial product exceeds 1 in
-    magnitude).  A factor that is exactly zero short-circuits to (0, 0).
+    Returns (v, err) with |v - (a;q)_inf| <= err <= tol.  v is the partial
+    product P_J = prod_{j<J} (1 - a q^j) with step j rounded toward zero to
+    b + j significant bits, so v = P_J (1 + e) with |e| <= rho = 2^(2-b)
+    (the relative errors sum below 2^(1-b)), and |v - P_J| <= r =
+    |v| rho / (1 - rho).  Truncation stops at the first index J where the
+    geometric tail S = |a| q^J / (1-q) drops below tol/2 and the rigorous
+    bound err = (|v| + r) S/(1-S) + r is itself <= tol (the second condition
+    only extends J when the partial product exceeds 1 in magnitude).  b
+    starts at twice the bits of 1/tol plus 16, so rounding moves v far less
+    than truncation does, and doubles, restarting the product, while r
+    alone exceeds tol/4.  A factor that is exactly zero short-circuits to
+    (0, 0).
     """
     av = rat(a)
     qv = as_q(q)
@@ -197,17 +215,26 @@ def qpoch_infinite(
     if av == 0:
         return Fraction(1), Fraction(0)
 
-    partial = Fraction(1)
-    power = Fraction(1)  # q^j
     abs_a = abs(av)
+    bits = 2 * (tolv.denominator // tolv.numerator).bit_length() + 16
     while True:
-        tail = abs_a * power / (1 - qv)
-        if tail < 1 and 2 * tail < tolv:
-            err = abs(partial) * tail / (1 - tail)
-            if err <= tolv:
-                return partial, err
-        factor = 1 - av * power
-        if factor == 0:
-            return Fraction(0), Fraction(0)
-        partial *= factor
-        power *= qv
+        rho = Fraction(4, 1 << bits)
+        partial = Fraction(1)
+        power = Fraction(1)  # q^j
+        j = 0
+        while True:
+            tail = abs_a * power / (1 - qv)
+            if tail < 1 and 2 * tail < tolv:
+                rounding = abs(partial) * rho / (1 - rho)
+                err = (abs(partial) + rounding) * tail / (1 - tail) + rounding
+                if err <= tolv:
+                    return partial, err
+                if 4 * rounding > tolv:
+                    break
+            factor = 1 - av * power
+            if factor == 0:
+                return Fraction(0), Fraction(0)
+            partial = _round_to_bits(partial * factor, bits + j)
+            power *= qv
+            j += 1
+        bits *= 2

@@ -8,10 +8,11 @@ endpoint is dyadic.  A split point that is a root is recorded as an exact
 rational root (the factor is deflated and isolation restarts), so no
 interval ends on a root.  The entries are then sorted by the exact root
 comparison that the analysis decisions use too; it bisects two overlapping
-intervals until they are disjoint, with no step budget.  With ``eps=None``
+intervals one halving at a time until they are disjoint.  With ``eps=None``
 isolation stops there; callers that compare roots refine on demand.  With a
-rational eps every interval is further refined by sign bisection until its
-width drops below eps, as display output needs.
+rational eps every interval is further refined until its width drops below
+eps, as display output needs, by quadratic interval refinement with a
+halving fallback.  No step budget applies to either.
 Last, the simplest rational in each interval (Stern-Brocot) is tested; an
 exact zero there upgrades the interval to an exact root.  Every returned
 interval therefore carries either an exact rational root or an exact
@@ -48,8 +49,10 @@ class RootEntry:
     The entry owns its interval: integer numerators over one denominator
     d 2^m, so a halving is a shift and one integer Horner, and comparisons
     cross-multiply the numerators.  ``lo``, ``hi`` and ``width`` are
-    read-only Fraction views, built on each read; only :meth:`bisect_once`,
-    :meth:`refine_below` and :meth:`pin` move the interval or set ``exact``.
+    read-only Fraction views, built on each read; only :meth:`bisect_once`
+    (one halving), :meth:`refine_below` (quadratic interval refinement) and
+    :meth:`pin` move the interval or set ``exact``.  Every move keeps the
+    factor's sign at lo, which :meth:`_frame` caches.
     """
 
     __slots__ = ("multiplicity", "exact", "factor", "_lo", "_hi", "_d", "_m", "_horner")
@@ -85,48 +88,104 @@ class RootEntry:
         self._d, self._m = x.denominator, 0
 
     def _frame(self) -> tuple[list[int], bool]:
-        """``_horner``, built on first use; a halving keeps the sign at lo."""
+        """``_horner``, built on first use; every move of lo keeps its sign."""
         if self._horner is None:
             n = len(self.factor.num) - 1
             scaled = [c * self._d ** (n - i) for i, c in enumerate(self.factor.num)]
-            self._horner = scaled, self.factor.value_parts(self._lo, self._d << self._m)[0] > 0
+            self._horner = scaled, _value(scaled, self._lo, self._m) > 0
         return self._horner
 
-    def _halve(self, times: int) -> None:
+    def _halve(self, times: int) -> int:
         """Halve [lo, hi] ``times`` times, keeping the half that holds the
-        root; a midpoint that is the root pins the entry and stops.  A
-        midpoint's sign is Horner over the coefficients times d^(deg-i),
-        shifted by m(deg-i)."""
+        root; a midpoint that is the root pins the entry and stops.  Returns
+        the factor's :func:`_value` at the last midpoint, 0 when it pinned."""
         if self.exact is not None or not times:
-            return
+            return 0
         scaled, positive_at_lo = self._frame()
-        n = len(scaled) - 1
         lo, hi, m = self._lo, self._hi, self._m
         for _ in range(times):
             mid = lo + hi
             lo <<= 1
             hi <<= 1
             m += 1
-            acc = scaled[n]
-            for i in range(n - 1, -1, -1):
-                acc = acc * mid + (scaled[i] << m * (n - i))
-            if acc == 0:
+            v = _value(scaled, mid, m)
+            if v == 0:
                 self.pin(Fraction(mid, self._d << m))
-                return
-            if (acc > 0) == positive_at_lo:
+                return 0
+            if (v > 0) == positive_at_lo:
                 lo = mid
             else:
                 hi = mid
         self._lo, self._hi, self._m = lo, hi, m
+        return v
 
     def bisect_once(self) -> None:
-        """One refinement step; may discover the root exactly."""
+        """One halving; may discover the root exactly."""
         self._halve(1)
 
     def refine_below(self, width: Fraction) -> None:
-        """Bisect until the interval is narrower than ``width`` or the root is
-        found: exactly the halvings needed, counted in advance."""
-        self._halve((self.width // width).bit_length())
+        """Refine until the interval is narrower than ``width`` or the root is
+        found, by quadratic interval refinement (Abbott 2006; Kerber and
+        Sagraloff 2011), with no step budget.
+
+        A step splits [lo, hi] into N = 2^k cells, one frame finer (over
+        d 2^(m+k)), and tests the grid point nearest the secant of the
+        exact endpoint values, and its neighbour on the root's side: a sign
+        change keeps that cell and squares N; otherwise one :meth:`_halve`
+        and N goes to its square root.  A grid point that is the root pins
+        the entry.  Endpoint values carry across steps, shifted by k deg
+        into the finer frame.  While the halvings still needed cost no more
+        than one step's evaluations, it halves.  k never exceeds the
+        halvings still needed, so every kept cell is one that halving passes
+        through, and the result is the interval that exactly those halvings
+        give.
+        """
+        a, b = width.numerator, width.denominator
+
+        def needed() -> int:  # the halvings that bring the width below ``width``
+            return ((self._hi - self._lo) * b // (a * self._d << self._m)).bit_length()
+
+        need = needed()
+        if self.exact is not None or need <= 4:  # the first step evaluates lo, hi and two grid points
+            self._halve(need)
+            return
+        scaled, positive_at_lo = self._frame()
+        n = len(scaled) - 1
+        flo, fhi = _value(scaled, self._lo, self._m), _value(scaled, self._hi, self._m)
+        k = 2
+        while need > 2:  # a step evaluates at most two grid points
+            k = min(k, need)
+            cells = 1 << k
+            h, m = self._hi - self._lo, self._m + k
+            lo, hi = self._lo << k, self._hi << k
+            al, ah = abs(flo), abs(fhi)
+            t = (2 * cells * al + al + ah) // (2 * (al + ah))  # round(N f(lo) / (f(lo) - f(hi)))
+            x = lo + min(max(t, 1), cells - 1) * h
+            v = _value(scaled, x, m)
+            above = (v > 0) == positive_at_lo  # the root lies above x
+            y = x + h if above else x - h  # x's neighbour on the root's side
+            w = flo << k * n if y == lo else fhi << k * n if y == hi else _value(scaled, y, m)
+            if v == 0 or w == 0:
+                self.pin(Fraction(x if v == 0 else y, self._d << m))
+                return
+            if ((w > 0) == positive_at_lo) != above:  # a sign change: keep that cell
+                if above:
+                    self._lo, self._hi, flo, fhi = x, y, v, w
+                else:
+                    self._lo, self._hi, flo, fhi = y, x, w, v
+                self._m = m
+                k *= 2
+            else:
+                v = self._halve(1)
+                if not v:
+                    return
+                if (v > 0) == positive_at_lo:
+                    flo, fhi = v, fhi << n
+                else:
+                    flo, fhi = flo << n, v
+                k = max(1, k // 2)
+            need = needed()
+        self._halve(need)
 
 
 @dataclass(frozen=True)
@@ -276,6 +335,18 @@ def _isolate_squarefree(f: PolyExact) -> list[RootEntry]:
         r = Fraction(-work.num[0], work.num[1])
         entries.append(RootEntry(r, r, 1, r, work))
     return entries
+
+
+def _value(scaled: list[int], x: int, m: int) -> int:
+    """(d 2^m)^deg f(x / (d 2^m)) for ``scaled`` the coefficients of f times
+    d^(deg-i): Horner with coefficient i shifted by m(deg-i).  Its sign is
+    the sign of f at x / (d 2^m); the same point in the frame m + k, x 2^k,
+    has this value shifted by k deg."""
+    n = len(scaled) - 1
+    acc = scaled[n]
+    for i in range(n - 1, -1, -1):
+        acc = acc * x + (scaled[i] << m * (n - i))
+    return acc
 
 
 def _root_vs_point(entry: RootEntry, pt: Fraction) -> int:

@@ -217,8 +217,9 @@ def _lattice_separated(rs: RootSet, q: Fraction) -> tuple[bool, dict | None]:
     lattice point belongs to no open cell and is reported in the detail.
     Each zero's k, the least with q^k <= zero, is found by galloping on k
     (1, 2, 4, ... until q^k <= zero, which a zero above 0 reaches) and then
-    bisecting on k.
+    bisecting on k.  The powers q^k come from one table shared by all zeros.
     """
+    power = functools.cache(q.__pow__)
     cells: dict[int, int] = {}
     at_lattice: list[int] = []
     for e in rs.roots:
@@ -226,10 +227,10 @@ def _lattice_separated(rs: RootSet, q: Fraction) -> tuple[bool, dict | None]:
         c = compare_root_to_point(e, q)
         while c < 0:
             lo, hi = hi, 2 * hi
-            c = compare_root_to_point(e, q**hi)
+            c = compare_root_to_point(e, power(hi))
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            m = compare_root_to_point(e, q**mid)
+            m = compare_root_to_point(e, power(mid))
             lo, hi, c = (mid, hi, c) if m < 0 else (lo, mid, m)
         if c > 0:
             cells[hi] = cells.get(hi, 0) + e.multiplicity

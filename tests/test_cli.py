@@ -58,6 +58,32 @@ def test_roots_output_round_trips(capsys):
             assert lo <= rat(entry["exact"]) <= hi
 
 
+def test_roots_at_a_tiny_eps_refine_by_qir(capsys, monkeypatch):
+    """q-Bessel zeros at eps = 10^-2000: every width is below eps, in at most
+    150 Horner evaluations for the three zeros (89 when written), where
+    counted halving takes 19,922."""
+    from qzeros import roots
+
+    evaluations = []
+    real = roots._value
+
+    def counting(*args):
+        evaluations.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(roots, "_value", counting)
+    code, out, _ = run_cli(
+        capsys, "roots", "--family", "q-bessel", "--n", "3", "--q", "1/2", "--b=-1", "--eps", "1e-2000"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["totalCount"] == 3 and doc["certifiedRealRooted"] is True
+    for entry in doc["roots"]:
+        lo, hi = (rat(s) for s in entry["interval"])
+        assert 0 <= hi - lo < F(1, 10**2000)
+    assert len(evaluations) <= 150, len(evaluations)
+
+
 def test_lmesh_command(capsys):
     code, out, _ = run_cli(
         capsys, "lmesh", "--family", "stieltjes-wigert", "--n", "4", "--q", "1/2",

@@ -106,6 +106,44 @@ def test_tail_bound_consistent_under_refinement(a, q):
     assert abs(v1 - v2) <= e1
 
 
+def _qpoch_infinite_exact(a, q, tol):
+    """The exact truncation that the rounded product replaced: P_J = (a;q)_J
+    with no rounding, J the first index whose tail S = |a| q^J / (1-q) is
+    below tol/2 and whose bound |P_J| S/(1-S) is <= tol.  P_J is kept as
+    unreduced integers num/den, as in ``qpoch_finite``, and reduced once."""
+    num = den = 1
+    power = F(1)  # q^j
+    while True:
+        tail = abs(a) * power / (1 - q)
+        if tail < 1 and 2 * tail < tol:
+            # |P_J| S/(1-S) <= tol, cross-multiplied
+            if abs(num) * tail.numerator * tol.denominator <= tol.numerator * den * (tail.denominator - tail.numerator):
+                partial = F(num, den)
+                return partial, abs(partial) * tail / (1 - tail)
+        factor = 1 - a * power
+        num *= factor.numerator
+        den *= factor.denominator
+        power *= q
+
+
+def test_rounded_infinite_product_matches_exact_on_acceptance_grids():
+    """The rounded product against the exact truncation, on the acceptance
+    grids' q and parameters (and their negatives, 2, and q^-2 whose product
+    vanishes): both enclose (a;q)_inf, the rounded value stays within
+    tol^2 of the exact one, and its denominator is a bounded power of two."""
+    for q in (F(1, 4), F(1, 2), F(3, 4), F(9, 10)):
+        for a in (F(1, 4), F(1, 2), F(3, 4), F(1), F(2), q**-2):
+            for av in (a, -a):
+                for tol in (F(1, 10**6), F(1, 10**9)):
+                    v, err = qpoch_infinite(av, q, tol)
+                    exact, exact_err = _qpoch_infinite_exact(av, q, tol)
+                    assert err <= tol and exact_err <= tol
+                    assert abs(v - exact) <= exact_err + tol**2, (av, q, tol)
+                    assert v.denominator & (v.denominator - 1) == 0 and v.denominator.bit_length() < 1000
+                    if exact == 0:
+                        assert (v, err) == (0, 0)
+
+
 def test_rational_round_trip():
     for x in (F(3, 7), F(-22, 9), F(5), F(0)):
         assert rat(rat_str(x)) == x

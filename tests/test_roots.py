@@ -408,6 +408,147 @@ def test_lazy_isolation_matches_eager_on_acceptance_grids():
             assert (stepped.lo, stepped.hi, stepped.exact) == (eg.lo, eg.hi, eg.exact), p
 
 
+def _refine_by_halving(entry, eps):
+    """The display refinement that QIR replaced: exactly the halvings that
+    bring the width below eps, counted in advance."""
+    entry._halve((entry.width // eps).bit_length())
+
+
+def _highdeg_polynomials():
+    """The inputs of the twelve ``qzeros roots`` calls of the roots-highdeg
+    benchmark: q = 9/10, n = 10, 12, 14."""
+    q = F(9, 10)
+    return [
+        p
+        for n in (10, 12, 14)
+        for p in (little_q_jacobi(n, F(1, 2), F(-1, 2), q), q_laguerre(n, F(1, 2), q),
+                  stieltjes_wigert(n, q), q_bessel(n, F(-1), q))
+    ]
+
+
+def _counting_evaluations(monkeypatch):
+    """Count every integer Horner evaluation of a root interval's factor."""
+    count = [0]
+    real = roots._value
+
+    def counting(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(roots, "_value", counting)
+    return count
+
+
+@cache
+def _qir_and_halving_refined():
+    """(q, QIR-refined entry, halving-refined entry, eps): every entry of the
+    acceptance-grid polynomials isolated to separation, refined to 2^-64, and
+    of their scaled(q) root sets, whose denominators are not powers of two,
+    refined to 3^-40; then the roots-highdeg inputs at the default eps."""
+    cases = [(q, rs, eps) for q, p in _acceptance_grid() for rs, eps in (
+        (isolate_real_roots(p, None), F(1, 2**64)),
+        (isolate_real_roots(p, None).scaled(q), F(1, 3**40)),
+    )] + [(F(9, 10), isolate_real_roots(p, None), roots.DEFAULT_EPS) for p in _highdeg_polynomials()]
+    out = []
+    for q, rs, eps in cases:
+        for e in rs.roots:
+            ref = e.copy()
+            e.refine_below(eps)
+            _refine_by_halving(ref, eps)
+            out.append((q, e, ref, eps))
+    return tuple(out)
+
+
+def test_qir_refinement_matches_halving_on_acceptance_grids():
+    """QIR against the counted halving it replaced, on every entry of the 672
+    acceptance-grid polynomials (and their scaled(q) root sets) and of the 12
+    roots-highdeg inputs.  A QIR cell is one of the 2^k equal parts of the
+    interval, and k never exceeds the halvings still needed, so both land on
+    the same aligned dyadic cell: the same (lo, hi, exact), of width < eps,
+    with a strict sign change at lo and hi when not exact, and the sign at lo
+    that the halving frame caches."""
+    pinned = 0
+    for _, e, ref, eps in _qir_and_halving_refined():
+        assert (e.lo, e.hi, e.exact, e.multiplicity) == (ref.lo, ref.hi, ref.exact, ref.multiplicity)
+        assert e.width < eps
+        if e.exact is None:
+            lo_sign, hi_sign = e.factor.sign_at(e.lo), e.factor.sign_at(e.hi)
+            assert lo_sign * hi_sign < 0
+            assert e._frame()[1] == (lo_sign > 0)
+        else:
+            assert e.factor.sign_at(e.exact) == 0
+            pinned += 1
+    assert len(_qir_and_halving_refined()) > 5000 and pinned > 0
+
+
+def test_root_vs_point_on_qir_refined_entries():
+    """``_root_vs_point`` on QIR-refined entries, which relies on the cached
+    sign at lo, against the bisecting comparison, at the entry's lo, hi and
+    midpoint, its reference interval's ends, and q^k for k = 1..40."""
+    for q, e, ref, _ in _qir_and_halving_refined()[::7]:
+        for pt in [e.lo, e.hi, (e.lo + e.hi) / 2, ref.lo, ref.hi] + [q**k for k in range(1, 41)]:
+            assert roots._root_vs_point(e, pt) == _root_vs_point_by_bisection(ref.copy(), pt), (e.factor, pt)
+
+
+def test_qir_evaluations_at_most_half_the_halvings(monkeypatch):
+    """Work bound on the roots-highdeg inputs, counted in Horner evaluations,
+    not time: QIR makes at most half the evaluations of the counted halving
+    to the default eps (2,148 against 14,114 when written)."""
+    count = _counting_evaluations(monkeypatch)
+    qir = halving = 0
+    for p in _highdeg_polynomials():
+        for e in isolate_real_roots(p, None).roots:
+            ref = e.copy()
+            start = count[0]
+            e.refine_below(roots.DEFAULT_EPS)
+            qir += count[0] - start
+            start = count[0]
+            _refine_by_halving(ref, roots.DEFAULT_EPS)
+            halving += count[0] - start
+            assert (e.lo, e.hi, e.exact) == (ref.lo, ref.hi, ref.exact)
+    assert halving > 14_000 and qir <= halving // 2, (qir, halving)
+
+
+def _logging_refinement(monkeypatch, entry, eps):
+    """Refine ``entry`` below eps and return the evaluations ("value") and
+    halvings (("halve", times)) in the order they ran."""
+    log = []
+    real_value, real_halve = roots._value, RootEntry._halve
+    monkeypatch.setattr(roots, "_value", lambda *args: log.append("value") or real_value(*args))
+    monkeypatch.setattr(RootEntry, "_halve", lambda self, times: log.append(("halve", times)) or real_halve(self, times))
+    entry.refine_below(eps)
+    monkeypatch.undo()
+    return log
+
+
+def test_qir_pins_a_root_on_a_grid_point(monkeypatch):
+    """(8x - 3)(x^2 + 1) on [0, 1]: the first step keeps [1/4, 1/2] (grid
+    of 4), the second tests 23/64 and its neighbour 3/8 (grid of 16), which
+    is the root, so the entry is pinned exact with no halving."""
+    e = RootEntry(F(0), F(1), 1, None, PolyExact((-3, 8)) * PolyExact((1, 0, 1)))
+    e._frame()
+    log = _logging_refinement(monkeypatch, e, F(1, 2**20))
+    assert (e.exact, e.lo, e.hi) == (F(3, 8), F(3, 8), F(3, 8))
+    assert log == ["value"] * 6
+
+
+@pytest.mark.parametrize("coeffs", [
+    (-1, 0, 0, 0, 0, 30),  # 30x^5 - 1: the secant lands at t = 0, the root is near 0.507
+    (-29, 150, -300, 300, -150, 30),  # 1 - 30(1 - x)^5: t = N, the root is near 0.493
+])
+def test_qir_falls_back_to_a_halving(monkeypatch, coeffs):
+    """A secant at the end of the grid (t = 0 or t = N) is clamped to the
+    grid point next to that end, its neighbour shows no sign change, and one
+    halving follows; the result is the counted halving's."""
+    e = RootEntry(F(0), F(1), 1, None, PolyExact(coeffs))
+    ref = e.copy()
+    e._frame()
+    log = _logging_refinement(monkeypatch, e, F(1, 2**40))
+    assert log[:5] == ["value"] * 4 + [("halve", 1)]
+    _refine_by_halving(ref, F(1, 2**40))
+    assert (e.lo, e.hi, e.exact) == (ref.lo, ref.hi, ref.exact) and e.width < F(1, 2**40)
+
+
 def _same_roots(rs, ref, exact=True):
     """Counts and multiplicities equal, intervals pairwise overlapping and,
     with ``exact``, the same exact roots."""

@@ -23,7 +23,7 @@ from qzeros import (
     summarize,
     weight_mass,
 )
-from qzeros import verify
+from qzeros import roots, verify
 
 Q = F(1, 2)
 
@@ -215,6 +215,27 @@ def test_lattice_cell_costs_log_k_comparisons(monkeypatch):
     assert len(probes) <= len(rs.roots) * (2 * k_max.bit_length() + 1), len(probes)
 
 
+def test_lattice_powers_shared_by_the_zeros(monkeypatch):
+    """``_lattice_separated`` raises q to each power k once for the whole
+    root set, not once per probe, and decides as before."""
+    q = F(9, 10)
+    rs = isolate_real_roots(little_q_jacobi(12, F(1, 2), F(-1, 2), q), None)
+    decided = verify._lattice_separated(rs, q)
+    exponents, probes = [], []
+    real_pow, real_compare = F.__pow__, verify.compare_root_to_point
+
+    def pow_logging(x, k, *mod):
+        if x == q:
+            exponents.append(k)
+        return real_pow(x, k, *mod)
+
+    monkeypatch.setattr(F, "__pow__", pow_logging)
+    monkeypatch.setattr(verify, "compare_root_to_point", lambda e, pt: probes.append(pt) or real_compare(e, pt))
+    assert verify._lattice_separated(rs, q) == decided == (True, None)
+    monkeypatch.undo()
+    assert len(exponents) == len(set(exponents)) < len(probes) - len(rs.roots), (exponents, len(probes))
+
+
 def test_root_versus_point_work_and_shared_root_sets(monkeypatch):
     """Each ``compare_root_to_point`` call makes at most one ``sign_at`` call
     and no halving; the factor's sign at lo, which the halving frame keeps,
@@ -232,14 +253,14 @@ def test_root_versus_point_work_and_shared_root_sets(monkeypatch):
             return fn(*args)
         return wrapped
 
-    for cls, name in ((PolyExact, "sign_at"), (PolyExact, "value_parts"), (RootEntry, "_halve")):
-        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    for owner, name in ((PolyExact, "sign_at"), (roots, "_value"), (RootEntry, "_halve")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     for e in rs.roots:
         for pt in [F(0), F(1), e.lo, e.hi, (e.lo + e.hi) / 2] + [q**k for k in range(1, 25)]:
             sign_at_before = counts.get("sign_at", 0)
             compare_root_to_point(e, pt)
             assert counts.get("sign_at", 0) - sign_at_before <= 1
-    assert "_halve" not in counts and counts.get("value_parts", 0) <= len(rs.roots)
+    assert "_halve" not in counts and counts.get("_value", 0) <= len(rs.roots)
     assert counts["sign_at"] >= 3 * len(rs.roots), counts  # lo, hi and the midpoint lie inside
     monkeypatch.undo()
     shared = [(e.lo, e.hi, e.exact) for e in rs.roots]
