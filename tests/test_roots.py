@@ -426,19 +426,6 @@ def _highdeg_polynomials():
     ]
 
 
-def _counting_evaluations(monkeypatch):
-    """Count every integer Horner evaluation of a root interval's factor."""
-    count = [0]
-    real = roots._value
-
-    def counting(*args):
-        count[0] += 1
-        return real(*args)
-
-    monkeypatch.setattr(roots, "_value", counting)
-    return count
-
-
 @cache
 def _qir_and_halving_refined():
     """(q, QIR-refined entry, halving-refined entry, eps): every entry of the
@@ -494,18 +481,17 @@ def test_qir_evaluations_at_most_half_the_halvings(monkeypatch):
     """Work bound on the roots-highdeg inputs, counted in Horner evaluations,
     not time: QIR makes at most half the evaluations of the counted halving
     to the default eps (2,148 against 14,114 when written)."""
-    count = _counting_evaluations(monkeypatch)
-    qir = halving = 0
-    for p in _highdeg_polynomials():
-        for e in isolate_real_roots(p, None).roots:
-            ref = e.copy()
-            start = count[0]
-            e.refine_below(roots.DEFAULT_EPS)
-            qir += count[0] - start
-            start = count[0]
-            _refine_by_halving(ref, roots.DEFAULT_EPS)
-            halving += count[0] - start
-            assert (e.lo, e.hi, e.exact) == (ref.lo, ref.hi, ref.exact)
+    entries = [e for p in _highdeg_polynomials() for e in isolate_real_roots(p, None).roots]
+    refs = [e.copy() for e in entries]
+    evaluations = []
+    real = roots._value
+    monkeypatch.setattr(roots, "_value", lambda *args: evaluations.append(args) or real(*args))
+    for e in entries:
+        e.refine_below(roots.DEFAULT_EPS)
+    qir = len(evaluations)
+    for ref in refs:
+        _refine_by_halving(ref, roots.DEFAULT_EPS)
+    halving = len(evaluations) - qir
     assert halving > 14_000 and qir <= halving // 2, (qir, halving)
 
 
