@@ -12,11 +12,12 @@ decision runs until it is decided; no step budget applies.
 The logarithmic mesh has one decision path: the signs of
 lambda_j - q*lambda_(j+1) for consecutive zeros, each a root comparison of p
 against its scaled copy p(x/q), after reflecting a negative zero set to
-positive.  ``lmesh`` tightens its enclosure of max lambda_j/lambda_(j+1)
-until it agrees with those signs, and ``in_lmesh_class`` reads them directly,
-so lmesh(p) = q is decided exactly through gcd(p(x), p(x/q)).  Decisions
-refine copies of the caller's root sets, never the root sets themselves.  No
-epsilon thresholds enter any decision.
+positive.  ``in_lmesh_class`` reads those signs directly, and ``lmesh``
+reads its enclosure of max lambda_j/lambda_(j+1) off the interval pairs they
+separated, with no further refinement, so lmesh(p) = q is decided exactly
+through gcd(p(x), p(x/q)).  Decisions refine copies of the caller's root
+sets, never the root sets themselves.  No epsilon thresholds enter any
+decision.
 """
 
 from __future__ import annotations
@@ -195,45 +196,46 @@ def _one_signed(rs: RootSet) -> int:
     return signs.pop()
 
 
-def _mesh_signs(rs: RootSet, q: Fraction) -> tuple[list[RootEntry], list[int]]:
-    """The zeros of p (reflected to positive) and sign(lambda_j - q*lambda_(j+1)).
+def _mesh_signs(rs: RootSet, q: Fraction) -> tuple[list[RootEntry], list[RootEntry], list[int]]:
+    """The zeros of p (reflected to positive), the zeros of p(x/q), and
+    sign(lambda_j - q*lambda_(j+1)).
 
-    The zeros are refined copies of the caller's entries.
+    The zeros are refined copies of the caller's entries; a nonzero sign
+    leaves the intervals of lambda_j and q*lambda_(j+1) disjoint.
     """
     pos = rs.scaled(Fraction(-1)) if _one_signed(rs) < 0 else rs.copy()
     lam = pos.lambdas()
     scaled = pos.scaled(q)
     lam_scaled = scaled.lambdas()
     coincide = _PairContext(pos.poly, scaled.poly).coincide
-    return lam, [_compare_roots(lam[j], lam_scaled[j + 1], coincide) for j in range(len(lam) - 1)]
+    return lam, lam_scaled, [_compare_roots(lam[j], lam_scaled[j + 1], coincide) for j in range(len(lam) - 1)]
 
 
 def lmesh(rs: RootSet, q: QValue | RationalLike) -> LmeshResult:
     """Enclose lmesh(p) = max ratio of consecutive ordered zeros, decided vs q.
 
-    Negative zero sets are reflected first (lmesh of p(-x)).  The returned
-    enclosure always resolves the three-way comparison with q; equality is
-    established exactly, never numerically.  The enclosure is refined until
-    it does: a strict sign of lambda_j - q*lambda_(j+1) is reached by
-    refinement, since the enclosed ratios converge to the true ones.
+    Negative zero sets are reflected first (lmesh of p(-x)).  Each ratio is
+    enclosed as q*lambda_j / (q*lambda_(j+1)), from the intervals of lambda_j
+    and q*lambda_(j+1) that the sign decision left, which are disjoint
+    whenever the sign is nonzero.  So the enclosure always resolves the
+    three-way comparison with q, with no refinement beyond the signs:
+    a positive sign puts that ratio's lower end above q, and all-negative
+    signs put every upper end below q.  Equality is established exactly,
+    never numerically.
     """
     qv = as_q(q)
     _require_certified(rs, "lmesh")
     if rs.total_count < 2:
         raise UndefinedLmeshError("lmesh needs at least two zeros")
-    lam, cmps = _mesh_signs(rs, qv)
+    lam, lam_scaled, cmps = _mesh_signs(rs, qv)
+    # every lower end of q*lambda_(j+1) is positive: it lies above lambda_j's
+    # interval, or, for a repeated zero, was lifted off 0 by separating it
+    pairs = list(zip(lam, lam_scaled[1:]))
+    los = [qv * a.lo / b.hi for a, b in pairs]
+    his = [min(qv * a.hi / b.lo, Fraction(1)) for a, b in pairs]
     top_sign = max(cmps)
-    # tighten the enclosure until it resolves the already-decided comparison:
-    # raise the first ratio above q, or lower the largest ratio below q
-    while True:
-        ends = [(e.lo, e.hi) for e in lam]
-        los = [lo / hi for (lo, _), (_, hi) in zip(ends, ends[1:])]
-        his = [min(hi / lo, Fraction(1)) for (_, hi), (lo, _) in zip(ends, ends[1:])]
-        argmax = cmps.index(top_sign) if top_sign >= 0 else his.index(max(his))
-        if top_sign == 0 or (los[argmax] > qv if top_sign > 0 else his[argmax] < qv):
-            return LmeshResult(max(los), max(his), argmax, top_sign == 0, qv)
-        lam[argmax].bisect_once()
-        lam[argmax + 1].bisect_once()
+    argmax = cmps.index(top_sign) if top_sign >= 0 else his.index(max(his))
+    return LmeshResult(max(los), max(his), argmax, top_sign == 0, qv)
 
 
 def in_lmesh_class(rs: RootSet, q: QValue | RationalLike, strict: bool) -> bool:
@@ -248,5 +250,5 @@ def in_lmesh_class(rs: RootSet, q: QValue | RationalLike, strict: bool) -> bool:
     _require_certified(rs, "lmesh class membership")
     if rs.total_count == 0:
         return True
-    _, cmps = _mesh_signs(rs, qv)
+    *_, cmps = _mesh_signs(rs, qv)
     return all(c < 0 for c in cmps) if strict else all(c <= 0 for c in cmps)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -284,6 +285,7 @@ def _add_family_args(sub, suffix: str = ""):
     sub.add_argument("--k" + suffix, type=int)
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one build serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qzeros",

@@ -132,16 +132,17 @@ def as_q(q: QValue | RationalLike) -> Fraction:
 def neg_q_power(value: Fraction, q: Fraction) -> int | None:
     """The integer m >= 0 with value == q^-m, or None when there is none.
 
-    With value = p/d and q = u/v this is p u^m = d v^m, on integers.
+    With value = p/d and q = u/v, both in lowest terms, q^-m = v^m/u^m is in
+    lowest terms too, so value == q^-m exactly when p = v^m and d = u^m: m
+    is the number of times v divides p, in steps linear in p's bits.
     """
     p, d = value.numerator, value.denominator
     u, v = q.numerator, q.denominator
     m = 0
-    while p > d:
-        p *= u
-        d *= v
+    while p > 1 and p % v == 0:
+        p //= v
         m += 1
-    return m if p == d else None
+    return m if p == 1 and d == u**m else None
 
 
 def qpoch_finite(a: RationalLike, q: QValue | RationalLike, k: int) -> Fraction:

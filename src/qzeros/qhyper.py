@@ -34,7 +34,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ConstraintViolationError
-from .qcore import QValue, RationalLike, as_q, rat
+from .qcore import QValue, RationalLike, as_q, neg_q_power, rat
 
 
 class PolyExact:
@@ -416,26 +416,6 @@ def square_free_decomposition(p: PolyExact) -> list[tuple[PolyExact, int]]:
 # -- q-hypergeometric construction ----------------------------------------
 
 
-def _forbidden_lower(value: Fraction, q: Fraction, n: int) -> bool:
-    """True when value lies in {q^0, q^-1, ..., q^-n} (n >= 1 only).
-
-    With value = p/d and q = u/v, value = q^-j is p u^j = d v^j; the right
-    side outgrows the left as j rises, so the scan stops once it does.
-    """
-    if n < 1:
-        return False
-    p, d = value.numerator, value.denominator
-    u, v = q.numerator, q.denominator
-    for _ in range(n + 1):
-        if p == d:
-            return True
-        if p < d:
-            return False
-        p *= u
-        d *= v
-    return False
-
-
 @dataclass(frozen=True)
 class HyperSpec:
     """Parameters of a terminating q-hypergeometric polynomial.
@@ -458,7 +438,8 @@ class HyperSpec:
         if self.n < 0:
             raise ValueError(f"truncation order must be >= 0, got {self.n}")
         for j, b in enumerate(self.lower):
-            if _forbidden_lower(b, self.q, self.n):
+            m = neg_q_power(b, self.q)  # b in {q^0, q^-1, ..., q^-n} is forbidden for n >= 1
+            if self.n >= 1 and m is not None and m <= self.n:
                 raise ConstraintViolationError(j, b, self.n)
 
 

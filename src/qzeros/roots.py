@@ -404,10 +404,15 @@ def _separate(entries: list[RootEntry]) -> None:
 
 
 def _snap_to_rational(e: RootEntry) -> None:
-    if e.exact is not None or e.lo == e.hi:
+    """Pin the entry to the simplest rational in its interval when that is
+    the root.  By the rational root theorem, n/d in lowest terms is a root of
+    the factor's integer coefficients only if n divides the constant one and
+    d the leading one, so only such a candidate is evaluated."""
+    if e.exact is not None:
         return
     candidate = simplest_rational_between(e.lo, e.hi)
-    if e.factor.sign_at(candidate) == 0:
+    n, d, coeffs = candidate.numerator, candidate.denominator, e.factor.num
+    if n and coeffs[0] % n == 0 and coeffs[-1] % d == 0 and e.factor.sign_at(candidate) == 0:
         e.pin(candidate)
 
 

@@ -244,16 +244,8 @@ def _lattice_separated(rs: RootSet, q: Fraction) -> tuple[bool, dict | None]:
     return True, None
 
 
-def _compare_sides(
-    comparisons: list[tuple[str, PolyExact, PolyExact]],
-    corrupt_coeff: int | None = None,
-) -> tuple[Status, dict | None]:
+def _compare_sides(comparisons: list[tuple[str, PolyExact, PolyExact]]) -> tuple[Status, dict | None]:
     for label, lhs, rhs in comparisons:
-        if corrupt_coeff is not None:
-            bump = [Fraction(0)] * (corrupt_coeff + 1)
-            bump[corrupt_coeff] = Fraction(1)
-            rhs = rhs + PolyExact(bump)
-            corrupt_coeff = None
         diff = lhs - rhs
         if not diff.is_zero:
             index = next(i for i, c in enumerate(diff.num) if c)
@@ -593,11 +585,11 @@ def _identity_sw_limit(q, n, eps=_GRID_EPS):
 def _exact(points: Callable, sides: Callable) -> _Check:
     """An identity check: ``sides`` builds (label, lhs, rhs) comparisons and
     a witness for a Pass; every comparison must hold coefficient by
-    coefficient.  ``_corrupt_coeff`` is the harness self-test's perturbation."""
+    coefficient."""
 
-    def fn(_corrupt_coeff: int | None = None, **point):
+    def fn(**point):
         comparisons, extra = sides(**point)
-        status, witness = _compare_sides(comparisons, _corrupt_coeff)
+        status, witness = _compare_sides(comparisons)
         return status, extra if status is Status.PASS else witness
 
     return _Check(points, fn)
@@ -624,37 +616,32 @@ IDENTITY_CHECKS: dict[str, _Check] = {
 SELFTEST_ID = "harness-selftest"
 
 
-def check_identity(
-    check_id: str,
-    params: Mapping[str, object],
-    *,
-    _corrupt_coeff: int | None = None,
-) -> VerificationRecord:
+def check_identity(check_id: str, params: Mapping[str, object]) -> VerificationRecord:
     """Run one identity at one parameter point (the limit checks read eps,
-    default 10^-6).
-
-    ``_corrupt_coeff`` perturbs one coefficient of the first right-hand side
-    by 1 before comparison; it exists for the harness self-test, which must
-    see a Fail whose witness names exactly that index.
-    """
+    default 10^-6)."""
     if check_id == SELFTEST_ID:
         return _run_selftest(params)
     check = IDENTITY_CHECKS.get(check_id)
     if check is None:
         raise RegistryError(f"unknown identity check {check_id!r}")
-    point = {
-        k: int(v) if k in ("n", "k") else as_q(v) if k == "q" else rat(v) for k, v in params.items()
-    }
-    if _corrupt_coeff is not None:
-        check = _Check(check.points, functools.partial(check.fn, _corrupt_coeff=_corrupt_coeff))
-    return _record(check_id, check, point)
+    return _record(check_id, check, _identity_point(params))
+
+
+def _identity_point(params: Mapping[str, object]) -> dict:
+    return {k: int(v) if k in ("n", "k") else as_q(v) if k == "q" else rat(v) for k, v in params.items()}
 
 
 def _run_selftest(params: Mapping[str, object]) -> VerificationRecord:
-    """Corrupt one coefficient of a known-true identity; expect Fail there."""
+    """Add x^i to the first right-hand side of a known-true identity,
+    contig-4, and expect a Fail whose witness names exactly index i."""
     point = dict(params) or {"q": Fraction(1, 2), "n": 2, "a": Fraction(1, 3), "b": Fraction(-1)}
     index = int(point.pop("coeff_index", 1))
-    inner = check_identity("contig-4", point, _corrupt_coeff=index)
+
+    def corrupted(**pt):
+        ((label, lhs, rhs), *rest), extra = _identity_contig4(**pt)
+        return [(label, lhs, rhs + PolyExact([Fraction(0)] * index + [Fraction(1)])), *rest], extra
+
+    inner = _record("contig-4", _exact(_QNAB, corrupted), _identity_point(point))
     ok = (
         inner.status is Status.FAIL
         and inner.witness is not None

@@ -11,6 +11,7 @@ from qzeros import (
     LmeshDomainError,
     PolyExact,
     Relation,
+    RootEntry,
     ShapeError,
     UndefinedLmeshError,
     dominates,
@@ -254,6 +255,54 @@ def test_class_membership_consistent_with_lmesh(roots, sign, repeat):
     res = lmesh(rs, Q)
     assert in_lmesh_class(rs, Q, strict=True) == (res.compare_to_q() < 0)
     assert in_lmesh_class(rs, Q, strict=False) == (res.compare_to_q() <= 0)
+
+
+@given(
+    roots=st.lists(
+        st.builds(F, st.integers(1, 50), st.integers(1, 50)),
+        min_size=2,
+        max_size=5,
+        unique=True,
+    ),
+    sign=st.sampled_from([1, -1]),
+    repeat=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_lmesh_encloses_the_exact_mesh_on_coarse_root_sets(roots, sign, repeat, data):
+    """On root sets isolated only to separation, the enclosure read off the
+    separated sign pairs holds the exact max ratio and decides it against q,
+    q drawn from fixed values and from the ratios themselves."""
+    zeros = sorted(roots + roots[:1] * repeat)
+    ratios = [x / y for x, y in zip(zeros, zeros[1:])]
+    true = max(ratios)
+    q = data.draw(st.sampled_from([F(1, 4), Q, F(3, 4), F(9, 10), *(r for r in ratios if r < 1)]))
+    res = lmesh(isolate_real_roots(PolyExact.from_roots([sign * z for z in zeros]), None), q)
+    assert res.value_lo <= true <= res.value_hi
+    assert res.compare_to_q() == (true > q) - (true < q)
+    assert res.exact_equals_q == (true == q)
+
+
+def test_lmesh_refines_only_as_far_as_the_sign_decision(monkeypatch):
+    """lmesh bisects exactly as often as in_lmesh_class(strict=True) does on
+    a fresh copy: the enclosure takes no refinement of its own.  The input is
+    little_q_jacobi(3, 1/4, 1/2, 1/2) isolated to 1/16; an lmesh that
+    tightened its enclosure after the signs bisected 12 times there, against
+    the sign decision's 6."""
+    calls = [0]
+    bisect_once = RootEntry.bisect_once
+
+    def counted(self):
+        calls[0] += 1
+        bisect_once(self)
+
+    q = F(1, 2)
+    rs = isolate_real_roots(little_q_jacobi(3, F(1, 4), F(1, 2), q), F(1, 16))
+    monkeypatch.setattr(RootEntry, "bisect_once", counted)
+    assert lmesh(rs, q).compare_to_q() == -1
+    by_lmesh, calls[0] = calls[0], 0
+    assert in_lmesh_class(rs.copy(), q, strict=True)
+    assert by_lmesh == calls[0] > 0
 
 
 def test_decisions_leave_caller_root_sets_unchanged():

@@ -201,6 +201,46 @@ def test_python_m_qzeros_runs_the_cli():
     assert proc.stdout.strip() == "1, -5/4"
 
 
+def _fresh_cli(*argv, timeout=60):
+    """``python -m qzeros argv`` in a new process."""
+    src = str(Path(qzeros.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "qzeros", *argv], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
+def test_one_parser_serves_every_call(capsys):
+    """main builds its parser once per process; calls that reuse it, with
+    different subcommands and a negative --b, print what fresh processes do."""
+    calls = [
+        ["roots", "--family", "little-q-jacobi", "--n", "3", "--q", "1/2", "--a", "1/2", "--b", "-1/2"],
+        ["coeffs", "--family", "q-bessel", "--n", "2", "--q", "3/4", "--b", "-1"],
+        ["lmesh", "--family", "stieltjes-wigert", "--n", "3", "--q", "1/2"],
+    ]
+    outputs = []
+    for argv in calls:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        outputs.append(out)
+    assert cli.build_parser() is cli.build_parser()
+    for argv, out in zip(calls, outputs):
+        proc = _fresh_cli(*argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out, argv
+
+
+def test_coeffs_at_a_huge_a_with_q_near_one_exits_promptly():
+    """a = 10^30 at q = 9999/10000 is no power q^-m: neg_q_power decides it
+    in a few divisions, where stepping by q took about 690,000 steps."""
+    proc = _fresh_cli(
+        "coeffs", "--family", "little-q-jacobi", "--n", "2", "--q", "9999/10000", "--a", "1e30", "--b", "0",
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1, ")
+
+
 def test_out_of_range_q_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "coeffs", "--family", "stieltjes-wigert", "--n", "1", "--q", "3/2"

@@ -173,9 +173,9 @@ def _sides(monkeypatch, check_id: str) -> tuple[list, list]:
     sides = []
     compare, profile = verify._compare_sides, verify._deviation_profile
 
-    def capture_compare(comparisons, corrupt_coeff=None):
+    def capture_compare(comparisons):
         sides.extend(comparisons)
-        return compare(comparisons, corrupt_coeff)
+        return compare(comparisons)
 
     def capture_profile(pairs):
         sides.extend(("limit", approx, target) for approx, target in pairs)

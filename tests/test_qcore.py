@@ -22,6 +22,31 @@ def test_neg_q_power():
     assert neg_q_power(F(-8), q) is None
 
 
+def _neg_q_power_by_steps(value, q):
+    """The loop neg_q_power replaced, kept as its reference: multiply p by u
+    and d by v while p > d, about log(value)/log(1/q) steps."""
+    p, d = value.numerator, value.denominator
+    u, v = q.numerator, q.denominator
+    m = 0
+    while p > d:
+        p *= u
+        d *= v
+        m += 1
+    return m if p == d else None
+
+
+@pytest.mark.parametrize("q", [F(1, 4), F(1, 2), F(3, 4), F(9, 10), F(9999, 10000)])
+def test_neg_q_power_matches_the_stepping_loop(q):
+    values = [F(0), F(1, 2), F(2, 3), F(2), F(7, 3), q, q**3]
+    for m in range(31):
+        power = q**-m
+        values += [power, power + F(1, 10**6), power - F(1, 10**6), power * F(3, 2), 1 / power]
+    values += [-v for v in values]
+    for value in values:
+        assert neg_q_power(value, q) == _neg_q_power_by_steps(value, q), value
+    assert [neg_q_power(q**-m, q) for m in range(31)] == list(range(31))
+
+
 def test_empty_product():
     assert qpoch_finite(F(7, 3), F(1, 2), 0) == 1
 

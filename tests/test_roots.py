@@ -282,6 +282,37 @@ def test_snap_catches_scaled_lattice_roots():
     assert [e.exact for e in rs.roots] == [q**3, q**2, q]
 
 
+def _snap_unfiltered(e):
+    """The snap before the rational-root-theorem filter, kept as its
+    reference: evaluate the factor at every simplest rational."""
+    if e.exact is not None or e.lo == e.hi:
+        return
+    candidate = simplest_rational_between(e.lo, e.hi)
+    if e.factor.sign_at(candidate) == 0:
+        e.pin(candidate)
+
+
+def _entries(rs):
+    return [(e.lo, e.hi, e.exact, e.multiplicity) for e in rs.roots]
+
+
+def test_filtered_snap_matches_unfiltered_on_acceptance_grids():
+    """The snap evaluates only candidates n/d with n dividing the constant
+    and d the leading integer coefficient; on the 672 acceptance-grid
+    polynomials, isolated to separation and to 2^-64, and on a product with
+    a non-dyadic rational root, it pins exactly what evaluating every
+    candidate pins."""
+    third = PolyExact((-1, 3)) * PolyExact((-2, 0, 1))  # (3x - 1)(x^2 - 2)
+    polys = _acceptance_grid_polynomials() + (third,)
+    for eps in (None, F(1, 2**64)):
+        filtered = [_entries(isolate_real_roots(p, eps)) for p in polys]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(roots, "_snap_to_rational", _snap_unfiltered)
+            unfiltered = [_entries(isolate_real_roots(p, eps)) for p in polys]
+        assert filtered == unfiltered, eps
+    assert [e.exact for e in isolate_real_roots(third).roots] == [None, F(1, 3), None]
+
+
 RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=60)
 DYADICS = st.builds(lambda k, e: F(k, 2**e), st.integers(-(2**14), 2**14), st.integers(0, 40))
 

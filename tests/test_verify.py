@@ -70,12 +70,12 @@ def test_inadmissible_points_are_skipped():
 
 
 def test_every_fail_carries_witness():
-    rec = check_identity(
-        "contig-4", {"q": Q, "n": 2, "a": F(1, 3), "b": F(-1)}, _corrupt_coeff=2
-    )
-    assert rec.status is Status.FAIL
-    assert rec.witness["coeff_index"] == 2
-    assert "lhs" in rec.witness and "rhs" in rec.witness
+    rec = check_identity(SELFTEST_ID, {"q": Q, "n": 2, "a": F(1, 3), "b": F(-1), "coeff_index": 2})
+    assert rec.status is Status.PASS
+    assert rec.witness["inner_status"] == "Fail"
+    inner = rec.witness["inner_witness"]
+    assert inner["coeff_index"] == 2
+    assert "lhs" in inner and "rhs" in inner
 
 
 def test_harness_selftest():
