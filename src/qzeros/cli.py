@@ -138,6 +138,8 @@ def _cmd_lmesh(args) -> int:
     poly = build(params)
     rs = isolate_real_roots(poly)
     base = _parse_rat(args.base) if args.base else params.q
+    if not 0 < base < 1:
+        raise InvalidParameterError(f"--base must satisfy 0 < base < 1, got {rat_str(base)}")
     result = lmesh(rs, base)
     cmp_word = {-1: "below", 0: "equal", 1: "above"}[result.compare_to_q()]
     print(

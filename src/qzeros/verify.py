@@ -436,24 +436,21 @@ def _identity_qderiv_jacobi(q, n, a, b):
     return [("qderiv-jacobi", lhs, rhs)], {"constant": rat_str(const)}
 
 
+def _phi(n, upper, lower, q) -> PolyExact:
+    try:
+        return build_qhyper(HyperSpec(n=n, upper=upper, lower=lower, q=q))
+    except ConstraintViolationError as exc:
+        raise _Skip(str(exc))
+
+
 def _identity_qderiv_hyper(q, n, a, b):
     _need(n >= 1, "needs n >= 1")
     shapes = [("2phi1", (a,), (b,)), ("1phi1", (), (b,)), ("2phi0", (a,), ())]
     comparisons = []
     constants = {}
     for label, upper, lower in shapes:
-        try:
-            p = build_qhyper(HyperSpec(n=n, upper=upper, lower=lower, q=q))
-            shifted = build_qhyper(
-                HyperSpec(
-                    n=n - 1,
-                    upper=tuple(q * u for u in upper),
-                    lower=tuple(q * l for l in lower),
-                    q=q,
-                )
-            )
-        except ConstraintViolationError as exc:
-            raise _Skip(str(exc))
+        p = _phi(n, upper, lower, q)
+        shifted = _phi(n - 1, tuple(q * u for u in upper), tuple(q * l for l in lower), q)
         d = len(lower) - len(upper)
         const = Fraction(-1) ** d * (1 - q ** (-n)) / (1 - q)
         for u in upper:
@@ -463,13 +460,6 @@ def _identity_qderiv_hyper(q, n, a, b):
         comparisons.append((label, q_derivative(p, q), const * shifted.scale_arg(q**d)))
         constants[label] = rat_str(const)
     return comparisons, {"constants": constants}
-
-
-def _phi(n, upper, lower, q) -> PolyExact:
-    try:
-        return build_qhyper(HyperSpec(n=n, upper=upper, lower=lower, q=q))
-    except ConstraintViolationError as exc:
-        raise _Skip(str(exc))
 
 
 def _identity_recip1(q, n, b):
@@ -595,6 +585,29 @@ def _exact(points: Callable, sides: Callable) -> _Check:
     return _Check(points, fn)
 
 
+SELFTEST_ID = "harness-selftest"
+_SELFTEST_POINT = {"q": Fraction(1, 2), "n": 2, "a": Fraction(1, 3), "b": Fraction(-1)}
+
+
+def _selftest(coeff_index=1, **point):
+    """Add x^i to the first right-hand side of a known-true identity,
+    contig-4, and expect a Fail whose witness names exactly index i.  With
+    no point given it runs at the default point."""
+
+    def corrupted(**pt):
+        ((label, lhs, rhs), *rest), extra = _identity_contig4(**pt)
+        bump = PolyExact([Fraction(0)] * coeff_index + [Fraction(1)])
+        return [(label, lhs, rhs + bump), *rest], extra
+
+    inner = _record("contig-4", _exact(_QNAB, corrupted), point or _SELFTEST_POINT)
+    ok = inner.status is Status.FAIL and inner.witness["coeff_index"] == coeff_index
+    return Status.PASS if ok else Status.FAIL, {
+        "corrupted_index": coeff_index,
+        "inner_status": inner.status.value,
+        "inner_witness": inner.witness,
+    }
+
+
 IDENTITY_CHECKS: dict[str, _Check] = {
     "contig-1": _exact(_QNAB, _identity_contig1),
     "contig-2": _exact(_QNAB, _identity_contig2),
@@ -611,48 +624,21 @@ IDENTITY_CHECKS: dict[str, _Check] = {
     "qdiff-bessel": _exact(_axis_points("q", "n", "b"), _identity_qdiff_bessel),
     "bessel-limit": _Check(_axis_points("q", "n", "b", "eps"), _identity_bessel_limit),
     "sw-limit": _Check(_axis_points("q", "n", "eps"), _identity_sw_limit),
+    SELFTEST_ID: _Check(lambda grid: [dict(_SELFTEST_POINT)], _selftest),
 }
-
-SELFTEST_ID = "harness-selftest"
 
 
 def check_identity(check_id: str, params: Mapping[str, object]) -> VerificationRecord:
     """Run one identity at one parameter point (the limit checks read eps,
     default 10^-6)."""
-    if check_id == SELFTEST_ID:
-        return _run_selftest(params)
     check = IDENTITY_CHECKS.get(check_id)
     if check is None:
         raise RegistryError(f"unknown identity check {check_id!r}")
-    return _record(check_id, check, _identity_point(params))
-
-
-def _identity_point(params: Mapping[str, object]) -> dict:
-    return {k: int(v) if k in ("n", "k") else as_q(v) if k == "q" else rat(v) for k, v in params.items()}
-
-
-def _run_selftest(params: Mapping[str, object]) -> VerificationRecord:
-    """Add x^i to the first right-hand side of a known-true identity,
-    contig-4, and expect a Fail whose witness names exactly index i."""
-    point = dict(params) or {"q": Fraction(1, 2), "n": 2, "a": Fraction(1, 3), "b": Fraction(-1)}
-    index = int(point.pop("coeff_index", 1))
-
-    def corrupted(**pt):
-        ((label, lhs, rhs), *rest), extra = _identity_contig4(**pt)
-        return [(label, lhs, rhs + PolyExact([Fraction(0)] * index + [Fraction(1)])), *rest], extra
-
-    inner = _record("contig-4", _exact(_QNAB, corrupted), _identity_point(point))
-    ok = (
-        inner.status is Status.FAIL
-        and inner.witness is not None
-        and inner.witness.get("coeff_index") == index
-    )
-    return VerificationRecord(
-        SELFTEST_ID,
-        _params_dict(point),
-        Status.PASS if ok else Status.FAIL,
-        {"corrupted_index": index, "inner_status": inner.status.value, "inner_witness": inner.witness},
-    )
+    point = {
+        k: int(v) if k in ("n", "k", "coeff_index") else as_q(v) if k == "q" else rat(v)
+        for k, v in params.items()
+    }
+    return _record(check_id, check, point)
 
 
 # --------------------------------------------------------------------------
@@ -849,8 +835,11 @@ def _orthogonality_sum(n, m, a, b, q, tol):
     phat_n = PolyExact.from_ints(map(abs, pn.num), pn.den)
     phat_m = PolyExact.from_ints(map(abs, pm.num), pm.den)
     aq = a * q
+    # positive lower bound for (q;q)_inf and upper bound for sup_k |(bq;q)_k|,
+    # from a probe whose tail sum max(1, |b|) q^(probe+1)/(1-q) is at most 1/2
     probe = 40
-    # positive lower bound for (q;q)_inf and upper bound for sup_k |(bq;q)_k|
+    while max(1, abs(b)) * q ** (probe + 1) / (1 - q) > Fraction(1, 2):
+        probe *= 2
     lower_qq = qpoch_finite(q, q, probe) * (1 - q ** (probe + 1) / (1 - q))
     if b >= 0:
         upper_bq = Fraction(1)
@@ -915,11 +904,12 @@ def _samples_interval(lo: Fraction | None, hi: Fraction | None) -> list[Fraction
 @dataclass(frozen=True)
 class TableRow:
     """One row of the root-location table for phi polynomials with top
-    parameter q^-n: the polynomial shape, stated (a, b) ranges, the stated
-    root region and lmesh bound.  ``note`` records any reading adopted where
-    the printed form is unattainable; the runner still reports honestly."""
+    parameter q^-n: stated (a, b) ranges, the stated root region and lmesh
+    bound.  The samplers give the shape: a row without ``a_samples`` has no
+    upper a (1phi1), one without ``b_samples`` no lower b (2phi0), and a row
+    with both is 2phi1.  ``note`` records any reading adopted where the
+    printed form is unattainable; the runner still reports honestly."""
 
-    shape: str  # "2phi1" | "2phi0" | "1phi1"
     a_samples: Callable | None
     b_samples: Callable | None
     region: Callable  # (q, n) -> (lo, hi, lo_open, hi_open)
@@ -930,7 +920,6 @@ class TableRow:
 
 TABLE1_ROWS: dict[int, TableRow] = {
     1: TableRow(
-        "2phi1",
         lambda q, n, b: _samples_interval(None, b * q ** (n - 1)),
         lambda q, n: _samples_interval(Fraction(0), Fraction(1)),
         lambda q, n: (Fraction(0), q, True, True),
@@ -938,7 +927,6 @@ TABLE1_ROWS: dict[int, TableRow] = {
         True,
     ),
     2: TableRow(
-        "2phi1",
         lambda q, n, b: sorted({b * q**j for j in (0, (n - 1) // 2, n - 1)}),
         lambda q, n: _samples_interval(Fraction(0), Fraction(1)),
         lambda q, n: (Fraction(0), q, True, False),
@@ -947,7 +935,6 @@ TABLE1_ROWS: dict[int, TableRow] = {
         note="top zero equals q exactly (factorization through E_k); region closed at q",
     ),
     3: TableRow(
-        "2phi1",
         lambda q, n, b: _samples_interval(q ** (1 - n), None),
         lambda q, n: _samples_interval(None, Fraction(0)),
         lambda q, n: (None, Fraction(0), True, True),
@@ -955,7 +942,6 @@ TABLE1_ROWS: dict[int, TableRow] = {
         True,
     ),
     4: TableRow(
-        "2phi1",
         lambda q, n, b: _samples_interval(q ** (1 - n), b * q ** (n + 1)),
         lambda q, n: [q ** (-2 * n) * 2, q ** (-2 * n) * 4, q ** (-2 * n) * 16],
         lambda q, n: (Fraction(0), None, True, True),
@@ -963,7 +949,6 @@ TABLE1_ROWS: dict[int, TableRow] = {
         True,
     ),
     5: TableRow(
-        "2phi1",
         lambda q, n, b: _samples_interval(None, Fraction(0)),
         lambda q, n: [Fraction(0)],
         lambda q, n: (Fraction(0), q, True, True),
@@ -971,7 +956,6 @@ TABLE1_ROWS: dict[int, TableRow] = {
         True,
     ),
     6: TableRow(
-        "2phi1",
         lambda q, n, b: _samples_interval(q ** (1 - n), None),
         lambda q, n: [Fraction(0)],
         lambda q, n: (None, Fraction(0), True, True),
@@ -979,7 +963,6 @@ TABLE1_ROWS: dict[int, TableRow] = {
         True,
     ),
     7: TableRow(
-        "2phi0",
         lambda q, n, b: _samples_interval(q ** (1 - n), None),
         None,
         lambda q, n: (Fraction(0), None, True, True),
@@ -987,7 +970,6 @@ TABLE1_ROWS: dict[int, TableRow] = {
         True,
     ),
     8: TableRow(
-        "1phi1",
         None,
         lambda q, n: _samples_interval(Fraction(0), Fraction(1)),
         lambda q, n: (None, Fraction(0), True, True),
@@ -995,7 +977,6 @@ TABLE1_ROWS: dict[int, TableRow] = {
         True,
     ),
     9: TableRow(
-        "1phi1",
         None,
         lambda q, n: [Fraction(0)],
         lambda q, n: (None, Fraction(0), True, True),
@@ -1003,7 +984,6 @@ TABLE1_ROWS: dict[int, TableRow] = {
         False,
     ),
     10: TableRow(
-        "1phi1",
         None,
         lambda q, n: _samples_interval(None, Fraction(0)),
         lambda q, n: (None, Fraction(0), True, True),
@@ -1033,12 +1013,7 @@ def _table_row_points(row: TableRow, grid: GridSpec) -> list[dict]:
 
 
 def _table_row(row: TableRow, q, n, a=None, b=None):
-    if row.shape == "2phi1":
-        p = _phi(n, (a,), (b,), q)
-    elif row.shape == "2phi0":
-        p = _phi(n, (a,), (), q)
-    else:
-        p = _phi(n, (), (b,), q)
+    p = _phi(n, () if a is None else (a,), () if b is None else (b,), q)
     lo, hi, lo_open, hi_open = row.region(q, n)
     status, witness = _in_class_outcome(
         p, row.mesh_base(q), row.mesh_strict, (lo, hi), (lo_open, hi_open)
@@ -1118,8 +1093,6 @@ def check_property(check_id: str, grid: GridSpec) -> list[VerificationRecord]:
 def run_identity_on_grid(check_id: str, grid: GridSpec) -> list[VerificationRecord]:
     """Iterate an identity over the grid axes it consumes (plus k = 1..n for
     the factorization checks and eps for the limit checks)."""
-    if check_id == SELFTEST_ID:
-        return [check_identity(SELFTEST_ID, {})]
     return _on_grid(IDENTITY_CHECKS, "identity", check_id, grid)
 
 
@@ -1134,16 +1107,15 @@ def run_checks(grid: GridSpec) -> list[VerificationRecord]:
     leave every check without a point) raises :class:`ConfigError`: an
     empty report would read as a pass.
     """
+    unknown = [c for c in grid.check_ids if c not in IDENTITY_CHECKS and c not in PROPERTY_CHECKS]
+    if unknown:
+        raise RegistryError(f"unknown check(s) {', '.join(map(repr, unknown))}")
     records: list[VerificationRecord] = []
     token = _ISOLATED.set({})
     try:
         for check_id in grid.check_ids:
-            if check_id in IDENTITY_CHECKS or check_id == SELFTEST_ID:
-                records.extend(run_identity_on_grid(check_id, grid))
-            elif check_id in PROPERTY_CHECKS:
-                records.extend(check_property(check_id, grid))
-            else:
-                raise RegistryError(f"unknown check {check_id!r}")
+            run = run_identity_on_grid if check_id in IDENTITY_CHECKS else check_property
+            records.extend(run(check_id, grid))
     finally:
         _ISOLATED.reset(token)
     if not records:
@@ -1169,7 +1141,8 @@ def summarize(records: Iterable[VerificationRecord]) -> dict:
 
 
 def identity_check_ids() -> list[str]:
-    return list(IDENTITY_CHECKS)
+    """The identity checks, without the harness self-test."""
+    return [c for c in IDENTITY_CHECKS if c != SELFTEST_ID]
 
 
 def property_check_ids() -> list[str]:

@@ -248,6 +248,16 @@ def test_out_of_range_q_exits_2(capsys):
     assert code == 2
 
 
+def test_out_of_range_lmesh_base_names_the_option(capsys):
+    for base in ("2", "1", "0", "-1/2"):
+        code, out, err = run_cli(
+            capsys, "lmesh", "--family", "little-q-jacobi", "--n", "3", "--q", "1/2",
+            "--a", "1/2", "--b", "1/2", "--base", base,
+        )
+        assert code == 2 and out == "", base
+        assert err.startswith("error: --base ") and err.count("\n") == 1, err
+
+
 def test_verify_report(tmp_path, capsys):
     config = {
         "qValues": ["1/2"],

@@ -7,17 +7,21 @@ import pytest
 
 from qzeros import (
     ConfigError,
+    ConstraintViolationError,
     GridSpec,
+    HyperSpec,
     PolyExact,
     isolate_real_roots,
     RegistryError,
     SELFTEST_ID,
     Status,
+    build_qhyper,
     check_identity,
     check_property,
     default_t_values,
     identity_check_ids,
     little_q_jacobi,
+    rat,
     run_checks,
     run_identity_on_grid,
     summarize,
@@ -424,10 +428,16 @@ def test_isolation_memo_is_scoped_to_one_run(monkeypatch):
     assert sizes == [0, 1, 2, 3]
     run_checks(grid)
     assert sizes == [0, 1, 2, 3] * 2
+
+    def raising(**point):
+        raise RuntimeError("check raised inside the run")
+
+    monkeypatch.setitem(verify.PROPERTY_CHECKS, "raising-check", verify._Check(verify._QNAB, raising))
     bad = GridSpec(q_values=[Q], n_values=[2], a_values=[F(1, 2)], b_values=[F(1, 2)],
-                   check_ids=["thm2-lmesh", "no-such-check"])
-    with pytest.raises(RegistryError):
+                   check_ids=["thm2-lmesh", "raising-check"])
+    with pytest.raises(RuntimeError):
         run_checks(bad)
+    assert sizes[-1] == 0  # thm2-lmesh ran inside the memo before the raise
     assert verify._ISOLATED.get() is None
     verify._roots(little_q_jacobi(2, F(1, 2), F(1, 2), Q))  # outside a run: no memo
     assert sizes[-1] is None
@@ -456,3 +466,93 @@ def test_thmA3_builds_and_isolates_only_its_pair(monkeypatch):
         records += check_property("thmA-3", grid)
     assert len(records) == 24 and all(r.status is Status.PASS for r in records)
     assert len(built) == len(isolated) == 48
+
+
+def test_unknown_check_id_rejected_before_any_check_runs(monkeypatch):
+    """run_checks validates every check id before it runs the first check."""
+    calls = []
+    for name in ("run_identity_on_grid", "check_property"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda cid, grid, real=real: calls.append(cid) or real(cid, grid))
+    grid = GridSpec(q_values=[F(9, 10)], n_values=[40], a_values=[F(1, 2)], b_values=[F(-1, 2)],
+                    check_ids=["contig-1", "thm2-i", "thm2-lmesh", "no-such-check"])
+    with pytest.raises(RegistryError, match="no-such-check"):
+        run_checks(grid)
+    assert calls == []
+    assert verify._ISOLATED.get() is None
+
+
+def test_selftest_is_a_registry_entry():
+    """On a grid the self-test runs once at its default point; a direct call
+    lists the params it was given and names the corrupted index."""
+    records = run_checks(GridSpec(q_values=[Q], n_values=[3], check_ids=[SELFTEST_ID]))
+    assert [r.to_json() for r in records] == [{
+        "checkId": SELFTEST_ID,
+        "params": {"q": "1/2", "n": 2, "a": "1/3", "b": "-1"},
+        "status": "Pass",
+        "witness": {
+            "corrupted_index": 1,
+            "inner_status": "Fail",
+            "inner_witness": {
+                "comparison": "contig-4", "coeff_index": 1, "lhs": "7889/7680", "rhs": "15569/7680",
+            },
+        },
+    }]
+    assert check_identity(SELFTEST_ID, {}).params == {}
+    for index in (0, 3):
+        params = {"q": "1/2", "n": 2, "a": "1/3", "b": "-1", "coeff_index": index}
+        rec = check_identity(SELFTEST_ID, params)
+        assert rec.status is Status.PASS
+        assert rec.params == params
+        assert rec.witness["corrupted_index"] == rec.witness["inner_witness"]["coeff_index"] == index
+    assert SELFTEST_ID not in identity_check_ids()
+
+
+def test_table1_polynomials_match_the_row_shapes(monkeypatch):
+    """Each row builds its polynomial from the upper a and lower b its samplers
+    give; on the default table1 grid that is the polynomial of the row's
+    shape in the paper's table."""
+    shapes = {**dict.fromkeys(range(1, 7), "2phi1"), 7: "2phi0", **dict.fromkeys((8, 9, 10), "1phi1")}
+    built = []
+    monkeypatch.setattr(verify, "_in_class_outcome", lambda p, *args: built.append(p) or (Status.PASS, None))
+    grid = GridSpec(q_values=[F(1, 4), F(1, 2), F(3, 4)], n_values=[2, 3, 4, 5])
+    compared = 0
+    for row, shape in shapes.items():
+        built.clear()
+        records = check_property(f"table1-row-{row}", grid)
+        polys = iter(built)
+        for rec in records:
+            pt = {k: rat(v) for k, v in rec.params.items()}
+            upper = (pt["a"],) if shape in ("2phi1", "2phi0") else ()
+            lower = (pt["b"],) if shape in ("2phi1", "1phi1") else ()
+            assert ("a" in pt, "b" in pt) == (bool(upper), bool(lower)), (row, pt)
+            spec = HyperSpec(n=int(pt["n"]), upper=upper, lower=lower, q=pt["q"])
+            if rec.status is Status.SKIPPED:
+                with pytest.raises(ConstraintViolationError):
+                    build_qhyper(spec)
+            else:
+                assert next(polys) == build_qhyper(spec), (row, rec.params)
+                compared += 1
+        assert next(polys, None) is None
+    assert compared > 300
+
+
+def test_qderiv_hyper_skip_reason_is_the_series_constraint():
+    """qderiv-hyper builds its series through the shared builder, so a lower
+    parameter b = q^-1 skips with the constructor's own reason."""
+    with pytest.raises(ConstraintViolationError) as exc:
+        build_qhyper(HyperSpec(n=2, upper=(F(1, 3),), lower=(F(2),), q=Q))
+    rec = check_identity("qderiv-hyper", {"q": Q, "n": 2, "a": F(1, 3), "b": F(2)})
+    assert rec.status is Status.SKIPPED
+    assert rec.witness == {"reason": str(exc.value)}
+
+
+def test_orthogonality_tail_bound_near_q_one():
+    """At q = 19/20 the probe for the tail bound grows until its own tail sum
+    is at most 1/2, so the bound is positive and every pair passes."""
+    for b in (F(1, 2), F(-1)):
+        grid = GridSpec(q_values=[F(19, 20)], n_values=[1], a_values=[F(1, 2)], b_values=[b])
+        records = check_property("orthogonality", grid)
+        assert len(records) == 15
+        assert all(r.status is Status.PASS for r in records), [r.witness for r in records]
+        assert all(float(r.witness["tail_bound"]) > 0 for r in records)
