@@ -15,9 +15,11 @@ against its scaled copy p(x/q), after reflecting a negative zero set to
 positive.  ``in_lmesh_class`` reads those signs directly, and ``lmesh``
 reads its enclosure of max lambda_j/lambda_(j+1) off the interval pairs they
 separated, with no further refinement, so lmesh(p) = q is decided exactly
-through gcd(p(x), p(x/q)).  Decisions refine copies of the caller's root
-sets, never the root sets themselves.  No epsilon thresholds enter any
-decision.
+through gcd(p(x), p(x/q)).  Decisions narrow the caller's root sets in
+place: every halving keeps each entry's certificate, the ascending order
+and disjointness, so a later decision on the same set starts where the last
+one stopped.  Pass ``rs.copy()`` to keep the intervals as they were.  No
+epsilon thresholds enter any decision.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ def interlace(rs_p: RootSet, rs_r: RootSet) -> InterlacingReport:
     WeakInterlace when the chain holds with some tie, Dominates when the
     equal-degree zero-wise order holds but interlacing fails, None otherwise.
     Zero counts may be equal or r one lower; a gap of two or more is a shape
-    error.
+    error.  Both root sets are narrowed in place.
     """
     _require_certified(rs_p, "interlace")
     _require_certified(rs_r, "interlace")
@@ -140,15 +142,14 @@ def interlace(rs_p: RootSet, rs_r: RootSet) -> InterlacingReport:
     if m == n + 1:
         return InterlacingReport(Relation.NONE, None, None)
     pattern = DegreePattern.EQUAL_DEGREE if m == n else DegreePattern.DEGREE_MINUS_ONE
-    p, r = rs_p.copy(), rs_r.copy()
-    lam_p, lam_r = p.lambdas(), r.lambdas()
+    lam_p, lam_r = rs_p.lambdas(), rs_r.lambdas()
     # the alternating chain lam_p[0] <= lam_r[0] <= lam_p[1] <= lam_r[1] <= ...
     pairs = []
     for k in range(m):
         pairs.append((lam_p[k], lam_r[k]))
         if k + 1 < n:
             pairs.append((lam_r[k], lam_p[k + 1]))
-    coincide = _PairContext(p.poly, r.poly).coincide
+    coincide = _PairContext(rs_p.poly, rs_r.poly).coincide
     cmps = [_compare_roots(a, b, coincide) for a, b in pairs]
     if all(c < 0 for c in cmps):
         return InterlacingReport(Relation.STRICT_INTERLACE, pattern, None)
@@ -163,14 +164,14 @@ def interlace(rs_p: RootSet, rs_r: RootSet) -> InterlacingReport:
 
 
 def zerowise_compare(rs_p: RootSet, rs_r: RootSet) -> ZerowiseReport:
-    """Decide lambda_k(p) <= lambda_k(r) for all k (equal zero counts)."""
+    """Decide lambda_k(p) <= lambda_k(r) for all k (equal zero counts); both
+    root sets are narrowed in place."""
     _require_certified(rs_p, "zero-wise comparison")
     _require_certified(rs_r, "zero-wise comparison")
     if rs_p.total_count != rs_r.total_count:
         raise ShapeError("zero-wise order needs equal zero counts")
-    p, r = rs_p.copy(), rs_r.copy()
-    coincide = _PairContext(p.poly, r.poly).coincide
-    cmps = [_compare_roots(ea, eb, coincide) for ea, eb in zip(p.lambdas(), r.lambdas())]
+    coincide = _PairContext(rs_p.poly, rs_r.poly).coincide
+    cmps = [_compare_roots(ea, eb, coincide) for ea, eb in zip(rs_p.lambdas(), rs_r.lambdas())]
     witness = next((k for k, c in enumerate(cmps) if c > 0), None)
     return ZerowiseReport(witness is None, witness, any(c < 0 for c in cmps))
 
@@ -200,10 +201,11 @@ def _mesh_signs(rs: RootSet, q: Fraction) -> tuple[list[RootEntry], list[RootEnt
     """The zeros of p (reflected to positive), the zeros of p(x/q), and
     sign(lambda_j - q*lambda_(j+1)).
 
-    The zeros are refined copies of the caller's entries; a nonzero sign
-    leaves the intervals of lambda_j and q*lambda_(j+1) disjoint.
+    Positive zeros are the caller's entries, narrowed in place; negative
+    ones are reflected copies.  A nonzero sign leaves the intervals of
+    lambda_j and q*lambda_(j+1) disjoint.
     """
-    pos = rs.scaled(Fraction(-1)) if _one_signed(rs) < 0 else rs.copy()
+    pos = rs.scaled(Fraction(-1)) if _one_signed(rs) < 0 else rs
     lam = pos.lambdas()
     scaled = pos.scaled(q)
     lam_scaled = scaled.lambdas()
@@ -214,7 +216,9 @@ def _mesh_signs(rs: RootSet, q: Fraction) -> tuple[list[RootEntry], list[RootEnt
 def lmesh(rs: RootSet, q: QValue | RationalLike) -> LmeshResult:
     """Enclose lmesh(p) = max ratio of consecutive ordered zeros, decided vs q.
 
-    Negative zero sets are reflected first (lmesh of p(-x)).  Each ratio is
+    Negative zero sets are reflected first (lmesh of p(-x)); a positive one
+    is narrowed in place, so its enclosure may come out tighter on a set
+    that earlier decisions narrowed.  Each ratio is
     enclosed as q*lambda_j / (q*lambda_(j+1)), from the intervals of lambda_j
     and q*lambda_(j+1) that the sign decision left, which are disjoint
     whenever the sign is nonzero.  So the enclosure always resolves the

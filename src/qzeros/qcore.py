@@ -103,7 +103,7 @@ def _digits(n: int) -> str:
 def rat_str(x: Fraction | int) -> str:
     """Render a rational as "p" or "p/q", at any size; round-trips through
     :func:`rat` up to MAX_DIGITS digits per run."""
-    num = ("-" if x < 0 else "") + _digits(abs(x.numerator))
+    num = ("-" if x.numerator < 0 else "") + _digits(abs(x.numerator))
     return num if x.denominator == 1 else f"{num}/{_digits(x.denominator)}"
 
 

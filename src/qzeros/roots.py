@@ -195,8 +195,10 @@ class RootSet:
     Entries are sorted ascending with pairwise disjoint closed intervals,
     each containing exactly one distinct root.  ``total_count`` counts roots
     with multiplicity; ``certified_real_rooted`` is True exactly when that
-    count equals the degree.  The fields cannot be rebound; code that refines
-    entries works on :meth:`copy` or :meth:`scaled`.
+    count equals the degree.  The fields cannot be rebound, but the entries
+    narrow: the relation decisions refine them in place, and every halving
+    keeps each certificate, the order and disjointness.  :meth:`copy` keeps
+    a set's intervals apart from later refinement.
     """
 
     poly: PolyExact
@@ -205,7 +207,7 @@ class RootSet:
     certified_real_rooted: bool
 
     def copy(self) -> "RootSet":
-        """The same root set with every entry copied, free to refine."""
+        """The same root set with every entry copied, refined apart from this one."""
         return replace(self, roots=[e.copy() for e in self.roots])
 
     def scaled(self, c: Fraction) -> "RootSet":

@@ -170,24 +170,32 @@ def _params_dict(point: Mapping) -> dict:
     return {k: _fmt(v) for k, v in point.items()}
 
 
-# The isolations of the current run_checks call, keyed by the polynomial,
-# which hashes and compares as its integer vector and denominator.
-_ISOLATED: ContextVar[dict | None] = ContextVar("qzeros_isolated", default=None)
+# The work of the current run_checks call while its property checks run:
+# root sets, polynomial builds and orthogonality tables, each under a key of
+# what determines it.  A polynomial hashes and compares as its integer vector
+# and denominator.
+_RUN_MEMO: ContextVar[dict | None] = ContextVar("qzeros_run_memo", default=None)
+
+
+def _once(key: tuple, compute: Callable):
+    """``compute()``, kept under ``key`` in the run's memo while one is set."""
+    memo = _RUN_MEMO.get()
+    if memo is None:
+        return compute()
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute()
+    return value
 
 
 def _roots(p: PolyExact) -> RootSet:
     """Isolated to separation only; each decision refines what it needs.
 
-    Inside :func:`run_checks` each distinct polynomial is isolated once: the
-    root set is frozen, and decisions refine copies of its entries or none.
+    Inside :func:`run_checks` each distinct polynomial is isolated once, and
+    every decision narrows that one root set in place, so a later decision
+    on the polynomial starts from the intervals the last one left.
     """
-    memo = _ISOLATED.get()
-    if memo is None:
-        return isolate_real_roots(p, None)
-    rs = memo.get(p)
-    if rs is None:
-        rs = memo[p] = isolate_real_roots(p, None)
-    return rs
+    return _once(("roots", p), lambda: isolate_real_roots(p, None))
 
 
 def _root_region(
@@ -376,7 +384,7 @@ def _contiguous(q, n, b) -> None:
 
 def _jac(n: int, a: Fraction, b: Fraction, q: Fraction) -> PolyExact:
     try:
-        return little_q_jacobi(n, a, b, q)
+        return _once(("jac", n, a, b, q), lambda: little_q_jacobi(n, a, b, q))
     except (DegenerateParameterError, ConstraintViolationError) as exc:
         raise _Skip(str(exc))
 
@@ -438,7 +446,10 @@ def _identity_qderiv_jacobi(q, n, a, b):
 
 def _phi(n, upper, lower, q) -> PolyExact:
     try:
-        return build_qhyper(HyperSpec(n=n, upper=upper, lower=lower, q=q))
+        return _once(
+            ("phi", n, upper, lower, q),
+            lambda: build_qhyper(HyperSpec(n=n, upper=upper, lower=lower, q=q)),
+        )
     except ConstraintViolationError as exc:
         raise _Skip(str(exc))
 
@@ -828,61 +839,79 @@ def _prop_orthogonality(q, a, b, n, m, eps):
     return Status.FAIL, witness
 
 
-def _orthogonality_sum(n, m, a, b, q, tol):
-    """Exact partial sum of the discrete pairing plus a proven geometric tail bound."""
-    pn = little_q_jacobi(n, a, b, q)
-    pm = little_q_jacobi(m, a, b, q)
-    phat_n = PolyExact.from_ints(map(abs, pn.num), pn.den)
-    phat_m = PolyExact.from_ints(map(abs, pm.num), pm.den)
-    aq = a * q
-    # positive lower bound for (q;q)_inf and upper bound for sup_k |(bq;q)_k|,
-    # from a probe whose tail sum max(1, |b|) q^(probe+1)/(1-q) is at most 1/2
+def _mass_bound(q: Fraction, b: Fraction) -> Fraction:
+    """An upper bound for sup_k |(bq;q)_k| / (q;q)_inf.
+
+    Both factors are bounded from a probe whose tail sum
+    max(1, |b|) q^(probe+1)/(1-q) is at most 1/2.
+    """
     probe = 40
     while max(1, abs(b)) * q ** (probe + 1) / (1 - q) > Fraction(1, 2):
         probe *= 2
     lower_qq = qpoch_finite(q, q, probe) * (1 - q ** (probe + 1) / (1 - q))
     if b >= 0:
-        upper_bq = Fraction(1)
-    else:
-        tail_sum = abs(b) * q ** (probe + 1) / (1 - q)
-        upper_bq = abs(qpoch_finite(b * q, q, probe)) / (1 - tail_sum)
+        return 1 / lower_qq
+    tail_sum = abs(b) * q ** (probe + 1) / (1 - q)
+    return abs(qpoch_finite(b * q, q, probe)) / (1 - tail_sum) / lower_qq
+
+
+def _lattice_table(key: tuple, terms: int, entry: Callable) -> list:
+    """At least ``terms`` entries, entry k being ``entry(table, k)`` for the
+    entries before it; inside a run the list is kept under ``key`` and grown
+    as later calls need."""
+    table = _once(key, list)
+    while len(table) < terms:
+        table.append(entry(table, len(table)))
+    return table
+
+
+def _orthogonality_sum(n, m, a, b, q, tol):
+    """Exact partial sum of the discrete pairing plus a proven geometric tail bound."""
+    pn, pm = _jac(n, a, b, q), _jac(m, a, b, q)
+    phat_n = PolyExact.from_ints(map(abs, pn.num), pn.den)
+    phat_m = PolyExact.from_ints(map(abs, pm.num), pm.den)
+    aq = a * q
+    bound = _once(("mass_bound", q, b), lambda: _mass_bound(q, b))
+    # the tail is bound * lattice, and tail < tol exactly when lattice < tol / bound
+    limit = tol / bound
     cutoff = 8
     while True:
-        tail = (
-            (upper_bq / lower_qq)
-            * phat_n(q ** (cutoff + 1))
-            * phat_m(q ** (cutoff + 1))
-            * aq ** (cutoff + 1)
-            / (1 - aq)
-        )
-        if tail < tol:
+        lattice = phat_n(q ** (cutoff + 1)) * phat_m(q ** (cutoff + 1)) * aq ** (cutoff + 1) / (1 - aq)
+        if lattice < limit:
             break
         cutoff += 8
         if cutoff > 100_000:
             raise _Skip("tail bound did not contract")
+    tail = bound * lattice
     # With q = u/v, pn(q^k) and pm(q^k) come as integer pairs from homogeneous
     # Horner at u^k/v^k, and the mass (bq;q)_k/(q;q)_k (aq)^k telescopes from
-    # k to k+1 by the integer ratio (b_d v^(k+1) - b_n u^(k+1)) a_n u
-    # / (b_d (v^(k+1) - u^(k+1)) a_d v).  The term denominators are
+    # k-1 to k by the integer ratio (b_d v^k - b_n u^k) a_n u
+    # / (b_d (v^k - u^k) a_d v).  The term denominators are
     # mass_den * L_n v^(k deg pn) * L_m v^(k deg pm), each a multiple of the
     # one before, so the sum runs as one integer over the latest of them and
-    # is reduced once.
+    # is reduced once.  Masses and values are tables of the run, shared by
+    # every degree pair at (q, a, b).
+    terms = cutoff + 1
     u, v = q.numerator, q.denominator
     step_num, step_den = a.numerator * u, a.denominator * b.denominator * v
+
+    def mass(table, k):
+        if not k:
+            first = weight_mass(0, a, b, q)  # checks the regime
+            return first.numerator, first.denominator
+        (num, den), uk, vk = table[-1], u**k, v**k
+        return num * (b.denominator * vk - b.numerator * uk) * step_num, den * (vk - uk) * step_den
+
+    def values(p):
+        return _lattice_table(("values", p, q), terms, lambda _, k: p.value_parts(u**k, v**k))
+
+    masses, values_n, values_m = _lattice_table(("masses", q, a, b), terms, mass), values(pn), values(pm)
     acc, acc_den = 0, 1
-    upow = vpow = 1  # q^k = upow/vpow
-    mass = weight_mass(0, a, b, q)  # checks the regime
-    mass_num, mass_den = mass.numerator, mass.denominator
-    for _ in range(cutoff + 1):
-        hn, dn = pn.value_parts(upow, vpow)
-        hm, dm = pm.value_parts(upow, vpow)
+    for k in range(terms):
+        (mass_num, mass_den), (hn, dn), (hm, dm) = masses[k], values_n[k], values_m[k]
         den = mass_den * dn * dm
         acc = acc * (den // acc_den) + mass_num * hn * hm
         acc_den = den
-        upow *= u
-        vpow *= v
-        mass_num *= (b.denominator * vpow - b.numerator * upow) * step_num
-        mass_den *= (vpow - upow) * step_den
     return Fraction(acc, acc_den), tail, cutoff
 
 
@@ -1100,8 +1129,12 @@ def run_checks(grid: GridSpec) -> list[VerificationRecord]:
     """Run every check named by the grid, identities first point order, then
     properties, in the deterministic order the grid lists them.
 
-    Each distinct polynomial is isolated once per call (see :func:`_roots`);
-    the memo is dropped when the call returns or raises.
+    The property checks share one memo for the call: each distinct
+    polynomial is built and isolated once, every decision narrows that root
+    set in place (see :func:`_roots`), and the orthogonality bounds and
+    lattice tables are computed once.  Identity checks run without it, since
+    they isolate nothing and their builds would only hold memory.  The memo
+    is dropped when the call returns or raises.
 
     A grid that yields no record at all (no check ids, or value lists that
     leave every check without a point) raises :class:`ConfigError`: an
@@ -1111,13 +1144,16 @@ def run_checks(grid: GridSpec) -> list[VerificationRecord]:
     if unknown:
         raise RegistryError(f"unknown check(s) {', '.join(map(repr, unknown))}")
     records: list[VerificationRecord] = []
-    token = _ISOLATED.set({})
-    try:
-        for check_id in grid.check_ids:
-            run = run_identity_on_grid if check_id in IDENTITY_CHECKS else check_property
-            records.extend(run(check_id, grid))
-    finally:
-        _ISOLATED.reset(token)
+    memo: dict = {}
+    for check_id in grid.check_ids:
+        if check_id in IDENTITY_CHECKS:
+            records.extend(run_identity_on_grid(check_id, grid))
+            continue
+        token = _RUN_MEMO.set(memo)
+        try:
+            records.extend(check_property(check_id, grid))
+        finally:
+            _RUN_MEMO.reset(token)
     if not records:
         raise ConfigError(
             f"the grid yields no records (checkIds {list(grid.check_ids)}); "

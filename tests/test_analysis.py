@@ -298,32 +298,48 @@ def test_lmesh_refines_only_as_far_as_the_sign_decision(monkeypatch):
 
     q = F(1, 2)
     rs = isolate_real_roots(little_q_jacobi(3, F(1, 4), F(1, 2), q), F(1, 16))
+    fresh = rs.copy()
     monkeypatch.setattr(RootEntry, "bisect_once", counted)
     assert lmesh(rs, q).compare_to_q() == -1
     by_lmesh, calls[0] = calls[0], 0
-    assert in_lmesh_class(rs.copy(), q, strict=True)
+    assert in_lmesh_class(fresh, q, strict=True)
     assert by_lmesh == calls[0] > 0
 
 
-def test_decisions_leave_caller_root_sets_unchanged():
-    """Every relation decision refines copies; the caller's entries keep their state."""
+def test_decisions_narrow_caller_root_sets_in_place():
+    """Every relation decision narrows the caller's root sets in place and
+    leaves them valid: each interval inside its old one, each certificate
+    kept, order, counts, multiplicities and exact roots kept, and each
+    outcome the one the decision gives on a copy taken beforehand."""
     coarse = F(1, 4)
     p = isolate_real_roots(little_q_jacobi(3, F(1, 4), F(-1), Q), coarse)
     r = isolate_real_roots(little_q_jacobi(3, F(1, 2), F(1, 2), Q), coarse)
     s = isolate_real_roots(little_q_jacobi(2, Q * F(1, 4), Q * F(-1), Q), coarse)
     assert any(e.exact is None for e in p.roots)
-
-    def state():
-        return [[(e.lo, e.hi, e.exact) for e in rs.roots] for rs in (p, r, s)]
-
-    before = state()
-    interlace(p, s)
-    interlace(p, r)
-    zerowise_compare(p, r)
-    lmesh(p, Q)
-    in_lmesh_class(p, Q, strict=True)
-    in_lmesh_class(r, Q, strict=False)
-    assert state() == before
+    originals = [rs.copy() for rs in (p, r, s)]
+    decisions = [
+        (interlace, (p, s)),
+        (interlace, (p, r)),
+        (zerowise_compare, (p, r)),
+        (lambda rs: lmesh(rs, Q), (p,)),
+        (lambda rs: in_lmesh_class(rs, Q, strict=True), (p,)),
+        (lambda rs: in_lmesh_class(rs, Q, strict=False), (r,)),
+    ]
+    for decide, sets in decisions:
+        on_copies = decide(*(rs.copy() for rs in sets))
+        assert decide(*sets) == on_copies
+    for rs, old in zip((p, r, s), originals):
+        assert rs.total_count == old.total_count
+        assert [e.multiplicity for e in rs.roots] == [e.multiplicity for e in old.roots]
+        for e, o in zip(rs.roots, old.roots):
+            assert o.lo <= e.lo <= e.hi <= o.hi
+            assert o.exact is None or e.exact == o.exact
+            if e.exact is None:
+                assert e.factor.sign_at(e.lo) * e.factor.sign_at(e.hi) < 0
+            else:
+                assert e.lo == e.hi == e.exact and e.factor.sign_at(e.exact) == 0
+        assert all(e.hi < f.lo for e, f in zip(rs.roots, rs.roots[1:]))
+    assert any(e.width < o.width for e, o in zip(p.roots, originals[0].roots))
 
 
 def test_common_interlacer_upgrade_on_family_triple():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qzeros import InvalidParameterError, InvalidToleranceError, QValue, qpoch_finite, qpoch_infinite, rat, rat_str
-from qzeros.qcore import MAX_DIGITS, clip, neg_q_power
+from qzeros.qcore import MAX_DIGITS, _digits, clip, neg_q_power
 
 SMALL_RATIONALS = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 Q_VALUES = st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(9, 10)])
@@ -184,6 +184,21 @@ def test_rat_str_prints_past_the_int_to_str_limit():
     for x in (F(2**1700), F(2**1701 - 1, 10**511), F(-(10**512))):  # around the piece size
         assert rat(rat_str(x)) == x
     assert rat_str(7) == "7"
+
+
+def test_rat_str_sign_from_the_numerator_matches_the_comparison():
+    """rat_str reads the sign off the numerator; it prints what the Fraction
+    comparison x < 0 that it replaced printed."""
+
+    def by_comparison(x):
+        num = ("-" if x < 0 else "") + _digits(abs(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{_digits(x.denominator)}"
+
+    big = 10**5000 + 7  # 5001 digits
+    values = [0, 7, -7, 10**40, -(10**40), F(0), F(-0), F(5), F(-5), F(3, 7), F(-3, 7), F(-22, 9),
+              F(-1, 10**30), F(big, 3), F(-big, 3), F(-3, big), F(big), F(-big), big, -big]
+    for x in values:
+        assert rat_str(x) == by_comparison(x), x
 
 
 def test_exponent_form_is_exact_and_bounded():

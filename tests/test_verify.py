@@ -13,6 +13,7 @@ from qzeros import (
     PolyExact,
     isolate_real_roots,
     RegistryError,
+    RootSet,
     SELFTEST_ID,
     Status,
     build_qhyper,
@@ -243,8 +244,10 @@ def test_lattice_powers_shared_by_the_zeros(monkeypatch):
 def test_root_versus_point_work_and_shared_root_sets(monkeypatch):
     """Each ``compare_root_to_point`` call makes at most one ``sign_at`` call
     and no halving; the factor's sign at lo, which the halving frame keeps,
-    is taken at most once per entry.  The zero-location checks leave a shared
-    root set's intervals unchanged, so they need no copies of it."""
+    is taken at most once per entry.  The root-region and lattice checks
+    leave a shared root set's intervals unchanged; the lmesh class decision
+    narrows them in place, each inside its old interval, and decides as it
+    does on a copy."""
     from qzeros import RootEntry, compare_root_to_point, in_lmesh_class
 
     q = F(9, 10)
@@ -270,8 +273,11 @@ def test_root_versus_point_work_and_shared_root_sets(monkeypatch):
     shared = [(e.lo, e.hi, e.exact) for e in rs.roots]
     assert verify._root_region(rs, F(0), F(1)) == (True, None)
     assert verify._lattice_separated(rs, q) == (True, None)
-    assert in_lmesh_class(rs, q, strict=True)
     assert [(e.lo, e.hi, e.exact) for e in rs.roots] == shared
+    before = rs.copy()
+    assert in_lmesh_class(rs, q, strict=True) == in_lmesh_class(before.copy(), q, strict=True) is True
+    assert all(o.lo <= e.lo <= e.hi <= o.hi for e, o in zip(rs.roots, before.roots))
+    assert [(e.lo, e.hi) for e in rs.roots] != [(e.lo, e.hi) for e in before.roots]
 
 
 def test_lattice_cells_and_lattice_points_unchanged():
@@ -414,16 +420,16 @@ def test_isolation_memo_is_scoped_to_one_run(monkeypatch):
     real_isolate = verify.isolate_real_roots
 
     def recording(p, eps):
-        memo = verify._ISOLATED.get()
-        sizes.append(None if memo is None else len(memo))
+        memo = verify._RUN_MEMO.get()
+        sizes.append(None if memo is None else sum(isinstance(v, RootSet) for v in memo.values()))
         return real_isolate(p, eps)
 
     monkeypatch.setattr(verify, "isolate_real_roots", recording)
     grid = GridSpec(q_values=[Q], n_values=[2, 3], a_values=[F(1, 2)], b_values=[F(1, 2)],
                     check_ids=["thm2-lmesh", "thm2-i"])
-    assert verify._ISOLATED.get() is None
+    assert verify._RUN_MEMO.get() is None
     run_checks(grid)
-    assert verify._ISOLATED.get() is None
+    assert verify._RUN_MEMO.get() is None
     # thm2-lmesh isolates p_2 and p_3; thm2-i reuses them and adds two more
     assert sizes == [0, 1, 2, 3]
     run_checks(grid)
@@ -438,9 +444,63 @@ def test_isolation_memo_is_scoped_to_one_run(monkeypatch):
     with pytest.raises(RuntimeError):
         run_checks(bad)
     assert sizes[-1] == 0  # thm2-lmesh ran inside the memo before the raise
-    assert verify._ISOLATED.get() is None
+    assert verify._RUN_MEMO.get() is None
     verify._roots(little_q_jacobi(2, F(1, 2), F(1, 2), Q))  # outside a run: no memo
     assert sizes[-1] is None
+
+
+def test_identity_checks_run_without_the_memo(monkeypatch):
+    """Identity checks isolate nothing, so they build outside the run memo:
+    an identities-only run stores nothing in it, and identity checks between
+    property checks see none."""
+    seen = {}
+    stage = [None]
+    real_record = verify._record
+
+    def staged(check_id, check, point):
+        stage[0] = check_id
+        return real_record(check_id, check, point)
+
+    monkeypatch.setattr(verify, "_record", staged)
+    for name in ("little_q_jacobi", "build_qhyper"):
+        real = getattr(verify, name)
+
+        def recording(*args, real=real):
+            seen.setdefault(stage[0], set()).add(verify._RUN_MEMO.get() is not None)
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, recording)
+    run_checks(GridSpec(q_values=[Q], n_values=[2, 3], a_values=[F(1, 3)], b_values=[F(-1)],
+                        check_ids=identity_check_ids()))
+    assert len(seen) > 10 and all(memo_set == {False} for memo_set in seen.values())
+    seen.clear()
+    ids = ["thm2-lmesh", "contig-1", "recip-2", "thm2-i"]
+    run_checks(GridSpec(q_values=[Q], n_values=[2], a_values=[F(1, 3)], b_values=[F(-1)], check_ids=ids))
+    assert seen == {"thm2-lmesh": {True}, "contig-1": {False}, "recip-2": {False}, "thm2-i": {True}}
+
+
+def test_orthogonality_tables_computed_once_per_run(monkeypatch):
+    """On one (q, a, b) with its 15 degree pairs a run takes (q;q)_probe
+    once and builds each degree once, and gives the records that computing
+    everything afresh per pair gives."""
+    q = F(3, 4)
+    grid = GridSpec([q], [1], [F(1, 2)], [F(-1, 2)], check_ids=["orthogonality"])
+    fresh = [r.to_json() for r in check_property("orthogonality", grid)]
+    qq_probes, built = [], []
+    real_qpoch, real_build = verify.qpoch_finite, verify.little_q_jacobi
+
+    def qpoch(a, base, n):
+        if a == base == q:
+            qq_probes.append(n)
+        return real_qpoch(a, base, n)
+
+    monkeypatch.setattr(verify, "qpoch_finite", qpoch)
+    monkeypatch.setattr(verify, "little_q_jacobi", lambda *args: built.append(args[0]) or real_build(*args))
+    records = run_checks(grid)
+    assert len(records) == 15 and all(r.status is Status.PASS for r in records)
+    assert [r.to_json() for r in records] == fresh
+    assert len(qq_probes) == 1
+    assert sorted(built) == list(range(6))
 
 
 def test_thmA3_builds_and_isolates_only_its_pair(monkeypatch):
@@ -479,7 +539,7 @@ def test_unknown_check_id_rejected_before_any_check_runs(monkeypatch):
     with pytest.raises(RegistryError, match="no-such-check"):
         run_checks(grid)
     assert calls == []
-    assert verify._ISOLATED.get() is None
+    assert verify._RUN_MEMO.get() is None
 
 
 def test_selftest_is_a_registry_entry():
