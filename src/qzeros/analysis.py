@@ -15,11 +15,16 @@ against its scaled copy p(x/q), after reflecting a negative zero set to
 positive.  ``in_lmesh_class`` reads those signs directly, and ``lmesh``
 reads its enclosure of max lambda_j/lambda_(j+1) off the interval pairs they
 separated, with no further refinement, so lmesh(p) = q is decided exactly
-through gcd(p(x), p(x/q)).  Decisions narrow the caller's root sets in
+through gcd(p(x), p(x/q)).  The sign pass is kept on the root set per
+base, so a repeated ``lmesh`` or ``in_lmesh_class`` call on the same (set,
+base) scales nothing, tests no sign and builds no gcd; ``copy()`` and
+``scaled()`` start without it.  Decisions narrow the caller's root sets in
 place: every halving keeps each entry's certificate, the ascending order
 and disjointness, so a later decision on the same set starts where the last
-one stopped.  Pass ``rs.copy()`` to keep the intervals as they were.  No
-epsilon thresholds enter any decision.
+one stopped, and an ``lmesh`` call made after other decisions reads its
+enclosure off the kept pairs, which those decisions may have narrowed.
+Pass ``rs.copy()`` to keep the intervals as they were.  No epsilon
+thresholds enter any decision.
 """
 
 from __future__ import annotations
@@ -203,14 +208,20 @@ def _mesh_signs(rs: RootSet, q: Fraction) -> tuple[list[RootEntry], list[RootEnt
 
     Positive zeros are the caller's entries, narrowed in place; negative
     ones are reflected copies.  A nonzero sign leaves the intervals of
-    lambda_j and q*lambda_(j+1) disjoint.
+    lambda_j and q*lambda_(j+1) disjoint.  The pass is kept on rs per base
+    and a repeated base is a lookup: each sign is exact and final, and
+    later narrowing keeps every separated pair disjoint.
     """
-    pos = rs.scaled(Fraction(-1)) if _one_signed(rs) < 0 else rs
-    lam = pos.lambdas()
-    scaled = pos.scaled(q)
-    lam_scaled = scaled.lambdas()
-    coincide = _PairContext(pos.poly, scaled.poly).coincide
-    return lam, lam_scaled, [_compare_roots(lam[j], lam_scaled[j + 1], coincide) for j in range(len(lam) - 1)]
+    kept = rs._mesh.get(q)
+    if kept is None:
+        pos = rs.scaled(Fraction(-1)) if _one_signed(rs) < 0 else rs
+        lam = pos.lambdas()
+        scaled = pos.scaled(q)
+        lam_scaled = scaled.lambdas()
+        coincide = _PairContext(pos.poly, scaled.poly).coincide
+        cmps = [_compare_roots(lam[j], lam_scaled[j + 1], coincide) for j in range(len(lam) - 1)]
+        kept = rs._mesh[q] = lam, lam_scaled, cmps
+    return kept
 
 
 def lmesh(rs: RootSet, q: QValue | RationalLike) -> LmeshResult:

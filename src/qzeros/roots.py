@@ -26,7 +26,7 @@ descent on endpoint numerators and denominators; no gcd runs per step.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
@@ -199,12 +199,18 @@ class RootSet:
     narrow: the relation decisions refine them in place, and every halving
     keeps each certificate, the order and disjointness.  :meth:`copy` keeps
     a set's intervals apart from later refinement.
+
+    ``_mesh`` keeps the logarithmic-mesh sign pass of the analysis module
+    per base: the zeros (reflected to positive), the zeros of the scaled
+    copy and the exact signs, which no later narrowing can change.
+    :meth:`copy`, :meth:`scaled` and ``dataclasses.replace`` start without it.
     """
 
     poly: PolyExact
     roots: list[RootEntry]
     total_count: int
     certified_real_rooted: bool
+    _mesh: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def copy(self) -> "RootSet":
         """The same root set with every entry copied, refined apart from this one."""
@@ -213,14 +219,23 @@ class RootSet:
     def scaled(self, c: Fraction) -> "RootSet":
         """The root set of p(x/c), c != 0: each root maps to c*root.
 
-        Intervals and certificates follow the map; the order reverses when
-        c < 0.
+        Each entry stays in its integer frame: with c = s/t, its numerators
+        are multiplied by s (and swap when c < 0) and its denominator by t.
+        Each distinct factor is rescaled once.  Certificates follow the map;
+        the order reverses when c < 0.
         """
+        s, t = c.numerator, c.denominator
+        factors: dict[int, PolyExact] = {}
         entries = []
         for e in self.roots:
-            lo, hi = (c * e.lo, c * e.hi) if c > 0 else (c * e.hi, c * e.lo)
-            exact = None if e.exact is None else c * e.exact
-            entries.append(RootEntry(lo, hi, e.multiplicity, exact, e.factor.scale_arg(1 / c)))
+            f = e.copy()
+            f._lo, f._hi = (s * e._lo, s * e._hi) if s > 0 else (s * e._hi, s * e._lo)
+            f._d, f._horner = t * e._d, None
+            f.exact = None if e.exact is None else c * e.exact
+            if id(e.factor) not in factors:
+                factors[id(e.factor)] = e.factor.scale_arg(1 / c)
+            f.factor = factors[id(e.factor)]
+            entries.append(f)
         if c < 0:
             entries.reverse()
         return replace(self, poly=self.poly.scale_arg(1 / c), roots=entries)

@@ -1,5 +1,6 @@
 """Interlacing, zero-wise order, and logarithmic mesh decisions."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -12,8 +13,10 @@ from qzeros import (
     PolyExact,
     Relation,
     RootEntry,
+    RootSet,
     ShapeError,
     UndefinedLmeshError,
+    ZerowiseReport,
     dominates,
     in_lmesh_class,
     interlace,
@@ -272,12 +275,30 @@ def test_class_membership_consistent_with_lmesh(roots, sign, repeat):
 def test_lmesh_encloses_the_exact_mesh_on_coarse_root_sets(roots, sign, repeat, data):
     """On root sets isolated only to separation, the enclosure read off the
     separated sign pairs holds the exact max ratio and decides it against q,
-    q drawn from fixed values and from the ratios themselves."""
+    q drawn from fixed values and from the ratios themselves.  lmesh, both
+    class calls and a zero-wise comparison run on one set in a drawn order;
+    each mesh outcome is the one on a fresh copy, whatever ran before it."""
     zeros = sorted(roots + roots[:1] * repeat)
     ratios = [x / y for x, y in zip(zeros, zeros[1:])]
     true = max(ratios)
     q = data.draw(st.sampled_from([F(1, 4), Q, F(3, 4), F(9, 10), *(r for r in ratios if r < 1)]))
-    res = lmesh(isolate_real_roots(PolyExact.from_roots([sign * z for z in zeros]), None), q)
+    rs = isolate_real_roots(PolyExact.from_roots([sign * z for z in zeros]), None)
+    fresh = rs.copy()
+    decisions = {
+        "lmesh": lambda s: lmesh(s, q),
+        "strict": lambda s: in_lmesh_class(s, q, strict=True),
+        "closure": lambda s: in_lmesh_class(s, q, strict=False),
+    }
+    for name in data.draw(st.permutations([*decisions, "zerowise"])):
+        if name == "zerowise":
+            assert zerowise_compare(rs, rs.copy()) == ZerowiseReport(True, None, False)
+            continue
+        got, on_fresh = decisions[name](rs), decisions[name](fresh.copy())
+        if name == "lmesh":
+            res = got
+            assert (got.compare_to_q(), got.exact_equals_q) == (on_fresh.compare_to_q(), on_fresh.exact_equals_q)
+        else:
+            assert got == on_fresh
     assert res.value_lo <= true <= res.value_hi
     assert res.compare_to_q() == (true > q) - (true < q)
     assert res.exact_equals_q == (true == q)
@@ -285,25 +306,47 @@ def test_lmesh_encloses_the_exact_mesh_on_coarse_root_sets(roots, sign, repeat, 
 
 def test_lmesh_refines_only_as_far_as_the_sign_decision(monkeypatch):
     """lmesh bisects exactly as often as in_lmesh_class(strict=True) does on
-    a fresh copy: the enclosure takes no refinement of its own.  The input is
-    little_q_jacobi(3, 1/4, 1/2, 1/2) isolated to 1/16; an lmesh that
-    tightened its enclosure after the signs bisected 12 times there, against
-    the sign decision's 6."""
-    calls = [0]
-    bisect_once = RootEntry.bisect_once
+    a fresh copy: the enclosure takes no refinement of its own.  On
+    little_q_jacobi(3, 1/4, 1/2, 1/2) isolated to 1/16, an lmesh that
+    tightened its enclosure after the signs bisected 12 times, against the
+    sign decision's 6.  Later class and lmesh calls with the same base read
+    the kept sign pass: no scaled copy, no sign test against 0 and no gcd,
+    and lmesh's comparison; another base runs its own pass.  r(x) r(2x) has
+    lmesh exactly 1/2, proven by gcd.  Reflected, the zeros are negative and
+    the reflected copy is kept."""
+    calls = Counter()
 
-    def counted(self):
-        calls[0] += 1
-        bisect_once(self)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-    q = F(1, 2)
-    rs = isolate_real_roots(little_q_jacobi(3, F(1, 4), F(1, 2), q), F(1, 16))
-    fresh = rs.copy()
-    monkeypatch.setattr(RootEntry, "bisect_once", counted)
-    assert lmesh(rs, q).compare_to_q() == -1
-    by_lmesh, calls[0] = calls[0], 0
-    assert in_lmesh_class(fresh, q, strict=True)
-    assert by_lmesh == calls[0] > 0
+        return counted
+
+    monkeypatch.setattr(RootEntry, "bisect_once", counting("bisect", RootEntry.bisect_once))
+    monkeypatch.setattr(RootSet, "scaled", counting("scaled", RootSet.scaled))
+    monkeypatch.setattr(analysis, "compare_root_to_point", counting("point", analysis.compare_root_to_point))
+    monkeypatch.setattr(analysis, "poly_gcd", counting("gcd", analysis.poly_gcd))
+    twins = PolyExact((2, -4, 1)) * PolyExact((2, -8, 4))  # r(x) r(2x), r = x^2 - 4x + 2
+    for poly, mesh_cmp, bisects in [(little_q_jacobi(3, F(1, 4), F(1, 2), Q), -1, 6), (twins, 0, 0)]:
+        for sign in (1, -1):
+            rs = isolate_real_roots(poly.scale_arg(sign), F(1, 16))
+            fresh = rs.copy()
+            calls.clear()
+            res = lmesh(rs, Q)
+            assert res.compare_to_q() == mesh_cmp
+            assert calls["bisect"] == bisects and calls["gcd"] == 1  # built where a pair first overlaps
+            by_lmesh = +calls
+            calls.clear()
+            assert in_lmesh_class(fresh, Q, strict=True) == (mesh_cmp < 0)
+            assert by_lmesh == +calls
+            calls.clear()
+            assert in_lmesh_class(rs, Q, strict=True) == (mesh_cmp < 0)
+            assert in_lmesh_class(rs, Q, strict=False) == (mesh_cmp <= 0)
+            again = lmesh(rs, Q)
+            assert not +calls
+            assert again == res
+            assert lmesh(rs, Q / 2).compare_to_q() == 1 and calls["scaled"]  # another base: its own pass
 
 
 def test_decisions_narrow_caller_root_sets_in_place():

@@ -55,6 +55,19 @@ def test_root_set_copy_and_scaled():
         assert (e.lo, e.hi) == (-2 * orig.hi, -2 * orig.lo)
         assert e.factor.sign_at(e.lo) * e.factor.sign_at(e.hi) <= 0
         assert neg.poly.sign_at(e.lo) * neg.poly.sign_at(e.hi) <= 0
+    for c in (F(-3, 2), F(5, 3)):  # each entry's frame takes an unreduced denominator
+        out = rs.scaled(c)
+        assert out.poly == rs.poly.scale_arg(1 / c)
+        for e, orig in zip(out.roots, rs.roots if c > 0 else reversed(rs.roots)):
+            assert (e.lo, e.hi) == tuple(sorted((c * orig.lo, c * orig.hi)))
+            assert e.exact == (None if orig.exact is None else c * orig.exact)
+            assert e.multiplicity == orig.multiplicity
+            assert e.factor == orig.factor.scale_arg(1 / c)
+            if e.exact is None:
+                lo, hi = e.lo, e.hi
+                e.refine_below(F(1, 2**20))
+                assert lo <= e.lo < e.hi <= hi and e.width < F(1, 2**20)
+                assert e.factor.sign_at(e.lo) * e.factor.sign_at(e.hi) < 0
 
 
 def test_origin_root_with_multiplicity():
