@@ -284,24 +284,24 @@ def test_lmesh_encloses_the_exact_mesh_on_coarse_root_sets(roots, sign, repeat, 
     q = data.draw(st.sampled_from([F(1, 4), Q, F(3, 4), F(9, 10), *(r for r in ratios if r < 1)]))
     rs = isolate_real_roots(PolyExact.from_roots([sign * z for z in zeros]), None)
     fresh = rs.copy()
+
+    def mesh(s):
+        res = lmesh(s, q)
+        assert res.value_lo <= true <= res.value_hi
+        assert res.compare_to_q() == (true > q) - (true < q)
+        assert res.exact_equals_q == (true == q)
+        return res.compare_to_q(), res.exact_equals_q
+
     decisions = {
-        "lmesh": lambda s: lmesh(s, q),
+        "lmesh": mesh,
         "strict": lambda s: in_lmesh_class(s, q, strict=True),
         "closure": lambda s: in_lmesh_class(s, q, strict=False),
     }
     for name in data.draw(st.permutations([*decisions, "zerowise"])):
         if name == "zerowise":
             assert zerowise_compare(rs, rs.copy()) == ZerowiseReport(True, None, False)
-            continue
-        got, on_fresh = decisions[name](rs), decisions[name](fresh.copy())
-        if name == "lmesh":
-            res = got
-            assert (got.compare_to_q(), got.exact_equals_q) == (on_fresh.compare_to_q(), on_fresh.exact_equals_q)
         else:
-            assert got == on_fresh
-    assert res.value_lo <= true <= res.value_hi
-    assert res.compare_to_q() == (true > q) - (true < q)
-    assert res.exact_equals_q == (true == q)
+            assert decisions[name](rs) == decisions[name](fresh.copy())
 
 
 def test_lmesh_refines_only_as_far_as_the_sign_decision(monkeypatch):
