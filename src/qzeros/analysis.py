@@ -2,9 +2,11 @@
 
 All relation decisions are exact.  Two isolated roots are compared by the
 one root comparison of the roots module, which isolation also sorts by: it
-refines the certified intervals until they separate, and here it is given
-a coincidence test for roots that never separate, a sign change of the
-square-free part of the gcd of the two polynomials across the overlap.  A
+halves the wider of two overlapping certified intervals (both when equally
+wide) until they separate, and here it is given a coincidence test for
+roots that never separate, a sign change of the square-free part of the gcd
+of the two polynomials across the overlap.  The test runs once per
+comparison, at the first overlap; later overlaps lie inside that one.  A
 root is compared with a rational point, exact roots included, by at most
 one sign evaluation of its factor at the point, with no refinement.  Every
 decision runs until it is decided; no step budget applies.

@@ -7,8 +7,9 @@ bisection on its primitive integer coefficients, over (-2^k, 0) and
 endpoint is dyadic.  A split point that is a root is recorded as an exact
 rational root (the factor is deflated and isolation restarts), so no
 interval ends on a root.  The entries are then sorted by the exact root
-comparison that the analysis decisions use too; it bisects two overlapping
-intervals one halving at a time until they are disjoint.  With ``eps=None``
+comparison that the analysis decisions use too; while two intervals
+overlap it halves the wider one (both when equally wide), one halving at a
+time, until they are disjoint.  With ``eps=None``
 isolation stops there; callers that compare roots refine on demand.  With a
 rational eps every interval is further refined until its width drops below
 eps, as display output needs, by quadratic interval refinement with a
@@ -388,13 +389,17 @@ def _order(ea: RootEntry, eb: RootEntry) -> int:
 
 
 def _compare_roots(ea: RootEntry, eb: RootEntry, coincide=None) -> int:
-    """Exact sign of (root_a - root_b), refining both entries in place; a
+    """Exact sign of (root_a - root_b), refining the entries in place; a
     nonzero sign leaves the two intervals disjoint.
 
     ``coincide(ea, eb)`` tells whether overlapping intervals hold one shared
-    root; without it the roots must be distinct.  It ends: distinct roots
-    separate after finitely many halvings, and the gcd sign test proves a
-    shared root the first time the two intervals overlap.
+    root; without it the roots must be distinct.  It is asked once, at the
+    first overlap: both intervals only shrink, so every later overlap lies
+    inside the first one, where no shared root was found.  While the
+    intervals overlap, the wider one is halved, or both when their widths
+    are equal.  It ends: the larger width halves at least every two rounds,
+    so distinct roots separate, and the gcd sign test proves a shared root
+    at the first overlap.
     """
     while True:
         c = _order(ea, eb)
@@ -407,10 +412,16 @@ def _compare_roots(ea: RootEntry, eb: RootEntry, coincide=None) -> int:
             return c
         if ea.exact is not None:
             return -_compare_roots(eb, ea)
-        if coincide is not None and coincide(ea, eb):
-            return 0
-        ea.bisect_once()
-        eb.bisect_once()
+        if coincide is not None:
+            if coincide(ea, eb):
+                return 0
+            coincide = None
+        wa = (ea._hi - ea._lo) * (eb._d << eb._m)
+        wb = (eb._hi - eb._lo) * (ea._d << ea._m)
+        if wa >= wb:
+            ea.bisect_once()
+        if wb >= wa:
+            eb.bisect_once()
 
 
 def _separate(entries: list[RootEntry]) -> None:

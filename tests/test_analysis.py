@@ -31,7 +31,7 @@ from qzeros import (
     square_free_part,
     zerowise_compare,
 )
-from qzeros import analysis
+from qzeros import analysis, roots
 from sturm_reference import SturmChain
 
 Q = F(1, 2)
@@ -307,9 +307,9 @@ def test_lmesh_encloses_the_exact_mesh_on_coarse_root_sets(roots, sign, repeat, 
 def test_lmesh_refines_only_as_far_as_the_sign_decision(monkeypatch):
     """lmesh bisects exactly as often as in_lmesh_class(strict=True) does on
     a fresh copy: the enclosure takes no refinement of its own.  On
-    little_q_jacobi(3, 1/4, 1/2, 1/2) isolated to 1/16, an lmesh that
-    tightened its enclosure after the signs bisected 12 times, against the
-    sign decision's 6.  Later class and lmesh calls with the same base read
+    little_q_jacobi(3, 1/4, 1/2, 1/2) isolated to 1/16 the sign decision
+    halves 7 times; an lmesh that tightened its enclosure after the signs
+    would halve more.  Later class and lmesh calls with the same base read
     the kept sign pass: no scaled copy, no sign test against 0 and no gcd,
     and lmesh's comparison; another base runs its own pass.  r(x) r(2x) has
     lmesh exactly 1/2, proven by gcd.  Reflected, the zeros are negative and
@@ -328,7 +328,7 @@ def test_lmesh_refines_only_as_far_as_the_sign_decision(monkeypatch):
     monkeypatch.setattr(analysis, "compare_root_to_point", counting("point", analysis.compare_root_to_point))
     monkeypatch.setattr(analysis, "poly_gcd", counting("gcd", analysis.poly_gcd))
     twins = PolyExact((2, -4, 1)) * PolyExact((2, -8, 4))  # r(x) r(2x), r = x^2 - 4x + 2
-    for poly, mesh_cmp, bisects in [(little_q_jacobi(3, F(1, 4), F(1, 2), Q), -1, 6), (twins, 0, 0)]:
+    for poly, mesh_cmp, bisects in [(little_q_jacobi(3, F(1, 4), F(1, 2), Q), -1, 7), (twins, 0, 0)]:
         for sign in (1, -1):
             rs = isolate_real_roots(poly.scale_arg(sign), F(1, 16))
             fresh = rs.copy()
@@ -401,7 +401,9 @@ def test_common_interlacer_upgrade_on_family_triple():
 def test_coincidence_sign_test_matches_sturm_count(monkeypatch):
     """The gcd sign test of _PairContext against the Sturm count of the
     square-free gcd that it replaced, on every overlap met while the
-    thm2/thmA checks run, and on coincidences at irrational roots."""
+    thm2/thmA checks run, and on coincidences at irrational roots.  Each
+    comparison tests only its first overlap, so the grid runs every degree
+    up to 7 to meet more than 1000 of them."""
     outcomes = []
 
     class Checked(analysis._PairContext):
@@ -418,10 +420,122 @@ def test_coincidence_sign_test_matches_sturm_count(monkeypatch):
     for q in (F(1, 2), F(3, 4)):
         for check_id in ("thmA-1", "thmA-2", "thmA-3", "thm2-i", "thm2-ii", "thm2-iii", "thm2-lmesh"):
             b_values = [F(-2), F(-1)] if check_id == "thm2-iii" else [F(-1), F(1, 2)]
-            grid = GridSpec(q_values=[q], t_values=default_t_values(q), n_values=[1, 3, 5],
+            grid = GridSpec(q_values=[q], t_values=default_t_values(q), n_values=list(range(1, 8)),
                             a_values=[F(1, 2), F(1)], b_values=b_values)
             assert all(r.status.value == "Pass" for r in check_property(check_id, grid))
     shared = PolyExact((-2, 0, 1))
     interlace(isolate_real_roots(shared * PolyExact((-5, 1))), isolate_real_roots(shared * PolyExact((-6, 1))))
     lmesh(isolate_real_roots(PolyExact((2, -4, 1)) * PolyExact((F(1, 2), -2, 1))), Q)
     assert len(outcomes) > 1000 and any(outcomes)
+
+
+def _compare_roots_halving_both(ea, eb, coincide=None):
+    """The root comparison that wider-only halving replaced: while the two
+    intervals overlap it asks ``coincide`` on every round and halves both
+    entries."""
+    while True:
+        c = roots._order(ea, eb)
+        if c:
+            return c
+        if eb.exact is not None:
+            c = roots._root_vs_point(ea, eb.exact)
+            while c and not roots._order(ea, eb):
+                ea.bisect_once()
+            return c
+        if ea.exact is not None:
+            return -_compare_roots_halving_both(eb, ea)
+        if coincide is not None and coincide(ea, eb):
+            return 0
+        ea.bisect_once()
+        eb.bisect_once()
+
+
+class _AgainstHalvingBoth:
+    """Stands in for ``analysis._compare_roots``.  Each decision comparison
+    runs the reference on copies of its two entries, then the comparison
+    itself on the entries, and the two must give the same sign.  A nonzero
+    sign must leave the pair disjoint, and a 0 must come with the gcd
+    certificate: the square-free part g of gcd(pa, pb) changes sign or
+    vanishes across the overlap.  Counts the comparisons, the ties, the
+    coincidence tests of each comparison, and the ``roots._value``
+    evaluations of each loop."""
+
+    def __init__(self, monkeypatch):
+        self.ties = 0
+        self.tests_per_call = Counter()
+        self.values = Counter()
+        self._loop = None
+        self._gcds = {}
+        value = roots._value
+
+        def counted(*args):
+            self.values[self._loop] += 1
+            return value(*args)
+
+        monkeypatch.setattr(roots, "_value", counted)
+        monkeypatch.setattr(analysis, "_compare_roots", self)
+
+    def __call__(self, ea, eb, coincide):
+        self._loop = "reference"
+        want = _compare_roots_halving_both(ea.copy(), eb.copy(), coincide)
+        tests = 0
+
+        def counted_coincide(a, b):
+            nonlocal tests
+            tests += 1
+            return coincide(a, b)
+
+        self._loop = "change"
+        got = roots._compare_roots(ea, eb, counted_coincide)
+        self._loop = None
+        self.tests_per_call[tests] += 1
+        assert got == want, (ea.factor, eb.factor)
+        if got:
+            assert roots._order(ea, eb) == got
+        else:
+            self.ties += 1
+            ctx = coincide.__self__
+            if ctx not in self._gcds:
+                self._gcds[ctx] = square_free_part(poly_gcd(ctx._pa, ctx._pb))
+            g = self._gcds[ctx]
+            lo, hi = max(ea.lo, eb.lo), min(ea.hi, eb.hi)
+            assert g.degree >= 1 and lo <= hi and g.sign_at(lo) * g.sign_at(hi) <= 0
+        return got
+
+
+def _decide_coarse():
+    """Every decision of the decide-coarse benchmark on its 72 pinned draws."""
+    from test_pinned_report import workloads
+
+    workloads.decide_outcomes(workloads.decide_draws(workloads.DECIDE_DEFAULT_SEED))
+
+
+def test_root_comparison_matches_halving_both_on_acceptance_grids(monkeypatch):
+    """Every decision comparison gives the sign of the loop it replaced, on
+    the interlacing and zero-wise pairs of the thm2/thmA acceptance grid, on
+    the lmesh pairs (p against p(x/q)) of the thm2-lmesh acceptance grid,
+    and on the 72 seeded draws of the decide-coarse benchmark."""
+    check = _AgainstHalvingBoth(monkeypatch)
+    for q in (F(1, 2), F(3, 4)):
+        for check_id in ("thmA-1", "thmA-2", "thmA-3", "thm2-i", "thm2-ii", "thm2-iii"):
+            b_values = [F(-2), F(-1)] if check_id == "thm2-iii" else [F(-1), F(1, 2)]
+            grid = GridSpec(q_values=[q], t_values=default_t_values(q), n_values=[1, 3, 5],
+                            a_values=[F(1, 2), F(1)], b_values=b_values)
+            assert all(r.status.value == "Pass" for r in check_property(check_id, grid))
+    grid = GridSpec(q_values=[F(1, 4), F(1, 2), F(3, 4), F(9, 10)], n_values=list(range(1, 9)),
+                    a_values=[F(1, 4), F(1, 2), F(1)], b_values=[F(-2), F(-1, 2), F(0), F(1, 2), F(1)])
+    assert all(r.status.value == "Pass" for r in check_property("thm2-lmesh", grid))
+    on_grids = sum(check.tests_per_call.values())
+    _decide_coarse()
+    on_draws = sum(check.tests_per_call.values()) - on_grids
+    assert on_grids > 2000 and on_draws > 2000 and check.ties > 300, (on_grids, on_draws, check.ties)
+
+
+def test_root_comparison_tests_coincidence_once_and_halves_less(monkeypatch):
+    """On the decide-coarse draws, no comparison asks for more than one
+    coincidence test, and the comparisons evaluate the factors fewer times
+    than the loop that halved both entries every round."""
+    check = _AgainstHalvingBoth(monkeypatch)
+    _decide_coarse()
+    assert max(check.tests_per_call) == 1, check.tests_per_call
+    assert check.values["change"] < check.values["reference"], check.values
