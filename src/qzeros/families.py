@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import DegenerateParameterError, InvalidParameterError, RegimeError
 from .qcore import QValue, RationalLike, as_q, neg_q_power, qpoch_finite, rat, rat_str
-from .qhyper import HyperSpec, PolyExact, _telescoped, build_qhyper
+from .qhyper import PolyExact, _check_series, _gauss_row, _series, _telescoped
 
 
 class Family(enum.Enum):
@@ -114,8 +114,10 @@ def little_q_jacobi(
             f"a = q^-{m} is degenerate for the raw series; "
             "use normalized_little_q_jacobi(n, k, b, q) instead"
         )
-    spec = HyperSpec(n=n, upper=(av * bv * qv ** (n + 1),), lower=(av * qv,), q=qv)
-    return build_qhyper(spec, qv)
+    _check_series(n, qv, ((av, 1),))  # 2phi1(q^-n, a b q^(n+1); a q; q, q x)
+    a_n, a_d = av.numerator, av.denominator
+    upper = ((a_n * bv.numerator, a_d * bv.denominator, n + 1),)  # a b q^(n+1)
+    return _series(n, qv, upper, ((a_n, a_d, 1),), (1, 1, 1))
 
 
 def little_q_laguerre(n: int, a: RationalLike, q: QValue | RationalLike) -> PolyExact:
@@ -126,24 +128,25 @@ def little_q_laguerre(n: int, a: RationalLike, q: QValue | RationalLike) -> Poly
 def q_laguerre(n: int, b: RationalLike, q: QValue | RationalLike) -> PolyExact:
     """q-Laguerre polynomial L_n^(b)(x; q) = ((b;q)_n/(q;q)_n) 1phi1(q^-n; b; q, -q^n b x)."""
     bv, qv = rat(b), as_q(q)
-    spec = HyperSpec(n=n, upper=(), lower=(bv,), q=qv)
-    series = build_qhyper(spec, -(qv**n) * bv)
-    return qpoch_finite(bv, qv, n) / qpoch_finite(qv, qv, n) * series
+    _check_series(n, qv, ((bv, 0),))
+    b_n, b_d = bv.numerator, bv.denominator
+    pre = qpoch_finite(bv, qv, n) / qpoch_finite(qv, qv, n)
+    return _series(n, qv, (), ((b_n, b_d, 0),), (-b_n, b_d, n), (pre.numerator, pre.denominator))
 
 
 def stieltjes_wigert(n: int, q: QValue | RationalLike) -> PolyExact:
     """Stieltjes-Wigert polynomial (1/(q;q)_n) 1phi1(q^-n; 0; q, -q^(n+1) x)."""
     qv = as_q(q)
-    spec = HyperSpec(n=n, upper=(), lower=(Fraction(0),), q=qv)
-    series = build_qhyper(spec, -(qv ** (n + 1)))
-    return Fraction(1) / qpoch_finite(qv, qv, n) * series
+    _check_series(n, qv, ())
+    pre = qpoch_finite(qv, qv, n)  # the series is divided by (q;q)_n
+    return _series(n, qv, (), ((0, 1, 0),), (-1, 1, n + 1), (pre.denominator, pre.numerator))
 
 
 def q_bessel(n: int, b: RationalLike, q: QValue | RationalLike) -> PolyExact:
     """q-Bessel polynomial 2phi1(q^-n, b q^n; 0; q, x), exact."""
     bv, qv = rat(b), as_q(q)
-    spec = HyperSpec(n=n, upper=(bv * qv**n,), lower=(Fraction(0),), q=qv)
-    return build_qhyper(spec)
+    _check_series(n, qv, ())
+    return _series(n, qv, ((bv.numerator, bv.denominator, n),), ((0, 1, 0),), (1, 1, 0))
 
 
 def normalized_little_q_jacobi(
@@ -159,40 +162,41 @@ def normalized_little_q_jacobi(
     c * (qx)^k * p_(n-k)(x; q^k, b) with
     c = (-1)^k q^(C(k,2) - n*k) (b q^(n-k+1);q)_k (q^(k+1);q)_(n-k).
 
-    From j = k on the coefficients telescope by the ratio
+    Coefficient j is G_j times a rest, where G_j is the homogeneous
+    Gaussian binomial of :func:`qhyper._gauss_row` and
+    (q^-n;q)_j/(q;q)_j = (-1)^j q^(C(j,2) - n*j) v^(-j(n-j)) G_j with
+    q = u/v.  From j = k on the rests telescope by the ratio
 
-        q (1 - q^(j-n)) (1 - b q^(n-k+1+j)) / ((1 - q^(j+1)) (1 - q^(j-k+1))),
+        -u^(j+1-n) v^j (1 - b q^(n-k+1+j)) / (1 - q^(j-k+1)),
 
-    which with q = u/v and b = b_n/b_d is the integer ratio
-    (u^(n-j) - v^(n-j)) (b_d v^e - b_n u^e)
-    / (u^(n-j-1) v^(n-j) b_d (v^(j+1) - u^(j+1)) (v^(j-k+1) - u^(j-k+1)))
+    which with b = b_n/b_d is the integer ratio
+    -(b_d v^e - b_n u^e) / (u^(n-j-1) v^(n-j) b_d (v^(j-k+1) - u^(j-k+1)))
     with e = n-k+1+j.
     """
     bv, qv = rat(b), as_q(q)
     if not 1 <= k <= n:
         raise InvalidParameterError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    first = (  # coefficient k, where (q^(j-k+1);q)_(n-j) is (q;q)_(n-k)
-        qpoch_finite(qv ** (-n), qv, k)
-        / qpoch_finite(qv, qv, k)
+    u, v = qv.numerator, qv.denominator
+    upow = [u**i for i in range(2 * n - k + 1)]
+    vpow = [v**i for i in range(2 * n - k + 1)]
+    binom = _gauss_row(n, upow, vpow)
+    first = (  # coefficient k over G_k, where (q^(j-k+1);q)_(n-j) is (q;q)_(n-k)
+        Fraction((-1) ** k, v ** (k * (n - k)))
+        * qv ** (k * (k + 1) // 2 - n * k)
         * qpoch_finite(bv * qv ** (n - k + 1), qv, k)
         * qpoch_finite(qv, qv, n - k)
-        * qv**k
     )
-    u, v = qv.numerator, qv.denominator
     b_num, b_den = bv.numerator, bv.denominator
-    num = first.numerator  # coefficient j is num / (steps[0] ... steps[j]), unreduced
-    nums = [0] * k + [num]
+    rest = first.numerator  # coefficient j is G_j rest / (steps[0] ... steps[j]), unreduced
+    nums = [0] * k + [binom[k] * rest]
     steps = [1] * k + [first.denominator]
     for j in range(k, n):
         e = n - k + 1 + j
-        num *= (u ** (n - j) - v ** (n - j)) * (b_den * v**e - b_num * u**e)
-        if not num:
+        rest *= b_num * upow[e] - b_den * vpow[e]
+        if not rest:
             break
-        nums.append(num)
-        steps.append(
-            u ** (n - j - 1) * v ** (n - j) * b_den
-            * (v ** (j + 1) - u ** (j + 1)) * (v ** (j - k + 1) - u ** (j - k + 1))
-        )
+        nums.append(binom[j + 1] * rest)
+        steps.append(upow[n - j - 1] * vpow[n - j] * b_den * (vpow[j - k + 1] - upow[j - k + 1]))
     return _telescoped(nums, steps)
 
 

@@ -14,11 +14,17 @@ denominator, in canonical form; every ring operation runs on integers and
 reduces once per result, and ``coeffs`` is a ``Fraction`` view built on
 first use.
 
-Series construction runs on integers: with q = u/v, every factor of the
-term ratio c_(k+1)/c_k is a ratio of integers, so coefficient k is a running
-integer numerator over a running integer denominator.  Each denominator
-divides the last one, so the polynomial is the numerators scaled to the last
-denominator and reduced once, with no ``Fraction`` per coefficient.
+Series construction runs on integers, in one kernel that ``build_qhyper``
+and the family constructors share.  With q = u/v, the factor
+(q^-n;q)_k/(q;q)_k of coefficient k is, up to a power of q, the Gaussian
+binomial written homogeneously in u and v: an integer, and the row of them
+comes from exact divisions.  Parameters and the argument scale are taken
+as c q^m, every other factor of the term ratio is a ratio of small
+integers, and each power of u and v enters only as its net power per step,
+so each coefficient is a binomial times a running integer numerator over a
+running product of small step denominators.  The polynomial is the
+numerators scaled to the last denominator and reduced once, with no
+``Fraction`` per coefficient.
 
 ``poly_gcd`` first tries to prove its inputs coprime by Euclid modulo the
 prime 2^61 - 1, which settles the common square-free and disjoint-zero cases
@@ -435,12 +441,39 @@ class HyperSpec:
         object.__setattr__(self, "q", as_q(self.q))
         object.__setattr__(self, "upper", tuple(rat(a) for a in self.upper))
         object.__setattr__(self, "lower", tuple(rat(b) for b in self.lower))
-        if self.n < 0:
-            raise ValueError(f"truncation order must be >= 0, got {self.n}")
-        for j, b in enumerate(self.lower):
-            m = neg_q_power(b, self.q)  # b in {q^0, q^-1, ..., q^-n} is forbidden for n >= 1
-            if self.n >= 1 and m is not None and m <= self.n:
-                raise ConstraintViolationError(j, b, self.n)
+        _check_series(self.n, self.q, [(b, 0) for b in self.lower])
+
+
+def _check_series(n: int, q: Fraction, lower: Sequence[tuple[Fraction, int]]) -> None:
+    """Validate a series of order n with lower parameters c q^k, k >= 0.
+
+    n < 0 is a ValueError.  For n >= 1 a lower parameter in {q^0, q^-1, ...,
+    q^-n} raises :class:`ConstraintViolationError` naming its index and value:
+    c q^k = q^-m exactly when c = q^-(m+k).
+    """
+    if n < 0:
+        raise ValueError(f"truncation order must be >= 0, got {n}")
+    if n == 0:
+        return
+    for j, (c, k) in enumerate(lower):
+        m = neg_q_power(c, q)
+        if m is not None and k <= m <= n + k:
+            raise ConstraintViolationError(j, c * q**k, n)
+
+
+def _gauss_row(n: int, upow: Sequence[int], vpow: Sequence[int]) -> list[int]:
+    """[G_0, ..., G_n] with G_j = v^(j(n-j)) [n choose j]_q, the Gaussian
+    binomials written homogeneously in q = u/v; upow and vpow hold u^i and
+    v^i for i <= n.
+
+    Each G_j is an integer and G_(j+1) = G_j (v^(n-j) - u^(n-j)) /
+    (v^(j+1) - u^(j+1)) is an exact division; G_j = G_(n-j), so half the
+    row is computed and mirrored.
+    """
+    row = [1] * (n + 1)
+    for j in range(n // 2):
+        row[j + 1] = row[n - j - 1] = row[j] * (vpow[n - j] - upow[n - j]) // (vpow[j + 1] - upow[j + 1])
+    return row
 
 
 def build_qhyper(spec: HyperSpec, scale: RationalLike = 1) -> PolyExact:
@@ -450,48 +483,118 @@ def build_qhyper(spec: HyperSpec, scale: RationalLike = 1) -> PolyExact:
     ``build_qhyper(spec, z)`` equals ``build_qhyper(spec).scale_arg(z)``.
     The degree equals spec.n unless an upper parameter of the form q^-m with
     m < n (or scale = 0) annihilates the top terms, in which case trailing
-    zero coefficients are stripped.
-
-    With q = u/v, a = a_n/a_d, b = b_n/b_d and scale = z_n/z_d, the ratio
-    c_(j+1)/c_j is the product of (u^(n-j) - v^(n-j))/u^(n-j),
-    (a_d v^j - a_n u^j)/(a_d v^j) per upper parameter,
-    v^(j+1)/(v^(j+1) - u^(j+1)), b_d v^j/(b_d v^j - b_n u^j) per lower
-    parameter, (-1)^d q^(d j) and z_n/z_d, where d = s - r.  The v^j of the
-    parameter factors cancel against q^(d j), and u^(d j) meets the
-    u^(n-j) of the first factor as u^((d+1) j - n).
+    zero coefficients are stripped.  The expansion is :func:`_series`, with
+    every parameter and the scale given at offset 0.
     """
-    n, q, z = spec.n, spec.q, rat(scale)
-    d = len(spec.lower) - len(spec.upper)  # s - r
+    z = rat(scale)
+    return _series(
+        spec.n,
+        spec.q,
+        [(a.numerator, a.denominator, 0) for a in spec.upper],
+        [(b.numerator, b.denominator, 0) for b in spec.lower],
+        (z.numerator, z.denominator, 0),
+    )
+
+
+# A series parameter (c_n, c_d, k) is the value (c_n / c_d) q^k, with c_d > 0
+# and k >= 0.
+_Param = tuple[int, int, int]
+
+
+def _series(
+    n: int,
+    q: Fraction,
+    upper: Sequence[_Param],
+    lower: Sequence[_Param],
+    scale: _Param,
+    pre: tuple[int, int] = (1, 1),
+) -> PolyExact:
+    """pre[0]/pre[1] times the series with top q^-n, the given upper and
+    lower parameters and argument scale, on integers.
+
+    The caller validates with :func:`_check_series`.  With q = u/v the
+    coefficient of x^j is
+
+        pre (-1)^((d+1) j) G_j prod (a;q)_j / prod (b;q)_j
+            * q^((d+1) C(j,2) - n j) v^(-j(n-j)) scale^j,
+
+    d = s - r, where G_j is the homogeneous Gaussian binomial of
+    :func:`_gauss_row`, since (q^-n;q)_j/(q;q)_j = (-1)^j q^(C(j,2) - n j)
+    [n choose j]_q.  A parameter (c_n, c_d, k) contributes
+    (c_d v^(k+i) - c_n u^(k+i)) / (c_d v^(k+i)) to its q-Pochhammer symbol;
+    a zero parameter contributes nothing.  Step j -> j+1 multiplies a
+    running numerator by the sign, the upper factors and the c_d of the
+    lower parameters and of the scale, and puts the lower factors and the
+    other c_d into the step's denominator.  Every power of u and v enters
+    only as its net power for the step, on whichever side it is positive:
+    u^((d+1) j - n + k_z) and v^(w j + e_v), with w = 1 - d - r' + s' and
+    e_v = 1 - k_z - (sum of upper k) + (sum of lower k) over the r' upper
+    and s' lower nonzero parameters, and k_z the scale's offset.
+    Coefficient j is G_j times the running numerator over the product of
+    the step denominators; the one reduction is in :func:`_telescoped`.
+    """
     u, v = q.numerator, q.denominator
+    d = len(lower) - len(upper)
+    step_num, step_den, z_k = scale
+    if not d % 2:
+        step_num = -step_num  # (-1)^(d+1) z_n
+    e_u, e_v, w = z_k - n, 1 - z_k, 1 - d  # step j brings u^e_u v^e_v
+    # (c_d v^k, c_n u^k) per nonzero parameter: its factor at step j is
+    # c_d v^(k+j) - c_n u^(k+j)
+    tops, bottoms = [], []
+    for c_num, c_den, k in upper:
+        if c_num:
+            c_num, c_den, k = _offset(c_num, c_den, k, u, v)
+            tops.append((c_den * v**k, c_num * u**k))
+            step_den *= c_den
+            e_v, w = e_v - k, w - 1
+    for c_num, c_den, k in lower:
+        if c_num:
+            c_num, c_den, k = _offset(c_num, c_den, k, u, v)
+            bottoms.append((c_den * v**k, c_num * u**k))
+            step_num *= c_den
+            e_v, w = e_v + k, w + 1
+    g = gcd(step_num, step_den)
+    step_num //= g
+    step_den //= g
     upow = [u**i for i in range(n + 1)]
-    vpow = [v**i for i in range(n + 2)]
-    upper = [(a.numerator, a.denominator) for a in spec.upper]
-    lower = [(b.numerator, b.denominator) for b in spec.lower]
-    step_num = -z.numerator if d % 2 else z.numerator  # (-1)^d z_n
-    step_den = z.denominator
-    for _, a_den in upper:
-        step_den *= a_den
-    for _, b_den in lower:
-        step_num *= b_den
-    num = 1  # c_j = num / (steps[0] ... steps[j]), unreduced
-    nums, steps = [num], [1]
+    vpow = [v**i for i in range(n + 1)]
+    binom = _gauss_row(n, upow, vpow)
+    rest = pre[0]
+    nums, steps = [rest], [pre[1]]
     for j in range(n):
-        num *= step_num * (upow[n - j] - vpow[n - j]) * vpow[j + 1]
-        step = step_den * (vpow[j + 1] - upow[j + 1])
-        for a_num, a_den in upper:
-            num *= a_den * vpow[j] - a_num * upow[j]
-        for b_num, b_den in lower:
-            step *= b_den * vpow[j] - b_num * upow[j]
-        e = (d + 1) * j - n
-        if e >= 0:
-            num *= u**e
+        mul, step = step_num, step_den  # the step's small factors
+        for c_v, c_u in tops:
+            mul *= c_v * vpow[j] - c_u * upow[j]
+        for c_v, c_u in bottoms:
+            step *= c_v * vpow[j] - c_u * upow[j]
+        if e_u >= 0:
+            mul *= u**e_u
         else:
-            step *= u**-e
-        if not num:
+            step *= u**-e_u
+        if e_v >= 0:
+            mul *= v**e_v
+        else:
+            step *= v**-e_v
+        e_u += d + 1
+        e_v += w
+        rest *= mul
+        if not rest:
             break
-        nums.append(num)
+        nums.append(binom[j + 1] * rest)
         steps.append(step)
     return _telescoped(nums, steps)
+
+
+def _offset(c_num: int, c_den: int, k: int, u: int, v: int) -> _Param:
+    """The parameter (c_num, c_den, k), c_num != 0, with every whole power
+    of q = u/v moved from its value into its offset (keeping k >= 0), so no
+    parameter factor carries a spurious power of u or v."""
+    while c_num % u == 0 and c_den % v == 0:
+        c_num, c_den, k = c_num // u, c_den // v, k + 1
+    while k and c_num % v == 0 and c_den % u == 0:
+        c_num, c_den, k = c_num // v, c_den // u, k - 1
+    return c_num, c_den, k
 
 
 def _telescoped(nums: list[int], steps: list[int]) -> PolyExact:

@@ -566,6 +566,7 @@ def _limit_record(devs: list[Fraction], eps: Fraction) -> tuple[Status, dict]:
 
 
 def _identity_bessel_limit(q, n, b, eps=_GRID_EPS):
+    _need(n >= 1, "needs n >= 1")  # at n = 0 every deviation is 0, none decreasing
     target = q_bessel(n, b, q).scale_arg(q)
     pairs = []
     for m in _LIMIT_EXPONENTS:
@@ -575,6 +576,7 @@ def _identity_bessel_limit(q, n, b, eps=_GRID_EPS):
 
 
 def _identity_sw_limit(q, n, eps=_GRID_EPS):
+    _need(n >= 1, "needs n >= 1")
     target = stieltjes_wigert(n, q)
     pairs = []
     for m in _LIMIT_EXPONENTS:

@@ -5,8 +5,10 @@ layers that build polynomials on its integer form: every coefficient is a
 reduced ``Fraction`` and every ring operation reduces per coefficient.  The
 builders below are the matching ``Fraction`` versions of
 ``qhyper.build_qhyper``, ``qcalc.q_derivative``, ``families.e_factor``,
-``families.normalized_little_q_jacobi`` and ``verify._deviation_profile``;
-they return reference polynomials.
+``families.normalized_little_q_jacobi`` and ``verify._deviation_profile``,
+and the series families (``little_q_jacobi``, ``q_laguerre``,
+``stieltjes_wigert``, ``q_bessel``) built on that ``build_qhyper`` through a
+``HyperSpec``; they return reference polynomials.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from qzeros.qcore import RationalLike, as_q, qpoch_finite, rat
+from qzeros.errors import DegenerateParameterError
+from qzeros.qcore import RationalLike, as_q, neg_q_power, qpoch_finite, rat
+from qzeros.qhyper import HyperSpec
 
 
 class PolyExact:
@@ -288,6 +292,39 @@ def build_qhyper(spec, scale: RationalLike = 1) -> PolyExact:
             break
         out.append(Fraction(num, den))
     return PolyExact(out)
+
+
+def little_q_jacobi(n: int, a, b, q) -> PolyExact:
+    """2phi1(q^-n, a b q^(n+1); a q; q, q x), with the degenerate a = q^-m refused."""
+    av, bv, qv = rat(a), rat(b), as_q(q)
+    m = neg_q_power(av, qv)
+    if m is not None and 1 <= m <= n:
+        raise DegenerateParameterError(
+            f"a = q^-{m} is degenerate for the raw series; "
+            "use normalized_little_q_jacobi(n, k, b, q) instead"
+        )
+    spec = HyperSpec(n=n, upper=(av * bv * qv ** (n + 1),), lower=(av * qv,), q=qv)
+    return build_qhyper(spec, qv)
+
+
+def q_laguerre(n: int, b, q) -> PolyExact:
+    """((b;q)_n/(q;q)_n) 1phi1(q^-n; b; q, -q^n b x)."""
+    bv, qv = rat(b), as_q(q)
+    series = build_qhyper(HyperSpec(n=n, upper=(), lower=(bv,), q=qv), -(qv**n) * bv)
+    return qpoch_finite(bv, qv, n) / qpoch_finite(qv, qv, n) * series
+
+
+def stieltjes_wigert(n: int, q) -> PolyExact:
+    """(1/(q;q)_n) 1phi1(q^-n; 0; q, -q^(n+1) x)."""
+    qv = as_q(q)
+    series = build_qhyper(HyperSpec(n=n, upper=(), lower=(Fraction(0),), q=qv), -(qv ** (n + 1)))
+    return Fraction(1) / qpoch_finite(qv, qv, n) * series
+
+
+def q_bessel(n: int, b, q) -> PolyExact:
+    """2phi1(q^-n, b q^n; 0; q, x)."""
+    bv, qv = rat(b), as_q(q)
+    return build_qhyper(HyperSpec(n=n, upper=(bv * qv**n,), lower=(Fraction(0),), q=qv))
 
 
 def q_derivative(p, q) -> PolyExact:

@@ -5,13 +5,17 @@ from fractions import Fraction as F
 import pytest
 
 from qzeros import (
+    ConstraintViolationError,
     DegenerateParameterError,
     Family,
     FamilyParams,
+    HyperSpec,
     InvalidParameterError,
     PolyExact,
     RegimeError,
+    Status,
     build,
+    check_identity,
     e_factor,
     little_q_jacobi,
     little_q_laguerre,
@@ -19,6 +23,7 @@ from qzeros import (
     normalized_little_q_jacobi,
     q_bessel,
     q_laguerre,
+    rat_str,
     stieltjes_wigert,
     weight_mass,
 )
@@ -44,12 +49,68 @@ def test_degenerate_a_points_to_normalized_variant():
         little_q_jacobi(3, F(4), F(1, 2), Q)  # a = q^-2, within 1..n
     assert "normalized_little_q_jacobi" in str(info.value)
     # a = q^-(n+1) instead trips the lower-parameter constraint (aq = q^-n)
-    from qzeros import ConstraintViolationError
-
     with pytest.raises(ConstraintViolationError):
         little_q_jacobi(1, F(4), F(1, 2), Q)
     # a = q^-m with m > n+1 is constructible
     little_q_jacobi(1, F(8), F(1, 2), Q)
+
+
+def _forbidden(value: str, n: int) -> str:
+    return (
+        f"lower parameter b[0] = {value} makes the series denominator vanish "
+        f"or lies in the forbidden set {{q^-1, ..., q^-{n}}}"
+    )
+
+
+def test_lower_parameter_messages_are_pinned():
+    """The family constructors and the ``_phi`` path share one
+    lower-parameter check; its texts are report bytes (the Skip reasons of
+    recip-2 and recip-3), so they are pinned here, literally at a few
+    points and by pattern on q in {1/2, 3/4, 9/10}, n = 1..6."""
+    assert _forbidden("1000/729", 3) == (
+        "lower parameter b[0] = 1000/729 makes the series denominator vanish "
+        "or lies in the forbidden set {q^-1, ..., q^-3}"
+    )
+    with pytest.raises(ConstraintViolationError) as info:
+        little_q_jacobi(3, F(10000, 6561), F(1, 3), F(9, 10))  # a = q^-4, so aq = q^-3
+    assert str(info.value) == _forbidden("1000/729", 3)
+    rec = check_identity("recip-2", {"q": Q, "n": 1, "a": F(1, 2), "b": F(-2)})
+    assert rec.status is Status.SKIPPED
+    assert rec.witness == {"reason": _forbidden("2", 1)}
+    for q in (F(1, 2), F(3, 4), F(9, 10)):
+        for n in range(1, 7):
+            for m in range(1, n + 1):
+                with pytest.raises(DegenerateParameterError) as info:
+                    little_q_jacobi(n, q**-m, F(1, 3), q)
+                assert str(info.value) == (
+                    f"a = q^-{m} is degenerate for the raw series; "
+                    "use normalized_little_q_jacobi(n, k, b, q) instead"
+                )
+            with pytest.raises(ConstraintViolationError) as info:
+                little_q_jacobi(n, q ** -(n + 1), F(-1), q)
+            assert str(info.value) == _forbidden(rat_str(q**-n), n)
+            for m in range(n + 1):
+                b = q**-m
+                with pytest.raises(ConstraintViolationError) as info:
+                    q_laguerre(n, b, q)
+                assert str(info.value) == _forbidden(rat_str(b), n)
+                with pytest.raises(ConstraintViolationError) as info:
+                    HyperSpec(n=n, upper=(F(1, 3),), lower=(b,), q=q)
+                assert str(info.value) == _forbidden(rat_str(b), n)
+                rec = check_identity("qderiv-hyper", {"q": q, "n": n, "a": F(1, 3), "b": b})
+                assert rec.witness == {"reason": _forbidden(rat_str(b), n)}
+            # q^-(n+1) is allowed, and so is any lower parameter at n = 0
+            q_laguerre(n, q ** -(n + 1), q)
+        q_laguerre(0, F(1), q)
+    for build in (
+        lambda: little_q_jacobi(-1, F(1, 3), F(1, 3), Q),
+        lambda: q_laguerre(-1, F(1, 3), Q),
+        lambda: stieltjes_wigert(-1, Q),
+        lambda: q_bessel(-1, F(-1), Q),
+        lambda: HyperSpec(n=-1, upper=(), lower=(), q=Q),
+    ):
+        with pytest.raises(ValueError, match=r"^truncation order must be >= 0, got -1$"):
+            build()
 
 
 def test_b_at_negative_q_power_factors_through_elementary_part():

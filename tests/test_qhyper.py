@@ -1,16 +1,21 @@
 """Polynomial algebra and the generic terminating series builder."""
 
+import functools
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polyexact_reference as ref
 from qzeros import (
     ConstraintViolationError,
+    DegenerateParameterError,
     GridSpec,
     HyperSpec,
     PolyExact,
     build_qhyper,
+    little_q_jacobi,
     poly_gcd,
     qpoch_finite,
     qpoch_vector,
@@ -18,7 +23,7 @@ from qzeros import (
     square_free_decomposition,
     square_free_part,
 )
-from qzeros import families, qhyper, verify
+from qzeros import qhyper, verify
 
 Q_VALUES = st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)])
 PARAMS = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
@@ -184,29 +189,165 @@ def test_build_matches_fraction_recurrence(case):
     assert build_qhyper(spec).scale_arg(scale) == build_qhyper(spec, scale)
 
 
-def test_build_matches_fraction_recurrence_on_acceptance_grid(monkeypatch):
-    """Every series built while the exact-identity and limit acceptance
-    grids run equals the Fraction recurrence at the same argument scale."""
-    built = []
-    integer_build = build_qhyper
+def _reference_family(name, *args):
+    """The series families as they were built before the Gaussian-binomial
+    kernel (``polyexact_reference``: a ``HyperSpec`` with ``Fraction``
+    parameter products, the telescoped loop and a separate prefactor), and
+    ``build_qhyper`` as the ``Fraction`` recurrence."""
+    if name == "build_qhyper":
+        return _reference_build(*args)
+    return getattr(ref, name)(*args)
 
-    def checked(spec, scale=1):
-        p = integer_build(spec, scale)
-        assert p == _reference_build(spec, scale), (spec, scale)
-        built.append(spec)
-        return p
 
-    monkeypatch.setattr(families, "build_qhyper", checked)
-    monkeypatch.setattr(verify, "build_qhyper", checked)
-    q_grid = [F(1, 4), F(1, 2), F(3, 4), F(9, 10)]
-    a3, b3 = [F(1, 3), F(-2), F(2, 3)], [F(1, 3), F(-1), F(3, 2)]
-    for check_id in verify.identity_check_ids():
-        if check_id in ("bessel-limit", "sw-limit"):
-            grid = GridSpec(q_values=[F(1, 4)], n_values=range(1, 7), b_values=[F(-2), F(-1), F(1, 3)])
+# The identities workload's grid: q up to 9/10 and n = 1..12, so contig-4
+# builds degree 13; the limit checks at q = 3/4 and 9/10.
+_IDENTITY_Q = [F(1, 4), F(1, 2), F(3, 4), F(9, 10)]
+_IDENTITY_A, _IDENTITY_B = [F(1, 3), F(-2), F(2, 3)], [F(1, 3), F(-1), F(3, 2)]
+_SERIES_BUILDERS = ("little_q_jacobi", "q_laguerre", "stieltjes_wigert", "q_bessel", "build_qhyper")
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_grid_builds():
+    """{builder: [args of every call]} over every identity check on the
+    identities grid; ``build_qhyper`` is the ``_phi`` path."""
+    calls = {name: [] for name in _SERIES_BUILDERS}
+    with pytest.MonkeyPatch.context() as m:
+        for name in _SERIES_BUILDERS:
+            real = getattr(verify, name)
+            m.setattr(verify, name, lambda *args, real=real, seen=calls[name]: seen.append(args) or real(*args))
+        for check_id in verify.identity_check_ids():
+            q_values = [F(3, 4), F(9, 10)] if check_id in ("bessel-limit", "sw-limit") else _IDENTITY_Q
+            grid = GridSpec(q_values=q_values, n_values=range(1, 13), a_values=_IDENTITY_A, b_values=_IDENTITY_B)
+            run_identity_on_grid(check_id, grid)
+    return calls
+
+
+def test_build_matches_fraction_recurrence_on_acceptance_grid():
+    """Every family constructor and ``_phi`` build that the identity checks
+    make on the identities grid equals its reference (``_reference_family``),
+    or raises the same error with the same text.  (The normalized little
+    q-Jacobi polynomial has its own reference on the same grid,
+    ``test_normalized_matches_quadratic_formula_on_factor_anorm_grid``.)"""
+    checked = 0
+    for name, calls in _identity_grid_builds().items():
+        assert calls, name
+        build = getattr(verify, name)
+        for args in set(calls):
+            try:
+                p = build(*args)
+            except (ConstraintViolationError, DegenerateParameterError) as exc:
+                with pytest.raises(type(exc)) as info:
+                    _reference_family(name, *args)
+                assert str(info.value) == str(exc), (name, args)
+            else:
+                assert p.coeffs == _reference_family(name, *args).coeffs, (name, args)
+        checked += len(calls)
+    assert checked > 5000
+
+
+@given(
+    q=Q_VALUES,
+    n=st.integers(0, 9),
+    params=st.lists(st.tuples(PARAMS, st.integers(-3, 3)), min_size=2, max_size=2),
+)
+@settings(max_examples=200, deadline=None)
+def test_family_builds_match_the_reference_at_powers_of_q(q, n, params):
+    """Parameters carrying whole powers of q, which the kernel moves into
+    its offsets, and q^-m itself: the families equal the reference, or
+    raise the same error with the same text."""
+    (a0, i), (b0, j) = params
+    a, b = a0 * q**i, b0 * q**j
+    for name, args in (
+        ("little_q_jacobi", (n, a, b, q)),
+        ("little_q_jacobi", (n, q**i, b, q)),
+        ("q_laguerre", (n, b, q)),
+        ("q_laguerre", (n, q**j, q)),
+        ("q_bessel", (n, b, q)),
+        ("stieltjes_wigert", (n, q)),
+    ):
+        try:
+            p = getattr(verify, name)(*args)
+        except (ConstraintViolationError, DegenerateParameterError) as exc:
+            with pytest.raises(type(exc)) as info:
+                _reference_family(name, *args)
+            assert str(info.value) == str(exc)
         else:
-            grid = GridSpec(q_values=q_grid, n_values=range(1, 9), a_values=a3, b_values=b3)
-        run_identity_on_grid(check_id, grid)
-    assert len(built) > 5000
+            assert p.coeffs == _reference_family(name, *args).coeffs, (name, args)
+
+
+def _telescoped_build(spec, scale=1):
+    """The series loop that the Gaussian-binomial kernel replaced: every
+    (v^(j+1) - u^(j+1)) and power of v telescoped into the denominators.
+    Returns the integer numerators and the denominator before the one
+    reduction."""
+    n, q, z = spec.n, spec.q, F(scale)
+    d = len(spec.lower) - len(spec.upper)
+    u, v = q.numerator, q.denominator
+    upow = [u**i for i in range(n + 1)]
+    vpow = [v**i for i in range(n + 2)]
+    upper = [(a.numerator, a.denominator) for a in spec.upper]
+    lower = [(b.numerator, b.denominator) for b in spec.lower]
+    step_num = -z.numerator if d % 2 else z.numerator
+    step_den = z.denominator
+    for _, a_den in upper:
+        step_den *= a_den
+    for _, b_den in lower:
+        step_num *= b_den
+    num = 1
+    nums, steps = [num], [1]
+    for j in range(n):
+        num *= step_num * (upow[n - j] - vpow[n - j]) * vpow[j + 1]
+        step = step_den * (vpow[j + 1] - upow[j + 1])
+        for a_num, a_den in upper:
+            num *= a_den * vpow[j] - a_num * upow[j]
+        for b_num, b_den in lower:
+            step *= b_den * vpow[j] - b_num * upow[j]
+        e = (d + 1) * j - n
+        if e >= 0:
+            num *= u**e
+        else:
+            step *= u**-e
+        if not num:
+            break
+        nums.append(num)
+        steps.append(step)
+    out = [0] * len(nums)
+    den = 1
+    for j in range(len(nums) - 1, -1, -1):
+        out[j] = nums[j] * den
+        den *= steps[j]
+    return out, den
+
+
+def test_little_q_jacobi_gcd_bits_fall_fourfold(monkeypatch):
+    """Over the little q-Jacobi builds of the identities grid, the gcd that
+    the one reduction strips is at least 4x smaller in total bits than the
+    telescoped loop's, and each build still reduces exactly once."""
+    stripped = []
+    from_ints = PolyExact.from_ints.__func__
+
+    def measured(cls, num, den=1):
+        num = list(num)
+        stripped.append(math.gcd(den, *num).bit_length())
+        return from_ints(cls, num, den)
+
+    old_bits = builds = 0
+    for n, a, b, q in set(_identity_grid_builds()["little_q_jacobi"]):
+        try:
+            spec = HyperSpec(n=n, upper=(a * b * q ** (n + 1),), lower=(a * q,), q=q)
+            p = little_q_jacobi(n, a, b, q)
+        except (ConstraintViolationError, DegenerateParameterError):
+            continue
+        out, den = _telescoped_build(spec, q)
+        old_bits += math.gcd(den, *out).bit_length()
+        with monkeypatch.context() as m:
+            m.setattr(PolyExact, "from_ints", classmethod(measured))
+            assert little_q_jacobi(n, a, b, q) == p
+        assert len(stripped) == builds + 1
+        builds += 1
+    new_bits = sum(stripped)
+    assert builds > 5000
+    assert 4 * new_bits <= old_bits, (new_bits, old_bits)
 
 
 # -- modular coprimality certificate against plain rational Euclid ---------

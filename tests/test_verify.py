@@ -98,6 +98,19 @@ def test_limit_checks_pass_at_small_q():
     assert rec.status is Status.PASS
 
 
+def test_limit_checks_skip_degree_zero():
+    """At n = 0 both sides are the constant 1 and every deviation is 0, so
+    "strictly decreasing" cannot hold: the limit checks skip the point, as
+    qderiv-jacobi does, instead of reporting a Fail of the harness."""
+    grid = GridSpec(q_values=[F(1, 2), F(3, 4)], n_values=[0, 1], b_values=[F(-1), F(1, 3)])
+    for check_id in ("bessel-limit", "sw-limit"):
+        records = run_identity_on_grid(check_id, grid)
+        at_zero = [r for r in records if r.params["n"] == 0]
+        assert at_zero and all(r.status is Status.SKIPPED for r in at_zero), check_id
+        assert all(r.witness == {"reason": "needs n >= 1"} for r in at_zero)
+        assert all(r.status is not Status.SKIPPED for r in records if r.params["n"] == 1)
+
+
 def test_property_regime_filtering():
     grid = GridSpec(
         q_values=[Q], n_values=[2], a_values=[F(1, 2), F(3)], b_values=[F(-1), F(1, 2)],
