@@ -110,7 +110,8 @@ class _PairContext:
 
         The overlap [lo, hi] holds at most one distinct root of pa, since
         root intervals are separated; so g, which divides pa, has at most
-        one simple root there, and has it exactly when g(lo) g(hi) <= 0.
+        one simple root there, and has it exactly when g(lo) g(hi) <= 0.  A
+        point overlap at an exact root, lo == hi, asks whether g(lo) == 0.
         """
         if self._g is None:
             self._g = square_free_part(poly_gcd(self._pa, self._pb))

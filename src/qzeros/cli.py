@@ -364,10 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
-    except QZerosError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (QZerosError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,18 +5,19 @@ and isolate each factor's roots by Descartes-rule (Vincent-Collins-Akritas)
 bisection on its primitive integer coefficients, over (-2^k, 0) and
 (0, 2^k) with 2^k a Fujiwara bound strictly above every root, so every
 endpoint is dyadic.  A split point that is a root is recorded as an exact
-rational root (the factor is deflated and isolation restarts), so no
-interval ends on a root.  The entries are then sorted by the exact root
-comparison that the analysis decisions use too; while two intervals
-overlap it halves the wider one (both when equally wide), one halving at a
-time, until they are disjoint.  With ``eps=None``
+root, the width-0 interval [r, r] (the factor is deflated and isolation
+restarts), so no other interval ends on a root.  The entries are then
+sorted by the exact root comparison that the analysis decisions use too;
+while two intervals overlap it halves the wider one (both when equally
+wide; an exact root never halves), one halving at a time, until they are
+disjoint.  With ``eps=None``
 isolation stops there; callers that compare roots refine on demand.  With a
 rational eps every interval is further refined until its width drops below
 eps, as display output needs, by quadratic interval refinement with a
 halving fallback.  No step budget applies to either.
 Last, the simplest rational in each interval (Stern-Brocot) is tested; an
-exact zero there upgrades the interval to an exact root.  Every returned
-interval therefore carries either an exact rational root or an exact
+exact zero there collapses the interval onto it.  Every returned interval
+is therefore either a single rational root (lo == hi) or carries an exact
 sign-change certificate.
 
 All of it runs on integers: Taylor and bit shifts of coefficient vectors,
@@ -43,23 +44,23 @@ class RootEntry:
     """One distinct real root: isolating interval, multiplicity, certificate.
 
     ``factor`` is a square-free polynomial having this root as its only root
-    in [lo, hi]; for a non-exact entry factor(lo) and factor(hi) have opposite
-    signs.  ``exact`` is set when the root is a known rational, in which case
-    lo == hi == exact.
+    in [lo, hi].  An exact root is the interval lo == hi, where the factor
+    vanishes; otherwise factor(lo) and factor(hi) have opposite signs.
 
     The entry owns its interval: integer numerators over one denominator
     d 2^m, so a halving is a shift and one integer Horner, and comparisons
-    cross-multiply the numerators.  ``lo``, ``hi`` and ``width`` are
-    read-only Fraction views, built on each read; only :meth:`bisect_once`
-    (one halving), :meth:`refine_below` (quadratic interval refinement) and
-    :meth:`pin` move the interval or set ``exact``.  Every move keeps the
-    factor's sign at lo, which :meth:`_frame` caches.
+    cross-multiply the numerators.  ``lo``, ``hi``, ``width`` and ``exact``
+    (the root when lo == hi, else None) are read-only Fraction views, built
+    on each read; only :meth:`bisect_once` (one halving),
+    :meth:`refine_below` (quadratic interval refinement) and :meth:`pin`
+    move the interval.  Every move keeps the factor's sign at lo, which
+    :meth:`_frame` caches.
     """
 
-    __slots__ = ("multiplicity", "exact", "factor", "_lo", "_hi", "_d", "_m", "_horner")
+    __slots__ = ("multiplicity", "factor", "_lo", "_hi", "_d", "_m", "_horner")
 
-    def __init__(self, lo, hi, multiplicity: int, exact: Fraction | None, factor: PolyExact):
-        self.multiplicity, self.exact, self.factor = multiplicity, exact, factor
+    def __init__(self, lo, hi, multiplicity: int, factor: PolyExact):
+        self.multiplicity, self.factor = multiplicity, factor
         self._d = lcm(lo.denominator, hi.denominator)
         self._lo = lo.numerator * (self._d // lo.denominator)
         self._hi = hi.numerator * (self._d // hi.denominator)
@@ -79,12 +80,15 @@ class RootEntry:
     def width(self) -> Fraction:
         return Fraction(self._hi - self._lo, self._d << self._m)
 
+    @property
+    def exact(self) -> Fraction | None:
+        return self.lo if self._lo == self._hi else None
+
     def copy(self) -> "RootEntry":
         return copy.copy(self)
 
     def pin(self, x: Fraction) -> None:
-        """Record x, a zero of the factor in [lo, hi], as the exact root."""
-        self.exact = x
+        """Collapse [lo, hi] onto x, a zero of the factor in it."""
         self._lo = self._hi = x.numerator
         self._d, self._m = x.denominator, 0
 
@@ -100,7 +104,7 @@ class RootEntry:
         """Halve [lo, hi] ``times`` times, keeping the half that holds the
         root; a midpoint that is the root pins the entry and stops.  Returns
         the factor's :func:`_value` at the last midpoint, 0 when it pinned."""
-        if self.exact is not None or not times:
+        if self._lo == self._hi or not times:
             return 0
         scaled, positive_at_lo = self._frame()
         lo, hi, m = self._lo, self._hi, self._m
@@ -147,7 +151,7 @@ class RootEntry:
             return ((self._hi - self._lo) * b // (a * self._d << self._m)).bit_length()
 
         need = needed()
-        if self.exact is not None or need <= 4:  # the first step evaluates lo, hi and two grid points
+        if need <= 4:  # the first step evaluates lo, hi and two grid points
             self._halve(need)
             return
         scaled, positive_at_lo = self._frame()
@@ -232,7 +236,6 @@ class RootSet:
             f = e.copy()
             f._lo, f._hi = (s * e._lo, s * e._hi) if s > 0 else (s * e._hi, s * e._lo)
             f._d, f._horner = t * e._d, None
-            f.exact = None if e.exact is None else c * e.exact
             if id(e.factor) not in factors:
                 factors[id(e.factor)] = e.factor.scale_arg(1 / c)
             f.factor = factors[id(e.factor)]
@@ -345,13 +348,13 @@ def _isolate_squarefree(f: PolyExact) -> list[RootEntry]:
     while work.degree > 1:
         found, root = _vca(work.num, root_bound(work))
         if root is None:
-            return entries + [RootEntry(lo, hi, 1, None, work) for lo, hi in found]
+            return entries + [RootEntry(lo, hi, 1, work) for lo, hi in found]
         linear = PolyExact((-root, 1))
-        entries.append(RootEntry(root, root, 1, root, linear))
+        entries.append(RootEntry(root, root, 1, linear))
         work = (work // linear).primitive()
     if work.degree == 1:
         r = Fraction(-work.num[0], work.num[1])
-        entries.append(RootEntry(r, r, 1, r, work))
+        entries.append(RootEntry(r, r, 1, work))
     return entries
 
 
@@ -376,7 +379,7 @@ def _root_vs_point(entry: RootEntry, pt: Fraction) -> int:
         return 1
     if x > entry._hi * den:
         return -1
-    s = 0 if entry.exact is not None else entry.factor.sign_at(pt)
+    s = entry.factor.sign_at(pt)
     return s if s == 0 or entry._frame()[1] else -s
 
 
@@ -397,21 +400,17 @@ def _compare_roots(ea: RootEntry, eb: RootEntry, coincide=None) -> int:
     first overlap: both intervals only shrink, so every later overlap lies
     inside the first one, where no shared root was found.  While the
     intervals overlap, the wider one is halved, or both when their widths
-    are equal.  It ends: the larger width halves at least every two rounds,
-    so distinct roots separate, and the gcd sign test proves a shared root
-    at the first overlap.
+    are equal; an exact root, of width 0, never halves.  It ends: the larger
+    width halves at least every two rounds, and a width-0 entry leaves the
+    other one to halve every round, so distinct roots separate; the gcd
+    sign test proves a shared root at the first overlap, a point overlap at
+    an exact root included.  Without ``coincide`` the roots are distinct, so
+    two width-0 entries never meet at one point, where neither could halve.
     """
     while True:
         c = _order(ea, eb)
         if c:
             return c
-        if eb.exact is not None:
-            c = _root_vs_point(ea, eb.exact)
-            while c and not _order(ea, eb):
-                ea.bisect_once()
-            return c
-        if ea.exact is not None:
-            return -_compare_roots(eb, ea)
         if coincide is not None:
             if coincide(ea, eb):
                 return 0
@@ -436,7 +435,7 @@ def _snap_to_rational(e: RootEntry) -> None:
     the root.  By the rational root theorem, n/d in lowest terms is a root of
     the factor's integer coefficients only if n divides the constant one and
     d the leading one, so only such a candidate is evaluated."""
-    if e.exact is not None:
+    if e._lo == e._hi:
         return
     candidate = simplest_rational_between(e.lo, e.hi)
     n, d, coeffs = candidate.numerator, candidate.denominator, e.factor.num
@@ -464,7 +463,7 @@ def isolate_real_roots(p: PolyExact, eps: RationalLike | None = DEFAULT_EPS) -> 
     while not p.num[zero_mult]:
         zero_mult += 1
     if zero_mult:
-        entries.append(RootEntry(Fraction(0), Fraction(0), zero_mult, Fraction(0), PolyExact.x()))
+        entries.append(RootEntry(Fraction(0), Fraction(0), zero_mult, PolyExact.x()))
     reduced = PolyExact.from_ints(p.num[zero_mult:], p.den)
 
     for factor, mult in square_free_decomposition(reduced):

@@ -253,10 +253,11 @@ def _lattice_separated(rs: RootSet, q: Fraction) -> tuple[bool, dict | None]:
 
 
 def _compare_sides(comparisons: list[tuple[str, PolyExact, PolyExact]]) -> tuple[Status, dict | None]:
+    """Pass when every comparison's sides are equal; both are canonical, so
+    that is equal (num, den), and only a Fail subtracts, for its witness."""
     for label, lhs, rhs in comparisons:
-        diff = lhs - rhs
-        if not diff.is_zero:
-            index = next(i for i, c in enumerate(diff.num) if c)
+        if lhs != rhs:
+            index = next(i for i, c in enumerate((lhs - rhs).num) if c)
             return Status.FAIL, {
                 "comparison": label,
                 "coeff_index": index,

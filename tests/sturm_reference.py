@@ -74,7 +74,7 @@ def isolate_squarefree_sturm(f: PolyExact) -> list[RootEntry]:
             return entries
         if work.degree == 1:
             r = -work.coeffs[0] / work.coeffs[1]
-            entries.append(RootEntry(r, r, 1, r, work))
+            entries.append(RootEntry(r, r, 1, work))
             return entries
         chain = SturmChain(work)
         bound = Fraction(2 ** _ceil_log2(cauchy_bound(work)))
@@ -91,12 +91,12 @@ def isolate_squarefree_sturm(f: PolyExact) -> list[RootEntry]:
                 continue
             mid = (lo + hi) / 2
             if work.sign_at(mid) == 0:
-                entries.append(RootEntry(mid, mid, 1, mid, PolyExact((-mid, 1))))
+                entries.append(RootEntry(mid, mid, 1, PolyExact((-mid, 1))))
                 work = (work // PolyExact((-mid, 1))).primitive()
                 deflated = True
                 break
             stack.append((lo, mid))
             stack.append((mid, hi))
         if not deflated:
-            entries.extend(RootEntry(lo, hi, 1, None, work) for lo, hi in found)
+            entries.extend(RootEntry(lo, hi, 1, work) for lo, hi in found)
             return entries

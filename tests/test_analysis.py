@@ -18,6 +18,7 @@ from qzeros import (
     UndefinedLmeshError,
     ZerowiseReport,
     dominates,
+    e_factor,
     in_lmesh_class,
     interlace,
     isolate_real_roots,
@@ -199,8 +200,8 @@ def test_compare_root_to_point_leaves_the_entry_unchanged():
     entry: inside the interval, at its endpoints, and for an exact entry."""
     from qzeros import RootEntry, compare_root_to_point
 
-    e = RootEntry(F(0), F(1), 1, None, PolyExact.from_roots([F(1, 3)]))
-    exact = RootEntry(F(2, 5), F(2, 5), 1, F(2, 5), PolyExact.from_roots([F(2, 5)]))
+    e = RootEntry(F(0), F(1), 1, PolyExact.from_roots([F(1, 3)]))
+    exact = RootEntry(F(2, 5), F(2, 5), 1, PolyExact.from_roots([F(2, 5)]))
     cases = [
         (e, F(1, 2), -1), (e, F(1, 3), 0), (e, F(1, 4), 1),
         (e, F(0), 1), (e, F(1), -1), (e, F(-1), 1), (e, F(2), -1),  # endpoints and outside
@@ -401,18 +402,26 @@ def test_common_interlacer_upgrade_on_family_triple():
 def test_coincidence_sign_test_matches_sturm_count(monkeypatch):
     """The gcd sign test of _PairContext against the Sturm count of the
     square-free gcd that it replaced, on every overlap met while the
-    thm2/thmA checks run, and on coincidences at irrational roots.  Each
-    comparison tests only its first overlap, so the grid runs every degree
-    up to 7 to meet more than 1000 of them."""
-    outcomes = []
+    thm2/thmA checks run, and on coincidences at irrational roots.  A point
+    overlap [r, r] at an exact root holds a shared root exactly when
+    gcd(r) = 0; shared rational roots and the lmesh of E_k, which is q
+    exactly, meet such overlaps.  Each comparison tests only its first
+    overlap, so the grid runs every degree up to 7 to meet more than 1000
+    of them."""
+    outcomes, points = [], []
 
     class Checked(analysis._PairContext):
         def coincide(self, ea, eb):
             got = super().coincide(ea, eb)
             lo, hi = max(ea.lo, eb.lo), min(ea.hi, eb.hi)
             g = poly_gcd(self._pa, self._pb)
-            chain = SturmChain(square_free_part(g)) if g.degree >= 1 else None
-            assert got == (chain is not None and lo < hi and chain.count(lo, hi) == 1), (lo, hi)
+            if lo == hi:
+                want = g.sign_at(lo) == 0
+                points.append(got)
+            else:
+                chain = SturmChain(square_free_part(g)) if g.degree >= 1 else None
+                want = chain is not None and lo < hi and chain.count(lo, hi) == 1
+            assert got == want, (lo, hi)
             outcomes.append(got)
             return got
 
@@ -426,7 +435,13 @@ def test_coincidence_sign_test_matches_sturm_count(monkeypatch):
     shared = PolyExact((-2, 0, 1))
     interlace(isolate_real_roots(shared * PolyExact((-5, 1))), isolate_real_roots(shared * PolyExact((-6, 1))))
     lmesh(isolate_real_roots(PolyExact((2, -4, 1)) * PolyExact((F(1, 2), -2, 1))), Q)
+    third = PolyExact.from_roots([F(1, 3)])
+    shared = interlace(isolate_real_roots(third * PolyExact((-2, 1))), isolate_real_roots(third * PolyExact((-5, 1))))
+    assert shared.relation is Relation.WEAK_INTERLACE
+    for q in (Q, F(3, 4)):
+        assert lmesh(isolate_real_roots(e_factor(4, q), None), q).exact_equals_q
     assert len(outcomes) > 1000 and any(outcomes)
+    assert any(points) and not all(points), Counter(points)
 
 
 def _compare_roots_halving_both(ea, eb, coincide=None):
@@ -503,11 +518,16 @@ class _AgainstHalvingBoth:
         return got
 
 
-def _decide_coarse():
-    """Every decision of the decide-coarse benchmark on its 72 pinned draws."""
+def _decide_coarse(seed=None):
+    """Every decision of the decide-coarse benchmark on its 72 draws of
+    ``seed``, by default the pinned one.  The benchmark records a raised
+    decision as an outcome, so a failed assertion inside a comparison
+    surfaces here."""
     from test_pinned_report import workloads
 
-    workloads.decide_outcomes(workloads.decide_draws(workloads.DECIDE_DEFAULT_SEED))
+    outcomes = workloads.decide_outcomes(workloads.decide_draws(seed or workloads.DECIDE_DEFAULT_SEED))
+    raised = [o for o in outcomes for v in o.values() if isinstance(v, list) and v[:1] == ["raised"]]
+    assert not raised, raised[:3]
 
 
 def test_root_comparison_matches_halving_both_on_acceptance_grids(monkeypatch):
@@ -539,3 +559,112 @@ def test_root_comparison_tests_coincidence_once_and_halves_less(monkeypatch):
     _decide_coarse()
     assert max(check.tests_per_call) == 1, check.tests_per_call
     assert check.values["change"] < check.values["reference"], check.values
+
+
+def _compare_roots_with_fork(ea, eb, coincide=None):
+    """The root comparison from before an exact root was a width-0 interval
+    like any other.  Against an exact root it took the sign from one
+    evaluation of the other factor at that root, with no coincidence test,
+    and then halved the other entry until the two were disjoint; an exact
+    ``ea`` swapped the arguments and recursed."""
+    while True:
+        c = roots._order(ea, eb)
+        if c:
+            return c
+        if eb.exact is not None:
+            c = roots._root_vs_point(ea, eb.exact)
+            while c and not roots._order(ea, eb):
+                ea.bisect_once()
+            return c
+        if ea.exact is not None:
+            return -_compare_roots_with_fork(eb, ea)
+        if coincide is not None:
+            if coincide(ea, eb):
+                return 0
+            coincide = None
+        wa = (ea._hi - ea._lo) * (eb._d << eb._m)
+        wb = (eb._hi - eb._lo) * (ea._d << ea._m)
+        if wa >= wb:
+            ea.bisect_once()
+        if wb >= wa:
+            eb.bisect_once()
+
+
+class _AgainstFork:
+    """Stands in for ``_compare_roots`` in the decisions and in the
+    isolation sort.  Each comparison runs the reference on copies of its two
+    entries, then the comparison itself on the entries: both must give the
+    same sign and leave the same two intervals.  Counts the comparisons,
+    those that start on an overlap with an exact root, and the
+    ``roots._value`` evaluations of each loop."""
+
+    def __init__(self, monkeypatch):
+        self.calls = Counter()
+        self.values = Counter()
+        self._loop = None
+        self._compare = roots._compare_roots
+        value = roots._value
+
+        def counted(*args):
+            self.values[self._loop] += 1
+            return value(*args)
+
+        monkeypatch.setattr(roots, "_value", counted)
+        monkeypatch.setattr(roots, "_compare_roots", self)
+        monkeypatch.setattr(analysis, "_compare_roots", self)
+
+    def __call__(self, ea, eb, coincide=None):
+        at_exact = not roots._order(ea, eb) and (ea.exact is not None or eb.exact is not None)
+        self.calls["decision" if coincide else "isolation", at_exact] += 1
+        ref_a, ref_b = ea.copy(), eb.copy()
+        self._loop = "reference"
+        want = _compare_roots_with_fork(ref_a, ref_b, coincide)
+        self._loop = "change"
+        got = self._compare(ea, eb, coincide)
+        self._loop = None
+        assert got == want, (ea.factor, eb.factor)
+        assert [ea.lo, ea.hi, eb.lo, eb.hi] == [ref_a.lo, ref_a.hi, ref_b.lo, ref_b.hi], (ea.factor, eb.factor)
+        return got
+
+
+def _exact_root_decisions():
+    """Decisions on root sets with exact roots: E_k at q in {1/2, 3/4, 9/10}
+    with k <= 6, factor-bneg's p_n(x; a, q^-k) = E_k(qx) p_(n-k)(...), and
+    the Table 1 row 2 samples, whose top zero is q exactly."""
+    for q in (Q, F(3, 4), F(9, 10)):
+        ek = [isolate_real_roots(e_factor(k, q), None) for k in range(1, 7)]
+        for k, rs in enumerate(ek[1:], 2):
+            assert lmesh(rs, q).exact_equals_q and in_lmesh_class(rs, q, strict=False)
+            assert interlace(rs, ek[k - 2]).relation is Relation.WEAK_INTERLACE
+            assert zerowise_compare(rs, rs.copy()).holds
+        for n in range(2, 6):
+            for k in range(1, n + 1):
+                p, r = (isolate_real_roots(little_q_jacobi(n, a, q**-k, q), None) for a in (F(1, 2), F(1, 4)))
+                lmesh(p, q)
+                interlace(p, r)
+                zerowise_compare(p, r)
+    grid = GridSpec(q_values=[F(1, 4), Q, F(3, 4)], n_values=[2, 3, 4, 5])
+    assert all(r.status.value == "Pass" for r in check_property("table1-row-2", grid))
+
+
+def test_root_comparison_matches_the_exact_root_fork(monkeypatch):
+    """Every root comparison, in the decisions and in the isolation sort,
+    gives the sign and leaves the intervals that the comparison with an
+    exact-root fork gave, and evaluates the factors as often: on the
+    thm2/thmA and thm2-lmesh acceptance grids, on the decide-coarse draws
+    of seeds 1 and 2, and on root sets with exact roots."""
+    check = _AgainstFork(monkeypatch)
+    for q in (F(1, 2), F(3, 4)):
+        for check_id in ("thmA-1", "thmA-2", "thmA-3", "thm2-i", "thm2-ii", "thm2-iii"):
+            b_values = [F(-2), F(-1)] if check_id == "thm2-iii" else [F(-1), F(1, 2)]
+            grid = GridSpec(q_values=[q], t_values=default_t_values(q), n_values=[1, 3, 5],
+                            a_values=[F(1, 2), F(1)], b_values=b_values)
+            assert all(r.status.value == "Pass" for r in check_property(check_id, grid))
+    grid = GridSpec(q_values=[F(1, 4), F(1, 2), F(3, 4), F(9, 10)], n_values=list(range(1, 9)),
+                    a_values=[F(1, 4), F(1, 2), F(1)], b_values=[F(-2), F(-1, 2), F(0), F(1, 2), F(1)])
+    assert all(r.status.value == "Pass" for r in check_property("thm2-lmesh", grid))
+    _decide_coarse(1)
+    _decide_coarse(2)
+    _exact_root_decisions()
+    assert check.values["change"] == check.values["reference"], check.values
+    assert check.calls["decision", True] > 500 and check.calls["isolation", True] > 100, check.calls

@@ -3,11 +3,26 @@
 A malformed input may only end as a ConfigError/QZerosError (exit 2 with one
 ``error:`` line) or an argparse usage error (exit 2); a well-formed one exits
 0 or 1.  No input may leak another exception or print a traceback.
+
+Exact roots are fuzzed too: relation decisions on products of planted
+rational linear factors must match the relation of the planted roots.
 """
+
+from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qzeros import GridSpec, InvalidParameterError, QZerosError, rat
+from qzeros import (
+    GridSpec,
+    InvalidParameterError,
+    PolyExact,
+    QZerosError,
+    Relation,
+    interlace,
+    isolate_real_roots,
+    rat,
+    zerowise_compare,
+)
 from qzeros.cli import main
 from qzeros.qcore import MAX_EXPONENT
 from qzeros.verify import _CONFIG_KEYS
@@ -162,3 +177,70 @@ def test_exponent_form_rationals_parse_exactly_or_are_rejected(text):
         return
     mantissa, exponent = text.lower().rsplit("e", 1)
     assert value == rat(mantissa) * rat(10) ** int(exponent)
+
+
+_PLANTED = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def _planted_pair(draw):
+    """Zero lists of two products of up to 5 linear factors d x - c, of
+    degrees equal or one apart, with some zeros shared."""
+    shared = draw(st.lists(_PLANTED, max_size=3))
+    n = draw(st.integers(max(len(shared), 1), 5))
+    m = draw(st.sampled_from([k for k in (n - 1, n, n + 1) if max(len(shared), 1) <= k <= 5]))
+    own = [draw(st.lists(_PLANTED, min_size=k - len(shared), max_size=k - len(shared))) for k in (n, m)]
+    return sorted(shared + own[0]), sorted(shared + own[1])
+
+
+def _product(zeros: list) -> PolyExact:
+    """prod (d x - c) over the zeros c/d."""
+    p = PolyExact((1,))
+    for z in zeros:
+        p = p * PolyExact((-z.numerator, z.denominator))
+    return p
+
+
+def _planted_interlace(p: list, r: list) -> tuple[Relation, int | None]:
+    """The relation and witness of the alternating chain p_0 <= r_0 <= p_1
+    <= ..., by Fraction comparisons of the planted zeros."""
+    if len(r) == len(p) + 1:
+        return Relation.NONE, None
+    chain = []
+    for k in range(len(r)):
+        chain.append((p[k], r[k]))
+        if k + 1 < len(p):
+            chain.append((r[k], p[k + 1]))
+    if all(a < b for a, b in chain):
+        return Relation.STRICT_INTERLACE, None
+    if all(a <= b for a, b in chain):
+        return Relation.WEAK_INTERLACE, None
+    witness = next(i for i, (a, b) in enumerate(chain) if a > b)
+    if len(p) == len(r) and all(a <= b for a, b in zip(p, r)):
+        return Relation.DOMINATES, witness
+    return Relation.NONE, witness
+
+
+@given(pair=_planted_pair(), eps=st.sampled_from([None, Fraction(1, 16)]))
+@settings(max_examples=300, deadline=None)
+def test_decisions_on_planted_rational_zeros(pair, eps):
+    """interlace and zerowise_compare decide the relation of the planted
+    zeros; each entry is exact exactly when its interval has width 0, and
+    each exact value is a planted zero, before the decisions and after."""
+    p, r = pair
+    sets = [isolate_real_roots(_product(zeros), eps) for zeros in pair]
+
+    def entries_are_planted():
+        for rs, zeros in zip(sets, pair):
+            for e in rs.roots:
+                assert (e.exact is not None) == (e.lo == e.hi), (zeros, e.lo, e.hi)
+                assert e.exact is None or e.exact in zeros, (zeros, e.exact)
+
+    entries_are_planted()
+    report = interlace(*sets)
+    assert (report.relation, report.witness) == _planted_interlace(p, r), pair
+    if len(p) == len(r):
+        z = zerowise_compare(*sets)
+        witness = next((k for k, (a, b) in enumerate(zip(p, r)) if a > b), None)
+        assert (z.holds, z.witness, z.any_strict) == (witness is None, witness, any(a < b for a, b in zip(p, r)))
+    entries_are_planted()

@@ -402,8 +402,8 @@ def test_integer_bisection_matches_fraction_bisection_on_acceptance_grids():
     them, whose denominators are not powers of two; and on two planted
     entries whose root is a midpoint of a later step."""
     planted = RootSet(PolyExact.one(), [
-        RootEntry(F(0), F(1), 1, None, PolyExact.from_roots([F(3, 8)])),
-        RootEntry(F(1, 3), F(2, 3), 1, None, PolyExact.from_roots([F(7, 12), F(2)])),
+        RootEntry(F(0), F(1), 1, PolyExact.from_roots([F(3, 8)])),
+        RootEntry(F(1, 3), F(2, 3), 1, PolyExact.from_roots([F(7, 12), F(2)])),
     ], 2, False)
     cases = [(q, isolate_real_roots(p, None)) for q, p in _acceptance_grid()] + [(F(3, 4), planted)]
     steps = pins = 0
@@ -555,7 +555,7 @@ def test_qir_pins_a_root_on_a_grid_point(monkeypatch):
     """(8x - 3)(x^2 + 1) on [0, 1]: the first step keeps [1/4, 1/2] (grid
     of 4), the second tests 23/64 and its neighbour 3/8 (grid of 16), which
     is the root, so the entry is pinned exact with no halving."""
-    e = RootEntry(F(0), F(1), 1, None, PolyExact((-3, 8)) * PolyExact((1, 0, 1)))
+    e = RootEntry(F(0), F(1), 1, PolyExact((-3, 8)) * PolyExact((1, 0, 1)))
     e._frame()
     log = _logging_refinement(monkeypatch, e, F(1, 2**20))
     assert (e.exact, e.lo, e.hi) == (F(3, 8), F(3, 8), F(3, 8))
@@ -570,7 +570,7 @@ def test_qir_falls_back_to_a_halving(monkeypatch, coeffs):
     """A secant at the end of the grid (t = 0 or t = N) is clamped to the
     grid point next to that end, its neighbour shows no sign change, and one
     halving follows; the result is the counted halving's."""
-    e = RootEntry(F(0), F(1), 1, None, PolyExact(coeffs))
+    e = RootEntry(F(0), F(1), 1, PolyExact(coeffs))
     ref = e.copy()
     e._frame()
     log = _logging_refinement(monkeypatch, e, F(1, 2**40))

@@ -90,6 +90,40 @@ def test_harness_selftest():
     assert rec.witness["inner_witness"]["coeff_index"] == rec.witness["corrupted_index"]
 
 
+def test_identity_comparisons_subtract_only_on_a_fail(monkeypatch):
+    """Canonical sides are equal exactly when their (num, den) match, so a
+    comparison subtracts only to find a Fail's witness: an all-Pass identity
+    grid makes no ``PolyExact.__sub__`` call from ``_compare_sides``, and the
+    self-test still names each corrupted index."""
+    compare, sub = verify._compare_sides, PolyExact.__sub__
+    inside, calls = [False], {"compare": 0, "sub": 0}
+
+    def tracked(comparisons):
+        inside[0] = True
+        calls["compare"] += 1
+        try:
+            return compare(comparisons)
+        finally:
+            inside[0] = False
+
+    def counted_sub(self, other):
+        calls["sub"] += inside[0]
+        return sub(self, other)
+
+    monkeypatch.setattr(verify, "_compare_sides", tracked)
+    monkeypatch.setattr(PolyExact, "__sub__", counted_sub)
+    grid = GridSpec(q_values=[Q, F(3, 4)], n_values=[1, 2, 3, 4], a_values=[F(1, 3)], b_values=[F(-1), F(1, 3)])
+    for check_id in identity_check_ids():
+        if check_id not in ("bessel-limit", "sw-limit"):  # compared by a deviation profile
+            records = run_identity_on_grid(check_id, grid)
+            assert {r.status for r in records} <= {Status.PASS, Status.SKIPPED}, check_id
+    assert calls["compare"] > 200 and calls["sub"] == 0, calls
+    for index in range(4):
+        rec = check_identity(SELFTEST_ID, {"q": Q, "n": 2, "a": F(1, 3), "b": F(-1), "coeff_index": index})
+        assert rec.status is Status.PASS and rec.witness["inner_witness"]["coeff_index"] == index
+    assert calls["sub"] == 4, calls
+
+
 def test_limit_checks_pass_at_small_q():
     rec = check_identity("bessel-limit", {"q": F(1, 4), "n": 4, "b": F(-1), "eps": F(1, 10**6)})
     assert rec.status is Status.PASS
