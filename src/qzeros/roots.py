@@ -4,14 +4,17 @@ Pipeline: factor out x = 0 exactly, split into square-free factors (Yun),
 and isolate each factor's roots by Descartes-rule (Vincent-Collins-Akritas)
 bisection on its primitive integer coefficients, over (-2^k, 0) and
 (0, 2^k) with 2^k a Fujiwara bound strictly above every root, so every
-endpoint is dyadic.  A split point that is a root is recorded as an exact
-root, the width-0 interval [r, r] (the factor is deflated and isolation
-restarts), so no other interval ends on a root.  The entries are then
-sorted by the exact root comparison that the analysis decisions use too;
-while two intervals overlap it halves the wider one (both when equally
-wide; an exact root never halves), one halving at a time, until they are
-disjoint.  With ``eps=None``
-isolation stops there; callers that compare roots refine on demand.  With a
+endpoint is dyadic.  Bisection runs in the Bernstein basis: each side is
+converted once, by one Taylor shift, to integer Bernstein coefficients on
+(0, 1); the Descartes test is their sign variations, and one de Casteljau
+pass of integer additions gives both halves of a split.  A split point
+that is a root is recorded as an exact root, the width-0 interval [r, r]
+(the factor is deflated and isolation restarts), so no other interval ends
+on a root.  The entries are then sorted by the exact root comparison that
+the analysis decisions use too; while two intervals overlap it halves the
+wider one (both when equally wide; an exact root never halves), one
+halving at a time, until they are disjoint.  With ``eps=None`` isolation
+stops there; callers that compare roots refine on demand.  With a
 rational eps every interval is further refined until its width drops below
 eps, as display output needs, by quadratic interval refinement with a
 halving fallback.  No step budget applies to either.
@@ -20,9 +23,10 @@ exact zero there collapses the interval onto it.  Every returned interval
 is therefore either a single rational root (lo == hi) or carries an exact
 sign-change certificate.
 
-All of it runs on integers: Taylor and bit shifts of coefficient vectors,
-homogeneous integer Horner for every sign test, and a continued-fraction
-descent on endpoint numerators and denominators; no gcd runs per step.
+All of it runs on integers: Taylor shifts, de Casteljau passes and bit
+shifts of coefficient vectors, homogeneous integer Horner for every sign
+test, and a continued-fraction descent on endpoint numerators and
+denominators; no gcd runs per step.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ import copy
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cmp_to_key
-from math import lcm
+from math import comb, lcm
+from operator import add
 
 from .errors import InvalidParameterError, InvalidToleranceError
 from .qcore import RationalLike, rat, rat_str
@@ -264,27 +269,36 @@ def root_bound(f: PolyExact) -> int:
     return max(1 + max(exps, default=0), 0)
 
 
-def simplest_rational_between(lo: RationalLike, hi: RationalLike) -> Fraction:
-    """The rational of smallest denominator (then numerator) in [lo, hi].
+def _simplest(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(numerator, denominator) in lowest terms of the rational of smallest
+    denominator (then numerator) in [a/b, c/d], for b, d > 0 and
+    a/b <= c/d, reduced or not.
 
-    Continued-fraction descent on the endpoints' four integers: for
-    0 < lo <= hi, the answer is ceil(lo) when that is <= hi, else t + 1/y
-    with t = floor(lo) and y the answer for [1/(hi - t), 1/(lo - t)].  The
-    steps compose into one matrix (p, p1; r, r1), applied at the end.
+    Continued-fraction descent: for 0 < a/b <= c/d, the answer is
+    ceil(a/b) when that is <= c/d, else t + 1/y with t = floor(a/b) and y
+    the answer for [d/(c - td), b/(a - tb)].  Every step keeps the values,
+    so unreduced endpoints give the same descent.  The steps compose into
+    one unimodular matrix (p, p1; r, r1), applied at the end, so the result
+    is in lowest terms.
     """
-    lov, hiv = sorted((rat(lo), rat(hi)))
-    if lov <= 0 <= hiv:
-        return Fraction(0)
-    sign = 1 if lov > 0 else -1
-    lov, hiv = sorted((sign * lov, sign * hiv))
-    a, b, c, d = lov.numerator, lov.denominator, hiv.numerator, hiv.denominator
+    if a <= 0 <= c:
+        return 0, 1
+    sign = 1
+    if c < 0:
+        sign, a, b, c, d = -1, -c, d, -a, b
     p, p1, r, r1 = 1, 0, 0, 1
     while -(-a // b) * d > c:  # no integer in [a/b, c/d]
         t = a // b
         a, b, c, d = d, c - t * d, b, a - t * b
         p, p1, r, r1 = p * t + p1, p, r * t + r1, r
     y = -(-a // b)
-    return Fraction(sign * (p * y + p1), r * y + r1)
+    return sign * (p * y + p1), r * y + r1
+
+
+def simplest_rational_between(lo: RationalLike, hi: RationalLike) -> Fraction:
+    """The rational of smallest denominator (then numerator) in [lo, hi]."""
+    lov, hiv = sorted((rat(lo), rat(hi)))
+    return Fraction(*_simplest(lov.numerator, lov.denominator, hiv.numerator, hiv.denominator))
 
 
 def _taylor_shift(a: list[int]) -> list[int]:
@@ -297,38 +311,79 @@ def _taylor_shift(a: list[int]) -> list[int]:
     return a
 
 
-def _descartes(a: list[int]) -> int:
-    """Sign variations of (x+1)^n a(1/(x+1)): 0 or 1 is the exact number of
-    roots of a in (0, 1); a larger count bounds it, with the same parity."""
-    signs = [c > 0 for c in _taylor_shift(a[::-1]) if c]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
+def _variations(b: list[int]) -> int:
+    """Sign variations of b, zeros skipped, counted up to 2."""
+    count, last = 0, 0
+    for c in b:
+        if c:
+            if last and (c > 0) != (last > 0):
+                count += 1
+                if count == 2:
+                    return 2
+            last = c
+    return count
+
+
+def _de_casteljau(w: list[int]) -> tuple[list[int], list[int]]:
+    """Split scaled Bernstein coefficients on (0, 1) at 1/2: the scaled
+    Bernstein coefficients of 2^n a(x/2) and 2^n a((x+1)/2) for a the
+    polynomial that ``w`` stands for.
+
+    One de Casteljau pass without its halvings, w_i <- w_i + w_(i+1) for
+    r = 1..n, gives left_r = w_0^(r) 2^(n-r) and right_i = w_i^(n-i) 2^i,
+    by n(n+1)/2 integer additions; left[n] = right[0] is 2^n a(1/2) times
+    the scale.
+    """
+    n = len(w) - 1
+    left, right = [w[0] << n], [w[n] << n]
+    for r in range(n - 1, -1, -1):
+        w = list(map(add, w, w[1:]))
+        left.append(w[0] << r)
+        right.append(w[-1] << r)
+    right.reverse()
+    return left, right
 
 
 def _vca(ints: tuple[int, ...], k: int) -> tuple[list[tuple[Fraction, Fraction]], Fraction | None]:
     """Isolating intervals of the real roots, all inside (-2^k, 2^k), of the
     integer polynomial f = ints, f(0) != 0, by Vincent-Collins-Akritas
-    bisection.
+    bisection in the Bernstein basis (Rouillier and Zimmermann 2004).
 
-    A node (c, j, a) stands for (c/2^j, (c+1)/2^j) and a polynomial a whose
-    roots in (0, 1) are those of f(+-2^k x) there; its halves are
-    2^n a(x/2) and the Taylor shift of that by 1.  Returns (intervals, None),
-    or (intervals so far, r) as soon as a split point r is a root.
+    A node (c, j, b) stands for (c/2^j, (c+1)/2^j) and a polynomial a of
+    degree n whose roots in (0, 1) are those of f(+-2^k x) there; b holds
+    a's Bernstein coefficients on (0, 1), a = sum B_i C(n,i) x^i (1-x)^(n-i),
+    times L = lcm_i C(n,i): b_i = L B_i, an integer.  Each side converts
+    once: B_i C(n,i) is the coefficient of x^(n-i) in (x+1)^n a(1/(x+1)),
+    one Taylor shift.  That is the polynomial whose sign variations
+    Descartes' rule counts, and b_i is its coefficient times L/C(n,i) > 0,
+    so the signs are equal and the variations of b are the Descartes count:
+    0 or 1 is the exact number of roots in (0, 1); a larger count bounds
+    it, with the same parity.  A split is one :func:`_de_casteljau` pass, giving both
+    halves 2^n a(x/2) and 2^n a((x+1)/2) at once, in the same scale; the
+    split point is a root exactly when their shared end coefficient is 0.
+    The halves are the polynomials of monomial-basis bisection, so every
+    count, the tree and its order are those of that method, with one pass
+    per split instead of one per node and one per split.  Returns
+    (intervals, None), or (intervals so far, r) as soon as a split point r
+    is a root.
     """
     n = len(ints) - 1
+    row = [comb(n, i) for i in range(n + 1)]
+    scale = lcm(*row)
     found = []
     for side in (1, -1):
-        stack = [(0, 0, [c * side**i << k * i for i, c in enumerate(ints)])]
+        shifted = _taylor_shift([c * side**i << k * i for i, c in enumerate(ints)][::-1])
+        stack = [(0, 0, [shifted[n - i] * (scale // row[i]) for i in range(n + 1)])]
         while stack:
-            c, j, a = stack.pop()
-            v = _descartes(a)
+            c, j, b = stack.pop()
+            v = _variations(b)
             if v == 0:
                 continue
             if v == 1:
                 lo, hi = Fraction(c << k, 1 << j), Fraction((c + 1) << k, 1 << j)
                 found.append((lo, hi) if side > 0 else (-hi, -lo))
                 continue
-            left = [coef << (n - i) for i, coef in enumerate(a)]
-            right = _taylor_shift(left)
+            left, right = _de_casteljau(b)
             if right[0] == 0:
                 return found, Fraction(side * ((2 * c + 1) << k), 1 << (j + 1))
             stack.append((2 * c, j + 1, left))
@@ -434,13 +489,18 @@ def _snap_to_rational(e: RootEntry) -> None:
     """Pin the entry to the simplest rational in its interval when that is
     the root.  By the rational root theorem, n/d in lowest terms is a root of
     the factor's integer coefficients only if n divides the constant one and
-    d the leading one, so only such a candidate is evaluated."""
+    d the leading one, so only such a candidate is evaluated.  The descent
+    runs on the entry's integers, lo and hi over d 2^m, and a Fraction is
+    built only for a candidate that passes that filter."""
     if e._lo == e._hi:
         return
-    candidate = simplest_rational_between(e.lo, e.hi)
-    n, d, coeffs = candidate.numerator, candidate.denominator, e.factor.num
-    if n and coeffs[0] % n == 0 and coeffs[-1] % d == 0 and e.factor.sign_at(candidate) == 0:
-        e.pin(candidate)
+    den = e._d << e._m
+    n, d = _simplest(e._lo, den, e._hi, den)
+    coeffs = e.factor.num
+    if n and coeffs[0] % n == 0 and coeffs[-1] % d == 0:
+        candidate = Fraction(n, d)
+        if e.factor.sign_at(candidate) == 0:
+            e.pin(candidate)
 
 
 def isolate_real_roots(p: PolyExact, eps: RationalLike | None = DEFAULT_EPS) -> RootSet:

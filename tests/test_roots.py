@@ -1,12 +1,14 @@
 """Certified isolation: exact roots, multiplicities, certificates, refinement."""
 
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from functools import cache
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qzeros import (
     InvalidParameterError,
@@ -24,6 +26,7 @@ from qzeros import (
 from qzeros import qhyper, roots
 from qzeros.roots import root_bound, simplest_rational_between
 from sturm_reference import isolate_squarefree_sturm
+import vca_reference
 
 
 def entry_values(rs):
@@ -273,18 +276,25 @@ def _snap_intervals(draw):
     return lo, draw(_ENDPOINT)
 
 
-@given(interval=_snap_intervals())
-@example(interval=(F(-7, 3), F(-2, 3)))  # negative
-@example(interval=(F(-5), F(-3)))  # integer endpoints
-@example(interval=(F(-1, 9), F(2, 7)))  # contains 0
-@example(interval=(F(22, 7), F(22, 7)))  # lo == hi
-@example(interval=(F(355, 113), F(355, 113) + F(1, 2**80)))
+@given(interval=_snap_intervals(), scale=st.integers(1, 2**70))
+@example(interval=(F(-7, 3), F(-2, 3)), scale=6)  # negative
+@example(interval=(F(-5), F(-3)), scale=1)  # integer endpoints
+@example(interval=(F(-1, 9), F(2, 7)), scale=2)  # contains 0
+@example(interval=(F(22, 7), F(22, 7)), scale=2**64)  # lo == hi
+@example(interval=(F(355, 113), F(355, 113) + F(1, 2**80)), scale=3)
 @settings(max_examples=400, deadline=None)
-def test_integer_snapping_matches_fraction_recursion(interval):
+def test_integer_snapping_matches_fraction_recursion(interval, scale):
+    """The descent against the Fraction recursion it replaced; on endpoints
+    over a common, unreduced denominator, as a ``RootEntry`` frame holds
+    them, it gives the same rational, in lowest terms."""
     lo, hi = interval
     got = simplest_rational_between(lo, hi)
     assert got == _simplest_rational_fraction(lo, hi)
     assert min(lo, hi) <= got <= max(lo, hi)
+    lo, hi = sorted(interval)
+    den = lcm(lo.denominator, hi.denominator) * scale
+    n, d = roots._simplest(int(lo * den), den, int(hi * den), den)
+    assert (n, d) == (got.numerator, got.denominator)
 
 
 def test_snap_catches_scaled_lattice_roots():
@@ -597,6 +607,96 @@ def _sturm_isolation(p, eps):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(roots, "_isolate_squarefree", isolate_squarefree_sturm)
         return isolate_real_roots(p, eps)
+
+
+@contextmanager
+def _vca_checked():
+    """Run every ``roots._vca`` call beside the monomial reference, assert the
+    same (found, root), and collect each (ints, k, root)."""
+    inputs = []
+    real = roots._vca
+
+    def checked(ints, k):
+        got = real(ints, k)
+        assert got == vca_reference.vca_monomial(ints, k), (ints, k)
+        inputs.append((ints, k, got[1]))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots, "_vca", checked)
+        yield inputs
+
+
+def test_bernstein_vca_matches_monomial_reference():
+    """The Bernstein-basis VCA against the monomial VCA it replaced, on every
+    ``_vca`` input of isolating the 672 acceptance-grid polynomials, little
+    q-Jacobi at q = 9/10 for n = 20..30 and b = +-1/2, a product with dyadic
+    split-point roots and one with roots 2^-62 apart: the same intervals, in
+    the same order, and the same split-point root, restarts included."""
+    q = F(9, 10)
+    jacobi = [little_q_jacobi(n, F(1, 2), b, q) for n in range(20, 31) for b in (F(1, 2), F(-1, 2))]
+    planted = [
+        PolyExact((-1, 2)) * PolyExact((1, 4)) * PolyExact((-3, 0, 1)),  # (2x - 1)(4x + 1)(x^2 - 3)
+        PolyExact((-1, 8)) * PolyExact((3, 4)) * PolyExact((-5, 2)),  # roots 1/8, -3/4, 5/2
+        PolyExact((-2, 0, 1)) * PolyExact((-2 - F(1, 2**60), 0, 1)),  # (x^2 - 2)(x^2 - 2 - 2^-60)
+    ]
+    with _vca_checked() as inputs:
+        for p in _acceptance_grid_polynomials() + tuple(jacobi + planted):
+            isolate_real_roots(p, None)
+    restarts = sum(root is not None for *_, root in inputs)
+    assert len(inputs) > 600 and restarts > 0, (len(inputs), restarts)
+
+
+_LINEAR = st.tuples(st.integers(-40, 40), st.integers(0, 3)).map(lambda t: PolyExact((-t[0], 2 ** t[1])))
+
+
+@given(
+    coeffs=st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=7),
+    planted=st.lists(_LINEAR, max_size=6),
+)
+@example(coeffs=[1], planted=[PolyExact((-1, 2)), PolyExact((1, 4)), PolyExact((-3, 1)), PolyExact((3, 1))])
+@settings(max_examples=150, deadline=None)
+def test_bernstein_vca_matches_reference_on_integer_polynomials(coeffs, planted):
+    """Integer polynomials of degree <= 12: random coefficients times up to
+    six planted factors 2^e x - c, whose roots often fall on split points."""
+    p = PolyExact(coeffs)
+    assume(not p.is_zero)
+    for f in planted:
+        p = p * f
+    with _vca_checked():
+        isolate_real_roots(p, None)
+
+
+def test_vca_makes_one_pass_per_split(monkeypatch):
+    """Work on the roots-highdeg inputs, counted in passes of n(n+1)/2
+    additions: two Taylor shifts per ``_vca`` call, one per side, and one
+    de Casteljau pass per split, against one Taylor shift per node and one
+    per split for the monomial reference, on the same tree (207 against 573
+    passes when written)."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    inputs = []
+    real_vca = roots._vca
+    monkeypatch.setattr(roots, "_vca", lambda ints, k: inputs.append((ints, k)) or real_vca(ints, k))
+    monkeypatch.setattr(roots, "_taylor_shift", counted("shift", roots._taylor_shift))
+    monkeypatch.setattr(roots, "_de_casteljau", counted("split", roots._de_casteljau))
+    for p in _highdeg_polynomials():
+        isolate_real_roots(p, None)
+    monkeypatch.setattr(vca_reference, "_taylor_shift", counted("ref_shift", vca_reference._taylor_shift))
+    monkeypatch.setattr(vca_reference, "_descartes", counted("ref_node", vca_reference._descartes))
+    for ints, k in inputs:
+        vca_reference.vca_monomial(ints, k)
+    calls, splits = len(inputs), counts["ref_shift"] - counts["ref_node"]
+    assert counts["shift"] == 2 * calls, (counts, calls)
+    passes = counts["shift"] + counts["split"]
+    assert passes <= splits + 2 * calls and counts["ref_shift"] == counts["ref_node"] + splits
+    assert 5 * passes < 2 * counts["ref_shift"], (passes, counts)
 
 
 def test_descartes_isolation_matches_sturm_on_acceptance_grids():
