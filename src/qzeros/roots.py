@@ -1,27 +1,27 @@
 """Certified real-root isolation for exact-coefficient polynomials.
 
-Pipeline: factor out x = 0 exactly, split into square-free factors (Yun),
-and isolate each factor's roots by Descartes-rule (Vincent-Collins-Akritas)
-bisection on its primitive integer coefficients, over (-2^k, 0) and
-(0, 2^k) with 2^k a Fujiwara bound strictly above every root, so every
-endpoint is dyadic.  Bisection runs in the Bernstein basis: each side is
-converted once, by one Taylor shift, to integer Bernstein coefficients on
-(0, 1); the Descartes test is their sign variations, and one de Casteljau
-pass of integer additions gives both halves of a split.  A split point
-that is a root is recorded as an exact root, the width-0 interval [r, r]
-(the factor is deflated and isolation restarts), so no other interval ends
-on a root.  The entries are then sorted by the exact root comparison that
-the analysis decisions use too; while two intervals overlap it halves the
-wider one (both when equally wide; an exact root never halves), one
-halving at a time, until they are disjoint.  With ``eps=None`` isolation
-stops there; callers that compare roots refine on demand.  With a
-rational eps every interval is further refined until its width drops below
-eps, as display output needs, by quadratic interval refinement with a
-halving fallback.  No step budget applies to either.
-Last, the simplest rational in each interval (Stern-Brocot) is tested; an
-exact zero there collapses the interval onto it.  Every returned interval
-is therefore either a single rational root (lo == hi) or carries an exact
-sign-change certificate.
+Pipeline: split into square-free factors (Yun), and isolate each factor's
+roots by Descartes-rule (Vincent-Collins-Akritas) bisection on its
+primitive integer coefficients, over (-2^k, 0) and (0, 2^k) with 2^k a
+Fujiwara bound strictly above every root, so every endpoint is dyadic.
+Bisection runs in the Bernstein basis: each side is converted once, by one
+Taylor shift, to integer Bernstein coefficients on (0, 1); the Descartes
+test is their sign variations, and one de Casteljau pass of integer
+additions gives both halves of a split.  A split point that is a root, and
+0 when it is one, is recorded as an exact root, the width-0 interval
+[r, r]; bisection goes on past it, and the factor is deflated once by the
+exact roots, so no other interval ends on a root of its own factor.  The
+entries are then sorted by the exact root comparison that the analysis
+decisions use too; while two intervals overlap it halves the wider one
+(both when equally wide; an exact root never halves), one halving at a
+time, until they are disjoint.  With ``eps=None`` isolation stops there;
+callers that compare roots refine on demand.  With a rational eps every
+interval is further refined until its width drops below eps, as display
+output needs, by quadratic interval refinement with a halving fallback.
+No step budget applies to either.  Last, the simplest rational in each
+interval (Stern-Brocot) is tested; an exact zero there collapses the
+interval onto it.  Every returned interval is therefore either a single
+rational root (lo == hi) or carries an exact sign-change certificate.
 
 All of it runs on integers: Taylor shifts, de Casteljau passes and bit
 shifts of coefficient vectors, homogeneous integer Horner for every sign
@@ -344,9 +344,9 @@ def _de_casteljau(w: list[int]) -> tuple[list[int], list[int]]:
     return left, right
 
 
-def _vca(ints: tuple[int, ...], k: int) -> tuple[list[tuple[Fraction, Fraction]], Fraction | None]:
+def _vca(ints: tuple[int, ...], k: int) -> tuple[list[tuple[Fraction, Fraction]], list[Fraction]]:
     """Isolating intervals of the real roots, all inside (-2^k, 2^k), of the
-    integer polynomial f = ints, f(0) != 0, by Vincent-Collins-Akritas
+    square-free integer polynomial f = ints, by Vincent-Collins-Akritas
     bisection in the Bernstein basis (Rouillier and Zimmermann 2004).
 
     A node (c, j, b) stands for (c/2^j, (c+1)/2^j) and a polynomial a of
@@ -363,14 +363,20 @@ def _vca(ints: tuple[int, ...], k: int) -> tuple[list[tuple[Fraction, Fraction]]
     split point is a root exactly when their shared end coefficient is 0.
     The halves are the polynomials of monomial-basis bisection, so every
     count, the tree and its order are those of that method, with one pass
-    per split instead of one per node and one per split.  Returns
-    (intervals, None), or (intervals so far, r) as soon as a split point r
-    is a root.
+    per split instead of one per node and one per split.
+
+    A root at an end of a node needs no deflation.  With b_0 = 0, a = x g
+    and b_i = (i/n) L G_(i-1) for g's Bernstein coefficients G, positive
+    multiples; with b_n = 0 the multiples are (n-i)/n.  The variations of
+    b, zeros skipped, are then g's Descartes count, so both halves of a
+    split at a root go on, and 0 and 1 stay exact counts.  Returns
+    (intervals, exact roots): the split points that are roots, and 0 when
+    f(0) = 0, in the order found.
     """
     n = len(ints) - 1
     row = [comb(n, i) for i in range(n + 1)]
     scale = lcm(*row)
-    found = []
+    found, exact = [], ([] if ints[0] else [Fraction(0)])
     for side in (1, -1):
         shifted = _taylor_shift([c * side**i << k * i for i, c in enumerate(ints)][::-1])
         stack = [(0, 0, [shifted[n - i] * (scale // row[i]) for i in range(n + 1)])]
@@ -385,32 +391,30 @@ def _vca(ints: tuple[int, ...], k: int) -> tuple[list[tuple[Fraction, Fraction]]
                 continue
             left, right = _de_casteljau(b)
             if right[0] == 0:
-                return found, Fraction(side * ((2 * c + 1) << k), 1 << (j + 1))
+                exact.append(Fraction(side * ((2 * c + 1) << k), 1 << (j + 1)))
             stack.append((2 * c, j + 1, left))
             stack.append((2 * c + 1, j + 1, right))
-    return found, None
+    return found, exact
 
 
 def _isolate_squarefree(f: PolyExact) -> list[RootEntry]:
-    """Isolating entries (multiplicity 1) for all real roots of square-free f,
-    f(0) != 0.
+    """Isolating entries (multiplicity 1) for all real roots of square-free f.
 
-    A root found at a split point is recorded exactly, f is deflated by it
-    and isolation restarts on the quotient.
+    One :func:`_vca` pass when deg f >= 2.  Each exact root r it finds is an
+    entry with factor x - r; the others take as factor f deflated once by
+    all exact roots, which vanishes at none of their ends (split points, 0,
+    +-2^k) and changes sign across each.  A quotient of degree 1 gives its
+    root exactly.
     """
-    entries: list[RootEntry] = []
     work = f.primitive()
-    while work.degree > 1:
-        found, root = _vca(work.num, root_bound(work))
-        if root is None:
-            return entries + [RootEntry(lo, hi, 1, work) for lo, hi in found]
-        linear = PolyExact((-root, 1))
-        entries.append(RootEntry(root, root, 1, linear))
-        work = (work // linear).primitive()
+    found, exact = _vca(work.num, root_bound(work)) if work.degree > 1 else ([], [])
+    entries = [RootEntry(r, r, 1, PolyExact((-r, 1))) for r in exact]
+    if exact:
+        work = (work // PolyExact.from_roots(exact)).primitive()
     if work.degree == 1:
         r = Fraction(-work.num[0], work.num[1])
-        entries.append(RootEntry(r, r, 1, work))
-    return entries
+        return entries + [RootEntry(r, r, 1, work)]
+    return entries + [RootEntry(lo, hi, 1, work) for lo, hi in found]
 
 
 def _value(scaled: list[int], x: int, m: int) -> int:
@@ -506,9 +510,9 @@ def _snap_to_rational(e: RootEntry) -> None:
 def isolate_real_roots(p: PolyExact, eps: RationalLike | None = DEFAULT_EPS) -> RootSet:
     """Isolate all real roots of p with certified intervals.
 
-    Zero roots and rational roots found on the way come back with exact
-    values; everything else gets a sign-certified interval, of width < eps
-    when eps is given, or just disjoint from the others when eps is None.
+    Rational roots found on the way come back with exact values; every
+    other root gets a sign-certified interval, of width < eps when eps is
+    given, or just disjoint from the others when eps is None.
     The result is certified real-rooted exactly when the roots found (with
     multiplicity) account for the full degree.
     """
@@ -519,14 +523,7 @@ def isolate_real_roots(p: PolyExact, eps: RationalLike | None = DEFAULT_EPS) -> 
         raise InvalidParameterError("cannot isolate roots of the zero polynomial")
 
     entries: list[RootEntry] = []
-    zero_mult = 0
-    while not p.num[zero_mult]:
-        zero_mult += 1
-    if zero_mult:
-        entries.append(RootEntry(Fraction(0), Fraction(0), zero_mult, PolyExact.x()))
-    reduced = PolyExact.from_ints(p.num[zero_mult:], p.den)
-
-    for factor, mult in square_free_decomposition(reduced):
+    for factor, mult in square_free_decomposition(p):
         for e in _isolate_squarefree(factor):
             e.multiplicity = mult
             entries.append(e)

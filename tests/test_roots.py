@@ -612,7 +612,7 @@ def _sturm_isolation(p, eps):
 @contextmanager
 def _vca_checked():
     """Run every ``roots._vca`` call beside the monomial reference, assert the
-    same (found, root), and collect each (ints, k, root)."""
+    same (intervals, exact roots), and collect each (ints, k, exact roots)."""
     inputs = []
     real = roots._vca
 
@@ -627,24 +627,61 @@ def _vca_checked():
         yield inputs
 
 
-def test_bernstein_vca_matches_monomial_reference():
-    """The Bernstein-basis VCA against the monomial VCA it replaced, on every
-    ``_vca`` input of isolating the 672 acceptance-grid polynomials, little
-    q-Jacobi at q = 9/10 for n = 20..30 and b = +-1/2, a product with dyadic
-    split-point roots and one with roots 2^-62 apart: the same intervals, in
-    the same order, and the same split-point root, restarts included."""
+_SPLIT_CUBIC = PolyExact((-1, 2)) * PolyExact((-1, 4)) * PolyExact((-1, 3))  # (2x - 1)(4x - 1)(3x - 1)
+
+
+@cache
+def _vca_polynomials():
+    """The 672 acceptance-grid polynomials, little q-Jacobi at q = 9/10 for
+    n = 20..30 and b = +-1/2, little q-Jacobi at q = 1/2 with b = q^-k, whose
+    zeros 1, q, ..., q^(k-1) are split points, and planted products: dyadic
+    split-point roots, a zero root beside them, and roots 2^-62 apart."""
     q = F(9, 10)
     jacobi = [little_q_jacobi(n, F(1, 2), b, q) for n in range(20, 31) for b in (F(1, 2), F(-1, 2))]
+    coincide = [little_q_jacobi(n, a, F(2) ** k, F(1, 2)) for n, a, k in ((6, F(1, 2), 3), (9, F(3, 8), 4))]
     planted = [
         PolyExact((-1, 2)) * PolyExact((1, 4)) * PolyExact((-3, 0, 1)),  # (2x - 1)(4x + 1)(x^2 - 3)
         PolyExact((-1, 8)) * PolyExact((3, 4)) * PolyExact((-5, 2)),  # roots 1/8, -3/4, 5/2
         PolyExact((-2, 0, 1)) * PolyExact((-2 - F(1, 2**60), 0, 1)),  # (x^2 - 2)(x^2 - 2 - 2^-60)
+        _SPLIT_CUBIC,
+        PolyExact.x() * _SPLIT_CUBIC * PolyExact((-5, 0, 1)),
     ]
+    return _acceptance_grid_polynomials() + tuple(jacobi + coincide + planted)
+
+
+def test_bernstein_vca_matches_monomial_reference():
+    """The Bernstein-basis VCA against the monomial VCA it replaced, on every
+    ``_vca`` input of isolating :func:`_vca_polynomials`: the same intervals,
+    in the same order, and the same exact roots.  The inputs include a
+    factor with two or more split-point roots and one with f(0) = 0."""
     with _vca_checked() as inputs:
-        for p in _acceptance_grid_polynomials() + tuple(jacobi + planted):
+        for p in _vca_polynomials():
             isolate_real_roots(p, None)
-    restarts = sum(root is not None for *_, root in inputs)
-    assert len(inputs) > 600 and restarts > 0, (len(inputs), restarts)
+    split_roots = max(sum(r != 0 for r in exact) for *_, exact in inputs)
+    assert len(inputs) > 600 and split_roots >= 2, (len(inputs), split_roots)
+    assert any(not ints[0] for ints, *_ in inputs)
+
+
+def _same_as_restarting(p, eps):
+    """Isolation of p against the restart loop it replaced: the same counts,
+    multiplicities and exact roots; each other interval nested with the
+    reference's, as both are aligned dyadic cells holding the same root; and
+    the entry's factor nonzero at both ends, with opposite signs there."""
+    rs, ref = isolate_real_roots(p, eps), vca_reference.isolate_real_roots_restarting(p, eps)
+    assert (rs.total_count, rs.certified_real_rooted) == (ref.total_count, ref.certified_real_rooted), p
+    assert [(e.multiplicity, e.exact) for e in rs.roots] == [(r.multiplicity, r.exact) for r in ref.roots], p
+    for e, r in zip(rs.roots, ref.roots):
+        if e.exact is None:
+            assert r.lo <= e.lo < e.hi <= r.hi or e.lo <= r.lo < r.hi <= e.hi, p
+            assert e.factor.sign_at(e.lo) * e.factor.sign_at(e.hi) == -1, p
+
+
+@pytest.mark.parametrize("eps", [None, roots.DEFAULT_EPS], ids=["separated", "default-eps"])
+def test_one_vca_pass_matches_restarting_reference(eps):
+    """One VCA pass per square-free factor against the restart loop and the
+    zero-root stripping it replaced, on :func:`_vca_polynomials`."""
+    for p in _vca_polynomials():
+        _same_as_restarting(p, eps)
 
 
 _LINEAR = st.tuples(st.integers(-40, 40), st.integers(0, 3)).map(lambda t: PolyExact((-t[0], 2 ** t[1])))
@@ -655,16 +692,91 @@ _LINEAR = st.tuples(st.integers(-40, 40), st.integers(0, 3)).map(lambda t: PolyE
     planted=st.lists(_LINEAR, max_size=6),
 )
 @example(coeffs=[1], planted=[PolyExact((-1, 2)), PolyExact((1, 4)), PolyExact((-3, 1)), PolyExact((3, 1))])
+@example(coeffs=[0, 1], planted=[PolyExact((-1, 2)), PolyExact((-1, 4)), PolyExact((0, 1))])
 @settings(max_examples=150, deadline=None)
 def test_bernstein_vca_matches_reference_on_integer_polynomials(coeffs, planted):
     """Integer polynomials of degree <= 12: random coefficients times up to
-    six planted factors 2^e x - c, whose roots often fall on split points."""
+    six planted factors 2^e x - c, whose roots often fall on split points or
+    on 0.  Every ``_vca`` call matches the monomial reference, and the
+    isolation, to separation and to the default eps, matches the restart
+    loop."""
     p = PolyExact(coeffs)
     assume(not p.is_zero)
     for f in planted:
         p = p * f
     with _vca_checked():
         isolate_real_roots(p, None)
+    for eps in (None, roots.DEFAULT_EPS):
+        _same_as_restarting(p, eps)
+
+
+def test_split_point_and_zero_roots_are_exact_in_one_vca_pass(monkeypatch):
+    """(2x - 1)(4x - 1)(3x - 1): 1/2 and 1/4 are split points of the one
+    ``_vca`` call, and 1/3 is the root of the linear quotient.  With x and
+    x^2 - 5 as further factors, the one call also finds 0, and +-sqrt 5 keep
+    sign-certified intervals.  The restart loop takes 2 and 3 calls."""
+    calls, ref_calls = [], []
+    real, real_ref = roots._vca, vca_reference.vca_until_root
+    monkeypatch.setattr(roots, "_vca", lambda ints, k: calls.append(real(ints, k)) or calls[-1])
+    monkeypatch.setattr(vca_reference, "vca_until_root", lambda ints, k: ref_calls.append(1) or real_ref(ints, k))
+
+    rs = isolate_real_roots(_SPLIT_CUBIC, None)
+    assert [e.exact for e in rs.roots] == [F(1, 4), F(1, 3), F(1, 2)]
+    assert len(calls) == 1 and sorted(calls[0][1]) == [F(1, 4), F(1, 2)]
+    assert rs.roots[1].factor == PolyExact((-1, 3))
+    vca_reference.isolate_real_roots_restarting(_SPLIT_CUBIC, None)
+    assert len(ref_calls) == 2
+
+    calls.clear(), ref_calls.clear()
+    p = PolyExact.x() * _SPLIT_CUBIC * PolyExact((-5, 0, 1))
+    rs = isolate_real_roots(p, None)
+    assert [e.exact for e in rs.roots] == [None, F(0), F(1, 4), F(1, 3), F(1, 2), None]
+    assert len(calls) == 1 and sorted(calls[0][1]) == [F(0), F(1, 4), F(1, 2)]
+    for e in (rs.roots[0], rs.roots[-1]):
+        assert e.lo**2 < 5 < e.hi**2 or e.hi**2 < 5 < e.lo**2
+        assert e.factor.sign_at(e.lo) * e.factor.sign_at(e.hi) == -1
+    vca_reference.isolate_real_roots_restarting(p, None)
+    assert len(ref_calls) == 3
+
+
+def _counter(counts):
+    """A wrapper maker: ``counted(name, fn)`` is fn, adding each call to counts[name]."""
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+    return counted
+
+
+def test_vca_runs_once_per_square_free_factor(monkeypatch):
+    """On the isolations of one decide-coarse pass (seed 1: p, its thm2-i
+    partner, p with b moved to q^2 b, and p again as the twin), exactly one
+    ``_vca`` call per square-free factor of degree >= 2, two Taylor shifts
+    per call, and fewer de Casteljau passes than the restart loop makes on
+    the same inputs (2,489 against 2,806 when written)."""
+    from test_pinned_report import workloads
+
+    counts = Counter()
+    counted = _counter(counts)
+    polys = []
+    for d in workloads.decide_draws(1):
+        p = little_q_jacobi(d.n, d.a, d.b, d.q)
+        polys += [p, little_q_jacobi(d.n - 1, d.q * d.a, d.q * d.b, d.q), little_q_jacobi(d.n, d.a, d.q**2 * d.b, d.q), p]
+    degrees = []
+    real_squarefree = roots._isolate_squarefree
+    monkeypatch.setattr(roots, "_isolate_squarefree", lambda f: degrees.append(f.degree) or real_squarefree(f))
+    monkeypatch.setattr(roots, "_vca", counted("vca", roots._vca))
+    monkeypatch.setattr(roots, "_taylor_shift", counted("shift", roots._taylor_shift))
+    monkeypatch.setattr(roots, "_de_casteljau", counted("split", roots._de_casteljau))
+    for p in polys:
+        isolate_real_roots(p, None)
+    ours = counts.copy()
+    counts.clear()
+    for p in polys:
+        vca_reference.isolate_real_roots_restarting(p, None)
+    assert ours["vca"] == sum(n >= 2 for n in degrees) and ours["shift"] == 2 * ours["vca"], ours
+    assert ours["split"] < counts["split"], (ours, counts)
 
 
 def test_vca_makes_one_pass_per_split(monkeypatch):
@@ -674,13 +786,7 @@ def test_vca_makes_one_pass_per_split(monkeypatch):
     per split for the monomial reference, on the same tree (207 against 573
     passes when written)."""
     counts = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
-
+    counted = _counter(counts)
     inputs = []
     real_vca = roots._vca
     monkeypatch.setattr(roots, "_vca", lambda ints, k: inputs.append((ints, k)) or real_vca(ints, k))
