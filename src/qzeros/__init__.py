@@ -27,6 +27,7 @@ from .errors import (
     RegistryError,
     ShapeError,
     UndefinedLmeshError,
+    WorkerError,
 )
 from .families import (
     Family,
@@ -91,6 +92,6 @@ __all__ = [
     "QZerosError", "InvalidToleranceError", "ConstraintViolationError",
     "DegenerateParameterError", "InvalidParameterError", "RegimeError",
     "LmeshDomainError", "UndefinedLmeshError",
-    "ShapeError", "RegistryError", "ConfigError",
+    "ShapeError", "RegistryError", "ConfigError", "WorkerError",
     "__version__",
 ]

@@ -54,3 +54,7 @@ class RegistryError(QZerosError):
 
 class ConfigError(QZerosError):
     """Malformed configuration input."""
+
+
+class WorkerError(QZerosError):
+    """A worker process running checks ended without returning its records."""

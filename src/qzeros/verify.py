@@ -13,9 +13,12 @@ evaluated in deterministic lexicographic order, so records are reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import itertools
+import os
+import threading
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,6 +38,7 @@ from .errors import (
     InvalidParameterError,
     QZerosError,
     RegistryError,
+    WorkerError,
 )
 from .families import (
     e_factor,
@@ -1128,16 +1132,80 @@ def run_identity_on_grid(check_id: str, grid: GridSpec) -> list[VerificationReco
     return _on_grid(IDENTITY_CHECKS, "identity", check_id, grid)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _identity_records(check_id: str, grid: GridSpec) -> list[VerificationRecord]:
+    """One identity check's records.  Workers are sent this private name: it
+    pickles by reference even while a tracer rebinds the public functions."""
+    return run_identity_on_grid(check_id, grid)
+
+
+@contextlib.contextmanager
+def _identity_pool(identity_checks: int, property_checks: bool):
+    """A pool of forked workers for the identity checks, or None to run them
+    inline.
+
+    The parent keeps one CPU for the property checks when there are any, and
+    a pool starts only when two processes would then work at once.  Forked
+    workers inherit the registry and start without re-importing; fork is
+    skipped in a process that already runs other threads.  A worker that dies
+    raises :class:`WorkerError`, and every worker has ended when the block
+    exits, on return and on raise alike.
+    """
+    workers = min(identity_checks, _usable_cpus() - property_checks)
+    if workers + property_checks < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        yield None
+        return
+    import multiprocessing  # imported here only: `import qzeros` stays without them
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool
+    except BrokenProcessPool as exc:
+        raise WorkerError("a worker process running identity checks ended abruptly") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _property_records(check_ids: list[str], grid: GridSpec) -> dict[str, list[VerificationRecord]]:
+    """Each property check's records, all under one run memo.  The memo is
+    dropped on return, before identity checks run inline, so their builds
+    do not pile up beside it."""
+    records = {}
+    token = _RUN_MEMO.set({})
+    try:
+        for check_id in check_ids:
+            records[check_id] = check_property(check_id, grid)
+    finally:
+        _RUN_MEMO.reset(token)
+    return records
+
+
 def run_checks(grid: GridSpec) -> list[VerificationRecord]:
-    """Run every check named by the grid, identities first point order, then
-    properties, in the deterministic order the grid lists them.
+    """Run every check named by the grid and return the records in the order
+    the grid lists the checks, each check's in its own grid-point order.
+
+    When more than one CPU is usable, identity checks run in forked worker
+    processes, one check per task, while this process runs the property
+    checks; otherwise everything runs here.  The records, and so the report
+    bytes, are the same either way.  A worker that dies raises
+    :class:`WorkerError`; an exception a check raises in a worker is raised
+    here with its own type.
 
     The property checks share one memo for the call: each distinct
     polynomial is built and isolated once, every decision narrows that root
     set in place (see :func:`_roots`), and the orthogonality bounds and
     lattice tables are computed once.  Identity checks run without it, since
-    they isolate nothing and their builds would only hold memory.  The memo
-    is dropped when the call returns or raises.
+    they isolate nothing and their builds would only hold memory; workers
+    are started before the memo is set.  The memo is dropped when the
+    property checks end or raise.
 
     A grid that yields no record at all (no check ids, or value lists that
     leave every check without a point) raises :class:`ConfigError`: an
@@ -1146,17 +1214,21 @@ def run_checks(grid: GridSpec) -> list[VerificationRecord]:
     unknown = [c for c in grid.check_ids if c not in IDENTITY_CHECKS and c not in PROPERTY_CHECKS]
     if unknown:
         raise RegistryError(f"unknown check(s) {', '.join(map(repr, unknown))}")
-    records: list[VerificationRecord] = []
-    memo: dict = {}
-    for check_id in grid.check_ids:
-        if check_id in IDENTITY_CHECKS:
-            records.extend(run_identity_on_grid(check_id, grid))
-            continue
-        token = _RUN_MEMO.set(memo)
-        try:
-            records.extend(check_property(check_id, grid))
-        finally:
-            _RUN_MEMO.reset(token)
+    identity_ids = list(dict.fromkeys(c for c in grid.check_ids if c in IDENTITY_CHECKS))
+    property_ids = [c for c in grid.check_ids if c not in IDENTITY_CHECKS]
+    with _identity_pool(len(identity_ids), bool(property_ids)) as pool:
+        # check id -> a call giving its records, run here or read from a worker
+        identity = {
+            c: functools.partial(_identity_records, c, grid) if pool is None
+            else pool.submit(_identity_records, c, grid).result
+            for c in identity_ids
+        }
+        properties = _property_records(property_ids, grid)
+        records = [
+            rec
+            for check_id in grid.check_ids
+            for rec in (properties[check_id] if check_id in properties else identity[check_id]())
+        ]
     if not records:
         raise ConfigError(
             f"the grid yields no records (checkIds {list(grid.check_ids)}); "

@@ -210,6 +210,21 @@ def _fresh_cli(*argv, timeout=60):
     )
 
 
+def test_import_and_help_load_no_process_pool():
+    """`import qzeros` and `python -m qzeros --help` import neither
+    multiprocessing nor concurrent.futures: only a run that starts workers
+    does, so start-up time does not pay for them."""
+    src = str(Path(qzeros.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in (["-c", "import qzeros"], ["-m", "qzeros", "--help"]):
+        proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert "qzeros.verify" in imported, argv
+        assert not {m for m in imported if m.split(".")[0] in ("multiprocessing", "concurrent")}, argv
+
+
 def test_one_parser_serves_every_call(capsys):
     """main builds its parser once per process; calls that reuse it, with
     different subcommands and a negative --b, print what fresh processes do."""

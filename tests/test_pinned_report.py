@@ -13,7 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from qzeros import identity_check_ids, property_check_ids
+import pytest
+
+from qzeros import GridSpec, identity_check_ids, property_check_ids, run_checks, verify
 from qzeros.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -56,6 +58,22 @@ def test_identity_grid_report_matches_pinned_digest(tmp_path, capsys):
     digest = _report_digest(tmp_path, "identities", workloads.IDENTITY_GRID)
     capsys.readouterr()
     assert digest == _pinned_digest("identities")
+
+
+@pytest.mark.parametrize("name, grid", [
+    ("registry-grid", workloads.REGISTRY_GRID), ("identities", workloads.IDENTITY_GRID),
+])
+def test_inline_and_worker_runs_give_the_pinned_report(name, grid, tmp_path, capsys, monkeypatch, pools):
+    """Identity checks run inline (one CPU) and in forked workers (two CPUs)
+    give the same records, and each path writes the pinned report bytes."""
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+        runs.append([r.to_json() for r in run_checks(GridSpec.from_json(grid))])
+        assert _report_digest(tmp_path, name, grid) == _pinned_digest(name)
+    capsys.readouterr()
+    assert [pool is None for pool in pools] == [True, True, False, False]
+    assert runs[0] == runs[1]
 
 
 def test_registry_order_matches_pinned_ids():

@@ -1,6 +1,9 @@
 """Check registry: identities, properties, regimes, witnesses, determinism."""
 
+import json
 import math
+import multiprocessing
+import os
 from fractions import Fraction as F
 
 import pytest
@@ -27,8 +30,10 @@ from qzeros import (
     run_identity_on_grid,
     summarize,
     weight_mass,
+    WorkerError,
 )
 from qzeros import roots, verify
+from qzeros.cli import main
 
 Q = F(1, 2)
 
@@ -460,9 +465,10 @@ def test_isolation_memo_matches_fresh_isolation(monkeypatch):
     assert memo == fresh
 
 
-def test_isolation_memo_is_scoped_to_one_run(monkeypatch):
+def test_isolation_memo_is_scoped_to_one_run(monkeypatch, pools):
     """The memo is set only inside run_checks, emptied when it returns or
-    raises, and a second run isolates everything again."""
+    raises, and a second run isolates everything again.  A raise leaves no
+    worker process behind."""
     sizes = []
     real_isolate = verify.isolate_real_roots
 
@@ -486,20 +492,23 @@ def test_isolation_memo_is_scoped_to_one_run(monkeypatch):
         raise RuntimeError("check raised inside the run")
 
     monkeypatch.setitem(verify.PROPERTY_CHECKS, "raising-check", verify._Check(verify._QNAB, raising))
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)  # contig-1 goes to a worker
     bad = GridSpec(q_values=[Q], n_values=[2], a_values=[F(1, 2)], b_values=[F(1, 2)],
-                   check_ids=["thm2-lmesh", "raising-check"])
+                   check_ids=["thm2-lmesh", "contig-1", "raising-check"])
     with pytest.raises(RuntimeError):
         run_checks(bad)
+    assert pools[-1] is not None and multiprocessing.active_children() == []
     assert sizes[-1] == 0  # thm2-lmesh ran inside the memo before the raise
     assert verify._RUN_MEMO.get() is None
     verify._roots(little_q_jacobi(2, F(1, 2), F(1, 2), Q))  # outside a run: no memo
     assert sizes[-1] is None
 
 
-def test_identity_checks_run_without_the_memo(monkeypatch):
+def test_identity_checks_run_without_the_memo(monkeypatch, pools):
     """Identity checks isolate nothing, so they build outside the run memo:
     an identities-only run stores nothing in it, and identity checks between
-    property checks see none."""
+    property checks see none.  This is the inline path, on one CPU."""
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
     seen = {}
     stage = [None]
     real_record = verify._record
@@ -524,6 +533,85 @@ def test_identity_checks_run_without_the_memo(monkeypatch):
     ids = ["thm2-lmesh", "contig-1", "recip-2", "thm2-i"]
     run_checks(GridSpec(q_values=[Q], n_values=[2], a_values=[F(1, 3)], b_values=[F(-1)], check_ids=ids))
     assert seen == {"thm2-lmesh": {True}, "contig-1": {False}, "recip-2": {False}, "thm2-i": {True}}
+    assert pools == [None, None]
+
+
+def _stub_identity(monkeypatch, check_id: str, fn) -> None:
+    """Register ``fn`` as an identity check with one point and no parameters;
+    forked workers inherit it."""
+    monkeypatch.setitem(verify.IDENTITY_CHECKS, check_id, verify._Check(lambda grid: [{}], fn))
+
+
+_SMALL = dict(q_values=[Q], n_values=[2], a_values=[F(1, 3)], b_values=[F(-1)])
+
+
+def test_identity_checks_in_workers_run_without_the_memo(monkeypatch, pools):
+    """On two CPUs an identity check between property checks runs in a
+    forked worker, which starts before the memo is set and so sees none;
+    the records keep grid order."""
+    parent = os.getpid()
+    _stub_identity(monkeypatch, "memo-probe", lambda: (
+        Status.PASS, {"memo_unset": verify._RUN_MEMO.get() is None, "in_worker": os.getpid() != parent}))
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    records = run_checks(GridSpec(**_SMALL, check_ids=["thm2-lmesh", "memo-probe", "thm2-i"]))
+    assert pools[-1] is not None
+    assert [r.check_id for r in records] == ["thm2-lmesh", "memo-probe", "thm2-i"]
+    assert records[1].witness == {"memo_unset": True, "in_worker": True}
+
+
+def test_one_identity_check_beside_property_checks_matches_inline(monkeypatch, pools):
+    """One identity check beside property checks runs in one worker while
+    the parent runs the property checks, and gives the inline records."""
+    grid = GridSpec(q_values=[Q, F(3, 4)], n_values=[1, 2, 3], a_values=[F(1, 3), F(1, 2)],
+                    b_values=[F(-1), F(1, 2)], check_ids=["thm2-lmesh", "contig-1", "thm2-i", "thmA-1"])
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+        runs.append([r.to_json() for r in run_checks(grid)])
+    assert pools[0] is None and pools[1]._max_workers == 1
+    assert len(runs[0]) > 50 and runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_check_raising_in_a_worker_raises_its_own_type(monkeypatch, pools, cpus):
+    """An exception that is not a QZerosError reaches the caller with the
+    same type from a worker as inline, and no worker is left running."""
+
+    def raising():
+        raise ZeroDivisionError("check raised inside the run")
+
+    _stub_identity(monkeypatch, "raising-identity", raising)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+    with pytest.raises(ZeroDivisionError, match="inside the run"):
+        run_checks(GridSpec(**_SMALL, check_ids=["contig-1", "raising-identity", "thm2-i"]))
+    assert (pools[-1] is None) == (cpus == 1)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dead_worker_ends_verify_with_one_error_line(monkeypatch, pools, tmp_path, capsys):
+    """A worker that dies raises WorkerError, so `qzeros verify` exits 2
+    with one error line and no traceback, writes no report, and leaves no
+    worker running."""
+    parent = os.getpid()
+
+    def dying():
+        if os.getpid() == parent:  # never end the test process itself
+            raise AssertionError("the stub ran inline")
+        os._exit(3)
+
+    _stub_identity(monkeypatch, "dying-identity", dying)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    with pytest.raises(WorkerError):
+        run_checks(GridSpec(**_SMALL, check_ids=["dying-identity", "thm2-i"]))
+    assert multiprocessing.active_children() == []
+    config, report = tmp_path / "grid.json", tmp_path / "report.json"
+    config.write_text(json.dumps({"qValues": ["1/2"], "nValues": [2], "aValues": ["1/3"], "bValues": ["-1"],
+                                  "checkIds": ["thm2-lmesh", "dying-identity", "contig-1"]}))
+    assert main(["verify", "--config", str(config), "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not report.exists()
+    assert all(pool is not None for pool in pools) and multiprocessing.active_children() == []
 
 
 def test_orthogonality_tables_computed_once_per_run(monkeypatch):
