@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -180,6 +181,9 @@ def _cmd_interlace(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # checked before any check runs, so a long run cannot end on a bad path
+    if args.report and not os.path.isdir(os.path.dirname(args.report) or "."):
+        raise QZerosError(f"--report: {clip(repr(args.report))} is not in an existing directory")
     with open(args.config, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

@@ -20,7 +20,7 @@ import itertools
 import os
 import threading
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -174,10 +174,10 @@ def _params_dict(point: Mapping) -> dict:
     return {k: _fmt(v) for k, v in point.items()}
 
 
-# The work of the current run_checks call while its property checks run:
-# root sets, polynomial builds and orthogonality tables, each under a key of
-# what determines it.  A polynomial hashes and compares as its integer vector
-# and denominator.
+# The work of one property slice of a run_checks call, its property checks
+# at one q value: root sets, polynomial builds and orthogonality tables, each
+# under a key of what determines it.  A polynomial hashes and compares as its
+# integer vector and denominator.
 _RUN_MEMO: ContextVar[dict | None] = ContextVar("qzeros_run_memo", default=None)
 
 
@@ -1146,19 +1146,19 @@ def _identity_records(check_id: str, grid: GridSpec) -> list[VerificationRecord]
 
 
 @contextlib.contextmanager
-def _identity_pool(identity_checks: int, property_checks: bool):
-    """A pool of forked workers for the identity checks, or None to run them
+def _worker_pool(tasks: int):
+    """A pool of forked workers for ``tasks`` tasks, or None to run them
     inline.
 
-    The parent keeps one CPU for the property checks when there are any, and
-    a pool starts only when two processes would then work at once.  Forked
-    workers inherit the registry and start without re-importing; fork is
-    skipped in a process that already runs other threads.  A worker that dies
-    raises :class:`WorkerError`, and every worker has ended when the block
-    exits, on return and on raise alike.
+    The pool has one worker per task, up to the usable CPUs, and starts only
+    when two workers would then run at once.  Forked workers inherit the
+    registry and start without re-importing; fork is skipped in a process
+    that already runs other threads.  A worker that dies raises
+    :class:`WorkerError`, and every worker has ended when the block exits,
+    on return and on raise alike.
     """
-    workers = min(identity_checks, _usable_cpus() - property_checks)
-    if workers + property_checks < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    workers = min(tasks, _usable_cpus())
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         yield None
         return
     import multiprocessing  # imported here only: `import qzeros` stays without them
@@ -1169,15 +1169,14 @@ def _identity_pool(identity_checks: int, property_checks: bool):
     try:
         yield pool
     except BrokenProcessPool as exc:
-        raise WorkerError("a worker process running identity checks ended abruptly") from exc
+        raise WorkerError("a worker process running checks ended abruptly") from exc
     finally:
         pool.shutdown(cancel_futures=True)
 
 
 def _property_records(check_ids: list[str], grid: GridSpec) -> dict[str, list[VerificationRecord]]:
-    """Each property check's records, all under one run memo.  The memo is
-    dropped on return, before identity checks run inline, so their builds
-    do not pile up beside it."""
+    """Each property check's records, all under one memo that is dropped on
+    return or raise."""
     records = {}
     token = _RUN_MEMO.set({})
     try:
@@ -1192,20 +1191,27 @@ def run_checks(grid: GridSpec) -> list[VerificationRecord]:
     """Run every check named by the grid and return the records in the order
     the grid lists the checks, each check's in its own grid-point order.
 
-    When more than one CPU is usable, identity checks run in forked worker
-    processes, one check per task, while this process runs the property
-    checks; otherwise everything runs here.  The records, and so the report
-    bytes, are the same either way.  A worker that dies raises
-    :class:`WorkerError`; an exception a check raises in a worker is raised
-    here with its own type.
+    The work is a list of tasks: the property checks at one q value, one task
+    per entry of ``grid.q_values``, then each identity check, one task each.
+    When more than one CPU is usable they run in forked worker processes,
+    one worker per task up to the usable CPUs, the longest (the property
+    slices) submitted first; otherwise they run here in that order.  This
+    process only merges the records: a property check's are its slices' in
+    ``q_values`` order, which is its grid-point order, since every points
+    builder iterates q outermost.  The records, and so the report bytes, are
+    the same either way.  A worker that dies raises :class:`WorkerError`; an
+    exception a check raises in a worker is raised here with its own type.
 
-    The property checks share one memo for the call: each distinct
-    polynomial is built and isolated once, every decision narrows that root
-    set in place (see :func:`_roots`), and the orthogonality bounds and
-    lattice tables are computed once.  Identity checks run without it, since
-    they isolate nothing and their builds would only hold memory; workers
-    are started before the memo is set.  The memo is dropped when the
-    property checks end or raise.
+    Each property slice runs under its own memo: each distinct polynomial is
+    built and isolated once, every decision narrows that root set in place
+    (see :func:`_roots`), and the orthogonality bounds and lattice tables are
+    computed once.  Every memo key is fixed by q (a build's parameters
+    include q, and a polynomial's coefficients depend on it), so one memo
+    over the grid would add only the sharing of polynomials that coincide at
+    two q values, which are few and, on the pinned registry grid, all of
+    degree 0 or 1.  Identity checks run without a memo, since
+    they isolate nothing and their builds would only hold memory.  A memo is
+    dropped when its slice ends or raises.
 
     A grid that yields no record at all (no check ids, or value lists that
     leave every check without a point) raises :class:`ConfigError`: an
@@ -1215,20 +1221,17 @@ def run_checks(grid: GridSpec) -> list[VerificationRecord]:
     if unknown:
         raise RegistryError(f"unknown check(s) {', '.join(map(repr, unknown))}")
     identity_ids = list(dict.fromkeys(c for c in grid.check_ids if c in IDENTITY_CHECKS))
-    property_ids = [c for c in grid.check_ids if c not in IDENTITY_CHECKS]
-    with _identity_pool(len(identity_ids), bool(property_ids)) as pool:
-        # check id -> a call giving its records, run here or read from a worker
-        identity = {
-            c: functools.partial(_identity_records, c, grid) if pool is None
-            else pool.submit(_identity_records, c, grid).result
-            for c in identity_ids
-        }
-        properties = _property_records(property_ids, grid)
-        records = [
-            rec
-            for check_id in grid.check_ids
-            for rec in (properties[check_id] if check_id in properties else identity[check_id]())
-        ]
+    property_ids = list(dict.fromkeys(c for c in grid.check_ids if c in PROPERTY_CHECKS))
+    slices = [replace(grid, q_values=[q]) for q in grid.q_values] if property_ids else []
+    tasks = [(_property_records, property_ids, s) for s in slices]
+    tasks += [(_identity_records, c, grid) for c in identity_ids]
+    with _worker_pool(len(tasks)) as pool:
+        calls = [functools.partial(*task) if pool is None else pool.submit(*task).result for task in tasks]
+        results = [call() for call in calls]
+    parts = results[: len(slices)]
+    by_id = dict(zip(identity_ids, results[len(slices):]))
+    by_id.update({c: [rec for part in parts for rec in part[c]] for c in property_ids})
+    records = [rec for check_id in grid.check_ids for rec in by_id[check_id]]
     if not records:
         raise ConfigError(
             f"the grid yields no records (checkIds {list(grid.check_ids)}); "

@@ -9,11 +9,12 @@ from qzeros import verify
 
 @pytest.fixture
 def pools(monkeypatch):
-    """What each run_checks call ran its identity checks in, in call order:
-    None for inline, else the worker pool.  Tests pick the path by patching
-    ``verify._usable_cpus``: one CPU runs inline, two fork workers."""
+    """What each run_checks call ran its tasks in, in call order: None for
+    inline, else the worker pool.  Tests pick the path by patching
+    ``verify._usable_cpus``: one CPU runs inline, more fork one worker per
+    task up to the CPUs."""
     opened = []
-    real = verify._identity_pool
+    real = verify._worker_pool
 
     @contextlib.contextmanager
     def recording(*args):
@@ -21,5 +22,5 @@ def pools(monkeypatch):
             opened.append(pool)
             yield pool
 
-    monkeypatch.setattr(verify, "_identity_pool", recording)
+    monkeypatch.setattr(verify, "_worker_pool", recording)
     return opened

@@ -346,6 +346,23 @@ def test_verify_bad_config_exits_2(tmp_path, capsys):
         assert code == 2 and err.startswith("error: ") and "Traceback" not in err, doc
 
 
+def test_verify_bad_report_path_exits_2_before_any_check_runs(tmp_path, capsys, monkeypatch):
+    """A --report path whose directory is missing, or is a file, ends in one
+    error line and exit 2 before any check runs, and creates no file."""
+
+    def refuse(*args):
+        raise AssertionError("checks ran despite a bad --report path")
+
+    monkeypatch.setattr(verify_mod, "run_checks", refuse)
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"qValues": ["1/2"], "nValues": [2], "checkIds": ["sw-lmesh"]}))
+    for report in (tmp_path / "missing" / "r.json", config / "r.json"):
+        code, out, err = run_cli(capsys, "verify", "--config", str(config), "--report", str(report))
+        assert code == 2 and out == "" and err.startswith("error: --report: ") and err.count("\n") == 1
+        assert not report.parent.is_dir()
+    assert sorted(tmp_path.iterdir()) == [config]
+
+
 def test_verify_non_utf8_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bytes.json"
     cfg.write_bytes(b"\xff\xfe")

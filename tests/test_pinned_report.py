@@ -64,8 +64,8 @@ def test_identity_grid_report_matches_pinned_digest(tmp_path, capsys):
     ("registry-grid", workloads.REGISTRY_GRID), ("identities", workloads.IDENTITY_GRID),
 ])
 def test_inline_and_worker_runs_give_the_pinned_report(name, grid, tmp_path, capsys, monkeypatch, pools):
-    """Identity checks run inline (one CPU) and in forked workers (two CPUs)
-    give the same records, and each path writes the pinned report bytes."""
+    """Checks run inline (one CPU) and in forked workers (two CPUs) give the
+    same records, and each path writes the pinned report bytes."""
     runs = []
     for cpus in (1, 2):
         monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)

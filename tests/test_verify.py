@@ -4,6 +4,8 @@ import json
 import math
 import multiprocessing
 import os
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +27,7 @@ from qzeros import (
     default_t_values,
     identity_check_ids,
     little_q_jacobi,
+    property_check_ids,
     rat,
     run_checks,
     run_identity_on_grid,
@@ -444,13 +447,19 @@ def _interlacing_grids() -> list[GridSpec]:
 
 
 def test_isolation_memo_matches_fresh_isolation(monkeypatch):
-    """run_checks isolates each distinct polynomial once and gives the same
-    records as isolating afresh at every call."""
-    isolated = []
+    """run_checks isolates each distinct polynomial once per memo, that is
+    once per q value, and gives the same records as isolating afresh at
+    every call.  It runs inline, on one CPU, so that this process sees every
+    isolation."""
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    isolated, memos = [], []
     real_isolate = verify.isolate_real_roots
 
     def counting(p, eps):
-        isolated.append(p.coeffs)
+        memo = verify._RUN_MEMO.get()
+        if not memos or memos[-1] is not memo:  # memos holds each, so a new one differs
+            memos.append(memo)
+        isolated.append((len(memos), p.coeffs))
         return real_isolate(p, eps)
 
     monkeypatch.setattr(verify, "isolate_real_roots", counting)
@@ -467,8 +476,9 @@ def test_isolation_memo_matches_fresh_isolation(monkeypatch):
 
 def test_isolation_memo_is_scoped_to_one_run(monkeypatch, pools):
     """The memo is set only inside run_checks, emptied when it returns or
-    raises, and a second run isolates everything again.  A raise leaves no
-    worker process behind."""
+    raises, and a second run isolates everything again.  A property check
+    that raises in a worker, under that worker's memo, raises its own type
+    here, leaves no worker process behind and no memo set here."""
     sizes = []
     real_isolate = verify.isolate_real_roots
 
@@ -488,17 +498,22 @@ def test_isolation_memo_is_scoped_to_one_run(monkeypatch, pools):
     run_checks(grid)
     assert sizes == [0, 1, 2, 3] * 2
 
+    parent = os.getpid()
+
     def raising(**point):
-        raise RuntimeError("check raised inside the run")
+        memo = verify._RUN_MEMO.get()
+        raise RuntimeError(f"in a worker: {os.getpid() != parent}, memo entries: {len(memo)}")
 
     monkeypatch.setitem(verify.PROPERTY_CHECKS, "raising-check", verify._Check(verify._QNAB, raising))
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)  # contig-1 goes to a worker
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)  # the q slice and contig-1: two workers
     bad = GridSpec(q_values=[Q], n_values=[2], a_values=[F(1, 2)], b_values=[F(1, 2)],
                    check_ids=["thm2-lmesh", "contig-1", "raising-check"])
-    with pytest.raises(RuntimeError):
+    calls = len(sizes)
+    # thm2-lmesh left its build and root set in the worker's memo before the raise
+    with pytest.raises(RuntimeError, match="in a worker: True, memo entries: 2"):
         run_checks(bad)
-    assert pools[-1] is not None and multiprocessing.active_children() == []
-    assert sizes[-1] == 0  # thm2-lmesh ran inside the memo before the raise
+    assert pools[-1]._max_workers == 2 and multiprocessing.active_children() == []
+    assert len(sizes) == calls  # nothing was isolated in this process
     assert verify._RUN_MEMO.get() is None
     verify._roots(little_q_jacobi(2, F(1, 2), F(1, 2), Q))  # outside a run: no memo
     assert sizes[-1] is None
@@ -547,8 +562,8 @@ _SMALL = dict(q_values=[Q], n_values=[2], a_values=[F(1, 3)], b_values=[F(-1)])
 
 def test_identity_checks_in_workers_run_without_the_memo(monkeypatch, pools):
     """On two CPUs an identity check between property checks runs in a
-    forked worker, which starts before the memo is set and so sees none;
-    the records keep grid order."""
+    forked worker of its own, which sets no memo; the records keep grid
+    order."""
     parent = os.getpid()
     _stub_identity(monkeypatch, "memo-probe", lambda: (
         Status.PASS, {"memo_unset": verify._RUN_MEMO.get() is None, "in_worker": os.getpid() != parent}))
@@ -560,16 +575,84 @@ def test_identity_checks_in_workers_run_without_the_memo(monkeypatch, pools):
 
 
 def test_one_identity_check_beside_property_checks_matches_inline(monkeypatch, pools):
-    """One identity check beside property checks runs in one worker while
-    the parent runs the property checks, and gives the inline records."""
+    """One identity check beside property checks at two q values makes three
+    tasks, run in a pool of min(tasks, CPUs) workers, and gives the inline
+    records."""
     grid = GridSpec(q_values=[Q, F(3, 4)], n_values=[1, 2, 3], a_values=[F(1, 3), F(1, 2)],
                     b_values=[F(-1), F(1, 2)], check_ids=["thm2-lmesh", "contig-1", "thm2-i", "thmA-1"])
     runs = []
-    for cpus in (1, 2):
+    for cpus in (1, 2, 4):
         monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
         runs.append([r.to_json() for r in run_checks(grid)])
-    assert pools[0] is None and pools[1]._max_workers == 1
-    assert len(runs[0]) > 50 and runs[0] == runs[1]
+    assert pools[0] is None and [pool._max_workers for pool in pools[1:]] == [2, 3]
+    assert len(runs[0]) > 50 and runs[0] == runs[1] == runs[2]
+
+
+def test_points_builders_iterate_q_outermost():
+    """run_checks merges a property check's records from one task per q
+    value, which is its grid-point order only if its points builder lists
+    the points q-major: a grid's points must be its one-q slices' points,
+    concatenated in q order.  Identity builders are held to it too.  The
+    self-test is exempt: it runs once at its default point on any grid."""
+    grid = GridSpec(q_values=[F(3, 4), Q, F(1, 4)], n_values=[1, 3], a_values=[F(1, 2), F(1)],
+                    b_values=[F(-1), F(1, 2)], t_values=[F(1, 4), F(5, 8), F(1)])
+    checks = {**verify.PROPERTY_CHECKS, **verify.IDENTITY_CHECKS}
+    del checks[SELFTEST_ID]
+    for check_id, check in checks.items():
+        points = check.points(grid)
+        slices = [point for q in grid.q_values for point in check.points(replace(grid, q_values=[q]))]
+        assert len(points) > len(grid.q_values) and points == slices, check_id
+
+
+def _property_grid(q_values: list[F]) -> GridSpec:
+    return GridSpec(q_values=q_values, n_values=[1, 2, 3, 4], a_values=[F(1, 2), F(1)],
+                    b_values=[F(-1), F(1, 2)], t_values=[F(1, 4), F(5, 8), F(1)],
+                    check_ids=property_check_ids())
+
+
+def test_records_do_not_depend_on_the_pool(monkeypatch, pools):
+    """A property-only grid with a repeated q value and a repeated check id
+    gives the records of one memo over the whole grid on 1, 2 and 3 CPUs,
+    run inline and then in pools of one worker per q value up to the CPUs.
+    The q values are in no order, so slices merged out of order show."""
+    ids = ["thm2-lmesh", "thm2-i", "thmA-1"]
+    grid = replace(_property_grid([Q, F(3, 4), Q, F(1, 4)]), check_ids=ids + ["thm2-lmesh"])
+    by_id = verify._property_records(ids, grid)
+    one_memo = [r.to_json() for check_id in grid.check_ids for r in by_id[check_id]]
+    runs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+        runs.append([r.to_json() for r in run_checks(grid)])
+    assert pools[0] is None and [pool._max_workers for pool in pools[1:]] == [2, 3]
+    assert len(one_memo) > 100 and runs == [one_memo] * 3
+
+
+def test_q_slices_isolate_what_one_memo_isolates(monkeypatch, pools):
+    """Every memo key is fixed by q, so a split by q loses only the sharing
+    of a polynomial built at more than one q value: run inline, the slices
+    isolate what one memo over the whole grid isolates, plus such a
+    polynomial once more per further q value.  On this grid each of those
+    has degree at most 1, whose isolation is immediate."""
+    isolated = []
+    real_isolate = verify.isolate_real_roots
+    monkeypatch.setattr(verify, "isolate_real_roots", lambda p, eps: isolated.append(p.coeffs) or real_isolate(p, eps))
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    grid = _property_grid([F(1, 4), Q, F(3, 4)])
+    run_checks(grid)
+    sliced = Counter(isolated)
+    per_q = []
+    for q in grid.q_values:
+        isolated.clear()
+        verify._property_records(grid.check_ids, replace(grid, q_values=[q]))
+        per_q.append(Counter(isolated))
+    isolated.clear()
+    verify._property_records(grid.check_ids, grid)
+    whole = Counter(isolated)
+    assert pools == [None]
+    assert sliced == sum(per_q, Counter()) and all(max(c.values()) == 1 for c in per_q + [whole])
+    assert len(whole) > 500 and set(sliced) == set(whole)
+    again = sliced - whole
+    assert sum(again.values()) < len(whole) // 20 and all(len(p) <= 2 for p in again)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -601,7 +684,7 @@ def test_a_dead_worker_ends_verify_with_one_error_line(monkeypatch, pools, tmp_p
 
     _stub_identity(monkeypatch, "dying-identity", dying)
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-    with pytest.raises(WorkerError):
+    with pytest.raises(WorkerError, match="a worker process running checks ended abruptly"):
         run_checks(GridSpec(**_SMALL, check_ids=["dying-identity", "thm2-i"]))
     assert multiprocessing.active_children() == []
     config, report = tmp_path / "grid.json", tmp_path / "report.json"
