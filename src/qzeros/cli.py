@@ -184,6 +184,8 @@ def _cmd_verify(args) -> int:
     # checked before any check runs, so a long run cannot end on a bad path
     if args.report and not os.path.isdir(os.path.dirname(args.report) or "."):
         raise QZerosError(f"--report: {clip(repr(args.report))} is not in an existing directory")
+    if args.report and os.path.isdir(args.report):
+        raise QZerosError(f"--report: {clip(repr(args.report))} is a directory")
     with open(args.config, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

@@ -53,7 +53,7 @@ from .families import (
 from .qcalc import q_derivative
 from .qcore import RationalLike, as_q, bounded_count, clip, neg_q_power, qpoch_finite, rat, rat_str
 from .qhyper import HyperSpec, PolyExact, build_qhyper
-from .roots import RootSet, isolate_real_roots
+from .roots import RootEntry, RootSet, isolate_real_roots
 
 _LIMIT_EXPONENTS = range(4, 21)
 _GRID_EPS = Fraction(1, 10**6)
@@ -197,9 +197,24 @@ def _roots(p: PolyExact) -> RootSet:
 
     Inside :func:`run_checks` each distinct polynomial is isolated once, and
     every decision narrows that one root set in place, so a later decision
-    on the polynomial starts from the intervals the last one left.
+    on the polynomial starts from the intervals the last one left.  A
+    polynomial of degree 0 or 1 is not isolated: its root set, no root or
+    the exact root -c_0/c_1, is written down as :func:`isolate_real_roots`
+    would give it.
     """
+    if p.degree in (0, 1):
+        return _once(("roots", p), lambda: _linear_roots(p))
     return _once(("roots", p), lambda: isolate_real_roots(p, None))
+
+
+def _linear_roots(p: PolyExact) -> RootSet:
+    """The root set of p of degree 0 or 1 that :func:`isolate_real_roots`
+    gives, found without isolating."""
+    if p.degree == 0:
+        return RootSet(poly=p, roots=[], total_count=0, certified_real_rooted=True)
+    f = p.primitive()
+    r = Fraction(-f.num[0], f.num[1])
+    return RootSet(poly=p, roots=[RootEntry(r, r, 1, f)], total_count=1, certified_real_rooted=True)
 
 
 def _root_region(
@@ -1192,7 +1207,8 @@ def run_checks(grid: GridSpec) -> list[VerificationRecord]:
     the grid lists the checks, each check's in its own grid-point order.
 
     The work is a list of tasks: the property checks at one q value, one task
-    per entry of ``grid.q_values``, then each identity check, one task each.
+    per distinct entry of ``grid.q_values``, then each identity check, one
+    task each.
     When more than one CPU is usable they run in forked worker processes,
     one worker per task up to the usable CPUs, the longest (the property
     slices) submitted first; otherwise they run here in that order.  This
@@ -1205,11 +1221,13 @@ def run_checks(grid: GridSpec) -> list[VerificationRecord]:
     Each property slice runs under its own memo: each distinct polynomial is
     built and isolated once, every decision narrows that root set in place
     (see :func:`_roots`), and the orthogonality bounds and lattice tables are
-    computed once.  Every memo key is fixed by q (a build's parameters
+    computed once.  A q value listed twice is one slice, whose records are
+    used at both places.  Every memo key is fixed by q (a build's parameters
     include q, and a polynomial's coefficients depend on it), so one memo
-    over the grid would add only the sharing of polynomials that coincide at
-    two q values, which are few and, on the pinned registry grid, all of
-    degree 0 or 1.  Identity checks run without a memo, since
+    over the grid would add only the sharing of a polynomial built at two
+    q values; such a one is rare, and one of degree 0 or 1 is never
+    isolated, so on the pinned registry grid the slices isolate exactly
+    what one memo would.  Identity checks run without a memo, since
     they isolate nothing and their builds would only hold memory.  A memo is
     dropped when its slice ends or raises.
 
@@ -1222,15 +1240,15 @@ def run_checks(grid: GridSpec) -> list[VerificationRecord]:
         raise RegistryError(f"unknown check(s) {', '.join(map(repr, unknown))}")
     identity_ids = list(dict.fromkeys(c for c in grid.check_ids if c in IDENTITY_CHECKS))
     property_ids = list(dict.fromkeys(c for c in grid.check_ids if c in PROPERTY_CHECKS))
-    slices = [replace(grid, q_values=[q]) for q in grid.q_values] if property_ids else []
-    tasks = [(_property_records, property_ids, s) for s in slices]
+    q_values = list(dict.fromkeys(grid.q_values)) if property_ids else []
+    tasks = [(_property_records, property_ids, replace(grid, q_values=[q])) for q in q_values]
     tasks += [(_identity_records, c, grid) for c in identity_ids]
     with _worker_pool(len(tasks)) as pool:
         calls = [functools.partial(*task) if pool is None else pool.submit(*task).result for task in tasks]
         results = [call() for call in calls]
-    parts = results[: len(slices)]
-    by_id = dict(zip(identity_ids, results[len(slices):]))
-    by_id.update({c: [rec for part in parts for rec in part[c]] for c in property_ids})
+    parts = dict(zip(q_values, results))
+    by_id = dict(zip(identity_ids, results[len(q_values):]))
+    by_id.update({c: [rec for q in grid.q_values for rec in parts[q][c]] for c in property_ids})
     records = [rec for check_id in grid.check_ids for rec in by_id[check_id]]
     if not records:
         raise ConfigError(

@@ -347,8 +347,9 @@ def test_verify_bad_config_exits_2(tmp_path, capsys):
 
 
 def test_verify_bad_report_path_exits_2_before_any_check_runs(tmp_path, capsys, monkeypatch):
-    """A --report path whose directory is missing, or is a file, ends in one
-    error line and exit 2 before any check runs, and creates no file."""
+    """A --report path whose directory is missing or is a file, or that is
+    itself a directory, ends in one error line and exit 2 before any check
+    runs, and creates no file."""
 
     def refuse(*args):
         raise AssertionError("checks ran despite a bad --report path")
@@ -356,10 +357,9 @@ def test_verify_bad_report_path_exits_2_before_any_check_runs(tmp_path, capsys, 
     monkeypatch.setattr(verify_mod, "run_checks", refuse)
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"qValues": ["1/2"], "nValues": [2], "checkIds": ["sw-lmesh"]}))
-    for report in (tmp_path / "missing" / "r.json", config / "r.json"):
+    for report in (tmp_path / "missing" / "r.json", config / "r.json", tmp_path):
         code, out, err = run_cli(capsys, "verify", "--config", str(config), "--report", str(report))
         assert code == 2 and out == "" and err.startswith("error: --report: ") and err.count("\n") == 1
-        assert not report.parent.is_dir()
     assert sorted(tmp_path.iterdir()) == [config]
 
 

@@ -447,19 +447,15 @@ def _interlacing_grids() -> list[GridSpec]:
 
 
 def test_isolation_memo_matches_fresh_isolation(monkeypatch):
-    """run_checks isolates each distinct polynomial once per memo, that is
-    once per q value, and gives the same records as isolating afresh at
-    every call.  It runs inline, on one CPU, so that this process sees every
-    isolation."""
+    """run_checks isolates each distinct polynomial once and gives the same
+    records as isolating afresh at every call.  It runs inline, on one CPU,
+    so that this process sees every isolation."""
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
-    isolated, memos = [], []
+    isolated = []
     real_isolate = verify.isolate_real_roots
 
     def counting(p, eps):
-        memo = verify._RUN_MEMO.get()
-        if not memos or memos[-1] is not memo:  # memos holds each, so a new one differs
-            memos.append(memo)
-        isolated.append((len(memos), p.coeffs))
+        isolated.append(p.coeffs)
         return real_isolate(p, eps)
 
     monkeypatch.setattr(verify, "isolate_real_roots", counting)
@@ -493,10 +489,11 @@ def test_isolation_memo_is_scoped_to_one_run(monkeypatch, pools):
     assert verify._RUN_MEMO.get() is None
     run_checks(grid)
     assert verify._RUN_MEMO.get() is None
-    # thm2-lmesh isolates p_2 and p_3; thm2-i reuses them and adds two more
-    assert sizes == [0, 1, 2, 3]
+    # thm2-lmesh isolates p_2 and p_3; thm2-i reuses them, writes down the
+    # root set of a degree-1 polynomial and isolates one more
+    assert sizes == [0, 1, 3]
     run_checks(grid)
-    assert sizes == [0, 1, 2, 3] * 2
+    assert sizes == [0, 1, 3] * 2
 
     parent = os.getpid()
 
@@ -628,31 +625,34 @@ def test_records_do_not_depend_on_the_pool(monkeypatch, pools):
 
 
 def test_q_slices_isolate_what_one_memo_isolates(monkeypatch, pools):
-    """Every memo key is fixed by q, so a split by q loses only the sharing
-    of a polynomial built at more than one q value: run inline, the slices
-    isolate what one memo over the whole grid isolates, plus such a
-    polynomial once more per further q value.  On this grid each of those
-    has degree at most 1, whose isolation is immediate."""
+    """Run inline, the q slices isolate exactly what one memo over the whole
+    grid isolates, each polynomial once: a repeated q value is one slice,
+    and the polynomials that coincide at two q values have degree at most
+    1, whose root sets are written down without isolating."""
     isolated = []
     real_isolate = verify.isolate_real_roots
     monkeypatch.setattr(verify, "isolate_real_roots", lambda p, eps: isolated.append(p.coeffs) or real_isolate(p, eps))
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
-    grid = _property_grid([F(1, 4), Q, F(3, 4)])
-    run_checks(grid)
-    sliced = Counter(isolated)
-    per_q = []
-    for q in grid.q_values:
+    for grid in (_property_grid([Q, F(3, 4), Q]), _property_grid([F(1, 4), Q, F(3, 4)])):
         isolated.clear()
-        verify._property_records(grid.check_ids, replace(grid, q_values=[q]))
-        per_q.append(Counter(isolated))
-    isolated.clear()
-    verify._property_records(grid.check_ids, grid)
-    whole = Counter(isolated)
-    assert pools == [None]
-    assert sliced == sum(per_q, Counter()) and all(max(c.values()) == 1 for c in per_q + [whole])
-    assert len(whole) > 500 and set(sliced) == set(whole)
-    again = sliced - whole
-    assert sum(again.values()) < len(whole) // 20 and all(len(p) <= 2 for p in again)
+        run_checks(grid)
+        sliced = Counter(isolated)
+        isolated.clear()
+        verify._property_records(grid.check_ids, grid)
+        whole = Counter(isolated)
+        assert len(whole) > 300 and sliced == whole and max(whole.values()) == 1
+    assert pools == [None, None]
+
+
+def test_linear_root_sets_match_isolation():
+    """A polynomial of degree 0 or 1 gets the root set isolation gives it."""
+    for coeffs in ([3], [F(-2, 3)], [1, F(-11, 8)], [1, 4], [F(3, 2), F(-9, 4)], [0, F(5, 7)], [-6, -4]):
+        p = PolyExact(coeffs)
+        written, isolated = verify._roots(p), isolate_real_roots(p, None)
+        assert (written.poly, written.total_count, written.certified_real_rooted) == (
+            isolated.poly, isolated.total_count, isolated.certified_real_rooted)
+        assert [(e.lo, e.hi, e.multiplicity, e.factor) for e in written.roots] == [
+            (e.lo, e.hi, e.multiplicity, e.factor) for e in isolated.roots], coeffs
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -722,21 +722,22 @@ def test_orthogonality_tables_computed_once_per_run(monkeypatch):
 
 
 def test_thmA3_builds_and_isolates_only_its_pair(monkeypatch):
-    """thmA-3 builds and isolates exactly its two polynomials per point on the
-    criterion-3 grid (it used to build p_(n+1)(a, b) as well and drop it)."""
+    """thmA-3 builds and finds the root sets of exactly its two polynomials
+    per point on the criterion-3 grid (it used to build p_(n+1)(a, b) as well
+    and drop it)."""
     built, isolated = [], []
-    real_build, real_isolate = verify.little_q_jacobi, verify.isolate_real_roots
+    real_build, real_roots = verify.little_q_jacobi, verify._roots
 
     def counting_build(*args):
         built.append(args)
         return real_build(*args)
 
-    def counting_isolate(p, eps):
+    def counting_roots(p):
         isolated.append(p.coeffs)
-        return real_isolate(p, eps)
+        return real_roots(p)
 
     monkeypatch.setattr(verify, "little_q_jacobi", counting_build)
-    monkeypatch.setattr(verify, "isolate_real_roots", counting_isolate)
+    monkeypatch.setattr(verify, "_roots", counting_roots)
     records = []
     for q in (F(1, 2), F(3, 4)):
         grid = GridSpec(q_values=[q], n_values=[1, 3, 5], a_values=[F(1, 2), F(1)],
