@@ -1,9 +1,12 @@
 """Command-line interface: build, analyze, verify, sweep.
 
 Rationals cross this boundary as exact "p/q" strings; decimals appear only
-as display approximations, always next to a rational error bound.  Exit
-status: 0 success (and all checks passed), 1 at least one Fail or Error,
-2 usage or configuration problem.
+as display approximations, always next to a rational error bound.  Every
+JSON document printed (``roots``, ``lmesh``, ``interlace``, the ``verify``
+report) has the bytes of ``json.dumps(value, indent=2)``; ``_json_text``
+builds them, and the ``verify`` report is written record by record, never
+held whole.  Exit status: 0 success (and all checks passed), 1 at least one
+Fail or Error, 2 usage or configuration problem.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import verify as verify_mod
 from .analysis import interlace, lmesh
@@ -28,6 +32,78 @@ _FAMILY_NAMES = {f.value: f for f in Family}
 _RATIONAL_OPTIONS = frozenset(
     f"--{name}" for name in ("a", "b", "a2", "b2", "q", "eps", "base", "start", "stop", "values")
 )
+
+
+def _append_json(value, indent: str, out: list[str]) -> None:
+    """Append the text ``json.dumps(value, indent=2)`` gives for value, nested
+    at ``indent``, to out.  Only dicts with str keys, lists, str, int, bool
+    and None are written, since no output holds anything else; any other
+    value raises TypeError."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))  # json's own ensure_ascii escape
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):  # after the bools, which are ints too
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _append_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _append_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"{type(value).__name__} is not written as JSON")
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, with nested lines starting at indent."""
+    out: list[str] = []
+    _append_json(value, indent, out)
+    return "".join(out)
+
+
+def _write_report(fh, records: list[verify_mod.VerificationRecord], summary: dict) -> None:
+    """Write the verify report as ``json.dumps({"records": [...], "summary":
+    summary}, indent=2)`` would, one record at a time, so that the whole
+    text is never in memory."""
+    fh.write('{\n  "records": [')
+    sep = "\n    "
+    for rec in records:
+        fh.write(sep + _json_text(rec.to_json(), "    "))
+        sep = ",\n    "
+    fh.write(("\n  ]" if records else "]") + ',\n  "summary": ' + _json_text(summary, "  ") + "\n}")
+
+
+def _check_output_path(option: str, path: str) -> None:
+    """Refuse an output path that cannot be written, before any work runs."""
+    if not path:
+        raise QZerosError(f"{option}: the path is empty")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise QZerosError(f"{option}: {clip(repr(path))} is not in an existing directory")
+    if os.path.isdir(path):
+        raise QZerosError(f"{option}: {clip(repr(path))} is a directory")
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -130,7 +206,7 @@ def _cmd_roots(args) -> int:
     poly = build(_family_params(args))
     eps = _parse_rat(args.eps) if args.eps else DEFAULT_EPS
     rs = isolate_real_roots(poly, eps)
-    print(json.dumps(_root_json(rs), indent=2))
+    print(_json_text(_root_json(rs)))
     return 0
 
 
@@ -144,7 +220,7 @@ def _cmd_lmesh(args) -> int:
     result = lmesh(rs, base)
     cmp_word = {-1: "below", 0: "equal", 1: "above"}[result.compare_to_q()]
     print(
-        json.dumps(
+        _json_text(
             {
                 "valueLo": rat_str(result.value_lo),
                 "valueHi": rat_str(result.value_hi),
@@ -153,8 +229,7 @@ def _cmd_lmesh(args) -> int:
                 "exactEqualsBase": result.exact_equals_q,
                 "base": rat_str(base),
                 "comparison": cmp_word,
-            },
-            indent=2,
+            }
         )
     )
     return 0
@@ -166,15 +241,14 @@ def _cmd_interlace(args) -> int:
     rs1, rs2 = (isolate_real_roots(build(p), None) for p in params)
     report = interlace(rs1, rs2)
     print(
-        json.dumps(
+        _json_text(
             {
                 "relation": report.relation.value,
                 "degreePattern": None
                 if report.degree_pattern is None
                 else report.degree_pattern.value,
                 "witness": report.witness,
-            },
-            indent=2,
+            }
         )
     )
     return 0
@@ -182,10 +256,8 @@ def _cmd_interlace(args) -> int:
 
 def _cmd_verify(args) -> int:
     # checked before any check runs, so a long run cannot end on a bad path
-    if args.report and not os.path.isdir(os.path.dirname(args.report) or "."):
-        raise QZerosError(f"--report: {clip(repr(args.report))} is not in an existing directory")
-    if args.report and os.path.isdir(args.report):
-        raise QZerosError(f"--report: {clip(repr(args.report))} is a directory")
+    if args.report is not None:
+        _check_output_path("--report", args.report)
     with open(args.config, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -198,12 +270,11 @@ def _cmd_verify(args) -> int:
     grid = verify_mod.GridSpec.from_json(doc)
     records = verify_mod.run_checks(grid)
     summary = verify_mod.summarize(records)
-    report = {"records": [r.to_json() for r in records], "summary": summary}
-    if args.report:
+    if args.report is not None:
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
+            _write_report(fh, records, summary)
     else:
-        json.dump(report, sys.stdout, indent=2)
+        _write_report(sys.stdout, records, summary)
         print()
     print(
         f"total={summary['total']} pass={summary['pass']} fail={summary['fail']} "
@@ -214,6 +285,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # checked before anything is built, as verify checks --report
+    if args.out is not None:
+        _check_output_path("--out", args.out)
     if args.steps is not None:
         bounded_count(args.steps, "--steps", least=1)
     if args.values:
@@ -240,14 +314,14 @@ def _cmd_sweep(args) -> int:
         width = max(width, len(cells) - 1)
         rows.append(cells)
 
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
+    out = sys.stdout if args.out is None else open(args.out, "w", newline="", encoding="utf-8")
     try:
         writer = csv.writer(out)
         writer.writerow([args.vary] + [f"lambda_{k+1}" for k in range(width)])
         for cells in rows:
             writer.writerow(cells + [""] * (width - (len(cells) - 1)))
     finally:
-        if args.out:
+        if args.out is not None:
             out.close()
     return 0
 

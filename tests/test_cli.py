@@ -363,6 +363,30 @@ def test_verify_bad_report_path_exits_2_before_any_check_runs(tmp_path, capsys, 
     assert sorted(tmp_path.iterdir()) == [config]
 
 
+@pytest.mark.parametrize("kind", ["empty", "directory", "missing-directory"])
+def test_bad_output_path_exits_2_before_any_build(kind, tmp_path, capsys, monkeypatch):
+    """An empty --report or --out path, a directory, or a path in a missing
+    directory ends verify and sweep in one error line and exit 2 before any
+    polynomial is built or check runs, and creates no file."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran despite a bad output path")
+
+    monkeypatch.setattr(verify_mod, "run_checks", refuse)
+    monkeypatch.setattr(cli, "build", refuse)
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"qValues": ["1/2"], "nValues": [2], "checkIds": ["sw-lmesh"]}))
+    path = {"empty": "", "directory": str(tmp_path), "missing-directory": str(tmp_path / "missing" / "out")}[kind]
+    for option, argv in (
+        ("--report", ["verify", "--config", str(config)]),
+        ("--out", ["sweep", "--family", "little-q-jacobi", "--n", "3", "--q", "1/2", "--b", "1/2",
+                   "--vary", "a", "--values", "1/4,1/2"]),
+    ):
+        code, out, err = run_cli(capsys, *argv, option, path)
+        assert code == 2 and out == "" and err.startswith(f"error: {option}: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [config]
+
+
 def test_verify_non_utf8_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bytes.json"
     cfg.write_bytes(b"\xff\xfe")
@@ -495,6 +519,46 @@ def test_decimal_and_sci_rendering_match_the_digit_loops(x, shift, digits):
     x *= F(10) ** shift
     assert decimal_str(x, digits) == _decimal_str_by_digits(x, digits)
     assert sci_str(abs(x)) == _sci_str_by_steps(abs(x))
+
+
+_JSON_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600')),
+    max_size=6,
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_TEXT,
+    lambda children: st.lists(children) | st.dictionaries(_JSON_TEXT, children),
+    max_leaves=12,
+)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=150, deadline=None)
+def test_json_text_matches_json_dumps(value):
+    """The CLI's writer gives the bytes of json.dumps(indent=2), the reference
+    kernel it replaced, on nested values with empty containers, escapes,
+    non-ASCII text and lone surrogates."""
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@given(st.lists(st.tuples(st.dictionaries(_JSON_TEXT, st.integers() | _JSON_TEXT), _JSON_VALUES)),
+       st.dictionaries(_JSON_TEXT, st.integers()))
+@settings(max_examples=50, deadline=None)
+def test_streamed_report_matches_json_dumps(points, summary):
+    """The report written record by record, none at all included, has the
+    bytes json.dumps gives for the whole report."""
+    records = [verify_mod.VerificationRecord("c", params, verify_mod.Status.PASS, witness)
+               for params, witness in points]
+    fh = io.StringIO()
+    cli._write_report(fh, records, summary)
+    report = {"records": [r.to_json() for r in records], "summary": summary}
+    assert fh.getvalue() == json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize("value", [0.5, (1, 2), {1: "a"}, [{"k": F(1, 2)}]])
+def test_json_text_refuses_values_no_output_holds(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
 
 
 def _digits_by_chunks(n):

@@ -1,21 +1,26 @@
 """The `verify` reports on the benchmark's pinned registry and identity grids
 are byte-identical to the pinned references, and the registry lists its
 check ids in pinned order.  The pinned relation decisions and the
-high-degree `qzeros roots` calls match their references too.
+high-degree `qzeros roots` calls match their references too.  The CLI's
+JSON outputs have the bytes of ``json.dumps(..., indent=2)``, and the
+report is written record by record.
 
 The grids, the pinned id lists, the reference digests and the reference
 outcomes are read from ``bench/``; nothing there is written.
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from qzeros import GridSpec, identity_check_ids, property_check_ids, run_checks, verify
+from qzeros import GridSpec, cli, identity_check_ids, property_check_ids, rat_str, run_checks, summarize, verify
 from qzeros.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -42,6 +47,17 @@ def _report_digest(tmp_path, name: str, grid: dict) -> str:
 
 def _reference(name: str):
     return json.loads((BENCH / "reference" / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def _stdout(*argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(list(argv)) == 0, argv
+    return buf.getvalue()
+
+
+def _assert_indent_2(out: str) -> None:
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def _pinned_digest(name: str) -> str:
@@ -95,3 +111,38 @@ def test_high_degree_roots_match_reference():
             ref = reference[workloads.roots_key(family, n)]
             problems = workloads.check_roots(json.loads(text), ref, workloads.ROOTS_EPS)
             assert problems == [], (family, n)
+            _assert_indent_2(text)
+
+
+def test_report_is_written_record_by_record(tmp_path):
+    """Writing the registry-grid report from records in memory allocates at
+    its peak less than a quarter of the report's size, and writes the pinned
+    bytes: the text is never joined whole."""
+    records = run_checks(GridSpec.from_json(workloads.REGISTRY_GRID))
+    summary = summarize(records)
+    path = tmp_path / "report.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            cli._write_report(fh, records, summary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _pinned_digest("registry-grid")
+    assert peak < len(data) / 4, (peak, len(data))
+
+
+def test_lmesh_and_interlace_print_json_dumps_bytes():
+    """`lmesh` and `interlace` (the thm2-i pair) on a spread of seeded
+    decision draws, coincident zeros included, print what
+    json.dumps(indent=2) prints, as `roots` does above."""
+    draws = workloads.decide_draws(workloads.DECIDE_DEFAULT_SEED)[::17]
+    assert {d.kind for d in draws} == {"regime", "coincide"}
+    for d in draws:
+        q, first = rat_str(d.q), ["--family", "little-q-jacobi", "--n", str(d.n),
+                                  f"--a={rat_str(d.a)}", f"--b={rat_str(d.b)}"]
+        _assert_indent_2(_stdout("lmesh", "--q", q, *first))
+        _assert_indent_2(_stdout("interlace", "--q", q, *first, "--family2", "little-q-jacobi",
+                                 "--n2", str(d.n - 1), f"--a2={rat_str(d.q * d.a)}",
+                                 f"--b2={rat_str(d.q * d.b)}"))
