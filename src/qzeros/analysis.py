@@ -112,11 +112,19 @@ class _PairContext:
         root intervals are separated; so g, which divides pa, has at most
         one simple root there, and has it exactly when g(lo) g(hi) <= 0.  A
         point overlap at an exact root, lo == hi, asks whether g(lo) == 0.
+        Each end is an entry's numerator over its denominator d 2^m, picked
+        by cross-multiplying, and g's sign there is one homogeneous Horner.
         """
         if self._g is None:
             self._g = square_free_part(poly_gcd(self._pa, self._pb))
         g = self._g
-        return g.degree >= 1 and g.sign_at(max(ea.lo, eb.lo)) * g.sign_at(min(ea.hi, eb.hi)) <= 0
+        if g.degree < 1:
+            return False
+        da, db = ea._d << ea._m, eb._d << eb._m
+        lo = (ea._lo, da) if ea._lo * db >= eb._lo * da else (eb._lo, db)
+        hi = (ea._hi, da) if ea._hi * db <= eb._hi * da else (eb._hi, db)
+        at_lo, at_hi = g._homogeneous(*lo)[0], g._homogeneous(*hi)[0]
+        return not at_lo or not at_hi or (at_lo > 0) != (at_hi > 0)
 
 
 def compare_root_to_point(entry: RootEntry, point: RationalLike) -> int:
@@ -247,13 +255,27 @@ def lmesh(rs: RootSet, q: QValue | RationalLike) -> LmeshResult:
         raise UndefinedLmeshError("lmesh needs at least two zeros")
     lam, lam_scaled, cmps = _mesh_signs(rs, qv)
     # every lower end of q*lambda_(j+1) is positive: it lies above lambda_j's
-    # interval, or, for a repeated zero, was lifted off 0 by separating it
-    pairs = list(zip(lam, lam_scaled[1:]))
-    los = [qv * a.lo / b.hi for a, b in pairs]
-    his = [min(qv * a.hi / b.lo, Fraction(1)) for a, b in pairs]
+    # interval, or, for a repeated zero, was lifted off 0 by separating it.
+    # So each ratio's ends, q*lambda_j.lo / (q*lambda_(j+1)).hi and the
+    # upper one clamped at 1, are quotients of integers from the two
+    # entries' frames with positive denominators, compared by
+    # cross-multiplying; the first largest upper end is the argmax when
+    # every sign is negative.
+    u, v = qv.numerator, qv.denominator
+    lo_best = hi_best = None
+    for j, (a, b) in enumerate(zip(lam, lam_scaled[1:])):
+        da, db = a._d << a._m, b._d << b._m
+        lo = u * a._lo * db, v * b._hi * da
+        hi = u * a._hi * db, v * b._lo * da
+        if hi[0] >= hi[1]:
+            hi = 1, 1
+        if lo_best is None or lo[0] * lo_best[1] > lo_best[0] * lo[1]:
+            lo_best = lo
+        if hi_best is None or hi[0] * hi_best[1] > hi_best[0] * hi[1]:
+            hi_best, hi_index = hi, j
     top_sign = max(cmps)
-    argmax = cmps.index(top_sign) if top_sign >= 0 else his.index(max(his))
-    return LmeshResult(max(los), max(his), argmax, top_sign == 0, qv)
+    argmax = cmps.index(top_sign) if top_sign >= 0 else hi_index
+    return LmeshResult(Fraction(*lo_best), Fraction(*hi_best), argmax, top_sign == 0, qv)
 
 
 def in_lmesh_class(rs: RootSet, q: QValue | RationalLike, strict: bool) -> bool:

@@ -26,10 +26,10 @@ running product of small step denominators.  The polynomial is the
 numerators scaled to the last denominator and reduced once, with no
 ``Fraction`` per coefficient.
 
-``poly_gcd`` first tries to prove its inputs coprime by Euclid modulo the
-prime 2^61 - 1, which settles the common square-free and disjoint-zero cases
-without any division over the rationals; only when that proves nothing does
-Euclid over the rationals run.
+``poly_gcd`` first tries to prove its inputs coprime by Euclid modulo a
+fixed prime below 2^30, which settles the common square-free and
+disjoint-zero cases without any division over the rationals; only when that
+proves nothing does Euclid over the rationals run.
 """
 
 from __future__ import annotations
@@ -334,8 +334,10 @@ class PolyExact:
         return self.divmod(other)[1]
 
 
-# A fixed prime (the Mersenne prime 2^61 - 1) for the coprimality certificate.
-_P = (1 << 61) - 1
+# The coprimality certificate's prime, the largest below 2^30: CPython keeps
+# an int in 30-bit digits, so every residue is one digit and every product
+# of two residues at most two.
+_P = (1 << 30) - 35
 
 
 def _coprime_mod_p(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

@@ -438,8 +438,10 @@ def _root_vs_point(entry: RootEntry, pt: Fraction) -> int:
         return 1
     if x > entry._hi * den:
         return -1
-    s = entry.factor.sign_at(pt)
-    return s if s == 0 or entry._frame()[1] else -s
+    v = entry.factor._homogeneous(pt.numerator, den)[0]
+    if not v:
+        return 0
+    return 1 if (v > 0) == entry._frame()[1] else -1
 
 
 def _order(ea: RootEntry, eb: RootEntry) -> int:
@@ -493,18 +495,16 @@ def _snap_to_rational(e: RootEntry) -> None:
     """Pin the entry to the simplest rational in its interval when that is
     the root.  By the rational root theorem, n/d in lowest terms is a root of
     the factor's integer coefficients only if n divides the constant one and
-    d the leading one, so only such a candidate is evaluated.  The descent
-    runs on the entry's integers, lo and hi over d 2^m, and a Fraction is
-    built only for a candidate that passes that filter."""
+    d the leading one, so only such a candidate is evaluated, by homogeneous
+    Horner on n and d.  The descent runs on the entry's integers, lo and hi
+    over d 2^m, and a Fraction is built only for a root it finds."""
     if e._lo == e._hi:
         return
     den = e._d << e._m
     n, d = _simplest(e._lo, den, e._hi, den)
     coeffs = e.factor.num
-    if n and coeffs[0] % n == 0 and coeffs[-1] % d == 0:
-        candidate = Fraction(n, d)
-        if e.factor.sign_at(candidate) == 0:
-            e.pin(candidate)
+    if n and coeffs[0] % n == 0 and coeffs[-1] % d == 0 and not e.factor._homogeneous(n, d)[0]:
+        e.pin(Fraction(n, d))
 
 
 def isolate_real_roots(p: PolyExact, eps: RationalLike | None = DEFAULT_EPS) -> RootSet:

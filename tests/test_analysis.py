@@ -2,9 +2,10 @@
 
 from collections import Counter
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qzeros import (
     DegreePattern,
@@ -32,7 +33,7 @@ from qzeros import (
     square_free_part,
     zerowise_compare,
 )
-from qzeros import analysis, roots
+from qzeros import analysis, roots, verify
 from sturm_reference import SturmChain
 
 Q = F(1, 2)
@@ -668,3 +669,208 @@ def test_root_comparison_matches_the_exact_root_fork(monkeypatch):
     _exact_root_decisions()
     assert check.values["change"] == check.values["reference"], check.values
     assert check.calls["decision", True] > 500 and check.calls["isolation", True] > 100, check.calls
+
+
+# -- integer coincidence test and lmesh enclosure against the Fraction views --
+
+
+class _FractionViewPairs(analysis._PairContext):
+    """The coincidence test as it ran on the entries' ``Fraction`` views, the
+    overlap's ends taken as max(lo) and min(hi): the reference."""
+
+    def coincide(self, ea, eb):
+        if self._g is None:
+            self._g = square_free_part(analysis.poly_gcd(self._pa, self._pb))
+        g = self._g
+        return g.degree >= 1 and g.sign_at(max(ea.lo, eb.lo)) * g.sign_at(min(ea.hi, eb.hi)) <= 0
+
+
+@given(
+    zeros=st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6), min_size=3, max_size=3, unique=True),
+    ends=st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=8), min_size=4, max_size=4),
+    shifts=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+)
+@settings(max_examples=200, deadline=None)
+def test_coincidence_test_reads_the_overlap_ends_of_the_views(zeros, ends, shifts):
+    """On two overlapping intervals in drawn frames d 2^m, the integer
+    coincidence test evaluates gcd(pa, pb) = x - s at the overlap's ends
+    max(lo) and min(hi), as the test on the views did; pa and pb share the
+    root s and have one more root each."""
+    s, ra, rb = zeros
+    pa, pb = PolyExact.from_roots([s, ra]), PolyExact.from_roots([s, rb])
+    (la, ha), (lb, hb) = sorted(ends[:2]), sorted(ends[2:])
+    assume(max(la, lb) <= min(ha, hb))
+    entries = []
+    for (lo, hi), poly, k in zip(((la, ha), (lb, hb)), (pa, pb), shifts):
+        e = RootEntry(lo, hi, 1, poly)
+        e._lo, e._hi, e._m = e._lo << k, e._hi << k, k
+        entries.append(e)
+    assert analysis._PairContext(pa, pb).coincide(*entries) == _FractionViewPairs(pa, pb).coincide(*entries)
+
+
+def _fraction_view_ends(rs, q):
+    """Each ratio's enclosure q*lambda_j.lo / (q*lambda_(j+1)).hi and
+    min(q*lambda_j.hi / (q*lambda_(j+1)).lo, 1), as ``Fraction``s of the
+    views, read off the sign pass kept on rs for base q."""
+    lam, lam_scaled, _ = rs._mesh[q]
+    pairs = list(zip(lam, lam_scaled[1:]))
+    return [q * a.lo / b.hi for a, b in pairs], [min(q * a.hi / b.lo, F(1)) for a, b in pairs]
+
+
+def _fraction_view_lmesh(rs, q):
+    """``lmesh`` with the enclosure built from ``Fraction`` ratios of the
+    views: the reference."""
+    analysis._require_certified(rs, "lmesh")
+    if rs.total_count < 2:
+        raise UndefinedLmeshError("lmesh needs at least two zeros")
+    *_, cmps = analysis._mesh_signs(rs, q)
+    los, his = _fraction_view_ends(rs, q)
+    top_sign = max(cmps)
+    argmax = cmps.index(top_sign) if top_sign >= 0 else his.index(max(his))
+    return analysis.LmeshResult(max(los), max(his), argmax, top_sign == 0, q)
+
+
+@cache
+def _acceptance_grid_decisions():
+    """(q, polynomials) for each decision that the thm2/thmA acceptance
+    grids make: the pair of an interlacing or zero-wise check, or the one
+    polynomial of thm2-lmesh."""
+    found = {}
+
+    def recording(decide):
+        def recorded(*args, **kwargs):
+            found[q, tuple(rs.poly for rs in args if isinstance(rs, RootSet))] = None
+            return decide(*args, **kwargs)
+
+        return recorded
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("interlace", "zerowise_compare", "in_lmesh_class"):
+            mp.setattr(verify, name, recording(getattr(verify, name)))
+        for q in (F(1, 2), F(3, 4)):
+            for check_id in ("thmA-1", "thmA-2", "thmA-3", "thm2-i", "thm2-ii", "thm2-iii", "thm2-lmesh"):
+                b_values = [F(-2), F(-1)] if check_id == "thm2-iii" else [F(-1), F(1, 2)]
+                grid = GridSpec(q_values=[q], t_values=default_t_values(q), n_values=[1, 3, 5, 7],
+                                a_values=[F(1, 2), F(1)], b_values=b_values)
+                assert all(r.status.value == "Pass" for r in check_property(check_id, grid))
+    return list(found)
+
+
+def _decision_cases():
+    """(q, root sets), freshly isolated on each call: the four sets of each
+    decide-coarse draw of the default seed (p, its thm2-i partner, p with b
+    moved to q^2 b, and p isolated again) at the benchmark's eps, and the
+    sets of each acceptance-grid decision isolated to separation."""
+    from test_pinned_report import workloads
+
+    cases = []
+    for d in workloads.decide_draws(workloads.DECIDE_DEFAULT_SEED):
+        q = d.q
+        polys = [little_q_jacobi(d.n, d.a, d.b, q), little_q_jacobi(d.n - 1, q * d.a, q * d.b, q),
+                 little_q_jacobi(d.n, d.a, q * q * d.b, q)]
+        cases.append((q, [isolate_real_roots(p, workloads.DECIDE_EPS) for p in polys + polys[:1]]))
+    for q, polys in _acceptance_grid_decisions():
+        cases.append((q, [isolate_real_roots(p, None) for p in polys]))
+    return cases
+
+
+def _decide_cases(cases, lmesh_fn):
+    """interlace and zerowise_compare of the first set of each case against
+    every other set, then lmesh and both class memberships of every set at
+    the bases q and q^2; a raised decision gives its error's name."""
+
+    def outcome(decide, *args):
+        try:
+            return decide(*args)
+        except (ShapeError, LmeshDomainError, UndefinedLmeshError) as exc:
+            return type(exc).__name__
+
+    out = []
+    for q, sets in cases:
+        for other in sets[1:]:
+            out.append(outcome(interlace, sets[0], other))
+            out.append(outcome(zerowise_compare, sets[0], other))
+        for rs in sets:
+            for base in (q, q * q):
+                out.append(outcome(lmesh_fn, rs, base))
+                out.append(outcome(in_lmesh_class, rs, base, True))
+                out.append(outcome(in_lmesh_class, rs, base, False))
+    return out
+
+
+def _frames(cases):
+    """Every entry's integer frame, the kept lmesh sign passes' entries included."""
+    out = []
+    for _, sets in cases:
+        for rs in sets:
+            entries = list(rs.roots)
+            for lam, lam_scaled, _ in rs._mesh.values():
+                entries += lam + lam_scaled
+            out.append([(e._lo, e._hi, e._d, e._m) for e in entries])
+    return out
+
+
+def _unread(name):
+    def read(entry):
+        raise AssertionError(f"the integer path read RootEntry.{name}")
+
+    return property(read)
+
+
+def _run_decisions(reference):
+    """The outcomes, the frames after them and the gcd count of deciding
+    freshly isolated cases, by the reference coincidence test and enclosure
+    on the views, or by the integer ones with the views made to raise."""
+    cases = _decision_cases()
+    gcds = 0
+    real_gcd = analysis.poly_gcd
+
+    def counted(a, b):
+        nonlocal gcds
+        gcds += 1
+        return real_gcd(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "poly_gcd", counted)
+        if reference:
+            mp.setattr(analysis, "_PairContext", _FractionViewPairs)
+        else:
+            for name in ("lo", "hi", "width", "exact"):
+                mp.setattr(RootEntry, name, _unread(name))
+        outcomes = _decide_cases(cases, _fraction_view_lmesh if reference else lmesh)
+    return outcomes, _frames(cases), gcds
+
+
+def test_integer_coincidence_and_enclosure_match_the_fraction_views():
+    """interlace, zerowise_compare, lmesh and in_lmesh_class decide as they
+    did with the coincidence test and lmesh enclosure on ``Fraction`` views,
+    on separate isolations of the decide-coarse draws and of the thm2/thmA
+    acceptance-grid decisions: equal outcomes, equal entry frames afterwards
+    and as many gcds, while the integer path reads no ``lo``, ``hi``,
+    ``width`` or ``exact`` view."""
+    want = _run_decisions(reference=True)
+    got = _run_decisions(reference=False)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert got[2] == want[2]
+    enclosures = [o for o in got[0] if isinstance(o, analysis.LmeshResult)]
+    assert len(enclosures) > 1000 and got[2] > 800, (len(enclosures), got[2])
+    assert {r.compare_to_q() for r in enclosures} == {-1, 0, 1}
+
+
+def test_lmesh_enclosure_matches_the_fraction_formula_on_edge_cases():
+    """value_lo, value_hi and argmax_index equal the ``Fraction`` formula, on
+    the same sign pass: on r(x)^2 with r = x^2 - 4x + 2, whose two double
+    zeros give a clamped upper end 1 at two indices, a tie; on E_k, where
+    lmesh is q exactly; and on a negative zero set, which is reflected."""
+    double = PolyExact((2, -4, 1)) * PolyExact((2, -4, 1))
+    negative = little_q_jacobi(5, F(1, 2), F(1, 2), Q).scale_arg(-1)
+    cases = [(double, Q, 1), (negative, Q, -1)] + [(e_factor(4, q), q, 0) for q in (Q, F(3, 4), F(9, 10))]
+    for poly, q, cmp in cases:
+        for eps in (None, F(1, 16)):
+            rs = isolate_real_roots(poly, eps)
+            got = lmesh(rs, q)
+            assert got == _fraction_view_lmesh(rs, q), (poly, eps)
+            assert got.compare_to_q() == cmp
+            if poly is double:
+                assert _fraction_view_ends(rs, q)[1].count(F(1)) == 2 and got.value_hi == 1

@@ -1,6 +1,7 @@
 """Command-line surface: grammar, exact rational I/O, report schema, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -261,6 +262,29 @@ def test_out_of_range_q_exits_2(capsys):
         capsys, "coeffs", "--family", "stieltjes-wigert", "--n", "1", "--q", "3/2"
     )
     assert code == 2
+
+
+_LMESH_COMMANDS = [
+    ["--family", "little-q-jacobi", "--n", str(n), "--q", q, "--a", "1/2", "--b", "1/2"]
+    for q in ("1/2", "3/4", "9/10") for n in range(3, 9)
+] + [
+    ["--family", "little-q-jacobi", "--n", "5", "--q", "1/2", "--a", "1/2", "--b", "4"],  # lmesh = q
+    ["--family", "q-bessel", "--n", "5", "--q", "1/2", "--b", "-1/2"],
+    ["--family", "q-laguerre", "--n", "4", "--q", "1/2", "--b", "1/2", "--base", "1/4"],
+    ["--family", "stieltjes-wigert", "--n", "4", "--q", "1/2", "--base", "1/4"],
+]
+# The SHA-256 of the outputs of ``qzeros lmesh`` on _LMESH_COMMANDS, one
+# after another, as the enclosure built from Fraction ratios printed them.
+_LMESH_DIGEST = "28d04781f725aa818af54288ed9959b90703151cc305556e6a88732bcebc357f"
+
+
+def test_lmesh_output_is_pinned(capsys):
+    outputs = []
+    for argv in _LMESH_COMMANDS:
+        code, out, _ = run_cli(capsys, "lmesh", *argv)
+        assert code == 0, argv
+        outputs.append(out)
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == _LMESH_DIGEST
 
 
 def test_out_of_range_lmesh_base_names_the_option(capsys):

@@ -15,6 +15,7 @@ from qzeros import (
     HyperSpec,
     PolyExact,
     build_qhyper,
+    isolate_real_roots,
     little_q_jacobi,
     poly_gcd,
     qpoch_finite,
@@ -23,7 +24,7 @@ from qzeros import (
     square_free_decomposition,
     square_free_part,
 )
-from qzeros import qhyper, verify
+from qzeros import analysis, qhyper, verify
 
 Q_VALUES = st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)])
 PARAMS = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
@@ -403,3 +404,52 @@ def test_coprimality_certificate_is_only_a_certificate():
     p = PolyExact.from_roots([F(1, 2), F(1, 3), 5])
     assert qhyper._coprime_mod_p(p.num, p.derivative().num)
     assert poly_gcd(p, PolyExact.from_roots([F(1, 3)])) == PolyExact.from_roots([F(1, 3)])
+
+
+# The certificate's prime before it moved below 2^30, kept as the reference:
+# the one-digit prime must certify every pair that this one certifies.
+_P_REFERENCE = (1 << 61) - 1
+
+
+def _gcd_inputs():
+    """Every distinct pair (a, b) that poly_gcd receives while the 672
+    acceptance-grid polynomials are isolated and the decide-coarse draws of
+    the default seed are decided."""
+    from test_pinned_report import workloads
+    from test_roots import _acceptance_grid_polynomials
+
+    pairs = []
+    real = qhyper.poly_gcd
+
+    def recording(a, b):
+        pairs.append((a, b))
+        return real(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qhyper, "poly_gcd", recording)
+        mp.setattr(analysis, "poly_gcd", recording)
+        for p in _acceptance_grid_polynomials():
+            isolate_real_roots(p, None)
+        outcomes = workloads.decide_outcomes(workloads.decide_draws(workloads.DECIDE_DEFAULT_SEED))
+    raised = [o for o in outcomes for v in o.values() if isinstance(v, list) and v[:1] == ["raised"]]
+    assert not raised, raised[:3]
+    return list(dict.fromkeys(pairs))
+
+
+def test_one_digit_certificate_against_the_reference_prime(monkeypatch):
+    """The certificate's prime is a prime below 2^30.  On every gcd input of
+    the acceptance-grid isolations and the decide-coarse decisions, it
+    certifies a pair only where the rational Euclid gcd is 1, and it
+    certifies every pair that the certificate modulo 2^61 - 1 certifies.
+    More than a hundred of the pairs share a factor."""
+    P = qhyper._P
+    assert P < 2**30 and all(P % k for k in range(2, math.isqrt(P) + 1))
+    pairs = _gcd_inputs()
+    got = [qhyper._coprime_mod_p(a.num, b.num) for a, b in pairs]
+    monkeypatch.setattr(qhyper, "_P", _P_REFERENCE)
+    want = [qhyper._coprime_mod_p(a.num, b.num) for a, b in pairs]
+    for (a, b), new, old in zip(pairs, got, want):
+        assert new or not old, (a, b)
+        if new:
+            assert _rational_gcd(a, b) == PolyExact.one(), (a, b)
+    assert 1000 < sum(got) < len(pairs) - 100, (len(pairs), sum(got))

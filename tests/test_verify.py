@@ -297,9 +297,9 @@ def test_lattice_powers_shared_by_the_zeros(monkeypatch):
 
 
 def test_root_versus_point_work_and_shared_root_sets(monkeypatch):
-    """Each ``compare_root_to_point`` call makes at most one ``sign_at`` call
-    and no halving; the factor's sign at lo, which the halving frame keeps,
-    is taken at most once per entry.  The root-region and lattice checks
+    """Each ``compare_root_to_point`` call makes at most one sign evaluation,
+    a ``PolyExact._homogeneous`` call, and no halving; the factor's sign at
+    lo, which the halving frame keeps, is taken at most once per entry.  The root-region and lattice checks
     leave a shared root set's intervals unchanged; the lmesh class decision
     narrows them in place, each inside its old interval, and decides as it
     does on a copy."""
@@ -315,15 +315,15 @@ def test_root_versus_point_work_and_shared_root_sets(monkeypatch):
             return fn(*args)
         return wrapped
 
-    for owner, name in ((PolyExact, "sign_at"), (roots, "_value"), (RootEntry, "_halve")):
+    for owner, name in ((PolyExact, "_homogeneous"), (roots, "_value"), (RootEntry, "_halve")):
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     for e in rs.roots:
         for pt in [F(0), F(1), e.lo, e.hi, (e.lo + e.hi) / 2] + [q**k for k in range(1, 25)]:
-            sign_at_before = counts.get("sign_at", 0)
+            signs_before = counts.get("_homogeneous", 0)
             compare_root_to_point(e, pt)
-            assert counts.get("sign_at", 0) - sign_at_before <= 1
+            assert counts.get("_homogeneous", 0) - signs_before <= 1
     assert "_halve" not in counts and counts.get("_value", 0) <= len(rs.roots)
-    assert counts["sign_at"] >= 3 * len(rs.roots), counts  # lo, hi and the midpoint lie inside
+    assert counts["_homogeneous"] >= 3 * len(rs.roots), counts  # lo, hi and the midpoint lie inside
     monkeypatch.undo()
     shared = [(e.lo, e.hi, e.exact) for e in rs.roots]
     assert verify._root_region(rs, F(0), F(1)) == (True, None)
