@@ -2,10 +2,11 @@
 
 All relation decisions are exact.  Two isolated roots are compared by the
 one root comparison of the roots module, which isolation also sorts by: it
-halves the wider of two overlapping certified intervals (both when equally
-wide) until they separate, and here it is given a coincidence test for
-roots that never separate, a sign change of the square-free part of the gcd
-of the two polynomials across the overlap.  The test runs once per
+refines the wider of two overlapping certified intervals (both when equally
+wide), by one halving a round and then by doubling counts of halvings,
+until they separate, and here it is given a coincidence test for roots
+that never separate, a sign change of the square-free part of the gcd of
+the two polynomials across the overlap.  The test runs once per
 comparison, at the first overlap; later overlaps lie inside that one.  A
 root is compared with a rational point, exact roots included, by at most
 one sign evaluation of its factor at the point, with no refinement.  Every
@@ -21,7 +22,7 @@ through gcd(p(x), p(x/q)).  The sign pass is kept on the root set per
 base, so a repeated ``lmesh`` or ``in_lmesh_class`` call on the same (set,
 base) scales nothing, tests no sign and builds no gcd; ``copy()`` and
 ``scaled()`` start without it.  Decisions narrow the caller's root sets in
-place: every halving keeps each entry's certificate, the ascending order
+place: every refinement keeps each entry's certificate, the ascending order
 and disjointness, so a later decision on the same set starts where the last
 one stopped, and an ``lmesh`` call made after other decisions reads its
 enclosure off the kept pairs, which those decisions may have narrowed.

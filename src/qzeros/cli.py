@@ -204,7 +204,7 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_roots(args) -> int:
     poly = build(_family_params(args))
-    eps = _parse_rat(args.eps) if args.eps else DEFAULT_EPS
+    eps = _parse_rat(args.eps) if args.eps is not None else DEFAULT_EPS
     rs = isolate_real_roots(poly, eps)
     print(_json_text(_root_json(rs)))
     return 0
@@ -214,7 +214,7 @@ def _cmd_lmesh(args) -> int:
     params = _family_params(args)
     poly = build(params)
     rs = isolate_real_roots(poly)
-    base = _parse_rat(args.base) if args.base else params.q
+    base = _parse_rat(args.base) if args.base is not None else params.q
     if not 0 < base < 1:
         raise InvalidParameterError(f"--base must satisfy 0 < base < 1, got {rat_str(base)}")
     result = lmesh(rs, base)
@@ -290,7 +290,7 @@ def _cmd_sweep(args) -> int:
         _check_output_path("--out", args.out)
     if args.steps is not None:
         bounded_count(args.steps, "--steps", least=1)
-    if args.values:
+    if args.values is not None:
         values = [_parse_rat(v) for v in args.values.split(",")]
     elif args.start is not None and args.stop is not None and args.steps:
         lo, hi = _parse_rat(args.start), _parse_rat(args.stop)
@@ -329,16 +329,16 @@ def _cmd_sweep(args) -> int:
 def _cmd_table1(args) -> int:
     if args.samples is not None and args.samples < 1:
         raise InvalidParameterError(f"--samples must be >= 1, got {args.samples}")
-    rows = _parse_counts(args.rows, "--rows") if args.rows else list(range(1, 11))
+    rows = _parse_counts(args.rows, "--rows") if args.rows is not None else list(range(1, 11))
     for r in rows:
         if r not in verify_mod.TABLE1_ROWS:
             raise QZerosError(f"table rows are 1..10, got {r}")
     q_values = (
         [as_q(_parse_rat(v)) for v in args.q.split(",")]
-        if args.q
+        if args.q is not None
         else [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
     )
-    n_values = _parse_counts(args.n, "--n") if args.n else [2, 3, 4, 5]
+    n_values = _parse_counts(args.n, "--n") if args.n is not None else [2, 3, 4, 5]
     grid = verify_mod.GridSpec(q_values=q_values, n_values=n_values)
     runs = []
     for r in rows:

@@ -12,16 +12,18 @@ additions gives both halves of a split.  A split point that is a root, and
 [r, r]; bisection goes on past it, and the factor is deflated once by the
 exact roots, so no other interval ends on a root of its own factor.  The
 entries are then sorted by the exact root comparison that the analysis
-decisions use too; while two intervals overlap it halves the wider one
-(both when equally wide; an exact root never halves), one halving at a
-time, until they are disjoint.  With ``eps=None`` isolation stops there;
-callers that compare roots refine on demand.  With a rational eps every
-interval is further refined until its width drops below eps, as display
-output needs, by quadratic interval refinement with a halving fallback.
-No step budget applies to either.  Last, the simplest rational in each
-interval (Stern-Brocot) is tested; an exact zero there collapses the
-interval onto it.  Every returned interval is therefore either a single
-rational root (lo == hi) or carries an exact sign-change certificate.
+decisions use too; while two intervals overlap it refines the wider one
+(both when equally wide; an exact root never narrows), by one halving a
+round for four rounds and by doubling counts after, until they are
+disjoint.  With ``eps=None`` isolation stops there; callers that compare
+roots refine on demand.  With a rational eps every interval is further
+refined by the halvings that bring its width below eps, as display output
+needs.  Both take one path, quadratic interval refinement with a halving
+fallback, which lands on the interval those halvings give.  No step budget
+applies to either.  Last, the simplest rational in each interval
+(Stern-Brocot) is tested; an exact zero there collapses the interval onto
+it.  Every returned interval is therefore either a single rational root
+(lo == hi) or carries an exact sign-change certificate.
 
 All of it runs on integers: Taylor shifts, de Casteljau passes and bit
 shifts of coefficient vectors, homogeneous integer Horner for every sign
@@ -35,6 +37,7 @@ import copy
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import count
 from math import comb, lcm
 from operator import add
 
@@ -56,10 +59,9 @@ class RootEntry:
     d 2^m, so a halving is a shift and one integer Horner, and comparisons
     cross-multiply the numerators.  ``lo``, ``hi``, ``width`` and ``exact``
     (the root when lo == hi, else None) are read-only Fraction views, built
-    on each read; only :meth:`bisect_once` (one halving),
-    :meth:`refine_below` (quadratic interval refinement) and :meth:`pin`
-    move the interval.  Every move keeps the factor's sign at lo, which
-    :meth:`_frame` caches.
+    on each read; only :meth:`_refine` (a count of halvings, through
+    :meth:`_halve`) and :meth:`pin` move the interval.  Every move keeps
+    the factor's sign at lo, which :meth:`_frame` caches.
     """
 
     __slots__ = ("multiplicity", "factor", "_lo", "_hi", "_d", "_m", "_horner")
@@ -129,42 +131,36 @@ class RootEntry:
         self._lo, self._hi, self._m = lo, hi, m
         return v
 
-    def bisect_once(self) -> None:
-        """One halving; may discover the root exactly."""
-        self._halve(1)
-
     def refine_below(self, width: Fraction) -> None:
         """Refine until the interval is narrower than ``width`` or the root is
-        found, by quadratic interval refinement (Abbott 2006; Kerber and
-        Sagraloff 2011), with no step budget.
+        found: :meth:`_refine` by the halvings that bring it below ``width``."""
+        h = (self._hi - self._lo) * width.denominator
+        self._refine((h // (width.numerator * self._d << self._m)).bit_length())
+
+    def _refine(self, halvings: int) -> None:
+        """Narrow to the interval that exactly ``halvings`` halvings give, or
+        to the root, by quadratic interval refinement (Abbott 2006; Kerber
+        and Sagraloff 2011), with no step budget.
 
         A step splits [lo, hi] into N = 2^k cells, one frame finer (over
         d 2^(m+k)), and tests the grid point nearest the secant of the
         exact endpoint values, and its neighbour on the root's side: a sign
-        change keeps that cell and squares N; otherwise one :meth:`_halve`
-        and N goes to its square root.  A grid point that is the root pins
-        the entry.  Endpoint values carry across steps, shifted by k deg
-        into the finer frame.  While the halvings still needed cost no more
-        than one step's evaluations, it halves.  k never exceeds the
-        halvings still needed, so every kept cell is one that halving passes
-        through, and the result is the interval that exactly those halvings
-        give.
+        change keeps that cell, k of the halvings, and squares N; otherwise
+        one :meth:`_halve` and N goes to its square root.  A grid point that
+        is the root pins the entry.  Endpoint values carry across steps,
+        shifted by k deg into the finer frame.  While the halvings left cost
+        no more than one step's evaluations, it halves.  k never exceeds the
+        halvings left, so every kept cell is one that halving passes through.
         """
-        a, b = width.numerator, width.denominator
-
-        def needed() -> int:  # the halvings that bring the width below ``width``
-            return ((self._hi - self._lo) * b // (a * self._d << self._m)).bit_length()
-
-        need = needed()
-        if need <= 4:  # the first step evaluates lo, hi and two grid points
-            self._halve(need)
+        if halvings <= 4:  # the first step evaluates lo, hi and two grid points
+            self._halve(halvings)
             return
         scaled, positive_at_lo = self._frame()
         n = len(scaled) - 1
         flo, fhi = _value(scaled, self._lo, self._m), _value(scaled, self._hi, self._m)
         k = 2
-        while need > 2:  # a step evaluates at most two grid points
-            k = min(k, need)
+        while halvings > 2:  # a step evaluates at most two grid points
+            k = min(k, halvings)
             cells = 1 << k
             h, m = self._hi - self._lo, self._m + k
             lo, hi = self._lo << k, self._hi << k
@@ -184,6 +180,7 @@ class RootEntry:
                 else:
                     self._lo, self._hi, flo, fhi = y, x, w, v
                 self._m = m
+                halvings -= k
                 k *= 2
             else:
                 v = self._halve(1)
@@ -193,9 +190,9 @@ class RootEntry:
                     flo, fhi = v, fhi << n
                 else:
                     flo, fhi = flo << n, v
+                halvings -= 1
                 k = max(1, k // 2)
-            need = needed()
-        self._halve(need)
+        self._halve(halvings)
 
 
 @dataclass(frozen=True)
@@ -206,7 +203,7 @@ class RootSet:
     each containing exactly one distinct root.  ``total_count`` counts roots
     with multiplicity; ``certified_real_rooted`` is True exactly when that
     count equals the degree.  The fields cannot be rebound, but the entries
-    narrow: the relation decisions refine them in place, and every halving
+    narrow: the relation decisions refine them in place, and every refinement
     keeps each certificate, the order and disjointness.  :meth:`copy` keeps
     a set's intervals apart from later refinement.
 
@@ -460,15 +457,18 @@ def _compare_roots(ea: RootEntry, eb: RootEntry, coincide=None) -> int:
     root; without it the roots must be distinct.  It is asked once, at the
     first overlap: both intervals only shrink, so every later overlap lies
     inside the first one, where no shared root was found.  While the
-    intervals overlap, the wider one is halved, or both when their widths
-    are equal; an exact root, of width 0, never halves.  It ends: the larger
-    width halves at least every two rounds, and a width-0 entry leaves the
-    other one to halve every round, so distinct roots separate; the gcd
-    sign test proves a shared root at the first overlap, a point overlap at
-    an exact root included.  Without ``coincide`` the roots are distinct, so
-    two width-0 entries never meet at one point, where neither could halve.
+    intervals overlap, the wider one is refined, or both when their widths
+    are equal; an exact root, of width 0, never refines.  Overlapping round
+    r takes 2^max(r-4, 0) halvings through :meth:`RootEntry._refine`: one a
+    round for four rounds, where most pairs separate, then 2, 4, 8, ...,
+    so roots 2^-N apart separate in about log2 N rounds.  It ends: the
+    larger width at least halves every two rounds, and a width-0 entry
+    leaves the other one to narrow every round, so distinct roots separate;
+    the gcd sign test proves a shared root at the first overlap, a point
+    overlap at an exact root included.  Without ``coincide`` the roots are
+    distinct, so two width-0 entries, which cannot narrow, never meet.
     """
-    while True:
+    for r in count(1):
         c = _order(ea, eb)
         if c:
             return c
@@ -479,9 +479,9 @@ def _compare_roots(ea: RootEntry, eb: RootEntry, coincide=None) -> int:
         wa = (ea._hi - ea._lo) * (eb._d << eb._m)
         wb = (eb._hi - eb._lo) * (ea._d << ea._m)
         if wa >= wb:
-            ea.bisect_once()
+            ea._refine(1 << max(r - 4, 0))
         if wb >= wa:
-            eb.bisect_once()
+            eb._refine(1 << max(r - 4, 0))
 
 
 def _separate(entries: list[RootEntry]) -> None:

@@ -306,12 +306,28 @@ def test_lmesh_encloses_the_exact_mesh_on_coarse_root_sets(roots, sign, repeat, 
             assert decisions[name](rs) == decisions[name](fresh.copy())
 
 
+def test_lmesh_at_a_tiny_q_takes_few_evaluations(monkeypatch):
+    """Work bound, counted in ``roots._value`` calls, not time: isolating
+    little_q_jacobi(3, 1/2, 1/2, 10^-300) at the default eps and deciding
+    its lmesh, as ``qzeros lmesh`` does, takes fewer than 2,000
+    evaluations.  Its zeros lie near q^2, q and 1, and an interval from 0
+    needs about 2,000 halvings to part the smallest from q times the next;
+    the comparison doubles its halvings after four one-bit rounds (302
+    evaluations when written), and one halving a round took 10,878."""
+    q = F(1, 10**300)
+    evaluations = []
+    real = roots._value
+    monkeypatch.setattr(roots, "_value", lambda *args: evaluations.append(args) or real(*args))
+    assert lmesh(isolate_real_roots(little_q_jacobi(3, F(1, 2), F(1, 2), q)), q).compare_to_q() == -1
+    assert len(evaluations) < 2_000, len(evaluations)
+
+
 def test_lmesh_refines_only_as_far_as_the_sign_decision(monkeypatch):
-    """lmesh bisects exactly as often as in_lmesh_class(strict=True) does on
+    """lmesh refines exactly as often as in_lmesh_class(strict=True) does on
     a fresh copy: the enclosure takes no refinement of its own.  On
     little_q_jacobi(3, 1/4, 1/2, 1/2) isolated to 1/16 the sign decision
-    halves 7 times; an lmesh that tightened its enclosure after the signs
-    would halve more.  Later class and lmesh calls with the same base read
+    refines 7 times; an lmesh that tightened its enclosure after the signs
+    would refine more.  Later class and lmesh calls with the same base read
     the kept sign pass: no scaled copy, no sign test against 0 and no gcd,
     and lmesh's comparison; another base runs its own pass.  r(x) r(2x) has
     lmesh exactly 1/2, proven by gcd.  Reflected, the zeros are negative and
@@ -325,19 +341,19 @@ def test_lmesh_refines_only_as_far_as_the_sign_decision(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(RootEntry, "bisect_once", counting("bisect", RootEntry.bisect_once))
+    monkeypatch.setattr(RootEntry, "_refine", counting("refine", RootEntry._refine))
     monkeypatch.setattr(RootSet, "scaled", counting("scaled", RootSet.scaled))
     monkeypatch.setattr(analysis, "compare_root_to_point", counting("point", analysis.compare_root_to_point))
     monkeypatch.setattr(analysis, "poly_gcd", counting("gcd", analysis.poly_gcd))
     twins = PolyExact((2, -4, 1)) * PolyExact((2, -8, 4))  # r(x) r(2x), r = x^2 - 4x + 2
-    for poly, mesh_cmp, bisects in [(little_q_jacobi(3, F(1, 4), F(1, 2), Q), -1, 7), (twins, 0, 0)]:
+    for poly, mesh_cmp, refines in [(little_q_jacobi(3, F(1, 4), F(1, 2), Q), -1, 7), (twins, 0, 0)]:
         for sign in (1, -1):
             rs = isolate_real_roots(poly.scale_arg(sign), F(1, 16))
             fresh = rs.copy()
             calls.clear()
             res = lmesh(rs, Q)
             assert res.compare_to_q() == mesh_cmp
-            assert calls["bisect"] == bisects and calls["gcd"] == 1  # built where a pair first overlaps
+            assert calls["refine"] == refines and calls["gcd"] == 1  # built where a pair first overlaps
             by_lmesh = +calls
             calls.clear()
             assert in_lmesh_class(fresh, Q, strict=True) == (mesh_cmp < 0)
@@ -456,14 +472,14 @@ def _compare_roots_halving_both(ea, eb, coincide=None):
         if eb.exact is not None:
             c = roots._root_vs_point(ea, eb.exact)
             while c and not roots._order(ea, eb):
-                ea.bisect_once()
+                ea._halve(1)
             return c
         if ea.exact is not None:
             return -_compare_roots_halving_both(eb, ea)
         if coincide is not None and coincide(ea, eb):
             return 0
-        ea.bisect_once()
-        eb.bisect_once()
+        ea._halve(1)
+        eb._halve(1)
 
 
 class _AgainstHalvingBoth:
@@ -575,7 +591,7 @@ def _compare_roots_with_fork(ea, eb, coincide=None):
         if eb.exact is not None:
             c = roots._root_vs_point(ea, eb.exact)
             while c and not roots._order(ea, eb):
-                ea.bisect_once()
+                ea._halve(1)
             return c
         if ea.exact is not None:
             return -_compare_roots_with_fork(eb, ea)
@@ -586,17 +602,24 @@ def _compare_roots_with_fork(ea, eb, coincide=None):
         wa = (ea._hi - ea._lo) * (eb._d << eb._m)
         wb = (eb._hi - eb._lo) * (ea._d << ea._m)
         if wa >= wb:
-            ea.bisect_once()
+            ea._halve(1)
         if wb >= wa:
-            eb.bisect_once()
+            eb._halve(1)
+
+
+def _nested(e, ref):
+    """Whether one of the two intervals holds the other."""
+    return ref.lo <= e.lo <= e.hi <= ref.hi or e.lo <= ref.lo <= ref.hi <= e.hi
 
 
 class _AgainstFork:
     """Stands in for ``_compare_roots`` in the decisions and in the
     isolation sort.  Each comparison runs the reference on copies of its two
     entries, then the comparison itself on the entries: both must give the
-    same sign and leave the same two intervals.  Counts the comparisons,
-    those that start on an overlap with an exact root, and the
+    same sign, each interval left must be nested with the reference's (the
+    doubling rounds may overshoot the one-bit steps, or stop short of them),
+    and a nonzero sign must leave the pair disjoint.  Counts the
+    comparisons, those that start on an overlap with an exact root, and the
     ``roots._value`` evaluations of each loop."""
 
     def __init__(self, monkeypatch):
@@ -624,7 +647,8 @@ class _AgainstFork:
         got = self._compare(ea, eb, coincide)
         self._loop = None
         assert got == want, (ea.factor, eb.factor)
-        assert [ea.lo, ea.hi, eb.lo, eb.hi] == [ref_a.lo, ref_a.hi, ref_b.lo, ref_b.hi], (ea.factor, eb.factor)
+        assert _nested(ea, ref_a) and _nested(eb, ref_b), (ea.factor, eb.factor)
+        assert not got or roots._order(ea, eb) == got, (ea.factor, eb.factor)
         return got
 
 
@@ -650,10 +674,11 @@ def _exact_root_decisions():
 
 def test_root_comparison_matches_the_exact_root_fork(monkeypatch):
     """Every root comparison, in the decisions and in the isolation sort,
-    gives the sign and leaves the intervals that the comparison with an
-    exact-root fork gave, and evaluates the factors as often: on the
-    thm2/thmA and thm2-lmesh acceptance grids, on the decide-coarse draws
-    of seeds 1 and 2, and on root sets with exact roots."""
+    gives the sign that the one-bit comparison with an exact-root fork gave,
+    leaves intervals nested with its intervals, and evaluates the factors no
+    more often in all: on the thm2/thmA and thm2-lmesh acceptance grids, on
+    the decide-coarse draws of seeds 1 and 2, and on root sets with exact
+    roots."""
     check = _AgainstFork(monkeypatch)
     for q in (F(1, 2), F(3, 4)):
         for check_id in ("thmA-1", "thmA-2", "thmA-3", "thm2-i", "thm2-ii", "thm2-iii"):
@@ -667,7 +692,7 @@ def test_root_comparison_matches_the_exact_root_fork(monkeypatch):
     _decide_coarse(1)
     _decide_coarse(2)
     _exact_root_decisions()
-    assert check.values["change"] == check.values["reference"], check.values
+    assert check.values["change"] <= check.values["reference"], check.values
     assert check.calls["decision", True] > 500 and check.calls["isolation", True] > 100, check.calls
 
 

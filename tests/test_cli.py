@@ -123,8 +123,16 @@ def test_unknown_family_exits_2(capsys):
 
 
 def test_malformed_integer_inputs_exit_2(capsys):
-    """Malformed or negative integer options end in one error line, exit 2."""
+    """Malformed, empty or negative options end in one error line, exit 2;
+    an empty value is not taken for the option's default."""
+    family = ("--family", "little-q-jacobi", "--n", "2", "--q", "1/2", "--a", "1/2", "--b", "1/2")
     for argv in (
+        ("roots", *family, "--eps="),
+        ("lmesh", *family, "--base="),
+        ("table1", "--rows="),
+        ("table1", "--rows", "1", "--q="),
+        ("table1", "--rows", "1", "--n="),
+        ("sweep", *family[:-2], "--vary", "b", "--values=", "--start", "0", "--stop", "1", "--steps", "2"),
         ("table1", "--rows", "abc"),
         ("table1", "--rows", "1", "--n", "2,-3"),
         ("coeffs", "--family", "q-bessel", "--n", "-2", "--q", "1/2", "--b", "-1"),

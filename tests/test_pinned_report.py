@@ -64,32 +64,18 @@ def _pinned_digest(name: str) -> str:
     return _reference(name)["sha256"]
 
 
-def test_registry_grid_report_matches_pinned_digest(tmp_path, capsys):
-    digest = _report_digest(tmp_path, "registry-grid", workloads.REGISTRY_GRID)
-    capsys.readouterr()
-    assert digest == _pinned_digest("registry-grid")
-
-
-def test_identity_grid_report_matches_pinned_digest(tmp_path, capsys):
-    digest = _report_digest(tmp_path, "identities", workloads.IDENTITY_GRID)
-    capsys.readouterr()
-    assert digest == _pinned_digest("identities")
-
-
 @pytest.mark.parametrize("name, grid", [
     ("registry-grid", workloads.REGISTRY_GRID), ("identities", workloads.IDENTITY_GRID),
 ])
 def test_inline_and_worker_runs_give_the_pinned_report(name, grid, tmp_path, capsys, monkeypatch, pools):
-    """Checks run inline (one CPU) and in forked workers (two CPUs) give the
-    same records, and each path writes the pinned report bytes."""
-    runs = []
+    """The CLI report of checks run inline (one CPU) and of checks run in
+    forked workers (two CPUs) each has the pinned bytes, so both paths give
+    the same records."""
     for cpus in (1, 2):
         monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
-        runs.append([r.to_json() for r in run_checks(GridSpec.from_json(grid))])
         assert _report_digest(tmp_path, name, grid) == _pinned_digest(name)
     capsys.readouterr()
-    assert [pool is None for pool in pools] == [True, True, False, False]
-    assert runs[0] == runs[1]
+    assert [pool is None for pool in pools] == [True, False]
 
 
 def test_registry_order_matches_pinned_ids():

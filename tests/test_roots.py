@@ -49,7 +49,7 @@ def test_root_set_copy_and_scaled():
     rs = isolate_real_roots(PolyExact((-2, 0, 1)) * PolyExact((1, -4)))  # +-sqrt2, 1/4
     dup = rs.copy()
     assert all(a is not b for a, b in zip(dup.roots, rs.roots))
-    dup.roots[0].bisect_once()
+    dup.roots[0]._halve(1)
     assert (dup.roots[0].lo, dup.roots[0].hi) != (rs.roots[0].lo, rs.roots[0].hi)
     neg = rs.scaled(F(-2))  # roots of p(-x/2): -2 * root, order reversed
     assert neg.total_count == rs.total_count and neg.certified_real_rooted
@@ -406,7 +406,7 @@ class FractionBisection:
 
 
 def test_integer_bisection_matches_fraction_bisection_on_acceptance_grids():
-    """Each step of ``RootEntry.bisect_once`` gives the (lo, hi, exact) of the
+    """Each step of ``RootEntry._halve`` gives the (lo, hi, exact) of the
     Fraction step it replaced: on every acceptance-grid root set isolated to
     separation, and on its scaled(q) and scaled(-1) copies as lmesh uses
     them, whose denominators are not powers of two; and on two planted
@@ -423,7 +423,7 @@ def test_integer_bisection_matches_fraction_bisection_on_acceptance_grids():
                 ref = FractionBisection(e)
                 for _ in range(10):
                     was_open = e.exact is None
-                    e.bisect_once()
+                    e._halve(1)
                     ref.bisect_once()
                     assert (e.lo, e.hi, e.exact) == (ref.lo, ref.hi, ref.exact), (rs.poly, q)
                     steps += was_open
@@ -438,7 +438,7 @@ def test_lazy_isolation_matches_eager_on_acceptance_grids():
     holds its eager interval.  A lazy exact root is the eager one; an eager
     exact root that the wider lazy interval did not snap to is a proven zero
     of the lazy entry's factor inside that interval.  The integer refinement
-    of ``refine_below`` makes the same steps as ``bisect_once``: each eager
+    of ``refine_below`` makes the same steps as ``_halve``: each eager
     entry is its lazy entry bisected below 2^-64 one step at a time, then
     snapped.
     """
@@ -457,7 +457,7 @@ def test_lazy_isolation_matches_eager_on_acceptance_grids():
                 assert lz.factor.sign_at(eg.exact) == 0, p
             stepped = lz.copy()
             for _ in range((lz.width // eps).bit_length()):  # the halvings to below eps
-                stepped.bisect_once()
+                stepped._halve(1)
             roots._snap_to_rational(stepped)
             assert (stepped.lo, stepped.hi, stepped.exact) == (eg.lo, eg.hi, eg.exact), p
 
@@ -547,6 +547,22 @@ def test_qir_evaluations_at_most_half_the_halvings(monkeypatch):
         _refine_by_halving(ref, roots.DEFAULT_EPS)
     halving = len(evaluations) - qir
     assert halving > 14_000 and qir <= halving // 2, (qir, halving)
+
+
+def test_separating_a_near_double_root_takes_few_evaluations(monkeypatch):
+    """Work bound, counted in ``roots._value`` calls, not time: isolating
+    (x^2 - 2)(x^2 - 2 - 2^-12000)^2 to separation, whose roots in each sign
+    lie about 2^-12001 apart in two square-free factors, takes fewer than
+    5,000 evaluations.  The comparison doubles its halvings after four
+    one-bit rounds (808 evaluations when written); one halving a round took
+    48,024."""
+    near = PolyExact((-2 - F(1, 2**12000), 0, 1))
+    evaluations = []
+    real = roots._value
+    monkeypatch.setattr(roots, "_value", lambda *args: evaluations.append(args) or real(*args))
+    rs = isolate_real_roots(PolyExact((-2, 0, 1)) * near * near, None)
+    assert [e.multiplicity for e in rs.roots] == [2, 1, 1, 2]
+    assert len(evaluations) < 5_000, len(evaluations)
 
 
 def _logging_refinement(monkeypatch, entry, eps):
@@ -835,8 +851,8 @@ def _separate_by_rounds(entries):
         if not clashing:
             return
         for a, b in clashing:
-            a.bisect_once()
-            b.bisect_once()
+            a._halve(1)
+            b._halve(1)
 
 
 def _isolation_by_rounds(p, eps):
@@ -849,8 +865,11 @@ def test_separation_by_sort_matches_rounds_on_acceptance_grids():
     """Separation by a sort on the exact root comparison against the
     round-based separation it replaced, on the 672 acceptance-grid
     polynomials and on products p_n(x; a, b) p_(n-1)(x; qa, qb)^2, whose
-    interlacing zeros lie in two square-free factors.  Refined to 2^-64
-    every entry is the same; isolated to separation, counts,
+    interlacing zeros lie in two square-free factors.  Refined to 2^-64,
+    exact roots and multiplicities agree, and each interval is narrower than
+    2^-64 and lies in the reference interval: both are cells of the same
+    halving path, and a doubling round of the sort may go past the level
+    the refinement stops at.  Isolated to separation, counts,
     multiplicities and exact roots agree, and the intervals are ascending,
     pairwise disjoint and each overlaps the reference interval."""
     products = []
@@ -860,8 +879,8 @@ def test_separation_by_sort_matches_rounds_on_acceptance_grids():
             products.append(little_q_jacobi(n, F(1, 2), F(-1, 2), q) * partner * partner)
     for p in _acceptance_grid_polynomials() + tuple(products):
         fine, ref = isolate_real_roots(p, F(1, 2**64)), _isolation_by_rounds(p, F(1, 2**64))
-        assert [(e.lo, e.hi, e.exact, e.multiplicity) for e in fine.roots] == [
-            (e.lo, e.hi, e.exact, e.multiplicity) for e in ref.roots], p
+        assert [(e.exact, e.multiplicity) for e in fine.roots] == [(e.exact, e.multiplicity) for e in ref.roots], p
+        assert all(r.lo <= e.lo <= e.hi <= r.hi and e.width < F(1, 2**64) for e, r in zip(fine.roots, ref.roots)), p
         lazy = isolate_real_roots(p, None)
         _same_roots(lazy, _isolation_by_rounds(p, None))
         assert all(a.hi < b.lo for a, b in zip(lazy.roots, lazy.roots[1:])), p
@@ -878,7 +897,7 @@ def _root_vs_point_by_bisection(entry, pt):
             return 1
         if entry.exact is not None or entry.factor.sign_at(pt) == 0:
             return 0
-        entry.bisect_once()
+        entry._halve(1)
 
 
 def test_root_vs_point_matches_bisection_on_acceptance_grids():
