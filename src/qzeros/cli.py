@@ -7,12 +7,14 @@ report) has the bytes of ``json.dumps(value, indent=2)``; ``_json_text``
 builds them, and the ``verify`` report is written record by record, never
 held whole.  Exit status: 0 success (and all checks passed), 1 at least one
 Fail or Error, 2 usage or configuration problem.
+
+Only ``verify`` and ``table1`` import ``qzeros.verify`` (and with it
+``qzeros.qcalc``), when they run; the other commands never compile them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -20,13 +22,16 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
-from . import verify as verify_mod
 from .analysis import interlace, lmesh
 from .errors import ConfigError, InvalidParameterError, QZerosError
 from .families import Family, FamilyParams, build
 from .qcore import as_q, bounded_count, clip, rat, rat_str
 from .roots import DEFAULT_EPS, RootSet, isolate_real_roots
+
+if TYPE_CHECKING:
+    from .verify import VerificationRecord
 
 _FAMILY_NAMES = {f.value: f for f in Family}
 _RATIONAL_OPTIONS = frozenset(
@@ -84,7 +89,7 @@ def _json_text(value, indent: str = "") -> str:
     return "".join(out)
 
 
-def _write_report(fh, records: list[verify_mod.VerificationRecord], summary: dict) -> None:
+def _write_report(fh, records: list[VerificationRecord], summary: dict) -> None:
     """Write the verify report as ``json.dumps({"records": [...], "summary":
     summary}, indent=2)`` would, one record at a time, so that the whole
     text is never in memory."""
@@ -255,6 +260,8 @@ def _cmd_interlace(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify as verify_mod
+
     # checked before any check runs, so a long run cannot end on a bad path
     if args.report is not None:
         _check_output_path("--report", args.report)
@@ -285,6 +292,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    import csv
+
     # checked before anything is built, as verify checks --report
     if args.out is not None:
         _check_output_path("--out", args.out)
@@ -327,6 +336,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from . import verify as verify_mod
+
     if args.samples is not None and args.samples < 1:
         raise InvalidParameterError(f"--samples must be >= 1, got {args.samples}")
     rows = _parse_counts(args.rows, "--rows") if args.rows is not None else list(range(1, 11))

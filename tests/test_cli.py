@@ -220,17 +220,19 @@ def _fresh_cli(*argv, timeout=60):
 
 
 def test_import_and_help_load_no_process_pool():
-    """`import qzeros` and `python -m qzeros --help` import neither
-    multiprocessing nor concurrent.futures: only a run that starts workers
-    does, so start-up time does not pay for them."""
+    """`import qzeros`, `import qzeros.verify` and `python -m qzeros --help`
+    import neither multiprocessing nor concurrent.futures: only a run that
+    starts workers does, so start-up time does not pay for them.  Of the
+    three, only the second loads verify."""
     src = str(Path(qzeros.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for argv in (["-c", "import qzeros"], ["-m", "qzeros", "--help"]):
+    for argv, loads_verify in ((["-c", "import qzeros"], False), (["-c", "import qzeros.verify"], True),
+                               (["-m", "qzeros", "--help"], False)):
         proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-        assert "qzeros.verify" in imported, argv
+        assert ("qzeros.verify" in imported) == loads_verify, argv
         assert not {m for m in imported if m.split(".")[0] in ("multiprocessing", "concurrent")}, argv
 
 
