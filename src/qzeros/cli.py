@@ -9,7 +9,8 @@ held whole.  Exit status: 0 success (and all checks passed), 1 at least one
 Fail or Error, 2 usage or configuration problem.
 
 Only ``verify`` and ``table1`` import ``qzeros.verify`` (and with it
-``qzeros.qcalc``), when they run; the other commands never compile them.
+``qzeros.qcalc``), and only ``lmesh`` and ``interlace`` import
+``qzeros.analysis``, when they run; the other commands never compile them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
-from .analysis import interlace, lmesh
 from .errors import ConfigError, InvalidParameterError, QZerosError
 from .families import Family, FamilyParams, build
 from .qcore import as_q, bounded_count, clip, rat, rat_str
@@ -222,7 +222,9 @@ def _cmd_lmesh(args) -> int:
     base = _parse_rat(args.base) if args.base is not None else params.q
     if not 0 < base < 1:
         raise InvalidParameterError(f"--base must satisfy 0 < base < 1, got {rat_str(base)}")
-    result = lmesh(rs, base)
+    from . import analysis
+
+    result = analysis.lmesh(rs, base)
     cmp_word = {-1: "below", 0: "equal", 1: "above"}[result.compare_to_q()]
     print(
         _json_text(
@@ -244,7 +246,9 @@ def _cmd_interlace(args) -> int:
     # the relation is exact at any interval width, so isolate to separation only
     params = _family_params(args), _family_params(args, suffix="2")
     rs1, rs2 = (isolate_real_roots(build(p), None) for p in params)
-    report = interlace(rs1, rs2)
+    from . import analysis
+
+    report = analysis.interlace(rs1, rs2)
     print(
         _json_text(
             {

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import DegenerateParameterError, InvalidParameterError, RegimeError
 from .qcore import QValue, RationalLike, as_q, neg_q_power, qpoch_finite, rat, rat_str
-from .qhyper import PolyExact, _check_series, _gauss_row, _series, _telescoped
+from .qhyper import PolyExact, _check_series, _series
 
 
 class Family(enum.Enum):
@@ -51,7 +51,8 @@ class FamilyParams:
     """A family tag with its parameters and the computed regime flag.
 
     A parameter the family does not take (see ``PARAMETERS``) is an
-    InvalidParameterError, never silently ignored.
+    InvalidParameterError, never silently ignored; so is an E_k whose n is
+    not its degree k.
 
     ``orthogonal_regime`` is True when the parameters satisfy the family's
     orthogonality hypotheses (little q-Jacobi: 0 < aq < 1 and bq < 1;
@@ -75,6 +76,10 @@ class FamilyParams:
                     f"{self.family.value} does not take parameter {name} "
                     f"(it takes {', '.join(takes) or 'only n and q'})"
                 )
+        if self.family is Family.E_FACTOR and self.k is not None and self.n != self.k:
+            raise InvalidParameterError(
+                f"e-factor E_k has degree k, so n must equal k, got n={self.n}, k={self.k}"
+            )
         object.__setattr__(self, "q", as_q(self.q))
         if self.a is not None:
             object.__setattr__(self, "a", rat(self.a))
@@ -158,46 +163,26 @@ def normalized_little_q_jacobi(
 
         (q^-n;q)_j / (q;q)_j * (b q^(n-k+1);q)_j * (q^(j-k+1);q)_(n-j) * q^j,
 
-    which vanishes for j < k; the result equals
-    c * (qx)^k * p_(n-k)(x; q^k, b) with
-    c = (-1)^k q^(C(k,2) - n*k) (b q^(n-k+1);q)_k (q^(k+1);q)_(n-k).
+    which vanishes for j < k; the result is c (qx)^k p_(n-k)(x; q^k, b),
+    c = :func:`normalization_constant`.  For j >= k,
 
-    Coefficient j is G_j times a rest, where G_j is the homogeneous
-    Gaussian binomial of :func:`qhyper._gauss_row` and
-    (q^-n;q)_j/(q;q)_j = (-1)^j q^(C(j,2) - n*j) v^(-j(n-j)) G_j with
-    q = u/v.  From j = k on the rests telescope by the ratio
+        (b q^(n-k+1);q)_j / (b q^(n-k+1);q)_k = (b q^(n+1);q)_(j-k),
+        (q^(j-k+1);q)_(n-j) / (q;q)_(n-k) = 1/(q;q)_(j-k),
 
-        -u^(j+1-n) v^j (1 - b q^(n-k+1+j)) / (1 - q^(j-k+1)),
-
-    which with b = b_n/b_d is the integer ratio
-    -(b_d v^e - b_n u^e) / (u^(n-j-1) v^(n-j) b_d (v^(j-k+1) - u^(j-k+1)))
-    with e = n-k+1+j.
+    so it is the series with upper b q^(n+1), lower q and argument qx from j = k.
     """
     bv, qv = rat(b), as_q(q)
     if not 1 <= k <= n:
         raise InvalidParameterError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    u, v = qv.numerator, qv.denominator
-    upow = [u**i for i in range(2 * n - k + 1)]
-    vpow = [v**i for i in range(2 * n - k + 1)]
-    binom = _gauss_row(n, upow, vpow)
     first = (  # coefficient k over G_k, where (q^(j-k+1);q)_(n-j) is (q;q)_(n-k)
-        Fraction((-1) ** k, v ** (k * (n - k)))
+        Fraction((-1) ** k, qv.denominator ** (k * (n - k)))
         * qv ** (k * (k + 1) // 2 - n * k)
         * qpoch_finite(bv * qv ** (n - k + 1), qv, k)
         * qpoch_finite(qv, qv, n - k)
     )
-    b_num, b_den = bv.numerator, bv.denominator
-    rest = first.numerator  # coefficient j is G_j rest / (steps[0] ... steps[j]), unreduced
-    nums = [0] * k + [binom[k] * rest]
-    steps = [1] * k + [first.denominator]
-    for j in range(k, n):
-        e = n - k + 1 + j
-        rest *= b_num * upow[e] - b_den * vpow[e]
-        if not rest:
-            break
-        nums.append(binom[j + 1] * rest)
-        steps.append(upow[n - j - 1] * vpow[n - j] * b_den * (vpow[j - k + 1] - upow[j - k + 1]))
-    return _telescoped(nums, steps)
+    upper = ((bv.numerator, bv.denominator, n + 1),)  # b q^(n+1)
+    pre = (first.numerator, first.denominator)
+    return _series(n, qv, upper, ((1, 1, 1),), (1, 1, 1), pre, start=k)
 
 
 def normalization_constant(n: int, k: int, b: RationalLike, q: QValue | RationalLike) -> Fraction:
@@ -216,15 +201,7 @@ def e_factor(k: int, q: QValue | RationalLike) -> PolyExact:
     qv = as_q(q)
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
-    # With q = u/v each factor is (u^j - v^j x)/u^j: multiply the integer
-    # numerators over u^(1+2+...+k) and reduce once.
-    u, v = qv.numerator, qv.denominator
-    ints = [1]
-    for j in range(1, k + 1):
-        uj, vj = u**j, v**j
-        ints = [uj * c - vj * prev for c, prev in zip(ints + [0], [0] + ints)]
-    den = u ** (k * (k + 1) // 2)
-    return PolyExact.from_ints(ints, den)
+    return _series(k, qv, (), (), (1, 1, 0))  # (q^-k x;q)_k = 1phi0(q^-k; -; q, x)
 
 
 def weight_mass(

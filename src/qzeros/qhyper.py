@@ -510,6 +510,7 @@ def _series(
     lower: Sequence[_Param],
     scale: _Param,
     pre: tuple[int, int] = (1, 1),
+    start: int = 0,
 ) -> PolyExact:
     """pre[0]/pre[1] times the series with top q^-n, the given upper and
     lower parameters and argument scale, on integers.
@@ -534,6 +535,13 @@ def _series(
     and s' lower nonzero parameters, and k_z the scale's offset.
     Coefficient j is G_j times the running numerator over the product of
     the step denominators; the one reduction is in :func:`_telescoped`.
+
+    With ``start`` = s > 0 the coefficients below s are 0, coefficient s is
+    G_s pre, and step j -> j+1 (j >= s) is the step above with each
+    Pochhammer factor taken at index i = j - s, so every symbol counts from
+    the first nonzero coefficient.  e_u and e_v start at their values for
+    j = s, and e_v gains s (r' - s') more, since each factor's v^(k+i)
+    denominator moves with i, not j.
     """
     u, v = q.numerator, q.denominator
     d = len(lower) - len(upper)
@@ -541,8 +549,8 @@ def _series(
     if not d % 2:
         step_num = -step_num  # (-1)^(d+1) z_n
     e_u, e_v, w = z_k - n, 1 - z_k, 1 - d  # step j brings u^e_u v^e_v
-    # (c_d v^k, c_n u^k) per nonzero parameter: its factor at step j is
-    # c_d v^(k+j) - c_n u^(k+j)
+    # (c_d v^k, c_n u^k) per nonzero parameter: its factor at Pochhammer
+    # index i is c_d v^(k+i) - c_n u^(k+i)
     tops, bottoms = [], []
     for c_num, c_den, k in upper:
         if c_num:
@@ -562,14 +570,17 @@ def _series(
     upow = [u**i for i in range(n + 1)]
     vpow = [v**i for i in range(n + 1)]
     binom = _gauss_row(n, upow, vpow)
+    e_u += (d + 1) * start
+    e_v += (w + len(tops) - len(bottoms)) * start
     rest = pre[0]
-    nums, steps = [rest], [pre[1]]
-    for j in range(n):
+    nums, steps = [0] * start + [binom[start] * rest], [1] * start + [pre[1]]
+    for j in range(start, n):
+        i = j - start  # the Pochhammer index
         mul, step = step_num, step_den  # the step's small factors
         for c_v, c_u in tops:
-            mul *= c_v * vpow[j] - c_u * upow[j]
+            mul *= c_v * vpow[i] - c_u * upow[i]
         for c_v, c_u in bottoms:
-            step *= c_v * vpow[j] - c_u * upow[j]
+            step *= c_v * vpow[i] - c_u * upow[i]
         if e_u >= 0:
             mul *= u**e_u
         else:

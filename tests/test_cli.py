@@ -123,8 +123,8 @@ def test_unknown_family_exits_2(capsys):
 
 
 def test_malformed_integer_inputs_exit_2(capsys):
-    """Malformed, empty or negative options end in one error line, exit 2;
-    an empty value is not taken for the option's default."""
+    """Malformed, empty, negative or inconsistent options end in one error
+    line, exit 2; an empty value is not taken for the option's default."""
     family = ("--family", "little-q-jacobi", "--n", "2", "--q", "1/2", "--a", "1/2", "--b", "1/2")
     for argv in (
         ("roots", *family, "--eps="),
@@ -136,6 +136,7 @@ def test_malformed_integer_inputs_exit_2(capsys):
         ("table1", "--rows", "abc"),
         ("table1", "--rows", "1", "--n", "2,-3"),
         ("coeffs", "--family", "q-bessel", "--n", "-2", "--q", "1/2", "--b", "-1"),
+        ("coeffs", "--family", "e-factor", "--n", "2", "--k", "3", "--q", "1/2"),
         ("table1", "--rows", "1", "--samples", "-1"),
         ("table1", "--rows", "1", "--samples", "0"),
         *(

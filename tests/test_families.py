@@ -27,6 +27,7 @@ from qzeros import (
     stieltjes_wigert,
     weight_mass,
 )
+from qzeros.qhyper import _series
 
 Q = F(1, 2)
 
@@ -194,8 +195,10 @@ def test_regime_flags():
 def test_build_dispatch():
     params = FamilyParams(Family.Q_BESSEL, 1, Q, b=F(-1))
     assert build(params) == PolyExact((1, -3))
-    params = FamilyParams(Family.E_FACTOR, 0, Q, k=2)
+    params = FamilyParams(Family.E_FACTOR, 2, Q, k=2)
     assert build(params) == PolyExact((1, -6, 8))
+    with pytest.raises(InvalidParameterError, match="n must equal k"):
+        FamilyParams(Family.E_FACTOR, 2, Q, k=3)
 
 
 def test_limit_consistency_small_case():
@@ -229,34 +232,80 @@ def _naive_qpoch(a, q, k):
     return out
 
 
+def _normalized_reference(n, k, b, q):
+    return PolyExact(
+        _naive_qpoch(q ** (-n), q, j)
+        / _naive_qpoch(q, q, j)
+        * _naive_qpoch(b * q ** (n - k + 1), q, j)
+        * _naive_qpoch(q ** (j - k + 1), q, n - j)
+        * q**j
+        for j in range(n + 1)
+    )
+
+
 def test_normalized_matches_quadratic_formula_on_factor_anorm_grid():
     """The telescoped coefficients equal the defining formula, evaluated
     coefficient by coefficient with per-factor Fraction products, on the
     factor-anorm grid: q in {1/4, 1/2, 3/4, 9/10}, b in {1/3, -1, 3/2},
-    n <= 12, k = 1..n."""
+    n <= 12, k = 1..n; and at q in {1/2, 3/4} for b = 0 and b = q^-m,
+    m = 1..n, where the first or later coefficients vanish."""
     checked = 0
     for q in (F(1, 4), F(1, 2), F(3, 4), F(9, 10)):
         for b in (F(1, 3), F(-1), F(3, 2)):
             for n in range(1, 13):
                 for k in range(1, n + 1):
-                    expected = PolyExact(
-                        _naive_qpoch(q ** (-n), q, j)
-                        / _naive_qpoch(q, q, j)
-                        * _naive_qpoch(b * q ** (n - k + 1), q, j)
-                        * _naive_qpoch(q ** (j - k + 1), q, n - j)
-                        * q**j
-                        for j in range(n + 1)
-                    )
+                    expected = _normalized_reference(n, k, b, q)
                     assert normalized_little_q_jacobi(n, k, b, q) == expected, (q, b, n, k)
                     checked += 1
     assert checked == 936
+    for q in (F(1, 2), F(3, 4)):
+        for n in range(1, 13):
+            for b in (F(0), *(q ** (-m) for m in range(1, n + 1))):
+                for k in range(1, n + 1):
+                    expected = _normalized_reference(n, k, b, q)
+                    assert normalized_little_q_jacobi(n, k, b, q) == expected, (q, b, n, k)
 
 
 def test_e_factor_matches_fraction_product():
     """The integer kernel against k successive Fraction products of
-    (1 - q^-j x), for k <= 12."""
-    for q in (F(1, 4), F(1, 2), F(2, 3), F(3, 4), F(9, 10), F(7, 11)):
+    (1 - q^-j x), for k <= 20."""
+    for q in (F(1, 1000), F(1, 4), F(1, 2), F(2, 3), F(3, 4), F(9, 10), F(7, 11), F(99, 100)):
         reference = PolyExact.one()
-        for k in range(1, 13):
+        for k in range(1, 21):
             reference = reference * PolyExact((1, -(q ** (-k))))
             assert e_factor(k, q) == reference, (q, k)
+
+
+def test_series_from_start_follows_its_coefficient_ratio():
+    """_series(..., start=s) against a Fraction recurrence: coefficient s is
+    G_s pre, with G_s = v^(s(n-s)) [n choose s]_q, and step j -> j+1 is
+
+        (1 - q^(j-n)) / (1 - q^(j+1)) * (-1)^d q^(d j) * z
+            * prod (1 - a q^(j-s)) / prod (1 - b q^(j-s)),
+
+    d = len(lower) - len(upper): the series' own step with every
+    Pochhammer symbol counted from coefficient s."""
+    n = 7
+    upper = ((3, 5, 2), (0, 1, 0), (4, 9, 1))
+    lower = ((-2, 7, 1), (0, 1, 0), (1, 4, 0), (5, 2, 3))
+    scale, pre = (-5, 3, 1), (4, 9)
+    d = len(lower) - len(upper)
+    for q in (F(2, 3), F(9, 10)):
+        def value(param):
+            return F(param[0], param[1]) * q ** param[2]
+
+        z = value(scale)
+        for s in (0, 1, n):
+            gauss = q.denominator ** (s * (n - s)) * _naive_qpoch(q, q, n) / (
+                _naive_qpoch(q, q, s) * _naive_qpoch(q, q, n - s)
+            )
+            coeffs = [F(0)] * s + [gauss * F(*pre)]
+            for j in range(s, n):
+                i = j - s
+                ratio = (1 - q ** (j - n)) / (1 - q ** (j + 1)) * (-1) ** d * q ** (d * j) * z
+                for a in upper:
+                    ratio *= 1 - value(a) * q**i
+                for b in lower:
+                    ratio /= 1 - value(b) * q**i
+                coeffs.append(coeffs[-1] * ratio)
+            assert _series(n, q, upper, lower, scale, pre, start=s) == PolyExact(coeffs), (q, s)

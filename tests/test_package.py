@@ -82,21 +82,22 @@ print(json.dumps({"file": qzeros.__file__, "steps": steps}))
 
 
 def test_fresh_process_loads_verify_only_for_verify(tmp_path):
-    """In a fresh process `import qzeros` loads no submodule, coeffs, roots,
-    lmesh, interlace and sweep never load verify or qcalc, and verify then
-    writes the bytes the in-process report writer gives."""
+    """In a fresh process `import qzeros` loads no submodule, coeffs, roots
+    and sweep load no analysis, lmesh and interlace do, none of them loads
+    verify or qcalc, and verify then writes the bytes the in-process report
+    writer gives."""
     config = {"qValues": ["1/2"], "nValues": [1, 2], "aValues": ["1/2"], "bValues": ["1/2"],
               "checkIds": ["contig-4", "thm2-lmesh"]}
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps(config))
     report = tmp_path / "report.json"
     family = ["--family", "little-q-jacobi", "--n", "3", "--q", "1/2", "--a", "1/2", "--b", "1/2"]
-    calls = [
+    calls = [  # loaded modules only accumulate, so the calls without analysis come first
         ["coeffs", *family],
         ["roots", *family],
+        ["sweep", *family, "--vary", "b", "--values", "0,1/2"],
         ["lmesh", *family],
         ["interlace", *family, "--family2", "little-q-jacobi", "--n2", "2", "--a2", "1/4", "--b2", "1/4"],
-        ["sweep", *family, "--vary", "b", "--values", "0,1/2"],
         ["verify", "--config", str(cfg), "--report", str(report)],
     ]
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -110,6 +111,7 @@ def test_fresh_process_loads_verify_only_for_verify(tmp_path):
     assert [(command, code) for command, code, _ in commands] == [(argv[0], 0) for argv in calls[:-1]]
     for command, _, modules in commands:
         assert "qzeros.verify" not in modules and "qzeros.qcalc" not in modules, command
+        assert ("qzeros.analysis" in modules) == (command in ("lmesh", "interlace")), command
     assert (verify_cmd, verify_code) == ("verify", 0)
     assert {"qzeros.verify", "qzeros.qcalc"} <= set(after_verify)
 
