@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateParameterError, InvalidParameterError, RegimeError
-from .qcore import QValue, RationalLike, as_q, neg_q_power, qpoch_finite, rat, rat_str
+from .qcore import QValue, RationalLike, as_q, bounded_count, neg_q_power, qpoch_finite, rat, rat_str
 from .qhyper import PolyExact, _check_series, _series
 
 
@@ -51,8 +51,9 @@ class FamilyParams:
     """A family tag with its parameters and the computed regime flag.
 
     A parameter the family does not take (see ``PARAMETERS``) is an
-    InvalidParameterError, never silently ignored; so is an E_k whose n is
-    not its degree k.
+    InvalidParameterError, never silently ignored; so is an n or k that
+    :func:`~qzeros.qcore.bounded_count` refuses, and an E_k whose n is not
+    its degree k.
 
     ``orthogonal_regime`` is True when the parameters satisfy the family's
     orthogonality hypotheses (little q-Jacobi: 0 < aq < 1 and bq < 1;
@@ -76,6 +77,9 @@ class FamilyParams:
                     f"{self.family.value} does not take parameter {name} "
                     f"(it takes {', '.join(takes) or 'only n and q'})"
                 )
+        object.__setattr__(self, "n", bounded_count(self.n, "n"))
+        if self.k is not None:
+            object.__setattr__(self, "k", bounded_count(self.k, "k"))
         if self.family is Family.E_FACTOR and self.k is not None and self.n != self.k:
             raise InvalidParameterError(
                 f"e-factor E_k has degree k, so n must equal k, got n={self.n}, k={self.k}"

@@ -30,8 +30,8 @@ _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
 MAX_DIGITS = 2 * MAX_EXPONENT
 _PLAIN = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
 # Degrees and step counts from outside (--n, --k, table1 --n, sweep --steps,
-# config nValues) are bounded too: a huge one raises nothing, but builds a
-# polynomial or a list of its size.
+# a grid's n values, a family's n and k) are bounded too: a huge one raises
+# nothing, but builds a polynomial or a list of its size.
 MAX_COUNT = 1000
 
 
@@ -68,12 +68,20 @@ def rat(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {clip(repr(value))} as a rational")
 
 
-def bounded_count(value: int, what: str, least: int = 0) -> int:
-    """``value`` when least <= value <= MAX_COUNT, else InvalidParameterError."""
-    if not least <= value <= MAX_COUNT:
-        got = clip(rat_str(value))
-        raise InvalidParameterError(f"{what} must be in {least}..{MAX_COUNT}, got {got}")
-    return value
+def bounded_count(value, what: str, least: int = 0) -> int:
+    """``value`` as an int when it is an exact integer (an int, or a Fraction
+    or string :func:`rat` reads as one; never a bool or a float) in
+    least..MAX_COUNT, else InvalidParameterError."""
+    try:
+        r = None if isinstance(value, bool) else rat(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        r = None
+    if r is None or r.denominator != 1:
+        got = clip(repr(value) if r is None else rat_str(r))
+        raise InvalidParameterError(f"{what} must be an integer in {least}..{MAX_COUNT}, got {got}")
+    if not least <= r <= MAX_COUNT:
+        raise InvalidParameterError(f"{what} must be in {least}..{MAX_COUNT}, got {clip(rat_str(r))}")
+    return r.numerator
 
 
 def _from_digits(digits: str) -> int:

@@ -262,12 +262,10 @@ class PolyExact:
         return PolyExact._canonical(out, self.den)
 
     def monic(self) -> "PolyExact":
-        if self.is_zero:
-            return self
-        g = gcd(*self.num)
-        if self.num[-1] < 0:
-            g = -g
-        return PolyExact._canonical([c // g for c in self.num], self.num[-1] // g)
+        """The primitive part over its leading coefficient, which is > 0 and
+        shares no factor with all the others: already canonical."""
+        p = self.primitive()
+        return p if p.is_zero else PolyExact._canonical(p.num, p.num[-1])
 
     def primitive(self) -> "PolyExact":
         """Integer-coefficient primitive part; roots are unchanged.

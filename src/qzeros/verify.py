@@ -84,19 +84,23 @@ class VerificationRecord:
         }
 
 
-_CONFIG_KEYS = ("qValues", "nValues", "aValues", "bValues", "tValues", "eps", "checkIds")
+# Each config key and the GridSpec field it fills, in the schema's order.
+_CONFIG_KEYS = {
+    "qValues": "q_values", "nValues": "n_values", "aValues": "a_values", "bValues": "b_values",
+    "tValues": "t_values", "eps": "eps", "checkIds": "check_ids",
+}
+_COUNTS = ("nValues", "n", "k", "coeff_index")
 
 
-def _config_int(value) -> int:
-    r = rat(value)
-    if r.denominator != 1:
-        raise ValueError(f"{value!r} is not an integer")
-    return r.numerator
-
-
-def _config_value(key: str, value, parse: Callable):
+def _parse(key: str, value):
+    """One raw grid or point value for ``key``: a count for nValues, n, k and
+    coeff_index, q in (0, 1) for qValues and q, a string for checkIds and a
+    rational otherwise; a one-line QZerosError naming ``key`` when it is none."""
+    if key in _COUNTS:
+        return bounded_count(value, key)
     if isinstance(value, bool):  # JSON true/false, which rat() would read as 1/0
         raise ConfigError(f"{key}: cannot parse {clip(repr(value))} (a boolean is not a value)")
+    parse = as_q if key in ("qValues", "q") else str if key == "checkIds" else rat
     try:
         return parse(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -105,7 +109,8 @@ def _config_value(key: str, value, parse: Callable):
 
 @dataclass
 class GridSpec:
-    """Parameter grid consumed by the runner; mirrors the config file format."""
+    """Parameter grid consumed by the runner; mirrors the config file format
+    and parses each value as its config key, so code and config fail alike."""
 
     q_values: list[Fraction]
     n_values: list[int]
@@ -116,18 +121,17 @@ class GridSpec:
     check_ids: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        self.q_values = [as_q(q) for q in self.q_values]
-        self.n_values = [int(n) for n in self.n_values]
-        self.a_values = [rat(a) for a in self.a_values]
-        self.b_values = [rat(b) for b in self.b_values]
-        self.t_values = [rat(t) for t in self.t_values]
-        self.eps = rat(self.eps)
+        for key, name in _CONFIG_KEYS.items():
+            raw = getattr(self, name)
+            setattr(self, name, _parse(key, raw) if key == "eps" else [_parse(key, v) for v in raw])
         if self.eps <= 0:
             raise InvalidParameterError(f"grid eps must be > 0, got {rat_str(self.eps)}")
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "GridSpec":
-        """The grid of a config document; ConfigError when it is malformed."""
+        """The grid of a config document, its values parsed by the grid;
+        ConfigError when the document is not an object of known keys with
+        list-valued axes."""
         if not isinstance(doc, Mapping):
             raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
         unknown = sorted(set(doc) - set(_CONFIG_KEYS))
@@ -135,22 +139,13 @@ class GridSpec:
             raise ConfigError(
                 f"unknown config key(s) {', '.join(unknown)}; allowed keys: {', '.join(_CONFIG_KEYS)}"
             )
-
-        def values(key: str, parse: Callable) -> list:
-            raw = doc.get(key, [])
-            if not isinstance(raw, list):
-                raise ConfigError(f"{key} must be a list, got {type(raw).__name__}")
-            return [_config_value(key, v, parse) for v in raw]
-
-        return cls(
-            q_values=values("qValues", rat),
-            n_values=[bounded_count(n, "nValues") for n in values("nValues", _config_int)],
-            a_values=values("aValues", rat),
-            b_values=values("bValues", rat),
-            t_values=values("tValues", rat),
-            eps=_config_value("eps", doc.get("eps", "1/1000000"), rat),
-            check_ids=values("checkIds", str),
-        )
+        fields = {"q_values": [], "n_values": []}
+        for key, name in _CONFIG_KEYS.items():
+            if key in doc:
+                raw = fields[name] = doc[key]
+                if key != "eps" and not isinstance(raw, list):
+                    raise ConfigError(f"{key} must be a list, got {type(raw).__name__}")
+        return cls(**fields)
 
 
 def default_t_values(q: RationalLike) -> list[Fraction]:
@@ -663,14 +658,12 @@ IDENTITY_CHECKS: dict[str, _Check] = {
 
 def check_identity(check_id: str, params: Mapping[str, object]) -> VerificationRecord:
     """Run one identity at one parameter point (the limit checks read eps,
-    default 10^-6)."""
+    default 10^-6).  Each value is parsed as a grid's is, so a malformed one
+    raises, as it would in a config."""
     check = IDENTITY_CHECKS.get(check_id)
     if check is None:
         raise RegistryError(f"unknown identity check {check_id!r}")
-    point = {
-        k: int(v) if k in ("n", "k", "coeff_index") else as_q(v) if k == "q" else rat(v)
-        for k, v in params.items()
-    }
+    point = {k: _parse(k, v) for k, v in params.items()}
     return _record(check_id, check, point)
 
 
@@ -1260,15 +1253,9 @@ def run_checks(grid: GridSpec) -> list[VerificationRecord]:
 
 def summarize(records: Iterable[VerificationRecord]) -> dict:
     counts = {"total": 0, "pass": 0, "fail": 0, "skipped": 0, "error": 0}
-    key = {
-        Status.PASS: "pass",
-        Status.FAIL: "fail",
-        Status.SKIPPED: "skipped",
-        Status.ERROR: "error",
-    }
     for rec in records:
         counts["total"] += 1
-        counts[key[rec.status]] += 1
+        counts[rec.status.name.lower()] += 1
     return counts
 
 

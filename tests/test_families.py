@@ -201,6 +201,23 @@ def test_build_dispatch():
         FamilyParams(Family.E_FACTOR, 2, Q, k=3)
 
 
+def test_family_counts_are_exact_integers_in_range():
+    """n and k are read by bounded_count: a negative, boolean or non-integral
+    count is one InvalidParameterError before anything is built, and an
+    integral Fraction or string is its integer."""
+    with pytest.raises(InvalidParameterError, match="^n must be in 0..1000, got -2$"):
+        FamilyParams(Family.Q_BESSEL, n=-2, q=Q, b=-1)
+    with pytest.raises(InvalidParameterError, match="^n must be an integer in 0..1000, got True$"):
+        FamilyParams(Family.Q_BESSEL, n=True, q=Q, b=-1)
+    with pytest.raises(InvalidParameterError, match="^n must be an integer in 0..1000, got 5/2$"):
+        FamilyParams(Family.E_FACTOR, n=F(5, 2), q=Q, k=F(5, 2))
+    with pytest.raises(InvalidParameterError, match="^k must be in 0..1000, got 1001$"):
+        FamilyParams(Family.NORMALIZED_LITTLE_Q_JACOBI, n=2, q=Q, b=0, k=1001)
+    params = FamilyParams(Family.E_FACTOR, n=F(2), q=Q, k="4/2")
+    assert (type(params.n), type(params.k)) == (int, int)
+    assert build(params) == PolyExact((1, -6, 8))
+
+
 def test_limit_consistency_small_case():
     """Deviation from the limit family decreases monotonically in the depth m."""
     n, b = 3, F(-1)

@@ -18,13 +18,14 @@ from qzeros import (
     PolyExact,
     QZerosError,
     Relation,
+    check_identity,
     interlace,
     isolate_real_roots,
     rat,
     zerowise_compare,
 )
 from qzeros.cli import main
-from qzeros.qcore import MAX_EXPONENT
+from qzeros.qcore import MAX_COUNT, MAX_EXPONENT
 from qzeros.verify import _CONFIG_KEYS
 
 # exponent form: small exponents, which parse, and ones past
@@ -56,7 +57,7 @@ _JSON = st.recursive(
 # mostly the real keys, with lists of scalars as values, so parsing reaches
 # the value checks and not only the unknown-key check
 _CONFIG = st.dictionaries(
-    st.sampled_from(_CONFIG_KEYS + ("qvalues",)),
+    st.sampled_from((*_CONFIG_KEYS, "qvalues")),
     st.one_of(st.lists(_SCALAR, max_size=4), _SCALAR),
     max_size=len(_CONFIG_KEYS),
 )
@@ -73,6 +74,70 @@ def test_grid_from_json_raises_only_toolkit_errors(doc):
     assert all(type(n) is int and n >= 0 for n in grid.n_values)
     parsed = [v for raw in doc.values() for v in (raw if isinstance(raw, list) else [raw])]
     assert not any(isinstance(v, bool) for v in parsed)  # JSON true/false are not values
+
+
+# Raw grid values of every kind a config or a caller in code may give: counts
+# inside and past 0..MAX_COUNT, integral and non-integral Fractions, strings,
+# booleans and floats.
+_RAW = st.one_of(
+    st.integers(-3, 12),
+    st.integers(MAX_COUNT - 2, MAX_COUNT + 2),
+    st.integers(MAX_COUNT + 1, 10**40),
+    st.integers(-3, 12).map(Fraction),
+    st.fractions(-3, 3, max_denominator=6),
+    _RATIONAL_TEXT,
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.none(),
+)
+_FIELDS = st.fixed_dictionaries(
+    {"q_values": st.lists(_RAW, max_size=3), "n_values": st.lists(_RAW, max_size=3)},
+    optional={
+        "a_values": st.lists(_RAW, max_size=3),
+        "b_values": st.lists(_RAW, max_size=3),
+        "t_values": st.lists(_RAW, max_size=3),
+        "eps": _RAW,
+        "check_ids": st.lists(st.one_of(st.sampled_from(["sw-lmesh", "contig-1"]), _RAW), max_size=3),
+    },
+)
+
+
+def _outcome(make):
+    """What ``make()`` returns, or the type and message of the toolkit error
+    it raises; any other exception fails the test."""
+    try:
+        return make()
+    except QZerosError as exc:
+        return type(exc), str(exc)
+
+
+@given(fields=_FIELDS)
+@settings(max_examples=400, deadline=None)
+def test_library_grid_fails_exactly_as_its_config_does(fields):
+    """GridSpec(**fields) and GridSpec.from_json of the same raw values give
+    equal grids, or raise the same error type with the same message; a grid
+    that builds holds each n exactly as given."""
+    doc = {key: fields[name] for key, name in _CONFIG_KEYS.items() if name in fields}
+    from_code = _outcome(lambda: GridSpec(**fields))
+    assert _outcome(lambda: GridSpec.from_json(doc)) == from_code
+    if isinstance(from_code, GridSpec):
+        assert all(type(n) is int and 0 <= n <= MAX_COUNT for n in from_code.n_values)
+        assert from_code.n_values == [rat(n) for n in fields["n_values"]]
+
+
+@given(value=_RAW)
+@settings(max_examples=300, deadline=None)
+def test_point_count_parses_as_a_grid_count(value):
+    """check_identity reads n as a grid reads an n value: it refuses what the
+    grid refuses, with the same message naming its own key, and keeps what
+    the grid keeps, unchanged.  At b = 0 recip-1 skips before it builds."""
+    grid = _outcome(lambda: GridSpec([Fraction(1, 2)], [value]))
+    point = _outcome(lambda: check_identity("recip-1", {"q": "1/2", "n": value, "b": "0"}))
+    if isinstance(grid, GridSpec):
+        assert point.params == {"q": "1/2", "n": grid.n_values[0], "b": "0"}
+    else:
+        kind, message = grid
+        assert point == (kind, message.replace("nValues", "n"))
 
 
 _FAMILIES = st.sampled_from(

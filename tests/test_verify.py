@@ -15,6 +15,7 @@ from qzeros import (
     ConstraintViolationError,
     GridSpec,
     HyperSpec,
+    InvalidParameterError,
     PolyExact,
     isolate_real_roots,
     RegistryError,
@@ -408,6 +409,30 @@ def test_orthogonality_sum_matches_fraction_horner():
                     weight_mass(k, a, b, q) * pn(q**k) * pm(q**k) for k in range(cutoff + 1)
                 )
                 assert total == expected, (q, a, b, n, m)
+
+
+def test_malformed_counts_raise_one_line_errors():
+    """A count that is not an exact integer in 0..MAX_COUNT is refused with
+    one line wherever it is given, never truncated or passed through: a
+    point of check_identity, a library GridSpec, or a grid run_checks would
+    start with."""
+    point = {"q": "1/2", "a": "1/3", "b": "1/3"}
+    for n, got in ((2.9, "2.9"), (True, "True"), ("5/2", "5/2"), (F(5, 2), "5/2")):
+        with pytest.raises(InvalidParameterError, match=f"^n must be an integer in 0..1000, got {got}$"):
+            check_identity("contig-1", {**point, "n": n})
+        with pytest.raises(InvalidParameterError, match=f"^nValues must be an integer in 0..1000, got {got}$"):
+            GridSpec(q_values=[Q], n_values=[n])
+    for n in (-1, 1001):
+        with pytest.raises(InvalidParameterError, match=f"^nValues must be in 0..1000, got {n}$"):
+            GridSpec(q_values=[Q], n_values=[n])
+    with pytest.raises(ConfigError, match=r"^qValues: cannot parse 'abc' "):
+        GridSpec(q_values=["abc"], n_values=[1])
+    with pytest.raises(ConfigError, match=r"^aValues: cannot parse 0.5 "):
+        GridSpec(q_values=[Q], n_values=[1], a_values=[0.5])
+    with pytest.raises(InvalidParameterError, match="^nValues must be in 0..1000, got -1$"):
+        run_checks(GridSpec([Q], [-1], [F(1, 3)], [F(1, 3)], check_ids=["thmA-1"]))
+    rec = check_identity("contig-1", {**point, "n": "6/3"})
+    assert rec.status is Status.PASS and rec.params["n"] == 2
 
 
 def test_grid_without_records_raises():
