@@ -4,8 +4,9 @@ Rationals cross this boundary as exact "p/q" strings; decimals appear only
 as display approximations, always next to a rational error bound.  Every
 JSON document printed (``roots``, ``lmesh``, ``interlace``, the ``verify``
 report) has the bytes of ``json.dumps(value, indent=2)``; ``_json_text``
-builds them, and the ``verify`` report is written record by record, never
-held whole.  Exit status: 0 success (and all checks passed), 1 at least one
+(from ``qcore``) builds them.  The ``verify`` report's records arrive as
+text, encoded where each check ran, and are written one by one, never
+joined whole.  Exit status: 0 success (and all checks passed), 1 at least one
 Fail or Error, 2 usage or configuration problem.
 
 Only ``verify`` and ``table1`` import ``qzeros.verify`` (and with it
@@ -22,16 +23,15 @@ import os
 import re
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, InvalidParameterError, QZerosError
 from .families import Family, FamilyParams, build
-from .qcore import as_q, bounded_count, clip, rat, rat_str
+from .qcore import _json_text, as_q, bounded_count, clip, rat, rat_str
 from .roots import DEFAULT_EPS, RootSet, isolate_real_roots
 
 if TYPE_CHECKING:
-    from .verify import VerificationRecord
+    from .verify import _Entry
 
 _FAMILY_NAMES = {f.value: f for f in Family}
 _RATIONAL_OPTIONS = frozenset(
@@ -39,66 +39,17 @@ _RATIONAL_OPTIONS = frozenset(
 )
 
 
-def _append_json(value, indent: str, out: list[str]) -> None:
-    """Append the text ``json.dumps(value, indent=2)`` gives for value, nested
-    at ``indent``, to out.  Only dicts with str keys, lists, str, int, bool
-    and None are written, since no output holds anything else; any other
-    value raises TypeError."""
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))  # json's own ensure_ascii escape
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):  # after the bools, which are ints too
-        out.append(int.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{\n" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _append_json(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "}")
-    elif isinstance(value, list):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        sep = "[\n" + inner
-        for item in value:
-            out.append(sep)
-            _append_json(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "]")
-    else:
-        raise TypeError(f"{type(value).__name__} is not written as JSON")
-
-
-def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)``, with nested lines starting at indent."""
-    out: list[str] = []
-    _append_json(value, indent, out)
-    return "".join(out)
-
-
-def _write_report(fh, records: list[VerificationRecord], summary: dict) -> None:
+def _write_report(fh, entries: list[_Entry], summary: dict) -> None:
     """Write the verify report as ``json.dumps({"records": [...], "summary":
-    summary}, indent=2)`` would, one record at a time, so that the whole
-    text is never in memory."""
+    summary}, indent=2)`` would, from entries whose text is each record's
+    JSON nested at four spaces (``verify._encode``), one entry at a time, so
+    that the whole text is never joined."""
     fh.write('{\n  "records": [')
     sep = "\n    "
-    for rec in records:
-        fh.write(sep + _json_text(rec.to_json(), "    "))
+    for entry in entries:
+        fh.write(sep + entry.text)
         sep = ",\n    "
-    fh.write(("\n  ]" if records else "]") + ',\n  "summary": ' + _json_text(summary, "  ") + "\n}")
+    fh.write(("\n  ]" if entries else "]") + ',\n  "summary": ' + _json_text(summary, "  ") + "\n}")
 
 
 def _check_output_path(option: str, path: str) -> None:
@@ -119,12 +70,9 @@ def _parse_rat(text: str) -> Fraction:
 
 
 def _parse_counts(text: str, option: str) -> list[int]:
-    """A comma-separated list of integers in 0..MAX_COUNT."""
-    try:
-        values = [int(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise InvalidParameterError(f"{option}: malformed integer list {clip(repr(text))}") from exc
-    return [bounded_count(v, f"{option} values") for v in values]
+    """A comma-separated list of counts in 0..MAX_COUNT, each read as a
+    config's ``nValues`` entry is (``"6/2"`` is 3)."""
+    return [bounded_count(v, f"{option} values") for v in text.split(",")]
 
 
 def _shift10(x: Fraction, k: int) -> int:
@@ -279,13 +227,13 @@ def _cmd_verify(args) -> int:
         except ValueError as exc:  # malformed JSON, or an integer past the int-from-str limit
             raise QZerosError(f"config is not valid JSON: {exc}") from exc
     grid = verify_mod.GridSpec.from_json(doc)
-    records = verify_mod.run_checks(grid)
-    summary = verify_mod.summarize(records)
+    entries = verify_mod._report_entries(grid)
+    summary = verify_mod.summarize(entries)
     if args.report is not None:
         with open(args.report, "w", encoding="utf-8") as fh:
-            _write_report(fh, records, summary)
+            _write_report(fh, entries, summary)
     else:
-        _write_report(sys.stdout, records, summary)
+        _write_report(sys.stdout, entries, summary)
         print()
     print(
         f"total={summary['total']} pass={summary['pass']} fail={summary['fail']} "

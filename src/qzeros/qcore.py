@@ -4,6 +4,10 @@ All scalars are ``fractions.Fraction``: arbitrary precision, always in
 canonical reduced form, with exact arithmetic and an error on division by
 zero.  Every base q satisfies 0 < q < 1; this is validated once by
 :class:`QValue` and rechecked by the free functions.
+
+The module also holds the one JSON writer, :func:`_json_text`, beside
+:func:`rat_str`: every JSON document the CLI prints and every ``verify``
+report record goes through it.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Union
 
 from .errors import InvalidParameterError, InvalidToleranceError
@@ -113,6 +118,56 @@ def rat_str(x: Fraction | int) -> str:
     :func:`rat` up to MAX_DIGITS digits per run."""
     num = ("-" if x.numerator < 0 else "") + _digits(abs(x.numerator))
     return num if x.denominator == 1 else f"{num}/{_digits(x.denominator)}"
+
+
+def _append_json(value, indent: str, out: list[str]) -> None:
+    """Append the text ``json.dumps(value, indent=2)`` gives for value, nested
+    at ``indent``, to out.  Only dicts with str keys, lists, str, int, bool
+    and None are written, since no output holds anything else; any other
+    value raises TypeError."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))  # json's own ensure_ascii escape
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):  # after the bools, which are ints too
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _append_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _append_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"{type(value).__name__} is not written as JSON")
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, with nested lines starting at indent."""
+    out: list[str] = []
+    _append_json(value, indent, out)
+    return "".join(out)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,14 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
+import inspect
 import itertools
 import os
 import threading
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .analysis import (
     Relation,
@@ -51,7 +52,7 @@ from .families import (
     weight_mass,
 )
 from .qcalc import q_derivative
-from .qcore import RationalLike, as_q, bounded_count, clip, neg_q_power, qpoch_finite, rat, rat_str
+from .qcore import RationalLike, _json_text, as_q, bounded_count, clip, neg_q_power, qpoch_finite, rat, rat_str
 from .qhyper import HyperSpec, PolyExact, build_qhyper
 from .roots import RootEntry, RootSet, isolate_real_roots
 
@@ -605,6 +606,7 @@ def _exact(points: Callable, sides: Callable) -> _Check:
     a witness for a Pass; every comparison must hold coefficient by
     coefficient."""
 
+    @functools.wraps(sides)  # so check_identity reads the keys sides takes
     def fn(**point):
         comparisons, extra = sides(**point)
         status, witness = _compare_sides(comparisons)
@@ -617,17 +619,20 @@ SELFTEST_ID = "harness-selftest"
 _SELFTEST_POINT = {"q": Fraction(1, 2), "n": 2, "a": Fraction(1, 3), "b": Fraction(-1)}
 
 
-def _selftest(coeff_index=1, **point):
+def _selftest(
+    q=_SELFTEST_POINT["q"], n=_SELFTEST_POINT["n"], a=_SELFTEST_POINT["a"], b=_SELFTEST_POINT["b"],
+    coeff_index=1,
+):
     """Add x^i to the first right-hand side of a known-true identity,
-    contig-4, and expect a Fail whose witness names exactly index i.  With
-    no point given it runs at the default point."""
+    contig-4, at (q, n, a, b), and expect a Fail whose witness names exactly
+    index i.  A key not given takes its value at the default point."""
 
     def corrupted(**pt):
         ((label, lhs, rhs), *rest), extra = _identity_contig4(**pt)
         bump = PolyExact([Fraction(0)] * coeff_index + [Fraction(1)])
         return [(label, lhs, rhs + bump), *rest], extra
 
-    inner = _record("contig-4", _exact(_QNAB, corrupted), point or _SELFTEST_POINT)
+    inner = _record("contig-4", _exact(_QNAB, corrupted), {"q": q, "n": n, "a": a, "b": b})
     ok = inner.status is Status.FAIL and inner.witness["coeff_index"] == coeff_index
     return Status.PASS if ok else Status.FAIL, {
         "corrupted_index": coeff_index,
@@ -658,11 +663,20 @@ IDENTITY_CHECKS: dict[str, _Check] = {
 
 def check_identity(check_id: str, params: Mapping[str, object]) -> VerificationRecord:
     """Run one identity at one parameter point (the limit checks read eps,
-    default 10^-6).  Each value is parsed as a grid's is, so a malformed one
-    raises, as it would in a config."""
+    default 10^-6).  A point that lacks a key the check needs, or has one it
+    does not take, raises :class:`ConfigError` naming them.  Each value is
+    parsed as a grid's is, so a malformed one raises, as it would in a
+    config."""
     check = IDENTITY_CHECKS.get(check_id)
     if check is None:
         raise RegistryError(f"unknown identity check {check_id!r}")
+    takes = inspect.signature(check.fn).parameters
+    missing = [k for k, p in takes.items() if p.default is p.empty and k not in params]
+    unknown = [k for k in params if k not in takes]
+    if missing or unknown:
+        problems = [f"{what} {', '.join(map(repr, keys))}"
+                    for what, keys in (("lacks", missing), ("does not take", unknown)) if keys]
+        raise ConfigError(clip(f"{check_id} {' and '.join(problems)} (it takes {', '.join(takes)})", 200))
     point = {k: _parse(k, v) for k, v in params.items()}
     return _record(check_id, check, point)
 
@@ -1147,10 +1161,24 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _identity_records(check_id: str, grid: GridSpec) -> list[VerificationRecord]:
-    """One identity check's records.  Workers are sent this private name: it
-    pickles by reference even while a tracer rebinds the public functions."""
-    return run_identity_on_grid(check_id, grid)
+class _Entry(NamedTuple):
+    """One record as the report holds it: its status, which
+    :func:`summarize` counts, and its JSON text nested at four spaces."""
+
+    status: Status
+    text: str
+
+
+def _encode(records: list[VerificationRecord]) -> list[_Entry]:
+    """Each record as a report entry."""
+    return [_Entry(rec.status, _json_text(rec.to_json(), "    ")) for rec in records]
+
+
+def _identity_records(check_id: str, grid: GridSpec, finish: Callable) -> list:
+    """One identity check's records, passed through ``finish``.  Workers are
+    sent this private name: it pickles by reference even while a tracer
+    rebinds the public functions."""
+    return finish(run_identity_on_grid(check_id, grid))
 
 
 @contextlib.contextmanager
@@ -1182,9 +1210,9 @@ def _worker_pool(tasks: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _property_records(check_ids: list[str], grid: GridSpec) -> dict[str, list[VerificationRecord]]:
-    """Each property check's records, all under one memo that is dropped on
-    return or raise."""
+def _property_records(check_ids: list[str], grid: GridSpec, finish: Callable) -> dict[str, list]:
+    """Each property check's records, all computed under one memo that is
+    dropped on return or raise, then passed through ``finish``."""
     records = {}
     token = _RUN_MEMO.set({})
     try:
@@ -1192,7 +1220,7 @@ def _property_records(check_ids: list[str], grid: GridSpec) -> dict[str, list[Ve
             records[check_id] = check_property(check_id, grid)
     finally:
         _RUN_MEMO.reset(token)
-    return records
+    return {check_id: finish(recs) for check_id, recs in records.items()}
 
 
 def run_checks(grid: GridSpec) -> list[VerificationRecord]:
@@ -1228,14 +1256,29 @@ def run_checks(grid: GridSpec) -> list[VerificationRecord]:
     leave every check without a point) raises :class:`ConfigError`: an
     empty report would read as a pass.
     """
+    return _run(grid, list)
+
+
+def _report_entries(grid: GridSpec) -> list[_Entry]:
+    """:func:`run_checks`' records as report entries, each encoded by the
+    task that computed it, in its worker when there is one: the process
+    that writes the report only counts statuses and writes text."""
+    return _run(grid, _encode)
+
+
+def _run(grid: GridSpec, finish: Callable[[list[VerificationRecord]], list]) -> list:
+    """The runner behind :func:`run_checks`: the tasks, their pool and the
+    merge, with ``finish`` (a module-level function, which pickles by
+    reference) applied to each check's records in the task that computed
+    them."""
     unknown = [c for c in grid.check_ids if c not in IDENTITY_CHECKS and c not in PROPERTY_CHECKS]
     if unknown:
         raise RegistryError(f"unknown check(s) {', '.join(map(repr, unknown))}")
     identity_ids = list(dict.fromkeys(c for c in grid.check_ids if c in IDENTITY_CHECKS))
     property_ids = list(dict.fromkeys(c for c in grid.check_ids if c in PROPERTY_CHECKS))
     q_values = list(dict.fromkeys(grid.q_values)) if property_ids else []
-    tasks = [(_property_records, property_ids, replace(grid, q_values=[q])) for q in q_values]
-    tasks += [(_identity_records, c, grid) for c in identity_ids]
+    tasks = [(_property_records, property_ids, replace(grid, q_values=[q]), finish) for q in q_values]
+    tasks += [(_identity_records, c, grid, finish) for c in identity_ids]
     with _worker_pool(len(tasks)) as pool:
         calls = [functools.partial(*task) if pool is None else pool.submit(*task).result for task in tasks]
         results = [call() for call in calls]
@@ -1252,6 +1295,7 @@ def run_checks(grid: GridSpec) -> list[VerificationRecord]:
 
 
 def summarize(records: Iterable[VerificationRecord]) -> dict:
+    """Status counts of records, or of anything else with a ``status``."""
     counts = {"total": 0, "pass": 0, "fail": 0, "skipped": 0, "error": 0}
     for rec in records:
         counts["total"] += 1

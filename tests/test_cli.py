@@ -178,7 +178,7 @@ def test_counts_past_max_count_exit_2_before_building(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(cli, "build", refuse)
     monkeypatch.setattr(verify_mod, "check_property", refuse)
-    monkeypatch.setattr(verify_mod, "run_checks", refuse)
+    monkeypatch.setattr(verify_mod, "_run", refuse)
     over = str(MAX_COUNT + 1)
     config = tmp_path / "config.json"
     grid = {"qValues": ["1/2"], "nValues": [2, 10**30], "checkIds": ["sw-lmesh"]}
@@ -389,7 +389,7 @@ def test_verify_bad_report_path_exits_2_before_any_check_runs(tmp_path, capsys, 
     def refuse(*args):
         raise AssertionError("checks ran despite a bad --report path")
 
-    monkeypatch.setattr(verify_mod, "run_checks", refuse)
+    monkeypatch.setattr(verify_mod, "_run", refuse)
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"qValues": ["1/2"], "nValues": [2], "checkIds": ["sw-lmesh"]}))
     for report in (tmp_path / "missing" / "r.json", config / "r.json", tmp_path):
@@ -407,7 +407,7 @@ def test_bad_output_path_exits_2_before_any_build(kind, tmp_path, capsys, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("work ran despite a bad output path")
 
-    monkeypatch.setattr(verify_mod, "run_checks", refuse)
+    monkeypatch.setattr(verify_mod, "_run", refuse)
     monkeypatch.setattr(cli, "build", refuse)
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"qValues": ["1/2"], "nValues": [2], "checkIds": ["sw-lmesh"]}))
@@ -478,6 +478,18 @@ def test_table1_command(capsys):
     assert len(lines) == 2
     assert lines[0].startswith("table1-row-5: pass=")
     assert "fail=0" in lines[0] and "fail=0" in lines[1]
+
+
+def test_table1_counts_read_as_config_counts(capsys):
+    """table1 reads each --rows and --n item as a config reads an nValues
+    entry: "6/2" runs at n = 3, and a fraction, a negative count or a
+    decimal that is no integer ends in one error line, exit 2."""
+    args = ("table1", "--rows", "1", "--q", "1/2")
+    assert run_cli(capsys, *args, "--n", "6/2") == run_cli(capsys, *args, "--n", "3")
+    for argv in ((*args, "--n", "5/2"), (*args, "--n", "-1"), ("table1", "--rows", "1.5", "--n", "3")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: --") and err.count("\n") == 1, argv
 
 
 def test_table1_row_without_records_exits_2(capsys):
@@ -580,12 +592,12 @@ def test_json_text_matches_json_dumps(value):
        st.dictionaries(_JSON_TEXT, st.integers()))
 @settings(max_examples=50, deadline=None)
 def test_streamed_report_matches_json_dumps(points, summary):
-    """The report written record by record, none at all included, has the
-    bytes json.dumps gives for the whole report."""
+    """The report written entry by entry from encoded records, none at all
+    included, has the bytes json.dumps gives for the whole report."""
     records = [verify_mod.VerificationRecord("c", params, verify_mod.Status.PASS, witness)
                for params, witness in points]
     fh = io.StringIO()
-    cli._write_report(fh, records, summary)
+    cli._write_report(fh, verify_mod._encode(records), summary)
     report = {"records": [r.to_json() for r in records], "summary": summary}
     assert fh.getvalue() == json.dumps(report, indent=2)
 

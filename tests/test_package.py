@@ -115,7 +115,7 @@ def test_fresh_process_loads_verify_only_for_verify(tmp_path):
     assert (verify_cmd, verify_code) == ("verify", 0)
     assert {"qzeros.verify", "qzeros.qcalc"} <= set(after_verify)
 
-    records = verify.run_checks(verify.GridSpec.from_json(config))
+    entries = verify._report_entries(verify.GridSpec.from_json(config))
     expected = io.StringIO()
-    cli._write_report(expected, records, verify.summarize(records))
+    cli._write_report(expected, entries, verify.summarize(entries))
     assert report.read_text(encoding="utf-8") == expected.getvalue()

@@ -3,7 +3,7 @@ are byte-identical to the pinned references, and the registry lists its
 check ids in pinned order.  The pinned relation decisions and the
 high-degree `qzeros roots` calls match their references too.  The CLI's
 JSON outputs have the bytes of ``json.dumps(..., indent=2)``, and the
-report is written record by record.
+report is written record by record, on stdout as in a --report file.
 
 The grids, the pinned id lists, the reference digests and the reference
 outcomes are read from ``bench/``; nothing there is written.
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from qzeros import GridSpec, cli, identity_check_ids, property_check_ids, rat_str, run_checks, summarize, verify
+from qzeros import GridSpec, cli, identity_check_ids, property_check_ids, rat_str, summarize, verify
 from qzeros.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -35,14 +35,6 @@ def _workloads():
 
 
 workloads = _workloads()
-
-
-def _report_digest(tmp_path, name: str, grid: dict) -> str:
-    config = tmp_path / f"{name}.json"
-    report = tmp_path / "report.json"
-    config.write_text(json.dumps(grid), encoding="utf-8")
-    main(["verify", "--config", str(config), "--report", str(report)])
-    return hashlib.sha256(report.read_bytes()).hexdigest()
 
 
 def _reference(name: str):
@@ -70,12 +62,19 @@ def _pinned_digest(name: str) -> str:
 def test_inline_and_worker_runs_give_the_pinned_report(name, grid, tmp_path, capsys, monkeypatch, pools):
     """The CLI report of checks run inline (one CPU) and of checks run in
     forked workers (two CPUs) each has the pinned bytes, so both paths give
-    the same records."""
+    the same records; without --report, stdout gets the same bytes and a
+    newline."""
+    config, report = tmp_path / f"{name}.json", tmp_path / "report.json"
+    config.write_text(json.dumps(grid), encoding="utf-8")
     for cpus in (1, 2):
         monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
-        assert _report_digest(tmp_path, name, grid) == _pinned_digest(name)
-    capsys.readouterr()
-    assert [pool is None for pool in pools] == [True, False]
+        main(["verify", "--config", str(config), "--report", str(report)])
+        data = report.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == _pinned_digest(name)
+        capsys.readouterr()
+        main(["verify", "--config", str(config)])
+        assert capsys.readouterr().out.encode() == data + b"\n"
+    assert [pool is None for pool in pools] == [True, True, False, False]
 
 
 def test_registry_order_matches_pinned_ids():
@@ -101,16 +100,16 @@ def test_high_degree_roots_match_reference():
 
 
 def test_report_is_written_record_by_record(tmp_path):
-    """Writing the registry-grid report from records in memory allocates at
-    its peak less than a quarter of the report's size, and writes the pinned
-    bytes: the text is never joined whole."""
-    records = run_checks(GridSpec.from_json(workloads.REGISTRY_GRID))
-    summary = summarize(records)
+    """Writing the registry-grid report from its entries in memory allocates
+    at its peak less than a quarter of the report's size, and writes the
+    pinned bytes: the text is never joined whole."""
+    entries = verify._report_entries(GridSpec.from_json(workloads.REGISTRY_GRID))
+    summary = summarize(entries)
     path = tmp_path / "report.json"
     with open(path, "w", encoding="utf-8") as fh:
         tracemalloc.start()
         try:
-            cli._write_report(fh, records, summary)
+            cli._write_report(fh, entries, summary)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

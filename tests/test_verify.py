@@ -1,5 +1,6 @@
 """Check registry: identities, properties, regimes, witnesses, determinism."""
 
+import functools
 import json
 import math
 import multiprocessing
@@ -22,6 +23,7 @@ from qzeros import (
     RootSet,
     SELFTEST_ID,
     Status,
+    VerificationRecord,
     build_qhyper,
     check_identity,
     check_property,
@@ -36,7 +38,7 @@ from qzeros import (
     weight_mass,
     WorkerError,
 )
-from qzeros import roots, verify
+from qzeros import cli, roots, verify
 from qzeros.cli import main
 
 Q = F(1, 2)
@@ -97,6 +99,35 @@ def test_harness_selftest():
     assert rec.status is Status.PASS
     assert rec.witness["inner_status"] == "Fail"
     assert rec.witness["inner_witness"]["coeff_index"] == rec.witness["corrupted_index"]
+
+
+def test_identity_point_keys_are_checked():
+    """A point that lacks a key the identity needs, or has one it does not
+    take, raises one ConfigError line naming them, for every identity; the
+    limit checks' eps, and the self-test's coeff_index and point keys, may
+    be left out."""
+    contig = {"q": "1/2", "n": 2, "a": "1/3", "b": "1/3"}
+    for params, message in (
+        ({**contig, "z": 1}, "contig-1 does not take 'z' (it takes q, n, a, b)"),
+        ({"q": "1/2", "n": 2}, "contig-1 lacks 'a', 'b' (it takes q, n, a, b)"),
+        ({"n": 2, "z": "abc", 3: 0}, "contig-1 lacks 'q', 'a', 'b' and does not take 'z', 3 (it takes q, n, a, b)"),
+    ):
+        with pytest.raises(ConfigError) as info:
+            check_identity("contig-1", params)
+        assert str(info.value) == message
+    grid = GridSpec(q_values=[Q], n_values=[2], a_values=[F(1, 3)], b_values=[F(1, 3)])
+    for check_id in identity_check_ids():
+        point = verify.IDENTITY_CHECKS[check_id].points(grid)[0]
+        assert check_identity(check_id, point).status is not Status.ERROR, check_id
+        for key in point.keys() - {"eps"}:
+            with pytest.raises(ConfigError, match=f"^{check_id} lacks '{key}' "):
+                check_identity(check_id, {k: v for k, v in point.items() if k != key})
+        with pytest.raises(ConfigError, match=f"^{check_id} does not take 'coeff_index' "):
+            check_identity(check_id, {**point, "coeff_index": 1})
+    assert check_identity("sw-limit", {"q": F(1, 4), "n": 4}).status is Status.PASS
+    rec = check_identity(SELFTEST_ID, {"n": 3, "coeff_index": 2})
+    assert rec.status is Status.PASS and rec.params == {"n": 3, "coeff_index": 2}
+    assert rec.witness["inner_witness"]["coeff_index"] == 2
 
 
 def test_identity_comparisons_subtract_only_on_a_fail(monkeypatch):
@@ -610,6 +641,44 @@ def test_one_identity_check_beside_property_checks_matches_inline(monkeypatch, p
     assert len(runs[0]) > 50 and runs[0] == runs[1] == runs[2]
 
 
+def test_workers_encode_the_report_entries(monkeypatch, pools):
+    """The report entries are run_checks' records as report text.  On two
+    CPUs the workers encode them, so this process calls neither _encode
+    nor to_json; inline each task's records go through _encode once, and
+    each record's to_json runs once."""
+    to_json, real_encode = VerificationRecord.to_json, verify._encode
+    batches, jsons = [], []
+
+    @functools.wraps(real_encode)  # pickles by reference, as the patched verify._encode
+    def encode(records):
+        batches.append(len(records))
+        return real_encode(records)
+
+    def counted_to_json(rec):
+        jsons.append(rec)
+        return to_json(rec)
+
+    grid = GridSpec(q_values=[Q, F(3, 4)], n_values=[1, 2, 3], a_values=[F(1, 3)], b_values=[F(-1)],
+                    check_ids=["thm2-lmesh", "contig-1", "thm2-i", SELFTEST_ID])
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    expected = [(r.status, cli._json_text(r.to_json(), "    ")) for r in run_checks(grid)]
+    monkeypatch.setattr(verify, "_encode", encode)
+    monkeypatch.setattr(VerificationRecord, "to_json", counted_to_json)
+    runs = []
+    for cpus in (1, 2):
+        batches.clear()
+        jsons.clear()
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+        runs.append([(e.status, e.text) for e in verify._report_entries(grid)])
+        if cpus == 1:  # 2 property checks at 2 q values and 2 identity checks
+            assert len(batches) == 6
+            assert sum(batches) == len(jsons) == len(set(map(id, jsons))) == len(runs[0])
+        else:
+            assert batches == [] and jsons == []
+    assert len(expected) > 15 and runs == [expected, expected]
+    assert [pool is None for pool in pools] == [True, True, False]
+
+
 def test_points_builders_iterate_q_outermost():
     """run_checks merges a property check's records from one task per q
     value, which is its grid-point order only if its points builder lists
@@ -639,7 +708,7 @@ def test_records_do_not_depend_on_the_pool(monkeypatch, pools):
     The q values are in no order, so slices merged out of order show."""
     ids = ["thm2-lmesh", "thm2-i", "thmA-1"]
     grid = replace(_property_grid([Q, F(3, 4), Q, F(1, 4)]), check_ids=ids + ["thm2-lmesh"])
-    by_id = verify._property_records(ids, grid)
+    by_id = verify._property_records(ids, grid, list)
     one_memo = [r.to_json() for check_id in grid.check_ids for r in by_id[check_id]]
     runs = []
     for cpus in (1, 2, 3):
@@ -663,7 +732,7 @@ def test_q_slices_isolate_what_one_memo_isolates(monkeypatch, pools):
         run_checks(grid)
         sliced = Counter(isolated)
         isolated.clear()
-        verify._property_records(grid.check_ids, grid)
+        verify._property_records(grid.check_ids, grid, list)
         whole = Counter(isolated)
         assert len(whole) > 300 and sliced == whole and max(whole.values()) == 1
     assert pools == [None, None]
