@@ -1,6 +1,9 @@
 """Zero interlacing, the zero-wise partial order, and the logarithmic mesh.
 
-All relation decisions are exact.  Two isolated roots are compared by the
+All relation decisions are exact.  Intervals are compared through the
+roots module, the one owner of an entry's integer frame: its overlap and
+ratio helpers give the interval ends that the coincidence test and the
+lmesh enclosure need, as integers.  Two isolated roots are compared by the
 one root comparison of the roots module, which isolation also sorts by: it
 refines the wider of two overlapping certified intervals (both when equally
 wide), by one halving a round and then by doubling counts of halvings,
@@ -39,7 +42,7 @@ from fractions import Fraction
 from .errors import LmeshDomainError, ShapeError, UndefinedLmeshError
 from .qcore import QValue, RationalLike, as_q, rat
 from .qhyper import PolyExact, poly_gcd, square_free_part
-from .roots import RootEntry, RootSet, _compare_roots, _root_vs_point
+from .roots import RootEntry, RootSet, _compare_roots, _overlap, _ratio_ends, _root_vs_point
 
 
 class Relation(enum.Enum):
@@ -113,17 +116,15 @@ class _PairContext:
         root intervals are separated; so g, which divides pa, has at most
         one simple root there, and has it exactly when g(lo) g(hi) <= 0.  A
         point overlap at an exact root, lo == hi, asks whether g(lo) == 0.
-        Each end is an entry's numerator over its denominator d 2^m, picked
-        by cross-multiplying, and g's sign there is one homogeneous Horner.
+        Each end comes as integers from :func:`roots._overlap`, and g's sign
+        there is one homogeneous Horner.
         """
         if self._g is None:
             self._g = square_free_part(poly_gcd(self._pa, self._pb))
         g = self._g
         if g.degree < 1:
             return False
-        da, db = ea._d << ea._m, eb._d << eb._m
-        lo = (ea._lo, da) if ea._lo * db >= eb._lo * da else (eb._lo, db)
-        hi = (ea._hi, da) if ea._hi * db <= eb._hi * da else (eb._hi, db)
+        lo, hi = _overlap(ea, eb)
         at_lo, at_hi = g._homogeneous(*lo)[0], g._homogeneous(*hi)[0]
         return not at_lo or not at_hi or (at_lo > 0) != (at_hi > 0)
 
@@ -257,17 +258,15 @@ def lmesh(rs: RootSet, q: QValue | RationalLike) -> LmeshResult:
     lam, lam_scaled, cmps = _mesh_signs(rs, qv)
     # every lower end of q*lambda_(j+1) is positive: it lies above lambda_j's
     # interval, or, for a repeated zero, was lifted off 0 by separating it.
-    # So each ratio's ends, q*lambda_j.lo / (q*lambda_(j+1)).hi and the
-    # upper one clamped at 1, are quotients of integers from the two
-    # entries' frames with positive denominators, compared by
-    # cross-multiplying; the first largest upper end is the argmax when
-    # every sign is negative.
+    # So each ratio's ends, q times those of lambda_j over q*lambda_(j+1)
+    # from roots._ratio_ends and the upper one clamped at 1, are quotients
+    # of integers with positive denominators, compared by cross-multiplying;
+    # the first largest upper end is the argmax when every sign is negative.
     u, v = qv.numerator, qv.denominator
     lo_best = hi_best = None
     for j, (a, b) in enumerate(zip(lam, lam_scaled[1:])):
-        da, db = a._d << a._m, b._d << b._m
-        lo = u * a._lo * db, v * b._hi * da
-        hi = u * a._hi * db, v * b._lo * da
+        (lo_n, lo_d), (hi_n, hi_d) = _ratio_ends(a, b)
+        lo, hi = (u * lo_n, v * lo_d), (u * hi_n, v * hi_d)
         if hi[0] >= hi[1]:
             hi = 1, 1
         if lo_best is None or lo[0] * lo_best[1] > lo_best[0] * lo[1]:

@@ -200,19 +200,6 @@ class PolyExact:
             acc = acc * n + c * dpow
         return acc, dpow
 
-    def sign_at(self, x: RationalLike) -> int:
-        """Exact sign of p(x), by integer arithmetic only.
-
-        With x = n/d (d > 0), den d^deg p(x) is the homogeneous sum of
-        :meth:`_homogeneous` and den d^deg > 0, so its sign is the sign of
-        p(x).
-        """
-        if not self.num:
-            return 0
-        xv = rat(x)
-        acc, _ = self._homogeneous(xv.numerator, xv.denominator)
-        return (acc > 0) - (acc < 0)
-
     def value_parts(self, n: int, d: int) -> tuple[int, int]:
         """Integers (h, m) with p(n/d) = h/m for an integer d > 0.
 

@@ -1,5 +1,8 @@
 """Certified real-root isolation for exact-coefficient polynomials.
 
+Every root set comes from :func:`isolate_real_roots`, which writes down
+that of a polynomial of degree 0 or 1: no root, or the exact root -c_0/c_1.
+
 Pipeline: split into square-free factors (Yun), and isolate each factor's
 roots by Descartes-rule (Vincent-Collins-Akritas) bisection on its
 primitive integer coefficients, over (-2^k, 0) and (0, 2^k) with 2^k a
@@ -29,6 +32,9 @@ All of it runs on integers: Taylor shifts, de Casteljau passes and bit
 shifts of coefficient vectors, homogeneous integer Horner for every sign
 test, and a continued-fraction descent on endpoint numerators and
 denominators; no gcd runs per step.
+
+Only this module reads an entry's integer frame; the analysis decisions
+read intervals through the helpers beside :func:`_order`.
 """
 
 from __future__ import annotations
@@ -409,9 +415,15 @@ def _isolate_squarefree(f: PolyExact) -> list[RootEntry]:
     if exact:
         work = (work // PolyExact.from_roots(exact)).primitive()
     if work.degree == 1:
-        r = Fraction(-work.num[0], work.num[1])
-        return entries + [RootEntry(r, r, 1, work)]
+        return entries + [_linear_entry(work)]
     return entries + [RootEntry(lo, hi, 1, work) for lo, hi in found]
+
+
+def _linear_entry(f: PolyExact) -> RootEntry:
+    """The exact entry of the root -c_0/c_1 of a primitive f of degree 1,
+    with f as its factor."""
+    r = Fraction(-f.num[0], f.num[1])
+    return RootEntry(r, r, 1, f)
 
 
 def _value(scaled: list[int], x: int, m: int) -> int:
@@ -447,6 +459,22 @@ def _order(ea: RootEntry, eb: RootEntry) -> int:
     if ea._hi * db < eb._lo * da:
         return -1
     return 1 if eb._hi * da < ea._lo * db else 0
+
+
+def _overlap(ea: RootEntry, eb: RootEntry) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The ends lo and hi of two meeting intervals' overlap, each as its
+    entry's (numerator, denominator d 2^m)."""
+    da, db = ea._d << ea._m, eb._d << eb._m
+    lo = (ea._lo, da) if ea._lo * db >= eb._lo * da else (eb._lo, db)
+    hi = (ea._hi, da) if ea._hi * db <= eb._hi * da else (eb._hi, db)
+    return lo, hi
+
+
+def _ratio_ends(ea: RootEntry, eb: RootEntry) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The ends lo_a / hi_b and hi_a / lo_b of ea's interval over eb's, a
+    positive one, each as an integer (numerator, denominator)."""
+    da, db = ea._d << ea._m, eb._d << eb._m
+    return (ea._lo * db, eb._hi * da), (ea._hi * db, eb._lo * da)
 
 
 def _compare_roots(ea: RootEntry, eb: RootEntry, coincide=None) -> int:
@@ -512,8 +540,9 @@ def isolate_real_roots(p: PolyExact, eps: RationalLike | None = DEFAULT_EPS) -> 
 
     Rational roots found on the way come back with exact values; every
     other root gets a sign-certified interval, of width < eps when eps is
-    given, or just disjoint from the others when eps is None.
-    The result is certified real-rooted exactly when the roots found (with
+    given, or just disjoint from the others when eps is None; a linear p
+    gets the exact entry of -c_0/c_1 with factor ``p.primitive()``.  The
+    result is certified real-rooted exactly when the roots found (with
     multiplicity) account for the full degree.
     """
     epsv = None if eps is None else rat(eps)
@@ -522,17 +551,19 @@ def isolate_real_roots(p: PolyExact, eps: RationalLike | None = DEFAULT_EPS) -> 
     if p.is_zero:
         raise InvalidParameterError("cannot isolate roots of the zero polynomial")
 
-    entries: list[RootEntry] = []
-    for factor, mult in square_free_decomposition(p):
-        for e in _isolate_squarefree(factor):
-            e.multiplicity = mult
-            entries.append(e)
-
-    _separate(entries)
-    for e in entries:
-        if epsv is not None:
-            e.refine_below(epsv)
-        _snap_to_rational(e)
+    if p.degree <= 1:  # no root, or the exact root -c_0/c_1
+        entries = [_linear_entry(p.primitive())] if p.degree == 1 else []
+    else:
+        entries = []
+        for factor, mult in square_free_decomposition(p):
+            for e in _isolate_squarefree(factor):
+                e.multiplicity = mult
+                entries.append(e)
+        _separate(entries)
+        for e in entries:
+            if epsv is not None:
+                e.refine_below(epsv)
+            _snap_to_rational(e)
 
     total = sum(e.multiplicity for e in entries)
     return RootSet(

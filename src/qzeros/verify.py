@@ -54,7 +54,7 @@ from .families import (
 from .qcalc import q_derivative
 from .qcore import RationalLike, _json_text, as_q, bounded_count, clip, neg_q_power, qpoch_finite, rat, rat_str
 from .qhyper import HyperSpec, PolyExact, build_qhyper
-from .roots import RootEntry, RootSet, isolate_real_roots
+from .roots import RootSet, isolate_real_roots
 
 _LIMIT_EXPONENTS = range(4, 21)
 _GRID_EPS = Fraction(1, 10**6)
@@ -171,9 +171,9 @@ def _params_dict(point: Mapping) -> dict:
 
 
 # The work of one property slice of a run_checks call, its property checks
-# at one q value: root sets, polynomial builds and orthogonality tables, each
-# under a key of what determines it.  A polynomial hashes and compares as its
-# integer vector and denominator.
+# at one q value: root sets, little q-Jacobi builds and orthogonality
+# tables, each under a key of what determines it.  A polynomial hashes and
+# compares as its integer vector and denominator.
 _RUN_MEMO: ContextVar[dict | None] = ContextVar("qzeros_run_memo", default=None)
 
 
@@ -193,24 +193,9 @@ def _roots(p: PolyExact) -> RootSet:
 
     Inside :func:`run_checks` each distinct polynomial is isolated once, and
     every decision narrows that one root set in place, so a later decision
-    on the polynomial starts from the intervals the last one left.  A
-    polynomial of degree 0 or 1 is not isolated: its root set, no root or
-    the exact root -c_0/c_1, is written down as :func:`isolate_real_roots`
-    would give it.
+    on the polynomial starts from the intervals the last one left.
     """
-    if p.degree in (0, 1):
-        return _once(("roots", p), lambda: _linear_roots(p))
     return _once(("roots", p), lambda: isolate_real_roots(p, None))
-
-
-def _linear_roots(p: PolyExact) -> RootSet:
-    """The root set of p of degree 0 or 1 that :func:`isolate_real_roots`
-    gives, found without isolating."""
-    if p.degree == 0:
-        return RootSet(poly=p, roots=[], total_count=0, certified_real_rooted=True)
-    f = p.primitive()
-    r = Fraction(-f.num[0], f.num[1])
-    return RootSet(poly=p, roots=[RootEntry(r, r, 1, f)], total_count=1, certified_real_rooted=True)
 
 
 def _root_region(
@@ -462,10 +447,7 @@ def _identity_qderiv_jacobi(q, n, a, b):
 
 def _phi(n, upper, lower, q) -> PolyExact:
     try:
-        return _once(
-            ("phi", n, upper, lower, q),
-            lambda: build_qhyper(HyperSpec(n=n, upper=upper, lower=lower, q=q)),
-        )
+        return build_qhyper(HyperSpec(n=n, upper=upper, lower=lower, q=q))
     except ConstraintViolationError as exc:
         raise _Skip(str(exc))
 
@@ -1240,17 +1222,17 @@ def run_checks(grid: GridSpec) -> list[VerificationRecord]:
     exception a check raises in a worker is raised here with its own type.
 
     Each property slice runs under its own memo: each distinct polynomial is
-    built and isolated once, every decision narrows that root set in place
-    (see :func:`_roots`), and the orthogonality bounds and lattice tables are
-    computed once.  A q value listed twice is one slice, whose records are
-    used at both places.  Every memo key is fixed by q (a build's parameters
-    include q, and a polynomial's coefficients depend on it), so one memo
-    over the grid would add only the sharing of a polynomial built at two
-    q values; such a one is rare, and one of degree 0 or 1 is never
-    isolated, so on the pinned registry grid the slices isolate exactly
-    what one memo would.  Identity checks run without a memo, since
-    they isolate nothing and their builds would only hold memory.  A memo is
-    dropped when its slice ends or raises.
+    isolated once, and each little q-Jacobi polynomial built once (a
+    :func:`_phi` build is rarely repeated and not kept); every decision
+    narrows that root set in place (see :func:`_roots`), and the
+    orthogonality bounds and lattice tables are computed once.  A q value
+    listed twice is one slice, whose records are used at both places.  Every
+    memo key is fixed by q, so one memo over the grid would add only the
+    sharing of a polynomial built at two q values; on the pinned registry
+    grid each such one has degree 0 or 1, whose root set is written down,
+    so the slices isolate exactly what one memo would.  Identity checks run
+    without a memo, since they isolate nothing and their builds would only
+    hold memory.  A memo is dropped when its slice ends or raises.
 
     A grid that yields no record at all (no check ids, or value lists that
     leave every check without a point) raises :class:`ConfigError`: an

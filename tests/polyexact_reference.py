@@ -141,19 +141,6 @@ class PolyExact:
             acc = acc * n + c * dpow
         return acc, dpow
 
-    def sign_at(self, x: RationalLike) -> int:
-        """Exact sign of p(x), by integer arithmetic only.
-
-        With x = n/d (d > 0) and the coefficients scaled by a positive
-        integer, d^deg * p(x) is proportional to the homogeneous sum of
-        :meth:`_homogeneous`, so its sign is the sign of p(x).
-        """
-        if not self.coeffs:
-            return 0
-        xv = rat(x)
-        acc, _ = self._homogeneous(xv.numerator, xv.denominator)
-        return (acc > 0) - (acc < 0)
-
     def value_parts(self, n: int, d: int) -> tuple[int, int]:
         """Integers (h, m) with p(n/d) = h/m for an integer d > 0.
 
@@ -242,6 +229,21 @@ class PolyExact:
 
     def __mod__(self, other: "PolyExact") -> "PolyExact":
         return self.divmod(other)[1]
+
+
+def sign_at(poly, x: RationalLike) -> int:
+    """Exact sign of poly(x), by integer arithmetic only, for a
+    ``qhyper.PolyExact`` or a reference polynomial.
+
+    With x = n/d (d > 0), the homogeneous Horner sum of ``poly._homogeneous``
+    is d^deg poly(x) times a positive integer, so its sign is the sign of
+    poly(x).
+    """
+    if poly.is_zero:
+        return 0
+    xv = rat(x)
+    acc = poly._homogeneous(xv.numerator, xv.denominator)[0]
+    return (acc > 0) - (acc < 0)
 
 
 def build_qhyper(spec, scale: RationalLike = 1) -> PolyExact:

@@ -9,6 +9,7 @@ polynomial is deflated and isolation restarts.
 
 from fractions import Fraction
 
+from polyexact_reference import sign_at
 from qzeros import PolyExact, RootEntry
 
 
@@ -38,7 +39,7 @@ class SturmChain:
         count = 0
         prev = 0
         for p in self.chain:
-            s = p.sign_at(x)
+            s = sign_at(p, x)
             if s == 0:
                 continue
             if prev != 0 and s != prev:
@@ -90,7 +91,7 @@ def isolate_squarefree_sturm(f: PolyExact) -> list[RootEntry]:
                 found.append((lo, hi))
                 continue
             mid = (lo + hi) / 2
-            if work.sign_at(mid) == 0:
+            if sign_at(work, mid) == 0:
                 entries.append(RootEntry(mid, mid, 1, PolyExact((-mid, 1))))
                 work = (work // PolyExact((-mid, 1))).primitive()
                 deflated = True

@@ -34,6 +34,7 @@ from qzeros import (
     zerowise_compare,
 )
 from qzeros import analysis, roots, verify
+from polyexact_reference import sign_at
 from sturm_reference import SturmChain
 
 Q = F(1, 2)
@@ -396,9 +397,9 @@ def test_decisions_narrow_caller_root_sets_in_place():
             assert o.lo <= e.lo <= e.hi <= o.hi
             assert o.exact is None or e.exact == o.exact
             if e.exact is None:
-                assert e.factor.sign_at(e.lo) * e.factor.sign_at(e.hi) < 0
+                assert sign_at(e.factor, e.lo) * sign_at(e.factor, e.hi) < 0
             else:
-                assert e.lo == e.hi == e.exact and e.factor.sign_at(e.exact) == 0
+                assert e.lo == e.hi == e.exact and sign_at(e.factor, e.exact) == 0
         assert all(e.hi < f.lo for e, f in zip(rs.roots, rs.roots[1:]))
     assert any(e.width < o.width for e, o in zip(p.roots, originals[0].roots))
 
@@ -433,7 +434,7 @@ def test_coincidence_sign_test_matches_sturm_count(monkeypatch):
             lo, hi = max(ea.lo, eb.lo), min(ea.hi, eb.hi)
             g = poly_gcd(self._pa, self._pb)
             if lo == hi:
-                want = g.sign_at(lo) == 0
+                want = sign_at(g, lo) == 0
                 points.append(got)
             else:
                 chain = SturmChain(square_free_part(g)) if g.degree >= 1 else None
@@ -531,7 +532,7 @@ class _AgainstHalvingBoth:
                 self._gcds[ctx] = square_free_part(poly_gcd(ctx._pa, ctx._pb))
             g = self._gcds[ctx]
             lo, hi = max(ea.lo, eb.lo), min(ea.hi, eb.hi)
-            assert g.degree >= 1 and lo <= hi and g.sign_at(lo) * g.sign_at(hi) <= 0
+            assert g.degree >= 1 and lo <= hi and sign_at(g, lo) * sign_at(g, hi) <= 0
         return got
 
 
@@ -707,7 +708,7 @@ class _FractionViewPairs(analysis._PairContext):
         if self._g is None:
             self._g = square_free_part(analysis.poly_gcd(self._pa, self._pb))
         g = self._g
-        return g.degree >= 1 and g.sign_at(max(ea.lo, eb.lo)) * g.sign_at(min(ea.hi, eb.hi)) <= 0
+        return g.degree >= 1 and sign_at(g, max(ea.lo, eb.lo)) * sign_at(g, min(ea.hi, eb.hi)) <= 0
 
 
 @given(

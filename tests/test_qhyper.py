@@ -441,7 +441,9 @@ def test_one_digit_certificate_against_the_reference_prime(monkeypatch):
     the acceptance-grid isolations and the decide-coarse decisions, it
     certifies a pair only where the rational Euclid gcd is 1, and it
     certifies every pair that the certificate modulo 2^61 - 1 certifies.
-    More than a hundred of the pairs share a factor."""
+    The floor counts the pairs whose b is not a constant, a pair that is
+    coprime whatever the prime: it certifies more than 940 of them, and
+    more than a hundred share a factor."""
     P = qhyper._P
     assert P < 2**30 and all(P % k for k in range(2, math.isqrt(P) + 1))
     pairs = _gcd_inputs()
@@ -452,4 +454,5 @@ def test_one_digit_certificate_against_the_reference_prime(monkeypatch):
         assert new or not old, (a, b)
         if new:
             assert _rational_gcd(a, b) == PolyExact.one(), (a, b)
-    assert 1000 < sum(got) < len(pairs) - 100, (len(pairs), sum(got))
+    nonconstant = [new for (a, b), new in zip(pairs, got) if b.degree >= 1]
+    assert 940 < sum(nonconstant) < len(nonconstant) - 100, (len(nonconstant), sum(nonconstant))

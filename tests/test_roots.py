@@ -1,11 +1,13 @@
 """Certified isolation: exact roots, multiplicities, certificates, refinement."""
 
+import ast
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from functools import cache
 from math import isqrt, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -25,6 +27,7 @@ from qzeros import (
 )
 from qzeros import qhyper, roots
 from qzeros.roots import root_bound, simplest_rational_between
+from polyexact_reference import sign_at
 from sturm_reference import isolate_squarefree_sturm
 import vca_reference
 
@@ -56,8 +59,8 @@ def test_root_set_copy_and_scaled():
     assert [e.exact for e in neg.roots] == [None, F(-1, 2), None]
     for e, orig in zip(neg.roots, reversed(rs.roots)):
         assert (e.lo, e.hi) == (-2 * orig.hi, -2 * orig.lo)
-        assert e.factor.sign_at(e.lo) * e.factor.sign_at(e.hi) <= 0
-        assert neg.poly.sign_at(e.lo) * neg.poly.sign_at(e.hi) <= 0
+        assert sign_at(e.factor, e.lo) * sign_at(e.factor, e.hi) <= 0
+        assert sign_at(neg.poly, e.lo) * sign_at(neg.poly, e.hi) <= 0
     for c in (F(-3, 2), F(5, 3)):  # each entry's frame takes an unreduced denominator
         out = rs.scaled(c)
         assert out.poly == rs.poly.scale_arg(1 / c)
@@ -70,7 +73,7 @@ def test_root_set_copy_and_scaled():
                 lo, hi = e.lo, e.hi
                 e.refine_below(F(1, 2**20))
                 assert lo <= e.lo < e.hi <= hi and e.width < F(1, 2**20)
-                assert e.factor.sign_at(e.lo) * e.factor.sign_at(e.hi) < 0
+                assert sign_at(e.factor, e.lo) * sign_at(e.factor, e.hi) < 0
 
 
 def test_origin_root_with_multiplicity():
@@ -142,7 +145,7 @@ def test_isolation_far_from_the_origin():
     assert rs.certified_real_rooted and len(rs.roots) == 2
     for e, sign in zip(rs.roots, (-1, 1)):
         assert e.exact is None and e.width < F(1, 2**100)
-        assert e.lo * sign > 0 and p.sign_at(e.lo) * p.sign_at(e.hi) < 0
+        assert e.lo * sign > 0 and sign_at(p, e.lo) * sign_at(p, e.hi) < 0
 
 
 def _quad_root_sign(c0, c1, c2, branch, x):
@@ -311,7 +314,7 @@ def _snap_unfiltered(e):
     if e.exact is not None or e.lo == e.hi:
         return
     candidate = simplest_rational_between(e.lo, e.hi)
-    if e.factor.sign_at(candidate) == 0:
+    if sign_at(e.factor, candidate) == 0:
         e.pin(candidate)
 
 
@@ -354,10 +357,11 @@ def poly_and_point(draw):
 @given(case=poly_and_point())
 @settings(max_examples=200, deadline=None)
 def test_integer_sign_kernel_matches_rational_evaluation(case):
-    """sign_at (integer Horner) agrees with the sign of the Fraction value."""
+    """sign_at (integer Horner on ``PolyExact._homogeneous``) agrees with the
+    sign of the Fraction value."""
     p, x = case
     v = p(x)
-    assert p.sign_at(x) == (v > 0) - (v < 0)
+    assert sign_at(p, x) == (v > 0) - (v < 0)
 
 
 @cache
@@ -383,7 +387,8 @@ def _acceptance_grid_polynomials():
 class FractionBisection:
     """The bisection step on Fraction endpoints that the integer interval of
     ``RootEntry`` replaced: the arithmetic midpoint, its sign by
-    ``PolyExact.sign_at``, and the factor's sign at lo taken once."""
+    :func:`polyexact_reference.sign_at`, and the factor's sign at lo taken
+    once."""
 
     def __init__(self, entry):
         self.lo, self.hi, self.exact, self.factor = entry.lo, entry.hi, entry.exact, entry.factor
@@ -393,12 +398,12 @@ class FractionBisection:
         if self.exact is not None:
             return
         mid = (self.lo + self.hi) / 2
-        s = self.factor.sign_at(mid)
+        s = sign_at(self.factor, mid)
         if s == 0:
             self.exact = self.lo = self.hi = mid
             return
         if self._sign_lo == 0:
-            self._sign_lo = self.factor.sign_at(self.lo)
+            self._sign_lo = sign_at(self.factor, self.lo)
         if s == self._sign_lo:
             self.lo = mid
         else:
@@ -454,7 +459,7 @@ def test_lazy_isolation_matches_eager_on_acceptance_grids():
             if lz.exact is not None:
                 assert eg.exact == lz.exact, p
             elif eg.exact is not None:
-                assert lz.factor.sign_at(eg.exact) == 0, p
+                assert sign_at(lz.factor, eg.exact) == 0, p
             stepped = lz.copy()
             for _ in range((lz.width // eps).bit_length()):  # the halvings to below eps
                 stepped._halve(1)
@@ -513,11 +518,11 @@ def test_qir_refinement_matches_halving_on_acceptance_grids():
         assert (e.lo, e.hi, e.exact, e.multiplicity) == (ref.lo, ref.hi, ref.exact, ref.multiplicity)
         assert e.width < eps
         if e.exact is None:
-            lo_sign, hi_sign = e.factor.sign_at(e.lo), e.factor.sign_at(e.hi)
+            lo_sign, hi_sign = sign_at(e.factor, e.lo), sign_at(e.factor, e.hi)
             assert lo_sign * hi_sign < 0
             assert e._frame()[1] == (lo_sign > 0)
         else:
-            assert e.factor.sign_at(e.exact) == 0
+            assert sign_at(e.factor, e.exact) == 0
             pinned += 1
     assert len(_qir_and_halving_refined()) > 5000 and pinned > 0
 
@@ -616,7 +621,7 @@ def _same_roots(rs, ref, exact=True):
         if exact:
             assert e.exact == r.exact
         if e.exact is None:  # the sign certificate
-            assert e.factor.sign_at(e.lo) * e.factor.sign_at(e.hi) < 0
+            assert sign_at(e.factor, e.lo) * sign_at(e.factor, e.hi) < 0
 
 
 def _sturm_isolation(p, eps):
@@ -693,14 +698,14 @@ def _same_as_restarting(p, eps):
     assert [e.multiplicity for e in rs.roots] == [r.multiplicity for r in ref.roots], p
     for e, r in zip(rs.roots, ref.roots):
         if e.exact is None:
-            assert e.factor.sign_at(e.lo) * e.factor.sign_at(e.hi) == -1, p
+            assert sign_at(e.factor, e.lo) * sign_at(e.factor, e.hi) == -1, p
         if e.exact is None and r.exact is None:
             assert r.lo <= e.lo < e.hi <= r.hi or e.lo <= r.lo < r.hi <= e.hi, p
         elif eps is not None or None not in (e.exact, r.exact):
             assert e.exact == r.exact, p
         else:
             x, other = (e.exact, r) if r.exact is None else (r.exact, e)
-            assert other.lo < x < other.hi and other.factor.sign_at(x) == 0, p
+            assert other.lo < x < other.hi and sign_at(other.factor, x) == 0, p
 
 
 @pytest.mark.parametrize("eps", [None, roots.DEFAULT_EPS], ids=["separated", "default-eps"])
@@ -763,7 +768,7 @@ def test_split_point_and_zero_roots_are_exact_in_one_vca_pass(monkeypatch):
     assert len(calls) == 1 and sorted(calls[0][1]) == [F(0), F(1, 4), F(1, 2)]
     for e in (rs.roots[0], rs.roots[-1]):
         assert e.lo**2 < 5 < e.hi**2 or e.hi**2 < 5 < e.lo**2
-        assert e.factor.sign_at(e.lo) * e.factor.sign_at(e.hi) == -1
+        assert sign_at(e.factor, e.lo) * sign_at(e.factor, e.hi) == -1
     vca_reference.isolate_real_roots_restarting(p, None)
     assert len(ref_calls) == 3
 
@@ -895,7 +900,7 @@ def _root_vs_point_by_bisection(entry, pt):
             return -1
         if pt < entry.lo:
             return 1
-        if entry.exact is not None or entry.factor.sign_at(pt) == 0:
+        if entry.exact is not None or sign_at(entry.factor, pt) == 0:
             return 0
         entry._halve(1)
 
@@ -969,3 +974,20 @@ def test_square_free_decomposition_unchanged_by_modular_certificate(monkeypatch)
     monkeypatch.setattr(qhyper, "_coprime_mod_p", lambda a, b: False)
     assert with_certificate == [square_free_decomposition(p) for p in polys]
     assert certified == len(polys)
+
+
+def test_only_roots_reads_the_entry_frame():
+    """No module of the package but ``roots`` reads or writes a ``RootEntry``
+    frame attribute (its private slots: the integer interval, its
+    denominator and the cached Horner frame); the rest go through the
+    helpers beside ``roots._order``."""
+    frame = {name for name in RootEntry.__slots__ if name.startswith("_")}
+    assert frame == {"_lo", "_hi", "_d", "_m", "_horner"}
+    readers = []
+    for path in sorted(Path(roots.__file__).parent.glob("*.py")):
+        if path.name == "roots.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in frame:
+                readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert readers == []

@@ -34,6 +34,7 @@ from qzeros import (
     rat,
     run_checks,
     run_identity_on_grid,
+    square_free_decomposition,
     summarize,
     weight_mass,
     WorkerError,
@@ -505,13 +506,16 @@ def _interlacing_grids() -> list[GridSpec]:
 def test_isolation_memo_matches_fresh_isolation(monkeypatch):
     """run_checks isolates each distinct polynomial once and gives the same
     records as isolating afresh at every call.  It runs inline, on one CPU,
-    so that this process sees every isolation."""
+    so that this process sees every isolation.  A polynomial of degree 0 or
+    1, whose root set isolate_real_roots writes down, may be asked for once
+    in each q slice that builds it."""
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
     isolated = []
     real_isolate = verify.isolate_real_roots
 
     def counting(p, eps):
-        isolated.append(p.coeffs)
+        if p.degree >= 2:
+            isolated.append(p.coeffs)
         return real_isolate(p, eps)
 
     monkeypatch.setattr(verify, "isolate_real_roots", counting)
@@ -545,11 +549,11 @@ def test_isolation_memo_is_scoped_to_one_run(monkeypatch, pools):
     assert verify._RUN_MEMO.get() is None
     run_checks(grid)
     assert verify._RUN_MEMO.get() is None
-    # thm2-lmesh isolates p_2 and p_3; thm2-i reuses them, writes down the
-    # root set of a degree-1 polynomial and isolates one more
-    assert sizes == [0, 1, 3]
+    # thm2-lmesh isolates p_2 and p_3; thm2-i reuses them, asks for the root
+    # set of a degree-1 polynomial, which is written down, and isolates one more
+    assert sizes == [0, 1, 2, 3]
     run_checks(grid)
-    assert sizes == [0, 1, 3] * 2
+    assert sizes == [0, 1, 2, 3] * 2
 
     parent = os.getpid()
 
@@ -722,31 +726,84 @@ def test_q_slices_isolate_what_one_memo_isolates(monkeypatch, pools):
     """Run inline, the q slices isolate exactly what one memo over the whole
     grid isolates, each polynomial once: a repeated q value is one slice,
     and the polynomials that coincide at two q values have degree at most
-    1, whose root sets are written down without isolating."""
-    isolated = []
+    1, whose root sets isolate_real_roots writes down without isolating.
+    Every polynomial of degree >= 2 is asked for once; one of degree <= 1
+    is asked for in each slice that builds it."""
+    asked = []
     real_isolate = verify.isolate_real_roots
-    monkeypatch.setattr(verify, "isolate_real_roots", lambda p, eps: isolated.append(p.coeffs) or real_isolate(p, eps))
+    monkeypatch.setattr(verify, "isolate_real_roots", lambda p, eps: asked.append(p.coeffs) or real_isolate(p, eps))
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
     for grid in (_property_grid([Q, F(3, 4), Q]), _property_grid([F(1, 4), Q, F(3, 4)])):
-        isolated.clear()
+        asked.clear()
         run_checks(grid)
-        sliced = Counter(isolated)
-        isolated.clear()
+        sliced_all = Counter(asked)
+        asked.clear()
         verify._property_records(grid.check_ids, grid, list)
-        whole = Counter(isolated)
+        whole_all = Counter(asked)
+        # the polynomials of degree >= 2, which have more than two coefficients
+        sliced, whole = ({c: k for c, k in counts.items() if len(c) > 2} for counts in (sliced_all, whole_all))
         assert len(whole) > 300 and sliced == whole and max(whole.values()) == 1
+        assert set(sliced_all) == set(whole_all) and max(whole_all.values()) == 1
     assert pools == [None, None]
 
 
+def _general_root_set(p, eps):
+    """The root set of p by the pipeline every degree >= 2 takes: square-free
+    decomposition, isolation of each factor, separation, then refinement
+    below eps and the rational snap."""
+    entries = []
+    for factor, mult in square_free_decomposition(p):
+        for e in roots._isolate_squarefree(factor):
+            e.multiplicity = mult
+            entries.append(e)
+    roots._separate(entries)
+    for e in entries:
+        if eps is not None:
+            e.refine_below(eps)
+        roots._snap_to_rational(e)
+    total = sum(e.multiplicity for e in entries)
+    return RootSet(poly=p, roots=entries, total_count=total, certified_real_rooted=total == p.degree)
+
+
 def test_linear_root_sets_match_isolation():
-    """A polynomial of degree 0 or 1 gets the root set isolation gives it."""
+    """isolate_real_roots writes down the root set of a polynomial of degree 0
+    or 1, at eps None and at the default eps: the one the general pipeline
+    gives it, and the exact root -c_0/c_1 with factor p.primitive()."""
     for coeffs in ([3], [F(-2, 3)], [1, F(-11, 8)], [1, 4], [F(3, 2), F(-9, 4)], [0, F(5, 7)], [-6, -4]):
         p = PolyExact(coeffs)
-        written, isolated = verify._roots(p), isolate_real_roots(p, None)
-        assert (written.poly, written.total_count, written.certified_real_rooted) == (
-            isolated.poly, isolated.total_count, isolated.certified_real_rooted)
-        assert [(e.lo, e.hi, e.multiplicity, e.factor) for e in written.roots] == [
-            (e.lo, e.hi, e.multiplicity, e.factor) for e in isolated.roots], coeffs
+        for eps in (None, roots.DEFAULT_EPS):
+            written, general = isolate_real_roots(p, eps), _general_root_set(p, eps)
+            assert (written.poly, written.total_count, written.certified_real_rooted) == (
+                general.poly, general.total_count, general.certified_real_rooted) == (p, p.degree, True)
+            assert [(e.lo, e.hi, e.multiplicity, e.factor) for e in written.roots] == [
+                (e.lo, e.hi, e.multiplicity, e.factor) for e in general.roots], coeffs
+            if p.degree == 1:
+                r = -p.coeffs[0] / p.coeffs[1]
+                assert [(e.exact, e.factor) for e in written.roots] == [(r, p.primitive())], coeffs
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["--family", "little-q-jacobi", "--n", "0", "--q", "1/2", "--a", "1/2", "--b", "1/2"],
+     '{\n  "roots": [],\n  "totalCount": 0,\n  "certifiedRealRooted": true\n}\n'),
+    (["--family", "little-q-jacobi", "--n", "1", "--q", "1/2", "--a", "1/2", "--b", "1/2"],
+     '{\n  "roots": [\n    {\n      "interval": [\n        "4/5",\n        "4/5"\n      ],\n'
+     '      "multiplicity": 1,\n      "exact": "4/5",\n      "approx": "0.8",\n      "errorBound": "0"\n'
+     '    }\n  ],\n  "totalCount": 1,\n  "certifiedRealRooted": true\n}\n'),
+    (["--family", "e-factor", "--n", "1", "--k", "1", "--q", "1/2"],
+     '{\n  "roots": [\n    {\n      "interval": [\n        "1/2",\n        "1/2"\n      ],\n'
+     '      "multiplicity": 1,\n      "exact": "1/2",\n      "approx": "0.5",\n      "errorBound": "0"\n'
+     '    }\n  ],\n  "totalCount": 1,\n  "certifiedRealRooted": true\n}\n'),
+    (["--family", "q-bessel", "--n", "1", "--b=-1", "--eps", "1/3", "--q", "1/2"],
+     '{\n  "roots": [\n    {\n      "interval": [\n        "1/3",\n        "1/3"\n      ],\n'
+     '      "multiplicity": 1,\n      "exact": "1/3",\n      "approx": "0.33333333333333333333333333333333",\n'
+     '      "errorBound": "0"\n    }\n  ],\n  "totalCount": 1,\n  "certifiedRealRooted": true\n}\n'),
+])
+def test_linear_roots_output_is_pinned(capsys, argv, stdout):
+    """`qzeros roots` on a polynomial of degree 0 or 1, whose root set
+    isolate_real_roots writes down, prints the bytes that the general
+    pipeline gave it."""
+    assert main(["roots", *argv]) == 0
+    assert capsys.readouterr().out == stdout
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
