@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .errors import DegenerateParameterError, InvalidParameterError, RegimeError
 from .qcore import QValue, RationalLike, as_q, bounded_count, neg_q_power, qpoch_finite, rat, rat_str
@@ -34,23 +35,11 @@ class Family(enum.Enum):
     E_FACTOR = "e-factor"
 
 
-# The parameters each family takes (besides n and q); giving any other is an error.
-PARAMETERS = {
-    Family.LITTLE_Q_JACOBI: ("a", "b"),
-    Family.LITTLE_Q_LAGUERRE: ("a",),
-    Family.Q_LAGUERRE: ("b",),
-    Family.STIELTJES_WIGERT: (),
-    Family.Q_BESSEL: ("b",),
-    Family.NORMALIZED_LITTLE_Q_JACOBI: ("b", "k"),
-    Family.E_FACTOR: ("k",),
-}
-
-
 @dataclass(frozen=True)
 class FamilyParams:
     """A family tag with its parameters and the computed regime flag.
 
-    A parameter the family does not take (see ``PARAMETERS``) is an
+    A parameter the family does not take (see ``FAMILIES``) is an
     InvalidParameterError, never silently ignored; so is an n or k that
     :func:`~qzeros.qcore.bounded_count` refuses, and an E_k whose n is not
     its degree k.
@@ -70,7 +59,7 @@ class FamilyParams:
     orthogonal_regime: bool | None = None
 
     def __post_init__(self):
-        takes = PARAMETERS[self.family]
+        takes = FAMILIES[self.family].takes
         for name in ("a", "b", "k"):
             if getattr(self, name) is not None and name not in takes:
                 raise InvalidParameterError(
@@ -233,31 +222,35 @@ def weight_mass(
     )
 
 
+class FamilyRow(NamedTuple):
+    """A family's parameters besides n and q, and its build from a FamilyParams."""
+
+    takes: tuple[str, ...]
+    build: Callable[[FamilyParams], PolyExact]
+
+
+FAMILIES: dict[Family, FamilyRow] = {
+    Family.LITTLE_Q_JACOBI: FamilyRow(
+        ("a", "b"), lambda p: little_q_jacobi(p.n, _req(p, "a"), p.b or 0, p.q)
+    ),
+    Family.LITTLE_Q_LAGUERRE: FamilyRow(("a",), lambda p: little_q_laguerre(p.n, _req(p, "a"), p.q)),
+    Family.Q_LAGUERRE: FamilyRow(("b",), lambda p: q_laguerre(p.n, _req(p, "b"), p.q)),
+    Family.STIELTJES_WIGERT: FamilyRow((), lambda p: stieltjes_wigert(p.n, p.q)),
+    Family.Q_BESSEL: FamilyRow(("b",), lambda p: q_bessel(p.n, _req(p, "b"), p.q)),
+    Family.NORMALIZED_LITTLE_Q_JACOBI: FamilyRow(
+        ("b", "k"), lambda p: normalized_little_q_jacobi(p.n, _req(p, "k"), p.b or 0, p.q)
+    ),
+    Family.E_FACTOR: FamilyRow(("k",), lambda p: e_factor(_req(p, "k"), p.q)),
+}
+
+
 def build(params: FamilyParams) -> PolyExact:
     """Construct the polynomial described by a :class:`FamilyParams`."""
-    f, n, q, a, b, k = params.family, params.n, params.q, params.a, params.b, params.k
-    if f is Family.LITTLE_Q_JACOBI:
-        return little_q_jacobi(n, _req(a, "a"), b if b is not None else 0, q)
-    if f is Family.LITTLE_Q_LAGUERRE:
-        return little_q_laguerre(n, _req(a, "a"), q)
-    if f is Family.Q_LAGUERRE:
-        return q_laguerre(n, _req(b, "b"), q)
-    if f is Family.STIELTJES_WIGERT:
-        return stieltjes_wigert(n, q)
-    if f is Family.Q_BESSEL:
-        return q_bessel(n, _req(b, "b"), q)
-    if f is Family.NORMALIZED_LITTLE_Q_JACOBI:
-        if k is None:
-            raise InvalidParameterError("normalized family needs k")
-        return normalized_little_q_jacobi(n, k, b if b is not None else 0, q)
-    if f is Family.E_FACTOR:
-        if k is None:
-            raise InvalidParameterError("e-factor needs k")
-        return e_factor(k, q)
-    raise InvalidParameterError(f"unknown family {f}")
+    return FAMILIES[params.family].build(params)
 
 
-def _req(value, name):
+def _req(params: FamilyParams, name: str):
+    value = getattr(params, name)
     if value is None:
         raise InvalidParameterError(f"family requires parameter {name}")
     return value

@@ -96,16 +96,19 @@ _COUNTS = ("nValues", "n", "k", "coeff_index")
 def _parse(key: str, value):
     """One raw grid or point value for ``key``: a count for nValues, n, k and
     coeff_index, q in (0, 1) for qValues and q, a string for checkIds and a
-    rational otherwise; a one-line QZerosError naming ``key`` when it is none."""
+    rational otherwise, > 0 for eps; a one-line QZerosError naming ``key``."""
     if key in _COUNTS:
         return bounded_count(value, key)
     if isinstance(value, bool):  # JSON true/false, which rat() would read as 1/0
         raise ConfigError(f"{key}: cannot parse {clip(repr(value))} (a boolean is not a value)")
     parse = as_q if key in ("qValues", "q") else str if key == "checkIds" else rat
     try:
-        return parse(value)
+        parsed = parse(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{key}: cannot parse {clip(repr(value))} ({clip(str(exc))})") from exc
+    if key == "eps" and parsed <= 0:
+        raise InvalidParameterError(f"eps must be > 0, got {rat_str(parsed)}")
+    return parsed
 
 
 @dataclass
@@ -124,15 +127,13 @@ class GridSpec:
     def __post_init__(self):
         for key, name in _CONFIG_KEYS.items():
             raw = getattr(self, name)
+            if key != "eps" and (isinstance(raw, (str, bytes, Mapping)) or not isinstance(raw, Iterable)):
+                raise ConfigError(f"{key} must be a list, got {type(raw).__name__}")
             setattr(self, name, _parse(key, raw) if key == "eps" else [_parse(key, v) for v in raw])
-        if self.eps <= 0:
-            raise InvalidParameterError(f"grid eps must be > 0, got {rat_str(self.eps)}")
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "GridSpec":
-        """The grid of a config document, its values parsed by the grid;
-        ConfigError when the document is not an object of known keys with
-        list-valued axes."""
+        """The grid of a config document; ConfigError unless it is an object of known keys."""
         if not isinstance(doc, Mapping):
             raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
         unknown = sorted(set(doc) - set(_CONFIG_KEYS))
@@ -141,11 +142,7 @@ class GridSpec:
                 f"unknown config key(s) {', '.join(unknown)}; allowed keys: {', '.join(_CONFIG_KEYS)}"
             )
         fields = {"q_values": [], "n_values": []}
-        for key, name in _CONFIG_KEYS.items():
-            if key in doc:
-                raw = fields[name] = doc[key]
-                if key != "eps" and not isinstance(raw, list):
-                    raise ConfigError(f"{key} must be a list, got {type(raw).__name__}")
+        fields.update((name, doc[key]) for key, name in _CONFIG_KEYS.items() if key in doc)
         return cls(**fields)
 
 
@@ -275,10 +272,17 @@ class _Skip(Exception):
 
 @dataclass(frozen=True)
 class _Check:
-    """A registry entry: the grid points it runs at and the function it runs."""
+    """A registry entry: the function it runs and the grid points it runs at,
+    by default the grid axes the function takes (see :func:`_axis_points`),
+    with k = 1..n when it takes k (see :func:`_k_points`)."""
 
-    points: Callable  # GridSpec -> list[dict]
     fn: Callable  # (**point) -> (Status, witness | None); raises _Skip off-regime
+    points: Callable | None = None  # GridSpec -> list[dict]
+
+    def __post_init__(self):
+        if self.points is None:
+            takes_k = "k" in inspect.signature(self.fn).parameters
+            object.__setattr__(self, "points", (_k_points if takes_k else _axis_points)(self.fn))
 
 
 def _record(check_id: str, check: _Check, point: dict) -> VerificationRecord:
@@ -293,8 +297,9 @@ def _record(check_id: str, check: _Check, point: dict) -> VerificationRecord:
     return VerificationRecord(check_id, _params_dict(point), status, witness)
 
 
-def _axis_points(*axes: str) -> Callable:
-    """The cross product of the named grid axes, in lexicographic order."""
+def _axis_points(fn: Callable, leave_out: str | None = None) -> Callable:
+    """The cross product of the grid axes ``fn`` takes, in its parameter order (q first)."""
+    axes = [x for x in inspect.signature(fn).parameters if x != leave_out]
 
     def build(grid: GridSpec) -> list[dict]:
         pools = {
@@ -312,17 +317,11 @@ def _axis_points(*axes: str) -> Callable:
     return build
 
 
-def _k_points(*axes: str) -> Callable:
-    """The axis points, each repeated with k = 1..n."""
-
-    def build(grid: GridSpec) -> list[dict]:
-        points = _axis_points(*axes)(grid)
-        return [{**point, "k": k} for point in points for k in range(1, point["n"] + 1)]
-
-    return build
-
-
-_QNAB = _axis_points("q", "n", "a", "b")
+def _k_points(fn: Callable) -> Callable:
+    """The points of the grid axes ``fn`` takes besides k, each repeated with
+    k = 1..n."""
+    axis_points = _axis_points(fn, leave_out="k")
+    return lambda grid: [{**pt, "k": k} for pt in axis_points(grid) for k in range(1, pt["n"] + 1)]
 
 
 # --------------------------------------------------------------------------
@@ -583,18 +582,18 @@ def _identity_sw_limit(q, n, eps=_GRID_EPS):
     return _limit_record(_deviation_profile(pairs), eps)
 
 
-def _exact(points: Callable, sides: Callable) -> _Check:
+def _exact(sides: Callable) -> _Check:
     """An identity check: ``sides`` builds (label, lhs, rhs) comparisons and
     a witness for a Pass; every comparison must hold coefficient by
     coefficient."""
 
-    @functools.wraps(sides)  # so check_identity reads the keys sides takes
+    @functools.wraps(sides)  # so the points and check_identity read the keys sides takes
     def fn(**point):
         comparisons, extra = sides(**point)
         status, witness = _compare_sides(comparisons)
         return status, extra if status is Status.PASS else witness
 
-    return _Check(points, fn)
+    return _Check(fn)
 
 
 SELFTEST_ID = "harness-selftest"
@@ -609,12 +608,13 @@ def _selftest(
     contig-4, at (q, n, a, b), and expect a Fail whose witness names exactly
     index i.  A key not given takes its value at the default point."""
 
+    @functools.wraps(_identity_contig4)
     def corrupted(**pt):
         ((label, lhs, rhs), *rest), extra = _identity_contig4(**pt)
         bump = PolyExact([Fraction(0)] * coeff_index + [Fraction(1)])
         return [(label, lhs, rhs + bump), *rest], extra
 
-    inner = _record("contig-4", _exact(_QNAB, corrupted), {"q": q, "n": n, "a": a, "b": b})
+    inner = _record("contig-4", _exact(corrupted), {"q": q, "n": n, "a": a, "b": b})
     ok = inner.status is Status.FAIL and inner.witness["coeff_index"] == coeff_index
     return Status.PASS if ok else Status.FAIL, {
         "corrupted_index": coeff_index,
@@ -624,22 +624,22 @@ def _selftest(
 
 
 IDENTITY_CHECKS: dict[str, _Check] = {
-    "contig-1": _exact(_QNAB, _identity_contig1),
-    "contig-2": _exact(_QNAB, _identity_contig2),
-    "contig-3": _exact(_QNAB, _identity_contig3),
-    "contig-4": _exact(_QNAB, _identity_contig4),
-    "contig-3-shifted": _exact(_QNAB, _identity_contig3_shifted),
-    "qderiv-jacobi": _exact(_QNAB, _identity_qderiv_jacobi),
-    "qderiv-hyper": _exact(_QNAB, _identity_qderiv_hyper),
-    "recip-1": _exact(_axis_points("q", "n", "b"), _identity_recip1),
-    "recip-2": _exact(_QNAB, _identity_recip2),
-    "recip-3": _exact(_axis_points("q", "n", "a"), _identity_recip3),
-    "factor-bneg": _exact(_k_points("q", "n", "a"), _identity_factor_bneg),
-    "factor-anorm": _exact(_k_points("q", "n", "b"), _identity_factor_anorm),
-    "qdiff-bessel": _exact(_axis_points("q", "n", "b"), _identity_qdiff_bessel),
-    "bessel-limit": _Check(_axis_points("q", "n", "b", "eps"), _identity_bessel_limit),
-    "sw-limit": _Check(_axis_points("q", "n", "eps"), _identity_sw_limit),
-    SELFTEST_ID: _Check(lambda grid: [dict(_SELFTEST_POINT)], _selftest),
+    "contig-1": _exact(_identity_contig1),
+    "contig-2": _exact(_identity_contig2),
+    "contig-3": _exact(_identity_contig3),
+    "contig-4": _exact(_identity_contig4),
+    "contig-3-shifted": _exact(_identity_contig3_shifted),
+    "qderiv-jacobi": _exact(_identity_qderiv_jacobi),
+    "qderiv-hyper": _exact(_identity_qderiv_hyper),
+    "recip-1": _exact(_identity_recip1),
+    "recip-2": _exact(_identity_recip2),
+    "recip-3": _exact(_identity_recip3),
+    "factor-bneg": _exact(_identity_factor_bneg),
+    "factor-anorm": _exact(_identity_factor_anorm),
+    "qdiff-bessel": _exact(_identity_qdiff_bessel),
+    "bessel-limit": _Check(_identity_bessel_limit),
+    "sw-limit": _Check(_identity_sw_limit),
+    SELFTEST_ID: _Check(_selftest, lambda grid: [dict(_SELFTEST_POINT)]),
 }
 
 
@@ -681,9 +681,10 @@ def _interlaces(pair: tuple[PolyExact, PolyExact], weak_ok: bool = False) -> tup
     return Status.FAIL, witness
 
 
-def _interlacing(points: Callable, pair: Callable, weak_ok: bool = False) -> _Check:
-    """An interlacing check: ``pair`` tests its regime and builds (p, r)."""
-    return _Check(points, lambda **point: _interlaces(pair(**point), weak_ok))
+def _interlacing(pair: Callable, weak_ok: bool = False) -> _Check:
+    """An interlacing check: ``pair`` tests its regime and builds (p, r); the
+    check takes the keys ``pair`` takes."""
+    return _Check(functools.wraps(pair)(lambda **point: _interlaces(pair(**point), weak_ok)))
 
 
 def _thmA_1(q, n, a, b):
@@ -1090,28 +1091,28 @@ def _orthogonality_points(grid: GridSpec) -> list[dict]:
 
 
 PROPERTY_CHECKS: dict[str, _Check] = {
-    "thmA-1": _interlacing(_QNAB, _thmA_1),
-    "thmA-2": _interlacing(_QNAB, _thmA_2),
-    "thmA-3": _interlacing(_QNAB, _thmA_3),
-    "thm1-monotone-a": _Check(_pair_points("a"), _thm1_monotone),
-    "thm1-monotone-b": _Check(_pair_points("b"), _thm1_monotone),
-    "thm2-lmesh": _Check(_QNAB, _prop_thm2_lmesh),
-    "thm2-i": _interlacing(_QNAB, _thm2_i),
-    "thm2-ii": _interlacing(_QNAB, _thm2_ii),
-    "thm2-iii": _interlacing(_QNAB, _thm2_iii),
-    "cor-i": _interlacing(_axis_points("q", "n", "a", "b", "t1", "t2"), _cor_i),
-    "cor-ii": _interlacing(_axis_points("q", "n", "a", "b", "t1"), _cor_ii),
-    "bessel-lmesh": _Check(_axis_points("q", "n", "b"), _prop_bessel_lmesh),
-    "bessel-interlace": _interlacing(_axis_points("q", "n", "b", "t"), _bessel_pair, weak_ok=True),
-    "qlag-lmesh": _Check(_axis_points("q", "n", "b"), _prop_qlag_lmesh),
-    "qlag-interlace": _interlacing(_axis_points("q", "n", "b", "t"), _qlag_pair),
-    "sw-lmesh": _Check(_axis_points("q", "n"), _prop_sw_lmesh),
-    "phi21-mono-1": _interlacing(_axis_points("q", "n", "a", "b", "t1", "t2"), _phi21_mono1),
-    "phi21-mono-2": _interlacing(_axis_points("q", "n", "a", "b", "t1"), _phi21_mono2),
-    "orthogonality": _Check(_orthogonality_points, _prop_orthogonality),
+    "thmA-1": _interlacing(_thmA_1),
+    "thmA-2": _interlacing(_thmA_2),
+    "thmA-3": _interlacing(_thmA_3),
+    "thm1-monotone-a": _Check(_thm1_monotone, _pair_points("a")),
+    "thm1-monotone-b": _Check(_thm1_monotone, _pair_points("b")),
+    "thm2-lmesh": _Check(_prop_thm2_lmesh),
+    "thm2-i": _interlacing(_thm2_i),
+    "thm2-ii": _interlacing(_thm2_ii),
+    "thm2-iii": _interlacing(_thm2_iii),
+    "cor-i": _interlacing(_cor_i),
+    "cor-ii": _interlacing(_cor_ii),
+    "bessel-lmesh": _Check(_prop_bessel_lmesh),
+    "bessel-interlace": _interlacing(_bessel_pair, weak_ok=True),
+    "qlag-lmesh": _Check(_prop_qlag_lmesh),
+    "qlag-interlace": _interlacing(_qlag_pair),
+    "sw-lmesh": _Check(_prop_sw_lmesh),
+    "phi21-mono-1": _interlacing(_phi21_mono1),
+    "phi21-mono-2": _interlacing(_phi21_mono2),
+    "orthogonality": _Check(_prop_orthogonality, _orthogonality_points),
     **{
         f"table1-row-{r}": _Check(
-            functools.partial(_table_row_points, row), functools.partial(_table_row, row)
+            functools.partial(_table_row, row), functools.partial(_table_row_points, row)
         )
         for r, row in TABLE1_ROWS.items()
     },

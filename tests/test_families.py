@@ -193,10 +193,37 @@ def test_regime_flags():
 
 
 def test_build_dispatch():
+    """build gives each family's direct constructor call, b = 0 where little
+    q-Jacobi or the normalized family leaves b out, and one
+    InvalidParameterError line for a missing required parameter."""
     params = FamilyParams(Family.Q_BESSEL, 1, Q, b=F(-1))
     assert build(params) == PolyExact((1, -3))
     params = FamilyParams(Family.E_FACTOR, 2, Q, k=2)
     assert build(params) == PolyExact((1, -6, 8))
+    a, b = F(1, 3), F(-1, 2)
+    cases = [
+        (FamilyParams(Family.LITTLE_Q_JACOBI, 3, Q, a=a, b=b), little_q_jacobi(3, a, b, Q)),
+        (FamilyParams(Family.LITTLE_Q_LAGUERRE, 3, Q, a=a), little_q_laguerre(3, a, Q)),
+        (FamilyParams(Family.Q_LAGUERRE, 3, Q, b=F(1, 3)), q_laguerre(3, F(1, 3), Q)),
+        (FamilyParams(Family.STIELTJES_WIGERT, 3, Q), stieltjes_wigert(3, Q)),
+        (FamilyParams(Family.Q_BESSEL, 3, Q, b=b), q_bessel(3, b, Q)),
+        (FamilyParams(Family.NORMALIZED_LITTLE_Q_JACOBI, 3, Q, b=b, k=2),
+         normalized_little_q_jacobi(3, 2, b, Q)),
+        (FamilyParams(Family.E_FACTOR, 3, Q, k=3), e_factor(3, Q)),
+        (FamilyParams(Family.LITTLE_Q_JACOBI, 3, Q, a=a), little_q_jacobi(3, a, 0, Q)),
+        (FamilyParams(Family.NORMALIZED_LITTLE_Q_JACOBI, 3, Q, k=2), normalized_little_q_jacobi(3, 2, 0, Q)),
+    ]
+    assert {params.family for params, _ in cases} == set(Family)
+    for params, direct in cases:
+        assert build(params) == direct, params
+    required = {
+        Family.LITTLE_Q_JACOBI: "a", Family.LITTLE_Q_LAGUERRE: "a", Family.Q_LAGUERRE: "b",
+        Family.Q_BESSEL: "b", Family.NORMALIZED_LITTLE_Q_JACOBI: "k", Family.E_FACTOR: "k",
+    }
+    for family, name in required.items():
+        with pytest.raises(InvalidParameterError) as info:
+            build(FamilyParams(family, 3, Q))
+        assert str(info.value) == f"family requires parameter {name}"
     with pytest.raises(InvalidParameterError, match="n must equal k"):
         FamilyParams(Family.E_FACTOR, 2, Q, k=3)
 

@@ -5,13 +5,15 @@ high-degree `qzeros roots` calls match their references too.  The CLI's
 JSON outputs have the bytes of ``json.dumps(..., indent=2)``, and the
 report is written record by record, on stdout as in a --report file.
 
-The grids, the pinned id lists, the reference digests and the reference
-outcomes are read from ``bench/``; nothing there is written.
+Every registry entry's points on the pinned grids fit its function's
+parameters.  The grids, the pinned id lists, the reference digests and the
+reference outcomes are read from ``bench/``; nothing there is written.
 """
 
 import contextlib
 import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import sys
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from qzeros import GridSpec, cli, identity_check_ids, property_check_ids, rat_str, summarize, verify
+from qzeros import GridSpec, Status, cli, identity_check_ids, property_check_ids, rat_str, summarize, verify
 from qzeros.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -80,6 +82,39 @@ def test_inline_and_worker_runs_give_the_pinned_report(name, grid, tmp_path, cap
 def test_registry_order_matches_pinned_ids():
     pinned = workloads.IDENTITY_IDS + workloads.PROPERTY_IDS
     assert identity_check_ids() + property_check_ids() == pinned
+
+
+def _drift(checks: dict, grids: list[GridSpec]) -> list[str]:
+    """The entries of which some point on some grid holds a key the entry's
+    function does not take, or lacks one the function needs (has no default
+    for), each with the first such point's keys."""
+    problems = []
+    for check_id, check in checks.items():
+        takes = inspect.signature(check.fn).parameters
+        needs = {k for k, p in takes.items() if p.default is p.empty}
+        for point in (point for grid in grids for point in check.points(grid)):
+            unknown, missing = sorted(point.keys() - takes.keys()), sorted(needs - point.keys())
+            if unknown or missing:
+                problems.append(f"{check_id}: takes no {unknown}, lacks {missing}")
+                break
+    return problems
+
+
+def test_registry_points_fit_their_functions():
+    """Every point each registry entry yields on the pinned registry and
+    identity grids holds only keys its function takes and every key it needs,
+    and every entry yields points; an entry whose function lacks b while its
+    points carry b is caught."""
+    grids = [GridSpec.from_json(workloads.REGISTRY_GRID), GridSpec.from_json(workloads.IDENTITY_GRID)]
+    checks = {**verify.IDENTITY_CHECKS, **verify.PROPERTY_CHECKS}
+    assert _drift(checks, grids) == []
+    assert all(check.points(grids[0]) for check in checks.values())
+
+    def without_b(q, n, a):
+        return Status.PASS, None
+
+    planted = verify._Check(without_b, verify._axis_points(verify._identity_contig1))
+    assert _drift({**checks, "planted": planted}, grids) == ["planted: takes no ['b'], lacks []"]
 
 
 def test_decisions_match_pinned_outcomes():

@@ -467,6 +467,38 @@ def test_malformed_counts_raise_one_line_errors():
     assert rec.status is Status.PASS and rec.params["n"] == 2
 
 
+def test_code_built_grid_refuses_non_list_axes():
+    """A GridSpec built in code refuses a string, a mapping or a non-iterable
+    axis with the one ConfigError line a config gets; a tuple or a range
+    gives its values."""
+    for fields, message in (
+        (dict(q_values="1/2", n_values=[2]), "qValues must be a list, got str"),
+        (dict(q_values=F(1, 2), n_values=[2]), "qValues must be a list, got Fraction"),
+        (dict(q_values=[Q], n_values=[2], check_ids="thm2-i"), "checkIds must be a list, got str"),
+        (dict(q_values=[Q], n_values={2: 3}), "nValues must be a list, got dict"),
+        (dict(q_values=[Q], n_values=2), "nValues must be a list, got int"),
+    ):
+        with pytest.raises(ConfigError) as info:
+            GridSpec(**fields)
+        assert str(info.value) == message
+    with pytest.raises(ConfigError, match="^qValues must be a list, got str$"):
+        GridSpec.from_json({"qValues": "1/2"})
+    grid = GridSpec(q_values=(Q,), n_values=range(1, 3), check_ids=("thm2-i",))
+    assert (grid.q_values, grid.n_values, grid.check_ids) == ([Q], [1, 2], ["thm2-i"])
+
+
+def test_eps_at_most_zero_raises_for_grids_and_points():
+    """eps <= 0 is one InvalidParameterError line from the one eps parser,
+    for a check_identity point as for a grid: never a Fail record."""
+    for eps in ("0", "-1"):
+        with pytest.raises(InvalidParameterError) as info:
+            check_identity("sw-limit", {"q": "1/2", "n": 2, "eps": eps})
+        assert str(info.value) == f"eps must be > 0, got {eps}"
+        with pytest.raises(InvalidParameterError, match=f"^eps must be > 0, got {eps}$"):
+            GridSpec(q_values=[Q], n_values=[2], eps=eps)
+    assert check_identity("sw-limit", {"q": "1/4", "n": 4, "eps": "1/1000"}).status is Status.PASS
+
+
 def test_grid_without_records_raises():
     for grid in (
         GridSpec(q_values=[], n_values=[2], check_ids=["thm2-lmesh"]),
@@ -557,11 +589,11 @@ def test_isolation_memo_is_scoped_to_one_run(monkeypatch, pools):
 
     parent = os.getpid()
 
-    def raising(**point):
+    def raising(q, n, a, b):
         memo = verify._RUN_MEMO.get()
         raise RuntimeError(f"in a worker: {os.getpid() != parent}, memo entries: {len(memo)}")
 
-    monkeypatch.setitem(verify.PROPERTY_CHECKS, "raising-check", verify._Check(verify._QNAB, raising))
+    monkeypatch.setitem(verify.PROPERTY_CHECKS, "raising-check", verify._Check(raising))
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)  # the q slice and contig-1: two workers
     bad = GridSpec(q_values=[Q], n_values=[2], a_values=[F(1, 2)], b_values=[F(1, 2)],
                    check_ids=["thm2-lmesh", "contig-1", "raising-check"])
@@ -609,9 +641,9 @@ def test_identity_checks_run_without_the_memo(monkeypatch, pools):
 
 
 def _stub_identity(monkeypatch, check_id: str, fn) -> None:
-    """Register ``fn`` as an identity check with one point and no parameters;
-    forked workers inherit it."""
-    monkeypatch.setitem(verify.IDENTITY_CHECKS, check_id, verify._Check(lambda grid: [{}], fn))
+    """Register ``fn``, which takes no parameters, as an identity check: its
+    one point is the empty one.  Forked workers inherit it."""
+    monkeypatch.setitem(verify.IDENTITY_CHECKS, check_id, verify._Check(fn))
 
 
 _SMALL = dict(q_values=[Q], n_values=[2], a_values=[F(1, 3)], b_values=[F(-1)])
