@@ -13,7 +13,7 @@ import importlib
 
 # Each submodule and the names the package exports from it.
 _EXPORTS = {
-    "qcore": ("QValue", "Rational", "rat", "rat_str", "qpoch_finite", "qpoch_infinite", "qpoch_vector"),
+    "qcore": ("rat", "rat_str", "qpoch_finite", "qpoch_infinite"),
     "qhyper": (
         "PolyExact", "HyperSpec", "build_qhyper", "poly_gcd", "square_free_part", "square_free_decomposition",
     ),

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LmeshDomainError, ShapeError, UndefinedLmeshError
-from .qcore import QValue, RationalLike, as_q, rat
+from .qcore import RationalLike, as_q, rat
 from .qhyper import PolyExact, poly_gcd, square_free_part
 from .roots import RootEntry, RootSet, _compare_roots, _overlap, _ratio_ends, _root_vs_point
 
@@ -237,7 +237,7 @@ def _mesh_signs(rs: RootSet, q: Fraction) -> tuple[list[RootEntry], list[RootEnt
     return kept
 
 
-def lmesh(rs: RootSet, q: QValue | RationalLike) -> LmeshResult:
+def lmesh(rs: RootSet, q: RationalLike) -> LmeshResult:
     """Enclose lmesh(p) = max ratio of consecutive ordered zeros, decided vs q.
 
     Negative zero sets are reflected first (lmesh of p(-x)); a positive one
@@ -278,7 +278,7 @@ def lmesh(rs: RootSet, q: QValue | RationalLike) -> LmeshResult:
     return LmeshResult(Fraction(*lo_best), Fraction(*hi_best), argmax, top_sign == 0, qv)
 
 
-def in_lmesh_class(rs: RootSet, q: QValue | RationalLike, strict: bool) -> bool:
+def in_lmesh_class(rs: RootSet, q: RationalLike, strict: bool) -> bool:
     """Membership of p in the class with lmesh < q (strict) or <= q (closure).
 
     Decided by the same signs of lambda_j - q*lambda_(j+1) that ``lmesh``

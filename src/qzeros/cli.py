@@ -165,11 +165,11 @@ def _cmd_roots(args) -> int:
 
 def _cmd_lmesh(args) -> int:
     params = _family_params(args)
-    poly = build(params)
-    rs = isolate_real_roots(poly)
+    # checked first, so a bad base ends the command before any build or isolation
     base = _parse_rat(args.base) if args.base is not None else params.q
     if not 0 < base < 1:
         raise InvalidParameterError(f"--base must satisfy 0 < base < 1, got {rat_str(base)}")
+    rs = isolate_real_roots(build(params))
     from . import analysis
 
     result = analysis.lmesh(rs, base)

@@ -16,12 +16,12 @@ factorization.  Lower parameter 0 is treated literally, (0;q)_k = 1.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import DegenerateParameterError, InvalidParameterError, RegimeError
-from .qcore import QValue, RationalLike, as_q, bounded_count, neg_q_power, qpoch_finite, rat, rat_str
+from .qcore import RationalLike, as_q, bounded_count, neg_q_power, qpoch_finite, rat, rat_str
 from .qhyper import PolyExact, _check_series, _series
 
 
@@ -44,10 +44,10 @@ class FamilyParams:
     :func:`~qzeros.qcore.bounded_count` refuses, and an E_k whose n is not
     its degree k.
 
-    ``orthogonal_regime`` is True when the parameters satisfy the family's
-    orthogonality hypotheses (little q-Jacobi: 0 < aq < 1 and bq < 1;
-    q-Laguerre: 0 < b < 1; q-Bessel: b < 0), None when the family has no
-    such regime.
+    ``orthogonal_regime`` is computed from the parameters, never given.  It
+    is True when they satisfy the family's orthogonality hypotheses (little
+    q-Jacobi: 0 < aq < 1 and bq < 1; q-Laguerre: 0 < b < 1; q-Bessel:
+    b < 0), None when the family has no such regime.
     """
 
     family: Family
@@ -56,7 +56,7 @@ class FamilyParams:
     a: Fraction | None = None
     b: Fraction | None = None
     k: int | None = None
-    orthogonal_regime: bool | None = None
+    orthogonal_regime: bool | None = field(init=False)
 
     def __post_init__(self):
         takes = FAMILIES[self.family].takes
@@ -96,7 +96,7 @@ def little_q_jacobi(
     n: int,
     a: RationalLike,
     b: RationalLike,
-    q: QValue | RationalLike,
+    q: RationalLike,
 ) -> PolyExact:
     """Little q-Jacobi polynomial p_n(x; a, b | q), exact.
 
@@ -118,12 +118,12 @@ def little_q_jacobi(
     return _series(n, qv, upper, ((a_n, a_d, 1),), (1, 1, 1))
 
 
-def little_q_laguerre(n: int, a: RationalLike, q: QValue | RationalLike) -> PolyExact:
+def little_q_laguerre(n: int, a: RationalLike, q: RationalLike) -> PolyExact:
     """Little q-Laguerre (Wall) polynomial, the b = 0 little q-Jacobi case."""
     return little_q_jacobi(n, a, 0, q)
 
 
-def q_laguerre(n: int, b: RationalLike, q: QValue | RationalLike) -> PolyExact:
+def q_laguerre(n: int, b: RationalLike, q: RationalLike) -> PolyExact:
     """q-Laguerre polynomial L_n^(b)(x; q) = ((b;q)_n/(q;q)_n) 1phi1(q^-n; b; q, -q^n b x)."""
     bv, qv = rat(b), as_q(q)
     _check_series(n, qv, ((bv, 0),))
@@ -132,7 +132,7 @@ def q_laguerre(n: int, b: RationalLike, q: QValue | RationalLike) -> PolyExact:
     return _series(n, qv, (), ((b_n, b_d, 0),), (-b_n, b_d, n), (pre.numerator, pre.denominator))
 
 
-def stieltjes_wigert(n: int, q: QValue | RationalLike) -> PolyExact:
+def stieltjes_wigert(n: int, q: RationalLike) -> PolyExact:
     """Stieltjes-Wigert polynomial (1/(q;q)_n) 1phi1(q^-n; 0; q, -q^(n+1) x)."""
     qv = as_q(q)
     _check_series(n, qv, ())
@@ -140,7 +140,7 @@ def stieltjes_wigert(n: int, q: QValue | RationalLike) -> PolyExact:
     return _series(n, qv, (), ((0, 1, 0),), (-1, 1, n + 1), (pre.denominator, pre.numerator))
 
 
-def q_bessel(n: int, b: RationalLike, q: QValue | RationalLike) -> PolyExact:
+def q_bessel(n: int, b: RationalLike, q: RationalLike) -> PolyExact:
     """q-Bessel polynomial 2phi1(q^-n, b q^n; 0; q, x), exact."""
     bv, qv = rat(b), as_q(q)
     _check_series(n, qv, ())
@@ -148,7 +148,7 @@ def q_bessel(n: int, b: RationalLike, q: QValue | RationalLike) -> PolyExact:
 
 
 def normalized_little_q_jacobi(
-    n: int, k: int, b: RationalLike, q: QValue | RationalLike
+    n: int, k: int, b: RationalLike, q: RationalLike
 ) -> PolyExact:
     """The normalized polynomial (q^(-k+1);q)_n p_n(x; q^-k, b), coefficient-wise.
 
@@ -178,7 +178,7 @@ def normalized_little_q_jacobi(
     return _series(n, qv, upper, ((1, 1, 1),), (1, 1, 1), pre, start=k)
 
 
-def normalization_constant(n: int, k: int, b: RationalLike, q: QValue | RationalLike) -> Fraction:
+def normalization_constant(n: int, k: int, b: RationalLike, q: RationalLike) -> Fraction:
     """The constant c with normalized p = c (qx)^k p_(n-k)(x; q^k, b)."""
     bv, qv = rat(b), as_q(q)
     return (
@@ -189,7 +189,7 @@ def normalization_constant(n: int, k: int, b: RationalLike, q: QValue | Rational
     )
 
 
-def e_factor(k: int, q: QValue | RationalLike) -> PolyExact:
+def e_factor(k: int, q: RationalLike) -> PolyExact:
     """E_k(x) = prod_{j=1..k} (1 - q^-j x); the roots are exactly q^1, ..., q^k."""
     qv = as_q(q)
     if k < 1:
@@ -201,7 +201,7 @@ def weight_mass(
     k: int,
     a: RationalLike,
     b: RationalLike,
-    q: QValue | RationalLike,
+    q: RationalLike,
 ) -> Fraction:
     """Mass (bq;q)_k/(q;q)_k (aq)^k of the discrete orthogonality measure at q^k.
 

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qcore import QValue, RationalLike, as_q
+from .qcore import RationalLike, as_q
 from .qhyper import PolyExact
 
 
-def q_bracket(i: int, q: QValue | RationalLike) -> Fraction:
+def q_bracket(i: int, q: RationalLike) -> Fraction:
     """The q-integer [i]_q = (1 - q^i)/(1 - q)."""
     qv = as_q(q)
     return (1 - qv**i) / (1 - qv)
 
 
-def q_derivative(p: PolyExact, q: QValue | RationalLike) -> PolyExact:
+def q_derivative(p: PolyExact, q: RationalLike) -> PolyExact:
     """Apply the q-derivative; constants map to the zero polynomial.
 
     With q = u/v, [i+1]_q = (v^(i+1) - u^(i+1)) / (v^i (v - u)), so over the

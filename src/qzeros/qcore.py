@@ -2,8 +2,8 @@
 
 All scalars are ``fractions.Fraction``: arbitrary precision, always in
 canonical reduced form, with exact arithmetic and an error on division by
-zero.  Every base q satisfies 0 < q < 1; this is validated once by
-:class:`QValue` and rechecked by the free functions.
+zero.  Every base q satisfies 0 < q < 1; :func:`as_q` is the one check of
+it, which the free functions and every q-taking constructor go through.
 
 The module also holds the one JSON writer, :func:`_json_text`, beside
 :func:`rat_str`: every JSON document the CLI prints and every ``verify``
@@ -13,14 +13,11 @@ report record goes through it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Union
 
 from .errors import InvalidParameterError, InvalidToleranceError
-
-Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
@@ -170,22 +167,8 @@ def _json_text(value, indent: str = "") -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class QValue:
-    """A base q with the standing constraint 0 < q < 1."""
-
-    q: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", rat(self.q))
-        if not 0 < self.q.numerator < self.q.denominator:
-            raise InvalidParameterError(f"q must satisfy 0 < q < 1, got {rat_str(self.q)}")
-
-
-def as_q(q: QValue | RationalLike) -> Fraction:
-    """Coerce a QValue or rational-like to a validated Fraction in (0, 1)."""
-    if isinstance(q, QValue):
-        return q.q
+def as_q(q: RationalLike) -> Fraction:
+    """q as a Fraction, when 0 < q < 1; else InvalidParameterError."""
     qq = rat(q)
     if not 0 < qq.numerator < qq.denominator:  # 0 < q < 1, on integers
         raise InvalidParameterError(f"q must satisfy 0 < q < 1, got {rat_str(qq)}")
@@ -208,7 +191,7 @@ def neg_q_power(value: Fraction, q: Fraction) -> int | None:
     return m if p == 1 and d == u**m else None
 
 
-def qpoch_finite(a: RationalLike, q: QValue | RationalLike, k: int) -> Fraction:
+def qpoch_finite(a: RationalLike, q: RationalLike, k: int) -> Fraction:
     """The finite q-Pochhammer symbol (a;q)_k = prod_{j<k} (1 - a*q^j), exactly.
 
     k = 0 gives the empty product 1.  With a = a_n/a_d and q = u/v the
@@ -234,14 +217,6 @@ def qpoch_finite(a: RationalLike, q: QValue | RationalLike, k: int) -> Fraction:
     return Fraction(num, a_den**k * v ** (k * (k - 1) // 2))
 
 
-def qpoch_vector(params, q: QValue | RationalLike, k: int) -> Fraction:
-    """Product of (a_j;q)_k over a parameter vector; empty vector gives 1."""
-    out = Fraction(1)
-    for a in params:
-        out *= qpoch_finite(a, q, k)
-    return out
-
-
 def _round_to_bits(x: Fraction, bits: int) -> Fraction:
     """x rounded toward zero to a dyadic of ``bits`` significant bits:
     |x - result| < |x| 2^-bits."""
@@ -254,7 +229,7 @@ def _round_to_bits(x: Fraction, bits: int) -> Fraction:
 
 
 def qpoch_infinite(
-    a: RationalLike, q: QValue | RationalLike, tol: RationalLike
+    a: RationalLike, q: RationalLike, tol: RationalLike
 ) -> tuple[Fraction, Fraction]:
     """Truncated infinite product (a;q)_inf with a certified error bound.
 

@@ -40,7 +40,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ConstraintViolationError
-from .qcore import QValue, RationalLike, as_q, neg_q_power, rat
+from .qcore import RationalLike, as_q, neg_q_power, rat
 
 
 class PolyExact:
@@ -463,23 +463,21 @@ def _gauss_row(n: int, upow: Sequence[int], vpow: Sequence[int]) -> list[int]:
     return row
 
 
-def build_qhyper(spec: HyperSpec, scale: RationalLike = 1) -> PolyExact:
-    """Expand the terminating series of ``spec`` at the argument scale*x.
+def build_qhyper(spec: HyperSpec) -> PolyExact:
+    """Expand the terminating series of ``spec`` in x.
 
-    The k-th coefficient is the series coefficient times scale^k, so
-    ``build_qhyper(spec, z)`` equals ``build_qhyper(spec).scale_arg(z)``.
     The degree equals spec.n unless an upper parameter of the form q^-m with
-    m < n (or scale = 0) annihilates the top terms, in which case trailing
-    zero coefficients are stripped.  The expansion is :func:`_series`, with
-    every parameter and the scale given at offset 0.
+    m < n annihilates the top terms, in which case trailing zero
+    coefficients are stripped.  The series at the argument c x is
+    ``build_qhyper(spec).scale_arg(c)``.  The expansion is :func:`_series`,
+    with every parameter given at offset 0 and argument scale 1.
     """
-    z = rat(scale)
     return _series(
         spec.n,
         spec.q,
         [(a.numerator, a.denominator, 0) for a in spec.upper],
         [(b.numerator, b.denominator, 0) for b in spec.lower],
-        (z.numerator, z.denominator, 0),
+        (1, 1, 0),
     )
 
 

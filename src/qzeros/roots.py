@@ -206,12 +206,14 @@ class RootSet:
     """Ordered certified real roots of ``poly``.
 
     Entries are sorted ascending with pairwise disjoint closed intervals,
-    each containing exactly one distinct root.  ``total_count`` counts roots
-    with multiplicity; ``certified_real_rooted`` is True exactly when that
-    count equals the degree.  The fields cannot be rebound, but the entries
-    narrow: the relation decisions refine them in place, and every refinement
-    keeps each certificate, the order and disjointness.  :meth:`copy` keeps
-    a set's intervals apart from later refinement.
+    each containing exactly one distinct root.  A set is built from
+    ``poly`` and ``roots`` alone: ``total_count`` (the roots counted with
+    multiplicity) and ``certified_real_rooted`` (True exactly when that
+    count equals the degree) are set from them once, on construction.  The
+    fields cannot be rebound, but the entries narrow: the relation decisions
+    refine them in place, and every refinement keeps each certificate, the
+    order and disjointness.  :meth:`copy` keeps a set's intervals apart from
+    later refinement.
 
     ``_mesh`` keeps the logarithmic-mesh sign pass of the analysis module
     per base: the zeros (reflected to positive), the zeros of the scaled
@@ -221,9 +223,14 @@ class RootSet:
 
     poly: PolyExact
     roots: list[RootEntry]
-    total_count: int
-    certified_real_rooted: bool
+    total_count: int = field(init=False)
+    certified_real_rooted: bool = field(init=False)
     _mesh: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        total = sum(e.multiplicity for e in self.roots)
+        object.__setattr__(self, "total_count", total)
+        object.__setattr__(self, "certified_real_rooted", total == self.poly.degree)
 
     def copy(self) -> "RootSet":
         """The same root set with every entry copied, refined apart from this one."""
@@ -564,11 +571,4 @@ def isolate_real_roots(p: PolyExact, eps: RationalLike | None = DEFAULT_EPS) -> 
             if epsv is not None:
                 e.refine_below(epsv)
             _snap_to_rational(e)
-
-    total = sum(e.multiplicity for e in entries)
-    return RootSet(
-        poly=p,
-        roots=entries,
-        total_count=total,
-        certified_real_rooted=(total == p.degree),
-    )
+    return RootSet(p, entries)

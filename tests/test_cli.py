@@ -298,7 +298,15 @@ def test_lmesh_output_is_pinned(capsys):
     assert hashlib.sha256("".join(outputs).encode()).hexdigest() == _LMESH_DIGEST
 
 
-def test_out_of_range_lmesh_base_names_the_option(capsys):
+def test_out_of_range_lmesh_base_names_the_option(capsys, monkeypatch):
+    """An out-of-range --base exits 2 with one line before any polynomial is
+    built or isolated."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran despite a bad --base")
+
+    monkeypatch.setattr(cli, "build", refuse)
+    monkeypatch.setattr(cli, "isolate_real_roots", refuse)
     for base in ("2", "1", "0", "-1/2"):
         code, out, err = run_cli(
             capsys, "lmesh", "--family", "little-q-jacobi", "--n", "3", "--q", "1/2",

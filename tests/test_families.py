@@ -192,6 +192,15 @@ def test_regime_flags():
     assert FamilyParams(Family.STIELTJES_WIGERT, 2, Q).orthogonal_regime is None
 
 
+def test_regime_flag_is_never_given():
+    """orthogonal_regime is computed from the parameters: passing it is a
+    TypeError, not a value that is silently overwritten."""
+    with pytest.raises(TypeError):
+        FamilyParams(Family.LITTLE_Q_JACOBI, 3, Q, a=F(1, 2), b=F(-1), orthogonal_regime=False)
+    with pytest.raises(TypeError):
+        FamilyParams(Family.LITTLE_Q_JACOBI, 3, Q, F(1, 2), F(-1), None, False)
+
+
 def test_build_dispatch():
     """build gives each family's direct constructor call, b = 0 where little
     q-Jacobi or the normalized family leaves b out, and one

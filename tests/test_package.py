@@ -25,6 +25,18 @@ def test_every_export_is_the_submodule_object():
         assert getattr(qzeros, name) is getattr(importlib.import_module(f"qzeros.{module}"), name), name
 
 
+def test_second_entry_points_are_gone():
+    """q has one check (``as_q``), a series one way to scale
+    (``PolyExact.scale_arg``) and a q-Pochhammer product one function
+    (``qpoch_finite``): QValue, the Rational alias, qpoch_vector and
+    build_qhyper's scale are neither exported nor defined."""
+    from qzeros import qcore
+
+    for name in ("QValue", "Rational", "qpoch_vector"):
+        assert name not in qzeros.__all__ and not hasattr(qcore, name), name
+    assert list(inspect.signature(qzeros.build_qhyper).parameters) == ["spec"]
+
+
 def test_dir_lists_every_export():
     assert set(dir(qzeros)) >= set(qzeros.__all__)
 

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qzeros import InvalidParameterError, InvalidToleranceError, QValue, qpoch_finite, qpoch_infinite, rat, rat_str
-from qzeros.qcore import MAX_DIGITS, _digits, clip, neg_q_power
+from qzeros import InvalidParameterError, InvalidToleranceError, qpoch_finite, qpoch_infinite, rat, rat_str
+from qzeros.qcore import MAX_DIGITS, _digits, as_q, clip, neg_q_power
 
 SMALL_RATIONALS = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 Q_VALUES = st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(9, 10)])
@@ -66,12 +66,13 @@ def test_negative_order_rejected():
         qpoch_finite(F(1), F(1, 2), -1)
 
 
-def test_qvalue_range():
-    QValue(F(1, 2))
-    with pytest.raises(InvalidParameterError):
-        QValue(F(3, 2))
-    with pytest.raises(InvalidParameterError):
-        QValue(F(0))
+def test_as_q_range():
+    """as_q, the one check of a base q, takes 0 < q < 1 from any rational
+    form and refuses 0, 1 and 3/2 with one message naming the value."""
+    assert as_q(F(1, 2)) == as_q("1/2") == as_q("0.5") == F(1, 2)
+    for bad, text in ((F(0), "0"), (1, "1"), ("3/2", "3/2")):
+        with pytest.raises(InvalidParameterError, match=f"^q must satisfy 0 < q < 1, got {text}$"):
+            as_q(bad)
 
 
 @given(a=SMALL_RATIONALS, q=Q_VALUES, k=st.integers(0, 12))

@@ -48,6 +48,21 @@ def test_root_set_is_frozen():
         rs.roots = []
 
 
+def test_root_set_counts_come_only_from_its_roots():
+    """RootSet takes only poly and roots: a count or a certificate given
+    beside them is a TypeError, so no set can claim more roots than its
+    entries hold."""
+    rs = isolate_real_roots(PolyExact((1, -6, 8)))
+    with pytest.raises(TypeError):
+        RootSet(rs.poly, rs.roots, 5, True)
+    with pytest.raises(TypeError):
+        RootSet(rs.poly, rs.roots, total_count=5)
+    with pytest.raises(TypeError):
+        RootSet(rs.poly, rs.roots, certified_real_rooted=True)
+    part = RootSet(rs.poly, rs.roots[:1])
+    assert (part.total_count, part.certified_real_rooted) == (1, False)
+
+
 def test_root_set_copy_and_scaled():
     rs = isolate_real_roots(PolyExact((-2, 0, 1)) * PolyExact((1, -4)))  # +-sqrt2, 1/4
     dup = rs.copy()
@@ -384,6 +399,18 @@ def _acceptance_grid_polynomials():
     return tuple(p for _, p in _acceptance_grid())
 
 
+def test_root_set_counts_hold_on_acceptance_grids():
+    """Every acceptance-grid root set, its copy and its scaled(q) and
+    scaled(-1) sets count their roots with multiplicity and are certified
+    real-rooted exactly when that count is the degree."""
+    for q, p in _acceptance_grid():
+        rs = isolate_real_roots(p, None)
+        for view in (rs, rs.copy(), rs.scaled(q), rs.scaled(F(-1))):
+            assert view.total_count == sum(e.multiplicity for e in view.roots), p
+            assert view.certified_real_rooted == (view.total_count == view.poly.degree), p
+            assert (view.total_count, view.certified_real_rooted) == (rs.total_count, rs.certified_real_rooted), p
+
+
 class FractionBisection:
     """The bisection step on Fraction endpoints that the integer interval of
     ``RootEntry`` replaced: the arithmetic midpoint, its sign by
@@ -419,7 +446,7 @@ def test_integer_bisection_matches_fraction_bisection_on_acceptance_grids():
     planted = RootSet(PolyExact.one(), [
         RootEntry(F(0), F(1), 1, PolyExact.from_roots([F(3, 8)])),
         RootEntry(F(1, 3), F(2, 3), 1, PolyExact.from_roots([F(7, 12), F(2)])),
-    ], 2, False)
+    ])
     cases = [(q, isolate_real_roots(p, None)) for q, p in _acceptance_grid()] + [(F(3, 4), planted)]
     steps = pins = 0
     for q, rs in cases:

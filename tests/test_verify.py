@@ -793,8 +793,7 @@ def _general_root_set(p, eps):
         if eps is not None:
             e.refine_below(eps)
         roots._snap_to_rational(e)
-    total = sum(e.multiplicity for e in entries)
-    return RootSet(poly=p, roots=entries, total_count=total, certified_real_rooted=total == p.degree)
+    return RootSet(p, entries)
 
 
 def test_linear_root_sets_match_isolation():

@@ -129,5 +129,4 @@ def isolate_real_roots_restarting(p: PolyExact, eps: Fraction | None) -> RootSet
         if eps is not None:
             e.refine_below(eps)
         roots._snap_to_rational(e)
-    total = sum(e.multiplicity for e in entries)
-    return RootSet(poly=p, roots=entries, total_count=total, certified_real_rooted=(total == p.degree))
+    return RootSet(p, entries)
