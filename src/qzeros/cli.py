@@ -7,7 +7,8 @@ report) has the bytes of ``json.dumps(value, indent=2)``; ``_json_text``
 (from ``qcore``) builds them.  The ``verify`` report's records arrive as
 text, encoded where each check ran, and are written one by one, never
 joined whole.  Exit status: 0 success (and all checks passed), 1 at least one
-Fail or Error, 2 usage or configuration problem.
+Fail or Error, 2 usage or configuration problem, argparse's included, with
+one ``error:`` line.  argparse converts no value: the library reads them.
 
 Only ``verify`` and ``table1`` import ``qzeros.verify`` (and with it
 ``qzeros.qcalc``), and only ``lmesh`` and ``interlace`` import
@@ -22,6 +23,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -60,13 +62,6 @@ def _check_output_path(option: str, path: str) -> None:
         raise QZerosError(f"{option}: {clip(repr(path))} is not in an existing directory")
     if os.path.isdir(path):
         raise QZerosError(f"{option}: {clip(repr(path))} is a directory")
-
-
-def _parse_rat(text: str) -> Fraction:
-    try:
-        return rat(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise QZerosError(f"malformed rational {clip(repr(text))} (expected p or p/q)") from exc
 
 
 def _parse_counts(text: str, option: str) -> list[int]:
@@ -112,21 +107,13 @@ def sci_str(x: Fraction) -> str:
 
 
 def _family_params(args, suffix: str = "") -> FamilyParams:
+    """The family options ending in ``suffix``, with --q, as the text
+    FamilyParams reads."""
     name = getattr(args, "family" + suffix)
     fam = _FAMILY_NAMES.get(name)
     if fam is None:
         raise QZerosError(f"unknown family {name!r}; choose from {sorted(_FAMILY_NAMES)}")
-    q = as_q(_parse_rat(args.q))
-
-    def opt(attr):
-        value = getattr(args, attr + suffix, None)
-        return None if value is None else _parse_rat(value)
-
-    n = bounded_count(getattr(args, "n" + suffix), f"--n{suffix}")
-    k = getattr(args, "k" + suffix, None)
-    if k is not None:
-        bounded_count(k, f"--k{suffix}")
-    return FamilyParams(family=fam, n=n, q=q, a=opt("a"), b=opt("b"), k=k)
+    return FamilyParams(fam, q=args.q, **{f: getattr(args, f + suffix) for f in ("n", "a", "b", "k")})
 
 
 def _root_json(rs: RootSet) -> dict:
@@ -157,8 +144,7 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_roots(args) -> int:
     poly = build(_family_params(args))
-    eps = _parse_rat(args.eps) if args.eps is not None else DEFAULT_EPS
-    rs = isolate_real_roots(poly, eps)
+    rs = isolate_real_roots(poly, DEFAULT_EPS if args.eps is None else args.eps)
     print(_json_text(_root_json(rs)))
     return 0
 
@@ -166,7 +152,7 @@ def _cmd_roots(args) -> int:
 def _cmd_lmesh(args) -> int:
     params = _family_params(args)
     # checked first, so a bad base ends the command before any build or isolation
-    base = _parse_rat(args.base) if args.base is not None else params.q
+    base = rat(args.base) if args.base is not None else params.q
     if not 0 < base < 1:
         raise InvalidParameterError(f"--base must satisfy 0 < base < 1, got {rat_str(base)}")
     rs = isolate_real_roots(build(params))
@@ -249,25 +235,22 @@ def _cmd_sweep(args) -> int:
     # checked before anything is built, as verify checks --report
     if args.out is not None:
         _check_output_path("--out", args.out)
-    if args.steps is not None:
-        bounded_count(args.steps, "--steps", least=1)
+    steps = None if args.steps is None else bounded_count(args.steps, "--steps", least=1)
     if args.values is not None:
-        values = [_parse_rat(v) for v in args.values.split(",")]
-    elif args.start is not None and args.stop is not None and args.steps:
-        lo, hi = _parse_rat(args.start), _parse_rat(args.stop)
-        steps = args.steps
+        values = [rat(v) for v in args.values.split(",")]
+    elif args.start is not None and args.stop is not None and steps is not None:
+        lo, hi = rat(args.start), rat(args.stop)
         values = [lo + (hi - lo) * Fraction(i, steps - 1) for i in range(steps)] if steps > 1 else [lo]
     else:
         raise QZerosError("sweep needs --values or --start/--stop/--steps")
     if args.vary not in ("a", "b"):
         raise QZerosError("--vary must be a or b")
 
+    params = _family_params(args)
     rows = []
     width = 0
     for v in values:
-        setattr(args, args.vary, v)  # a Fraction: rat() passes it through unparsed
-        poly = build(_family_params(args))
-        rs = isolate_real_roots(poly)
+        rs = isolate_real_roots(build(replace(params, **{args.vary: v})))
         cells = [rat_str(v)]
         for e in rs.lambdas():
             mid = (e.lo + e.hi) / 2
@@ -290,14 +273,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_table1(args) -> int:
     from . import verify as verify_mod
 
-    if args.samples is not None and args.samples < 1:
-        raise InvalidParameterError(f"--samples must be >= 1, got {args.samples}")
+    samples = None if args.samples is None else bounded_count(args.samples, "--samples", least=1)
     rows = _parse_counts(args.rows, "--rows") if args.rows is not None else list(range(1, 11))
     for r in rows:
         if r not in verify_mod.TABLE1_ROWS:
             raise QZerosError(f"table rows are 1..10, got {r}")
     q_values = (
-        [as_q(_parse_rat(v)) for v in args.q.split(",")]
+        [as_q(v) for v in args.q.split(",")]
         if args.q is not None
         else [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
     )
@@ -310,7 +292,7 @@ def _cmd_table1(args) -> int:
         if not records:
             # as in run_checks: an empty row would read as a pass
             raise ConfigError(f"{check_id} yields no records for --q and --n given")
-        runs.append((check_id, records[: args.samples]))
+        runs.append((check_id, records[:samples]))
     failed = False
     for check_id, records in runs:
         summary = verify_mod.summarize(records)
@@ -324,15 +306,20 @@ def _cmd_table1(args) -> int:
 
 def _add_family_args(sub, suffix: str = ""):
     sub.add_argument("--family" + suffix, required=True, help="family name, e.g. little-q-jacobi")
-    sub.add_argument("--n" + suffix, type=int, required=True)
+    sub.add_argument("--n" + suffix, required=True)
     sub.add_argument("--a" + suffix)
     sub.add_argument("--b" + suffix)
-    sub.add_argument("--k" + suffix, type=int)
+    sub.add_argument("--k" + suffix)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a refusal ends in main's one error line, as every other does
+        raise QZerosError(message)
 
 
 @functools.cache  # parse_args leaves the parser as it was, so one build serves every call
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qzeros",
         description="Exact q-hypergeometric polynomial families with certified zero analysis",
     )
@@ -373,13 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", help="comma-separated rationals")
     p.add_argument("--start")
     p.add_argument("--stop")
-    p.add_argument("--steps", type=int)
+    p.add_argument("--steps")
     p.add_argument("--out", help="CSV file (default: stdout)")
     p.set_defaults(fn=_cmd_sweep)
 
     p = subs.add_parser("table1", help="run the root-location table rows")
     p.add_argument("--rows", help="comma-separated row numbers 1..10 (default: all)")
-    p.add_argument("--samples", type=int, help="cap the number of samples per row")
+    p.add_argument("--samples", help="cap the number of samples per row")
     p.add_argument("--q", help="comma-separated q values (default: 1/4,1/2,3/4)")
     p.add_argument("--n", help="comma-separated degrees (default: 2,3,4,5)")
     p.set_defaults(fn=_cmd_table1)
@@ -403,9 +390,8 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
+        args = build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
         return args.fn(args)
     except (QZerosError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

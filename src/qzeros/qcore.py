@@ -25,7 +25,7 @@ RationalLike = Union[Fraction, int, str]
 # Exponent-form literals ("1e-5000") are bounded: the value 10^e is built in
 # full, and parsing "1e-10000000" alone takes seconds.
 MAX_EXPONENT = 10_000
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")  # Fraction's own exponent grammar
 # "p" and "p/q" literals are read in pieces, so every value rat_str prints
 # reads back; each digit run is bounded like an exponent, with room for any
 # value an exponent-form literal makes and a product of two of them.
@@ -46,28 +46,33 @@ def clip(text: str, width: int = 60) -> str:
 def rat(value: RationalLike) -> Fraction:
     """Parse a rational from an int, a Fraction, or a "p/q" string.
 
-    Strings in decimal or exponent form ("0.25", "1e-3") are read exactly;
-    an exponent beyond +-MAX_EXPONENT, or a "p/q" digit run longer than
-    MAX_DIGITS, raises InvalidParameterError.
+    Strings in decimal or exponent form ("0.25", "1e-3") are read exactly.
+    Any value it cannot read (malformed, a zero denominator, another type, an
+    exponent beyond +-MAX_EXPONENT, a "p/q" digit run over MAX_DIGITS)
+    raises InvalidParameterError, one line naming the value.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
+    reason = "expected an int, a Fraction or a string"
     if isinstance(value, str):
-        text = value.strip()
-        plain = _PLAIN.fullmatch(text)
-        if plain:
+        value = value.strip()
+        plain = _PLAIN.fullmatch(value)
+        if plain and max(len(plain[2]), len(plain[3] or "")) > MAX_DIGITS:
+            raise InvalidParameterError(f"{clip(repr(value))} has a digit run longer than {MAX_DIGITS}")
+        exponent = None if plain else _EXPONENT.search(value)
+        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+            raise InvalidParameterError(f"exponent of {clip(repr(value))} is outside +-{MAX_EXPONENT}")
+        try:
+            if not plain:
+                return Fraction(value)
             sign, num, den = plain.groups()
-            if max(len(num), len(den or "")) > MAX_DIGITS:
-                raise InvalidParameterError(f"{clip(repr(text))} has a digit run longer than {MAX_DIGITS}")
             n = _from_digits(num)
             return Fraction(-n if sign == "-" else n, _from_digits(den) if den else 1)
-        exponent = _EXPONENT.search(text)
-        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
-            raise InvalidParameterError(f"exponent of {clip(repr(text))} is outside +-{MAX_EXPONENT}")
-        return Fraction(text)
-    raise TypeError(f"cannot interpret {clip(repr(value))} as a rational")
+        except (ValueError, ZeroDivisionError) as exc:  # a decimal past the int-from-str limit too
+            reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else "expected p or p/q"
+    raise InvalidParameterError(f"malformed rational {clip(repr(value))} ({reason})")
 
 
 def bounded_count(value, what: str, least: int = 0) -> int:
@@ -76,7 +81,7 @@ def bounded_count(value, what: str, least: int = 0) -> int:
     least..MAX_COUNT, else InvalidParameterError."""
     try:
         r = None if isinstance(value, bool) else rat(value)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except InvalidParameterError:
         r = None
     if r is None or r.denominator != 1:
         got = clip(repr(value) if r is None else rat_str(r))

@@ -101,14 +101,13 @@ def _parse(key: str, value):
         return bounded_count(value, key)
     if isinstance(value, bool):  # JSON true/false, which rat() would read as 1/0
         raise ConfigError(f"{key}: cannot parse {clip(repr(value))} (a boolean is not a value)")
-    parse = as_q if key in ("qValues", "q") else str if key == "checkIds" else rat
     try:
-        parsed = parse(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        parsed = str(value) if key == "checkIds" else rat(value)
+    except InvalidParameterError as exc:
         raise ConfigError(f"{key}: cannot parse {clip(repr(value))} ({clip(str(exc))})") from exc
     if key == "eps" and parsed <= 0:
         raise InvalidParameterError(f"eps must be > 0, got {rat_str(parsed)}")
-    return parsed
+    return as_q(parsed) if key in ("qValues", "q") else parsed  # a q out of range keeps its own error
 
 
 @dataclass

@@ -199,6 +199,69 @@ def test_counts_past_max_count_exit_2_before_building(tmp_path, capsys, monkeypa
         assert f"..{MAX_COUNT}, got" in err, argv
 
 
+def test_counts_are_read_as_a_config_reads_them(capsys):
+    """--n and --k reach FamilyParams as text, read as a config's nValues
+    entry is: --n 6/2 prints what --n 3 prints."""
+    argv = ("coeffs", "--family", "e-factor", "--k", "3", "--q", "1/2", "--n")
+    assert run_cli(capsys, *argv, "6/2") == run_cli(capsys, *argv, "3") == (0, "1, -14, 56, -64\n", "")
+
+
+_SW = ("--family", "stieltjes-wigert", "--q", "1/2")
+_LQJ = ("--family", "little-q-jacobi", "--n", "2", "--q", "1/2", "--b", "1/2")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("coeffs", *_SW, "--n", "abc"), "n must be an integer in 0..1000, got 'abc'"),
+    (("interlace", *_SW, "--n", "2", "--family2", "stieltjes-wigert", "--n2", "1001"),
+     "n must be in 0..1000, got 1001"),
+    (("coeffs", "--n", "2", "--q", "1/2"), "the following arguments are required: --family"),
+    (("nonesuch", "--n", "2"), "argument command: invalid choice: 'nonesuch' (choose from 'coeffs', "),
+    (("coeffs", *_SW, "--n", "2", "--zzz", "1"), "unrecognized arguments: --zzz 1"),
+    (("table1", "--rows", "1", "--samples", "0"), "--samples must be in 1..1000, got 0"),
+    (("table1", "--rows", "1", "--samples", "1001"), "--samples must be in 1..1000, got 1001"),
+    (("sweep", *_LQJ, "--vary", "a", "--start", "0", "--stop", "1", "--steps", "2.5"),
+     "--steps must be an integer in 1..1000, got 5/2"),
+    ((), "the following arguments are required: command"),
+])
+def test_every_refusal_is_one_error_line(capsys, argv, message):
+    """argparse's refusals and the library readers' end alike: exit 2, one
+    error line, nothing on stdout."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "", argv
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["coeffs", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: qzeros") and captured.err == ""
+
+
+def test_each_count_is_read_once(capsys, monkeypatch):
+    """FamilyParams alone reads --n and --k, and --steps and --samples are
+    read once each, the value used being the one read."""
+    from qzeros import families, qcore
+
+    seen = []
+    for module in (cli, families, qcore):
+        real = module.bounded_count
+        monkeypatch.setattr(module, "bounded_count", lambda value, what, least=0, real=real: (
+            seen.append(what) or real(value, what, least)))
+    assert run_cli(capsys, "coeffs", "--family", "e-factor", "--n", "2", "--k", "2", "--q", "1/2")[0] == 0
+    assert seen == ["n", "k"]
+    seen.clear()
+    code, out, _ = run_cli(capsys, "sweep", *_LQJ, "--vary", "a", "--start", "1/4", "--stop", "1/2",
+                           "--steps", "4/2")
+    assert code == 0 and seen[0] == "--steps" and "--steps" not in seen[1:]
+    assert [row[0] for row in csv.reader(io.StringIO(out))] == ["a", "1/4", "1/2"]
+    seen.clear()
+    code, out, _ = run_cli(capsys, "table1", "--rows", "5", "--samples", "3/3", "--q", "1/2", "--n", "2,3")
+    assert seen.count("--samples") == 1 and out == "table1-row-5: pass=1 fail=0 skipped=0 error=0\n"
+
+
 def test_python_m_qzeros_runs_the_cli():
     src = str(Path(qzeros.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -6,7 +6,19 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qzeros import InvalidParameterError, InvalidToleranceError, qpoch_finite, qpoch_infinite, rat, rat_str
+from qzeros import (
+    Family,
+    FamilyParams,
+    InvalidParameterError,
+    InvalidToleranceError,
+    PolyExact,
+    isolate_real_roots,
+    q_bessel,
+    qpoch_finite,
+    qpoch_infinite,
+    rat,
+    rat_str,
+)
 from qzeros.qcore import MAX_DIGITS, _digits, as_q, clip, neg_q_power
 
 SMALL_RATIONALS = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
@@ -212,16 +224,58 @@ def test_exponent_form_is_exact_and_bounded():
 
 def test_rat_reads_back_past_the_int_from_str_limit():
     """"p/q" digit runs are read in pieces, so every value rat_str prints
-    reads back, up to MAX_DIGITS digits per run; a longer run is refused."""
+    reads back, up to MAX_DIGITS digits per run; a longer run is refused,
+    and so is a long zero denominator, with one clipped line."""
     for x in (F(1, 10**5000), F(-(10**9000 + 7), 3), F(2**40000 + 1, 10**9999), F(10**MAX_DIGITS - 1)):
         assert rat(rat_str(x)) == x
     assert rat(" +" + rat_str(F(10**5000))) == 10**5000
     with pytest.raises(InvalidParameterError) as exc:
         rat("1/" + "1" * (MAX_DIGITS + 1))
     assert len(str(exc.value)) < 200
-    with pytest.raises(ZeroDivisionError):
+    zero_den = r"^malformed rational '1/0{57}\.\.\. \(5004 characters\) \(zero denominator\)$"
+    with pytest.raises(InvalidParameterError, match=zero_den):
         rat("1/" + "0" * 5000)
 
+
+
+@pytest.mark.parametrize("value, reason", [
+    ("x7", "expected p or p/q"),
+    ("1/0", "zero denominator"),
+    ("1_0/0", "zero denominator"),
+    ("1e_", "expected p or p/q"),
+    (0.5, "expected an int, a Fraction or a string"),
+    (None, "expected an int, a Fraction or a string"),
+])
+def test_rat_raises_one_error_type(value, reason):
+    """Every value rat cannot read, malformed text, a zero denominator or a
+    value of another type, is one InvalidParameterError line naming it."""
+    with pytest.raises(InvalidParameterError) as exc:
+        rat(value)
+    text = repr(value.strip() if isinstance(value, str) else value)
+    assert str(exc.value) == f"malformed rational {text} ({reason})"
+
+
+def test_unreadable_values_raise_invalid_parameter_error_from_every_caller():
+    """The library callers of rat raise its one error type, where they used
+    to raise ValueError, ZeroDivisionError or TypeError."""
+    calls = (
+        lambda: FamilyParams(Family.Q_BESSEL, n=2, q="1/2", b="abc"),
+        lambda: q_bessel(2, "1/0", "1/2"),
+        lambda: PolyExact(["x"]),
+        lambda: isolate_real_roots(PolyExact([1, 1]), "abc"),
+    )
+    for call in calls:
+        with pytest.raises(InvalidParameterError) as exc:
+            call()
+        assert str(exc.value).startswith("malformed rational ") and "\n" not in str(exc.value)
+
+
+def test_exponent_bound_reads_every_digit_form():
+    """An exponent in any digits int reads (here Arabic-Indic) is bounded
+    like an ASCII one, since Fraction reads both; it used to build 10^(10^6)."""
+    with pytest.raises(InvalidParameterError, match="is outside"):
+        rat("1e" + "\u0661" + "\u0660" * 6)
+    assert rat("1e\u0663") == 1000
 
 def test_clip_keeps_a_fixed_prefix():
     assert clip("short") == "short"

@@ -22,6 +22,7 @@ from qzeros import (
     RegistryError,
     RootSet,
     SELFTEST_ID,
+    ShapeError,
     Status,
     VerificationRecord,
     build_qhyper,
@@ -1017,3 +1018,110 @@ def test_orthogonality_tail_bound_near_q_one():
         assert len(records) == 15
         assert all(r.status is Status.PASS for r in records), [r.witness for r in records]
         assert all(float(r.witness["tail_bound"]) > 0 for r in records)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_library_error_gives_error_records_end_to_end(monkeypatch, pools, tmp_path, capsys, cpus):
+    """A check that raises a QZerosError gives an Error record whose witness
+    names the error, summarize counts it, and `qzeros verify` writes the
+    report and exits 1, inline and on workers alike."""
+
+    def shape_error():
+        raise ShapeError("stub zero counts differ")
+
+    _stub_identity(monkeypatch, "shape-identity", shape_error)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+    witness = {"error": "ShapeError", "detail": "stub zero counts differ"}
+    records = run_checks(GridSpec(**_SMALL, check_ids=["shape-identity", "thm2-i"]))
+    assert [(r.status, r.witness) for r in records if r.check_id == "shape-identity"] == [(Status.ERROR, witness)]
+    summary = summarize(records)
+    assert summary["error"] == 1 and summary["fail"] == 0 and summary["total"] == len(records) > 1
+    config, report = tmp_path / "grid.json", tmp_path / "report.json"
+    config.write_text(json.dumps({"qValues": ["1/2"], "nValues": [2], "aValues": ["1/3"], "bValues": ["-1"],
+                                  "checkIds": ["shape-identity", "thm2-i"]}))
+    assert main(["verify", "--config", str(config), "--report", str(report)]) == 1
+    doc = json.loads(report.read_text())
+    assert doc["summary"] == summary
+    assert doc["records"][0] == {"checkId": "shape-identity", "params": {}, "status": "Error", "witness": witness}
+    assert capsys.readouterr().err == f"total={summary['total']} pass={summary['pass']} fail=0 " \
+        f"skipped={summary['skipped']} error=1\n"
+    assert all((pool is None) == (cpus == 1) for pool in pools) and len(pools) == 2
+
+
+def _zeros(*zeros) -> PolyExact:
+    return PolyExact.from_roots(zeros)
+
+
+_NO_REAL_ZERO = PolyExact((1, 0, 1))
+_JACOBI_POINT = GridSpec(q_values=[Q], n_values=[2], a_values=[F(1, 3)], b_values=[F(1, 3)])
+
+
+@pytest.mark.parametrize("check_id, grid, builder, poly, witness", [
+    # thm2-lmesh: one defect per Fail branch, with _root_region's offenders
+    # below 0, at 0, at 1 and above 1 (the interval is open at both ends)
+    ("thm2-lmesh", _JACOBI_POINT, "_jac", _NO_REAL_ZERO, {"reason": "not certified real-rooted", "found": 0}),
+    ("thm2-lmesh", _JACOBI_POINT, "_jac", _zeros(Q, Q), {"reason": "multiple zero found"}),
+    ("thm2-lmesh", _JACOBI_POINT, "_jac", _zeros(F(-1, 4), Q), {"reason": "zero outside (0,1)", "zero_index": 0}),
+    ("thm2-lmesh", _JACOBI_POINT, "_jac", _zeros(0, Q), {"reason": "zero outside (0,1)", "zero_index": 0}),
+    ("thm2-lmesh", _JACOBI_POINT, "_jac", _zeros(F(1, 4), 1), {"reason": "zero outside (0,1)", "zero_index": 1}),
+    ("thm2-lmesh", _JACOBI_POINT, "_jac", _zeros(F(1, 4), F(3, 2)),
+     {"reason": "zero outside (0,1)", "zero_index": 1}),
+    ("thm2-lmesh", _JACOBI_POINT, "_jac", _zeros(F(3, 5), F(7, 10)),
+     {"reason": "lattice cell with two zeros", "crowded_cells": [1]}),
+    ("thm2-lmesh", _JACOBI_POINT, "_jac", _zeros(F(3, 10), F(11, 20)), {"reason": "lmesh not strictly below q"}),
+    # the lmesh-class checks: each Fail branch of _in_class_outcome
+    ("bessel-lmesh", GridSpec([Q], [2], b_values=[F(-1)]), "q_bessel", _NO_REAL_ZERO,
+     {"reason": "not certified real-rooted", "found": 0}),
+    ("bessel-lmesh", GridSpec([Q], [2], b_values=[F(-1)]), "q_bessel", _zeros(F(1, 4), F(3, 2)),
+     {"reason": "zero outside stated region", "zero_index": 1}),
+    ("bessel-lmesh", GridSpec([Q], [2], b_values=[F(-1)]), "q_bessel", _zeros(F(3, 10), F(11, 20)),
+     {"reason": "lmesh not strictly below 1/2"}),
+    ("qlag-lmesh", GridSpec([Q], [2], b_values=[Q]), "q_laguerre", _zeros(F(-1, 4), Q),
+     {"reason": "zero outside stated region", "zero_index": 0}),
+    ("qlag-lmesh", GridSpec([Q], [2], b_values=[Q]), "q_laguerre", _zeros(F(1, 10), F(3, 10)),
+     {"reason": "lmesh not strictly below 1/4"}),
+    ("sw-lmesh", GridSpec([Q], [2]), "stieltjes_wigert", _zeros(F(1, 10), F(3, 10)),
+     {"reason": "lmesh not at most 1/4"}),
+])
+def test_property_fail_witnesses(monkeypatch, check_id, grid, builder, poly, witness):
+    """Each property decision's Fail return carries its witness: the check's
+    builder is made to return a polynomial with a known defect."""
+    monkeypatch.setattr(verify, builder, lambda *args: poly)
+    assert [(r.status, r.witness) for r in check_property(check_id, grid)] == [(Status.FAIL, witness)]
+
+
+def test_relation_fail_witnesses(monkeypatch):
+    """Interlacing and zero-wise Fails name the relation seen and the first
+    chain position or zero index that breaks it."""
+    monkeypatch.setattr(verify, "_jac", lambda n, a, b, q: {2: _zeros(Q, F(3, 4)), 1: _zeros(F(7, 8))}[n])
+    records = check_property("thmA-1", replace(_JACOBI_POINT, n_values=[1]))
+    assert [(r.status, r.witness) for r in records] == [(Status.FAIL, {"relation": "None", "chain_position": 1})]
+    # zeros that rise with a and fall with b, against Theorem 1's order
+    monkeypatch.setattr(verify, "_jac", lambda n, a, b, q: _zeros(F(1, 4) + a + 1 - b))
+    fail = (Status.FAIL, {"any_strict_movement": False, "zero_index": 0})
+    for check_id, axis in (("thm1-monotone-a", "a_values"), ("thm1-monotone-b", "b_values")):
+        grid = replace(_JACOBI_POINT, n_values=[1], **{axis: [F(1, 4), F(1, 2)]})
+        assert [(r.status, r.witness) for r in check_property(check_id, grid)] == [fail], check_id
+
+
+def test_orthogonality_fail_witness(monkeypatch):
+    """Constant polynomials are not orthogonal: each pair's sum is the total
+    weight, about 1.347 at a = b = 1/3, q = 1/2."""
+    monkeypatch.setattr(verify, "_jac", lambda *args: PolyExact.one())
+    records = check_property("orthogonality", replace(_JACOBI_POINT, n_values=[1]))
+    witness = {"abs_sum": "1.347e+00", "tail_bound": "4.123e-07", "lattice_cutoff": 8}
+    assert len(records) == 15 and all((r.status, r.witness) == (Status.FAIL, witness) for r in records)
+
+
+def test_phi21_mono2_is_decided_at_negative_a():
+    """phi21-mono-2 needs a < 0, which the pinned registry grid never gives:
+    on this grid its 120 points give 100 Pass (strict interlacing) and 20
+    Skipped (t1 = 1/4 is below q^2 at q = 3/4), and no Fail."""
+    grid = GridSpec(q_values=[Q, F(3, 4)], n_values=[1, 2, 3, 4, 5], a_values=[F(-2), F(-1, 2)],
+                    b_values=[F(1, 4), Q], t_values=[F(1, 4), F(5, 8), F(9, 10)])
+    records = check_property("phi21-mono-2", grid)
+    assert summarize(records) == {"total": 120, "pass": 100, "fail": 0, "skipped": 20, "error": 0}
+    assert {str(r.witness) for r in records if r.status is Status.PASS} == {"{'relation': 'StrictInterlace'}"}
+    skipped = [r for r in records if r.status is Status.SKIPPED]
+    assert {(r.params["q"], r.params["t1"]) for r in skipped} == {("3/4", "1/4")}
+    assert {r.witness["reason"] for r in skipped} == {"needs q^2 <= t1 < 1 (t1 = 1/4)"}
