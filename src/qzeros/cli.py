@@ -35,7 +35,6 @@ from .roots import DEFAULT_EPS, RootSet, isolate_real_roots
 if TYPE_CHECKING:
     from .verify import _Entry
 
-_FAMILY_NAMES = {f.value: f for f in Family}
 _RATIONAL_OPTIONS = frozenset(
     f"--{name}" for name in ("a", "b", "a2", "b2", "q", "eps", "base", "start", "stop", "values")
 )
@@ -108,11 +107,8 @@ def sci_str(x: Fraction) -> str:
 
 def _family_params(args, suffix: str = "") -> FamilyParams:
     """The family options ending in ``suffix``, with --q, as the text
-    FamilyParams reads."""
-    name = getattr(args, "family" + suffix)
-    fam = _FAMILY_NAMES.get(name)
-    if fam is None:
-        raise QZerosError(f"unknown family {name!r}; choose from {sorted(_FAMILY_NAMES)}")
+    FamilyParams reads (argparse's choices read the family name)."""
+    fam = Family(getattr(args, "family" + suffix))
     return FamilyParams(fam, q=args.q, **{f: getattr(args, f + suffix) for f in ("n", "a", "b", "k")})
 
 
@@ -178,8 +174,12 @@ def _cmd_lmesh(args) -> int:
 
 def _cmd_interlace(args) -> int:
     # the relation is exact at any interval width, so isolate to separation only
-    params = _family_params(args), _family_params(args, suffix="2")
-    rs1, rs2 = (isolate_real_roots(build(p), None) for p in params)
+    first = _family_params(args)
+    try:
+        second = _family_params(args, suffix="2")
+    except InvalidParameterError as exc:  # FamilyParams names the field, so name the polynomial
+        raise InvalidParameterError(f"second polynomial (--family2, --n2, ...): {exc}") from exc
+    rs1, rs2 = (isolate_real_roots(build(p), None) for p in (first, second))
     from . import analysis
 
     report = analysis.interlace(rs1, rs2)
@@ -305,7 +305,8 @@ def _cmd_table1(args) -> int:
 
 
 def _add_family_args(sub, suffix: str = ""):
-    sub.add_argument("--family" + suffix, required=True, help="family name, e.g. little-q-jacobi")
+    sub.add_argument("--family" + suffix, required=True, choices=[f.value for f in Family],
+                     metavar="FAMILY" + suffix, help="family name, e.g. little-q-jacobi")
     sub.add_argument("--n" + suffix, required=True)
     sub.add_argument("--a" + suffix)
     sub.add_argument("--b" + suffix)

@@ -39,10 +39,11 @@ class Family(enum.Enum):
 class FamilyParams:
     """A family tag with its parameters and the computed regime flag.
 
-    Each value is read here, from any form its reader takes (the CLI's text
-    included): n and k by ``bounded_count``, q by ``as_q``, a and b by
-    ``rat``.  A value they refuse, a parameter the family does not take (see
-    ``FAMILIES``), and an E_k whose n is not k are InvalidParameterErrors.
+    Each value is read here into its annotated type, from any form its reader
+    takes (the CLI's text included): n and k by ``bounded_count``, q by
+    ``as_q``, a and b by ``rat``.  A value they refuse, a parameter the
+    family does not take (see ``FAMILIES``), and an E_k whose n is not k are
+    InvalidParameterErrors.
 
     ``orthogonal_regime`` is computed from the parameters, never given.  It
     is True when they satisfy the family's orthogonality hypotheses (little

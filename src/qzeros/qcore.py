@@ -62,7 +62,9 @@ def rat(value: RationalLike) -> Fraction:
         if plain and max(len(plain[2]), len(plain[3] or "")) > MAX_DIGITS:
             raise InvalidParameterError(f"{clip(repr(value))} has a digit run longer than {MAX_DIGITS}")
         exponent = None if plain else _EXPONENT.search(value)
-        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        # bounded by its significant digits, so int() never meets one past its digit limit
+        digits = exponent[1].lstrip("+-").replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
             raise InvalidParameterError(f"exponent of {clip(repr(value))} is outside +-{MAX_EXPONENT}")
         try:
             if not plain:

@@ -100,11 +100,11 @@ def _parse(key: str, value):
     if key in _COUNTS:
         return bounded_count(value, key)
     if isinstance(value, bool):  # JSON true/false, which rat() would read as 1/0
-        raise ConfigError(f"{key}: cannot parse {clip(repr(value))} (a boolean is not a value)")
+        raise ConfigError(f"{key}: {value!r} is a boolean, not a value")
     try:
         parsed = str(value) if key == "checkIds" else rat(value)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"{key}: cannot parse {clip(repr(value))} ({clip(str(exc))})") from exc
+    except InvalidParameterError as exc:  # rat's line names the value
+        raise ConfigError(f"{key}: {exc}") from exc
     if key == "eps" and parsed <= 0:
         raise InvalidParameterError(f"eps must be > 0, got {rat_str(parsed)}")
     return as_q(parsed) if key in ("qValues", "q") else parsed  # a q out of range keeps its own error

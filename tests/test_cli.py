@@ -116,10 +116,14 @@ def test_malformed_rational_exits_2(capsys):
 
 
 def test_unknown_family_exits_2(capsys):
-    code, _, err = run_cli(
-        capsys, "coeffs", "--family", "nonesuch", "--n", "1", "--q", "1/2"
-    )
-    assert code == 2 and "unknown family" in err
+    """argparse's choices read the family name."""
+    for option in ("--family", "--family2"):
+        argv = {"--family": "stieltjes-wigert", "--family2": "stieltjes-wigert", option: "nonesuch"}
+        code, out, err = run_cli(
+            capsys, "interlace", "--n", "1", "--n2", "1", "--q", "1/2", *(x for kv in argv.items() for x in kv)
+        )
+        assert code == 2 and out == "" and err.count("\n") == 1, option
+        assert err.startswith(f"error: argument {option}: invalid choice: 'nonesuch' (choose from "), err
 
 
 def test_malformed_integer_inputs_exit_2(capsys):
@@ -207,13 +211,19 @@ def test_counts_are_read_as_a_config_reads_them(capsys):
 
 
 _SW = ("--family", "stieltjes-wigert", "--q", "1/2")
+_LONG_EXPONENT = "1e" + "1" * 5000  # past int's own digit limit
 _LQJ = ("--family", "little-q-jacobi", "--n", "2", "--q", "1/2", "--b", "1/2")
 
 
 @pytest.mark.parametrize("argv, message", [
     (("coeffs", *_SW, "--n", "abc"), "n must be an integer in 0..1000, got 'abc'"),
     (("interlace", *_SW, "--n", "2", "--family2", "stieltjes-wigert", "--n2", "1001"),
-     "n must be in 0..1000, got 1001"),
+     "second polynomial (--family2, --n2, ...): n must be in 0..1000, got 1001"),
+    (("interlace", *_SW, "--n", "2", "--family2", "stieltjes-wigert", "--n2", "1", "--k2", "1"),
+     "second polynomial (--family2, --n2, ...): stieltjes-wigert does not take parameter k"),
+    (("coeffs", *_SW, "--n", _LONG_EXPONENT), f"n must be an integer in 0..1000, got {repr(_LONG_EXPONENT)[:60]}... (5004 characters)"),
+    (("coeffs", "--family", "stieltjes-wigert", "--n", "2", "--q", _LONG_EXPONENT),
+     f"exponent of {repr(_LONG_EXPONENT)[:60]}... (5004 characters) is outside +-10000"),
     (("coeffs", "--n", "2", "--q", "1/2"), "the following arguments are required: --family"),
     (("nonesuch", "--n", "2"), "argument command: invalid choice: 'nonesuch' (choose from 'coeffs', "),
     (("coeffs", *_SW, "--n", "2", "--zzz", "1"), "unrecognized arguments: --zzz 1"),
@@ -445,11 +455,15 @@ def test_verify_bad_config_exits_2(tmp_path, capsys):
         '{"qValues": ["1/2"], "nValues": [2], "tValues": [true], "checkIds": ["sw-lmesh"]}',
         '{"qValues": ["1/2"], "nValues": [2], "eps": true, "checkIds": ["sw-lmesh"]}',
         '{"qValues": [true], "nValues": [2], "checkIds": ["sw-lmesh"]}',
+        # exponents past int's own digit limit
+        '{"qValues": ["1e%s"], "nValues": [2], "checkIds": ["sw-lmesh"]}' % ("1" * 5000),
+        '{"qValues": ["1/2"], "nValues": ["1e%s"], "checkIds": ["sw-lmesh"]}' % ("1" * 5000),
+        '{"qValues": ["1e%s1"], "nValues": [2], "checkIds": ["sw-lmesh"]}' % ("0" * 5000),
         "[" * 100000 + "]" * 100000,  # nests beyond the parser's recursion limit
     ):
         cfg.write_text(doc)
         code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
-        assert code == 2 and err.startswith("error: ") and "Traceback" not in err, doc
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, doc
 
 
 def test_verify_bad_report_path_exits_2_before_any_check_runs(tmp_path, capsys, monkeypatch):

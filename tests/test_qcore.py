@@ -270,6 +270,18 @@ def test_unreadable_values_raise_invalid_parameter_error_from_every_caller():
         assert str(exc.value).startswith("malformed rational ") and "\n" not in str(exc.value)
 
 
+def test_exponents_past_the_int_from_str_limit_raise_one_error_type():
+    """An exponent longer than int reads from text is refused by its
+    significant digits, never left to int's ValueError: a long one is out of
+    range, and one padded with zeros past the limit is unreadable text."""
+    with pytest.raises(InvalidParameterError, match=r"^exponent of '1e1{57}\.\.\. \(5004 characters\) is outside"):
+        rat("1e" + "1" * 5000)
+    with pytest.raises(InvalidParameterError, match=r"^malformed rational '1e0{57}\.\.\. \(5005 characters\) \(expected p or p/q\)$"):
+        rat("1e" + "0" * 5000 + "1")
+    assert rat("1e-" + "0" * 100 + "3") == F(1, 1000)
+    assert rat("1e+1_0") == 10**10
+
+
 def test_exponent_bound_reads_every_digit_form():
     """An exponent in any digits int reads (here Arabic-Indic) is bounded
     like an ASCII one, since Fraction reads both; it used to build 10^(10^6)."""

@@ -458,10 +458,17 @@ def test_malformed_counts_raise_one_line_errors():
     for n in (-1, 1001):
         with pytest.raises(InvalidParameterError, match=f"^nValues must be in 0..1000, got {n}$"):
             GridSpec(q_values=[Q], n_values=[n])
-    with pytest.raises(ConfigError, match=r"^qValues: cannot parse 'abc' "):
+    with pytest.raises(ConfigError, match=r"^qValues: malformed rational 'abc' \(expected p or p/q\)$"):
         GridSpec(q_values=["abc"], n_values=[1])
-    with pytest.raises(ConfigError, match=r"^aValues: cannot parse 0.5 "):
+    with pytest.raises(ConfigError, match=r"^aValues: malformed rational 0.5 \(expected an int, "):
         GridSpec(q_values=[Q], n_values=[1], a_values=[0.5])
+    with pytest.raises(ConfigError, match=r"^bValues: True is a boolean, not a value$"):
+        GridSpec(q_values=[Q], n_values=[1], b_values=[True])
+    long_exponent = "1e" + "1" * 5000  # past int's own digit limit
+    with pytest.raises(ConfigError, match=r"^qValues: exponent of '1e1{57}\.\.\. \(5004 characters\) is outside"):
+        GridSpec(q_values=[long_exponent], n_values=[1])
+    with pytest.raises(InvalidParameterError, match=r"^nValues must be an integer in 0..1000, got '1e1{57}\.\.\. \(5004 characters\)$"):
+        GridSpec(q_values=[Q], n_values=[long_exponent])
     with pytest.raises(InvalidParameterError, match="^nValues must be in 0..1000, got -1$"):
         run_checks(GridSpec([Q], [-1], [F(1, 3)], [F(1, 3)], check_ids=["thmA-1"]))
     rec = check_identity("contig-1", {**point, "n": "6/3"})
