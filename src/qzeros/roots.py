@@ -305,12 +305,6 @@ def _simplest(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return sign * (p * y + p1), r * y + r1
 
 
-def simplest_rational_between(lo: RationalLike, hi: RationalLike) -> Fraction:
-    """The rational of smallest denominator (then numerator) in [lo, hi]."""
-    lov, hiv = sorted((rat(lo), rat(hi)))
-    return Fraction(*_simplest(lov.numerator, lov.denominator, hiv.numerator, hiv.denominator))
-
-
 def _taylor_shift(a: list[int]) -> list[int]:
     """The coefficients of a(x + 1), by n(n+1)/2 integer additions."""
     a = list(a)

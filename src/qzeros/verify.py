@@ -1,14 +1,21 @@
 """Registry and runner for identity and zero-distribution checks over grids.
 
-Identity checks rebuild both sides of an algebraic relation independently
-from the series definitions and demand exact coefficient equality (tolerance
-zero); limit checks instead require an exactly monotone decreasing deviation
-sequence whose last term is below the grid eps.  Zero-distribution checks
-isolate certified roots and decide interlacing, zero-wise order, root
-regions, lattice separation and logarithmic-mesh bounds via the analysis
-module.  Points outside a check's hypotheses yield SkippedOutOfRegime
-records, never silent passes; every Fail carries a witness.  Grids are
-evaluated in deterministic lexicographic order, so records are reproducible.
+Each check is a regime, a build and the points it runs at.  The regime is
+data: the check's hypotheses, in order, each an interval on one expression
+of the point (such as 0 < aq < 1) or a set of excluded points (such as
+t1*t2 = 1).  A point that fails one gets a SkippedOutOfRegime record naming
+the first it fails, never a silent pass.  At a point inside the regime the
+build returns one claim, and one decider settles every claim:
+
+- an identity's sides, rebuilt independently from the series definitions,
+  must agree coefficient by coefficient (tolerance zero);
+- interlacing, zero-wise order, and zeros in a region with a
+  logarithmic-mesh bound are decided on certified root sets via the
+  analysis module.
+
+The limit, orthogonality and self-test builds decide their own outcome.
+Every Fail carries a witness.  Grids are evaluated in deterministic
+lexicographic order, so records are reproducible.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import threading
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .analysis import (
@@ -156,14 +164,8 @@ def default_t_values(q: RationalLike) -> list[Fraction]:
 # --------------------------------------------------------------------------
 
 
-def _fmt(value) -> object:
-    if isinstance(value, Fraction):
-        return rat_str(value)
-    return value
-
-
 def _params_dict(point: Mapping) -> dict:
-    return {k: _fmt(v) for k, v in point.items()}
+    return {k: rat_str(v) if isinstance(v, Fraction) else v for k, v in point.items()}
 
 
 # The work of one property slice of a run_checks call, its property checks
@@ -194,14 +196,9 @@ def _roots(p: PolyExact) -> RootSet:
     return _once(("roots", p), lambda: isolate_real_roots(p, None))
 
 
-def _root_region(
-    rs: RootSet,
-    lo: Fraction | None,
-    hi: Fraction | None,
-    lo_open: bool = True,
-    hi_open: bool = True,
-) -> tuple[bool, int | None]:
-    """All roots inside the interval; returns (ok, index of first offender)."""
+def _root_region(rs: RootSet, lo, hi, lo_open=True, hi_open=True) -> tuple[bool, int | None]:
+    """All roots inside the interval, a None end unbounded; returns (ok,
+    index of first offender)."""
     for idx, e in enumerate(rs.roots):
         if lo is not None:
             c = compare_root_to_point(e, lo)
@@ -254,29 +251,206 @@ def _compare_sides(comparisons: list[tuple[str, PolyExact, PolyExact]]) -> tuple
     for label, lhs, rhs in comparisons:
         if lhs != rhs:
             index = next(i for i, c in enumerate((lhs - rhs).num) if c)
-            return Status.FAIL, {
-                "comparison": label,
-                "coeff_index": index,
-                "lhs": rat_str(lhs.coeff(index)),
-                "rhs": rat_str(rhs.coeff(index)),
-            }
+            return Status.FAIL, {"comparison": label, "coeff_index": index,
+                                 "lhs": rat_str(lhs.coeff(index)), "rhs": rat_str(rhs.coeff(index))}
     return Status.PASS, None
 
 
+class _Sides(NamedTuple):
+    """An identity's claim: in each (label, lhs, rhs) comparison the sides
+    are equal; ``witness`` is a Pass's witness."""
+
+    comparisons: list[tuple[str, PolyExact, PolyExact]]
+    witness: dict | None = None
+
+
+class _Interlace(NamedTuple):
+    """p is strictly interlaced by r, or at least weakly with ``weak_ok``."""
+
+    p: PolyExact
+    r: PolyExact
+    weak_ok: bool = False
+
+
+class _Order(NamedTuple):
+    """Each zero of ``first`` lies at or below the same-index zero of ``second``."""
+
+    first: PolyExact
+    second: PolyExact
+
+
+class _ZerosIn(NamedTuple):
+    """Every zero of p is real and lies in ``region``, with lmesh strictly
+    below ``base`` (at most ``base`` unless ``strict``).  With ``simple`` no
+    zero repeats; with ``lattice`` each open cell (base^k, base^(k-1)) holds
+    at most one zero.  The labels name the region and the base in a Fail's
+    reason; ``note`` is a Pass's witness."""
+
+    p: PolyExact
+    base: Fraction
+    strict: bool
+    region: tuple  # (lo, hi, lo_open, hi_open), a None end unbounded
+    simple: bool = False
+    lattice: bool = False
+    region_label: str = "stated region"
+    base_label: str | None = None
+    note: str | None = None
+
+
+def _decide(claim) -> tuple[Status, dict | None]:
+    """The status of one claim and its witness, which every Fail has.  An
+    outcome (status, witness) that a limit, orthogonality or self-test build
+    decided itself is returned as it is."""
+    if isinstance(claim, _Sides):
+        status, witness = _compare_sides(claim.comparisons)
+        return status, claim.witness if status is Status.PASS else witness
+    if isinstance(claim, _Interlace):
+        report = interlace(_roots(claim.p), _roots(claim.r))
+        witness = {"relation": report.relation.value}
+        weak = claim.weak_ok and report.relation is Relation.WEAK_INTERLACE
+        if report.relation is Relation.STRICT_INTERLACE or weak:
+            return Status.PASS, witness
+        return Status.FAIL, {**witness, "chain_position": report.witness}
+    if isinstance(claim, _Order):
+        report = zerowise_compare(_roots(claim.first), _roots(claim.second))
+        witness = {"any_strict_movement": report.any_strict}
+        if report.holds:
+            return Status.PASS, witness
+        return Status.FAIL, {**witness, "zero_index": report.witness}
+    if not isinstance(claim, _ZerosIn):
+        return claim  # an outcome the build decided itself
+    rs = _roots(claim.p)
+    if not rs.certified_real_rooted:
+        return Status.FAIL, {"reason": "not certified real-rooted", "found": rs.total_count}
+    if claim.simple and any(e.multiplicity > 1 for e in rs.roots):
+        return Status.FAIL, {"reason": "multiple zero found"}
+    ok, idx = _root_region(rs, *claim.region)
+    if not ok:
+        return Status.FAIL, {"reason": f"zero outside {claim.region_label}", "zero_index": idx}
+    detail = None
+    if claim.lattice:
+        ok, detail = _lattice_separated(rs, claim.base)
+        if not ok:
+            return Status.FAIL, {"reason": "lattice cell with two zeros", **detail}
+    if not in_lmesh_class(rs, claim.base, strict=claim.strict):
+        kind = "strictly below" if claim.strict else "at most"
+        return Status.FAIL, {"reason": f"lmesh not {kind} {claim.base_label or rat_str(claim.base)}"}
+    if claim.note:
+        return Status.PASS, {"note": claim.note}
+    return Status.PASS, {"lattice": detail} if detail else None
+
+
+# --------------------------------------------------------------------------
+# regimes: a check's hypotheses as data
+# --------------------------------------------------------------------------
+
+
 class _Skip(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(reason)
+    """A point outside a check's hypotheses; the message is the reason."""
+
+
+class _In(NamedTuple):
+    """The hypothesis lo < x < hi on one expression x of the point.  An end
+    is a number, a function of the point or None (no end), and <= where
+    ``ends`` closes it, in interval notation: "[)" is lo <= x < hi.  The
+    Skip reason shows x's value under the name ``shown``."""
+
+    statement: str  # as README's zero-distribution table writes it
+    reason: str
+    x: Callable  # point -> value
+    lo: object = None
+    hi: object = None
+    ends: str = "()"
+    shown: str | None = None
+
+    def failure(self, point: dict) -> str | None:
+        """The Skip reason when the point fails this hypothesis, else None."""
+        x = self.x(point)
+        lo = self.lo(point) if callable(self.lo) else self.lo
+        hi = self.hi(point) if callable(self.hi) else self.hi
+        if (lo is None or lo < x or (self.ends[0] == "[" and lo == x)) and (
+            hi is None or x < hi or (self.ends[1] == "]" and x == hi)
+        ):
+            return None
+        return self.reason if self.shown is None else f"{self.reason} ({self.shown} = {rat_str(x)})"
+
+
+class _Out(NamedTuple):
+    """The hypothesis that the point lies off a set of excluded points;
+    ``hits`` tells whether it lies on it."""
+
+    statement: str
+    reason: str
+    hits: Callable  # point -> bool
+
+    def failure(self, point: dict) -> str | None:
+        """The Skip reason when the point is excluded, else None."""
+        return self.reason if self.hits(point) else None
+
+
+def _admit(regime: tuple, point: dict) -> None:
+    """Raise a skip with the reason of the first hypothesis of ``regime``,
+    in its order, that the point fails."""
+    for hypothesis in regime:
+        reason = hypothesis.failure(point)
+        if reason is not None:
+            raise _Skip(reason)
+
+
+def _q_squared(point: dict) -> Fraction:
+    return point["q"] * point["q"]
+
+
+def _t_window(key: str, name: str) -> _In:
+    """q^2 <= t <= 1 on t1 or t2, whose reason names the value t."""
+    return _In(f"q²≤{name}≤1", "needs q^2 <= t <= 1", itemgetter(key), _q_squared, 1, "[]", "t")
+
+
+def _negative(key: str) -> _In:
+    return _In(f"{key}<0", f"needs {key} < 0", itemgetter(key), hi=0, shown=key)
+
+
+def _unit(key: str) -> _In:
+    return _In(f"0<{key}<1", f"needs 0 < {key} < 1", itemgetter(key), 0, 1, shown=key)
+
+
+def _nonzero(key: str) -> _Out:
+    return _Out(f"{key}≠0", f"needs {key} != 0", lambda p: p[key] == 0)
+
+
+def _both(statement: str, reason: str, **bounds) -> tuple[_In, _In]:
+    """One interval on value·q at the lower and at the upper value of a
+    pair, under one reason that shows no value."""
+    return tuple(_In(statement, reason, lambda p, key=key: p[key] * p["q"], **bounds) for key in ("lo", "hi"))
+
+
+_AQ = _In("0<aq<1", "needs 0 < aq < 1", lambda p: p["a"] * p["q"], 0, 1, shown="aq")
+_BQ = _In("bq<1", "needs bq < 1", lambda p: p["b"] * p["q"], hi=1, shown="bq")
+_JACOBI = (_AQ, _BQ)
+_N_POSITIVE = _In("n≥1", "needs n >= 1", itemgetter("n"), 1, None, "[)")
+_K_WINDOW = _In("1≤k≤n", "needs 1 <= k <= n", itemgetter("k"), 1, itemgetter("n"), "[]")
+_B_REGULAR = _Out("b≠q⁻ᵐ", "b = q^-m excluded", lambda p: neg_q_power(p["b"], p["q"]) is not None)
+_CONTIGUOUS = (_N_POSITIVE, _B_REGULAR)
+_B_POCHHAMMER = _Out("(b;q)ₙ≠0", "(b;q)_n vanishes", lambda p: qpoch_finite(p["b"], p["q"], p["n"]) == 0)
+_T1_HALF_OPEN = _In("q²≤t₁<1", "needs q^2 <= t1 < 1", itemgetter("t1"), _q_squared, 1, "[)", "t1")
+_T_OPEN = _In("q²<t<1", "needs q^2 < t < 1", itemgetter("t"), _q_squared, 1, shown="t")
+_T_PAIR = (
+    _t_window("t1", "t₁"),
+    _t_window("t2", "t₂"),
+    _Out("t₁t₂≠1", "needs t1*t2 != 1", lambda p: p["t1"] * p["t2"] == 1),
+)
 
 
 @dataclass(frozen=True)
 class _Check:
-    """A registry entry: the function it runs and the grid points it runs at,
-    by default the grid axes the function takes (see :func:`_axis_points`),
-    with k = 1..n when it takes k (see :func:`_k_points`)."""
+    """A registry entry: its build, the grid points it runs at and its
+    regime.  The points are by default the grid axes the build takes (see
+    :func:`_axis_points`), with k = 1..n when it takes k (see
+    :func:`_k_points`)."""
 
-    fn: Callable  # (**point) -> (Status, witness | None); raises _Skip off-regime
+    fn: Callable  # the build: (**point) -> claim for _decide
     points: Callable | None = None  # GridSpec -> list[dict]
+    regime: tuple = ()  # the hypotheses, _In and _Out, in the order they are tested
 
     def __post_init__(self):
         if self.points is None:
@@ -285,12 +459,13 @@ class _Check:
 
 
 def _record(check_id: str, check: _Check, point: dict) -> VerificationRecord:
-    """One check at one point: a point outside the check's hypotheses gives a
+    """One check at one point: a point outside the check's regime gives a
     Skipped record, a library error an Error record."""
     try:
-        status, witness = check.fn(**point)
+        _admit(check.regime, point)
+        status, witness = _decide(check.fn(**point))
     except _Skip as skip:
-        status, witness = Status.SKIPPED, {"reason": skip.reason}
+        status, witness = Status.SKIPPED, {"reason": str(skip)}
     except QZerosError as exc:
         status, witness = Status.ERROR, {"error": type(exc).__name__, "detail": str(exc)}
     return VerificationRecord(check_id, _params_dict(point), status, witness)
@@ -301,16 +476,8 @@ def _axis_points(fn: Callable, leave_out: str | None = None) -> Callable:
     axes = [x for x in inspect.signature(fn).parameters if x != leave_out]
 
     def build(grid: GridSpec) -> list[dict]:
-        pools = {
-            "q": grid.q_values,
-            "n": grid.n_values,
-            "a": grid.a_values,
-            "b": grid.b_values,
-            "t": grid.t_values,
-            "t1": grid.t_values,
-            "t2": grid.t_values,
-            "eps": [grid.eps],
-        }
+        pools = {"q": grid.q_values, "n": grid.n_values, "a": grid.a_values, "b": grid.b_values,
+                 "t": grid.t_values, "t1": grid.t_values, "t2": grid.t_values, "eps": [grid.eps]}
         return [dict(zip(axes, combo)) for combo in itertools.product(*(pools[x] for x in axes))]
 
     return build
@@ -321,59 +488,6 @@ def _k_points(fn: Callable) -> Callable:
     k = 1..n."""
     axis_points = _axis_points(fn, leave_out="k")
     return lambda grid: [{**pt, "k": k} for pt in axis_points(grid) for k in range(1, pt["n"] + 1)]
-
-
-# --------------------------------------------------------------------------
-# regime guards
-# --------------------------------------------------------------------------
-
-
-def _need(cond: bool, reason: str, name: str | None = None, value: Fraction | None = None) -> None:
-    """Skip the point unless ``cond``; the reason names ``name = value`` if given."""
-    if not cond:
-        raise _Skip(reason if name is None else f"{reason} ({name} = {rat_str(value)})")
-
-
-def _aq_regime(q, a) -> None:
-    _need(0 < a * q < 1, "needs 0 < aq < 1", "aq", a * q)
-
-
-def _bq_regime(q, b) -> None:
-    _need(b * q < 1, "needs bq < 1", "bq", b * q)
-
-
-def _jacobi_regime(q, a, b) -> None:
-    _aq_regime(q, a)
-    _bq_regime(q, b)
-
-
-def _negative(name: str, value) -> None:
-    _need(value < 0, f"needs {name} < 0", name, value)
-
-
-def _unit(name: str, value) -> None:
-    _need(0 < value < 1, f"needs 0 < {name} < 1", name, value)
-
-
-def _t_window(q, t) -> None:
-    _need(q * q <= t <= 1, "needs q^2 <= t <= 1", "t", t)
-
-
-def _t1_window(q, t1) -> None:
-    _need(q * q <= t1 < 1, "needs q^2 <= t1 < 1", "t1", t1)
-
-
-def _t_open(q, t) -> None:
-    _need(q * q < t < 1, "needs q^2 < t < 1", "t", t)
-
-
-def _b_regular(q, b) -> None:
-    _need(neg_q_power(b, q) is None, "b = q^-m excluded")
-
-
-def _contiguous(q, n, b) -> None:
-    _need(n >= 1, "needs n >= 1")
-    _b_regular(q, b)
 
 
 # --------------------------------------------------------------------------
@@ -389,58 +503,52 @@ def _jac(n: int, a: Fraction, b: Fraction, q: Fraction) -> PolyExact:
 
 
 def _identity_contig1(q, n, a, b):
-    _contiguous(q, n, b)
     lhs = -_jac(n, a, q * q * b, q)
     const = (
         a * (1 - q**n) * (1 - a * b * q ** (n + 3))
         / (q ** (n - 2) * (1 - a * q) * (1 - a * q**2))
     )
     rhs = const * (PolyExact.x() * _jac(n - 1, q**2 * a, q**2 * b, q)) - _jac(n, q * a, q * b, q)
-    return [("contig-1", lhs, rhs)], None
+    return _Sides([("contig-1", lhs, rhs)])
 
 
 def _identity_contig2(q, n, a, b):
-    _contiguous(q, n, b)
     lhs = (1 - a * q) * (1 + b * q**n * (a * q ** (n + 1) - a * q - 1)) * _jac(n, a, b, q)
     rhs = (1 - b * q**n) * (1 - a * q ** (n + 1)) * _jac(n, q * a, b / q, q) + (
         a * q * (1 - q**n) * (1 - a * b * q ** (n + 1))
     ) * (PolyExact((-1, b * q)) * _jac(n - 1, q * a, q * b, q))
-    return [("contig-2", lhs, rhs)], None
+    return _Sides([("contig-2", lhs, rhs)])
 
 
 def _identity_contig3(q, n, a, b):
-    _contiguous(q, n, b)
     lhs = q**n * (1 - a * b * q**n) * _jac(n, a, b, q)
     rhs = (1 - a * b * q ** (2 * n)) * _jac(n, a, b / q, q).scale_arg(q) - (1 - q**n) * _jac(
         n - 1, a, b, q
     )
-    return [("contig-3", lhs, rhs)], None
+    return _Sides([("contig-3", lhs, rhs)])
 
 
 def _identity_contig4(q, n, a, b):
-    _b_regular(q, b)
     lhs = b * q ** (n + 1) * (1 - a * q ** (n + 1)) * _jac(n + 1, a, b, q)
     rhs = (1 - a * b * q ** (2 * n + 2)) * (PolyExact((1, -q * b)) * _jac(n, a, q * b, q)) - (
         1 - b * q ** (n + 1)
     ) * _jac(n, a, b, q)
-    return [("contig-4", lhs, rhs)], None
+    return _Sides([("contig-4", lhs, rhs)])
 
 
 def _identity_contig3_shifted(q, n, a, b):
-    _contiguous(q, n, b)
     lhs = (1 - a * b * q ** (2 * n + 1)) * _jac(n, a, b, q).scale_arg(q)
     rhs = (1 - q**n) * _jac(n - 1, a, q * b, q) + q**n * (1 - a * b * q ** (n + 1)) * _jac(
         n, a, q * b, q
     )
-    return [("contig-3-shifted", lhs, rhs)], None
+    return _Sides([("contig-3-shifted", lhs, rhs)])
 
 
 def _identity_qderiv_jacobi(q, n, a, b):
-    _need(n >= 1, "needs n >= 1")
     lhs = q_derivative(_jac(n, a, b, q), q)
     const = q * (1 - q ** (-n)) * (1 - a * b * q ** (n + 1)) / ((1 - q) * (1 - a * q))
     rhs = const * _jac(n - 1, q * a, q * b, q)
-    return [("qderiv-jacobi", lhs, rhs)], {"constant": rat_str(const)}
+    return _Sides([("qderiv-jacobi", lhs, rhs)], {"constant": rat_str(const)})
 
 
 def _phi(n, upper, lower, q) -> PolyExact:
@@ -451,7 +559,6 @@ def _phi(n, upper, lower, q) -> PolyExact:
 
 
 def _identity_qderiv_hyper(q, n, a, b):
-    _need(n >= 1, "needs n >= 1")
     shapes = [("2phi1", (a,), (b,)), ("1phi1", (), (b,)), ("2phi0", (a,), ())]
     comparisons = []
     constants = {}
@@ -466,21 +573,17 @@ def _identity_qderiv_hyper(q, n, a, b):
             const /= 1 - l
         comparisons.append((label, q_derivative(p, q), const * shifted.scale_arg(q**d)))
         constants[label] = rat_str(const)
-    return comparisons, {"constants": constants}
+    return _Sides(comparisons, {"constants": constants})
 
 
 def _identity_recip1(q, n, b):
-    _need(b != 0, "needs b != 0")
-    _need(qpoch_finite(b, q, n) != 0, "(b;q)_n vanishes")
     lhs = _phi(n, (), (b,), q)
     inner = _phi(n, (q ** (1 - n) / b,), (Fraction(0),), q).scale_arg(b * q ** (n + 1))
     rhs = (1 / (qpoch_finite(b, q, n) * q**n)) * inner.reversed_to(n)
-    return [("recip-1", lhs, rhs)], None
+    return _Sides([("recip-1", lhs, rhs)])
 
 
 def _identity_recip2(q, n, a, b):
-    _need(a != 0 and b != 0, "needs a, b != 0")
-    _need(qpoch_finite(b, q, n) != 0, "(b;q)_n vanishes")
     lhs = _phi(n, (a,), (b,), q)
     inner = _phi(n, (q ** (1 - n) / b,), (q ** (1 - n) / a,), q).scale_arg(
         b * q ** (n + 1) / a
@@ -492,46 +595,42 @@ def _identity_recip2(q, n, a, b):
         * Fraction(-1) ** n
     )
     rhs = const * inner.reversed_to(n)
-    return [("recip-2", lhs, rhs)], None
+    return _Sides([("recip-2", lhs, rhs)])
 
 
 def _identity_recip3(q, n, a):
-    _need(a != 0, "needs a != 0")
     lhs = _phi(n, (a,), (), q)
     inner = _phi(n, (Fraction(0),), (q ** (1 - n) / a,), q).scale_arg(q ** (n + 1) / a)
     const = qpoch_finite(a, q, n) * q ** (-n * n)
     rhs = const * inner.reversed_to(n)
-    return [("recip-3", lhs, rhs)], {
+    return _Sides([("recip-3", lhs, rhs)], {
         "note": "constant corrected by q^(-n(n-1)) relative to the usual citation"
-    }
+    })
 
 
 def _identity_factor_bneg(q, n, a, k):
-    _need(1 <= k <= n, "needs 1 <= k <= n")
     lhs = _jac(n, a, q ** (-k), q)
     rhs = e_factor(k, q).scale_arg(q) * _jac(n - k, a, q**k, q).scale_arg(q ** (-k))
-    return [("factor-bneg", lhs, rhs)], None
+    return _Sides([("factor-bneg", lhs, rhs)])
 
 
 def _identity_factor_anorm(q, n, b, k):
-    _need(1 <= k <= n, "needs 1 <= k <= n")
     lhs = normalized_little_q_jacobi(n, k, b, q)
     const = normalization_constant(n, k, b, q)
     rhs = (const * q**k) * _jac(n - k, q**k, b, q).shift_up(k)
-    return [("factor-anorm", lhs, rhs)], {"constant": rat_str(const)}
+    return _Sides([("factor-anorm", lhs, rhs)], {"constant": rat_str(const)})
 
 
 def _identity_qdiff_bessel(q, n, b):
-    _need(b != 0, "needs b != 0")
     B = q_bessel(n, b, q)
     combo = (
         PolyExact((1, -(q ** (-n) + b * q**n))) * B.scale_arg(q)
         + b * (PolyExact.x() * B.scale_arg(q * q))
         - PolyExact((1, -1)) * B
     )
-    return [("qdiff-bessel", combo, PolyExact.zero())], {
+    return _Sides([("qdiff-bessel", combo, PolyExact.zero())], {
         "form": "(1-(q^-n+bq^n)x) B(qx) + bx B(q^2 x) - (1-x) B(x) = 0"
-    }
+    })
 
 
 def _deviation_profile(pairs: list[tuple[PolyExact, PolyExact]]) -> list[Fraction]:
@@ -552,17 +651,11 @@ def _deviation_profile(pairs: list[tuple[PolyExact, PolyExact]]) -> list[Fractio
 def _limit_record(devs: list[Fraction], eps: Fraction) -> tuple[Status, dict]:
     monotone = all(devs[i + 1] < devs[i] for i in range(len(devs) - 1))
     final = devs[-1]
-    witness = {
-        "monotone_decreasing": monotone,
-        "final_deviation": f"{float(final):.3e}",
-        "eps": rat_str(eps),
-    }
-    status = Status.PASS if monotone and final < eps else Status.FAIL
-    return status, witness
+    witness = {"monotone_decreasing": monotone, "final_deviation": f"{float(final):.3e}", "eps": rat_str(eps)}
+    return Status.PASS if monotone and final < eps else Status.FAIL, witness
 
 
 def _identity_bessel_limit(q, n, b, eps=_GRID_EPS):
-    _need(n >= 1, "needs n >= 1")  # at n = 0 every deviation is 0, none decreasing
     target = q_bessel(n, b, q).scale_arg(q)
     pairs = []
     for m in _LIMIT_EXPONENTS:
@@ -572,27 +665,12 @@ def _identity_bessel_limit(q, n, b, eps=_GRID_EPS):
 
 
 def _identity_sw_limit(q, n, eps=_GRID_EPS):
-    _need(n >= 1, "needs n >= 1")
     target = stieltjes_wigert(n, q)
     pairs = []
     for m in _LIMIT_EXPONENTS:
         b = q**m
         pairs.append((q_laguerre(n, b, q).scale_arg(q / b), target))
     return _limit_record(_deviation_profile(pairs), eps)
-
-
-def _exact(sides: Callable) -> _Check:
-    """An identity check: ``sides`` builds (label, lhs, rhs) comparisons and
-    a witness for a Pass; every comparison must hold coefficient by
-    coefficient."""
-
-    @functools.wraps(sides)  # so the points and check_identity read the keys sides takes
-    def fn(**point):
-        comparisons, extra = sides(**point)
-        status, witness = _compare_sides(comparisons)
-        return status, extra if status is Status.PASS else witness
-
-    return _Check(fn)
 
 
 SELFTEST_ID = "harness-selftest"
@@ -606,14 +684,15 @@ def _selftest(
     """Add x^i to the first right-hand side of a known-true identity,
     contig-4, at (q, n, a, b), and expect a Fail whose witness names exactly
     index i.  A key not given takes its value at the default point."""
+    contig4 = IDENTITY_CHECKS["contig-4"]
 
-    @functools.wraps(_identity_contig4)
     def corrupted(**pt):
-        ((label, lhs, rhs), *rest), extra = _identity_contig4(**pt)
+        sides = contig4.fn(**pt)
+        (label, lhs, rhs), *rest = sides.comparisons
         bump = PolyExact([Fraction(0)] * coeff_index + [Fraction(1)])
-        return [(label, lhs, rhs + bump), *rest], extra
+        return sides._replace(comparisons=[(label, lhs, rhs + bump), *rest])
 
-    inner = _record("contig-4", _exact(corrupted), {"q": q, "n": n, "a": a, "b": b})
+    inner = _record("contig-4", replace(contig4, fn=corrupted), {"q": q, "n": n, "a": a, "b": b})
     ok = inner.status is Status.FAIL and inner.witness["coeff_index"] == coeff_index
     return Status.PASS if ok else Status.FAIL, {
         "corrupted_index": coeff_index,
@@ -623,21 +702,24 @@ def _selftest(
 
 
 IDENTITY_CHECKS: dict[str, _Check] = {
-    "contig-1": _exact(_identity_contig1),
-    "contig-2": _exact(_identity_contig2),
-    "contig-3": _exact(_identity_contig3),
-    "contig-4": _exact(_identity_contig4),
-    "contig-3-shifted": _exact(_identity_contig3_shifted),
-    "qderiv-jacobi": _exact(_identity_qderiv_jacobi),
-    "qderiv-hyper": _exact(_identity_qderiv_hyper),
-    "recip-1": _exact(_identity_recip1),
-    "recip-2": _exact(_identity_recip2),
-    "recip-3": _exact(_identity_recip3),
-    "factor-bneg": _exact(_identity_factor_bneg),
-    "factor-anorm": _exact(_identity_factor_anorm),
-    "qdiff-bessel": _exact(_identity_qdiff_bessel),
-    "bessel-limit": _Check(_identity_bessel_limit),
-    "sw-limit": _Check(_identity_sw_limit),
+    "contig-1": _Check(_identity_contig1, regime=_CONTIGUOUS),
+    "contig-2": _Check(_identity_contig2, regime=_CONTIGUOUS),
+    "contig-3": _Check(_identity_contig3, regime=_CONTIGUOUS),
+    "contig-4": _Check(_identity_contig4, regime=(_B_REGULAR,)),
+    "contig-3-shifted": _Check(_identity_contig3_shifted, regime=_CONTIGUOUS),
+    "qderiv-jacobi": _Check(_identity_qderiv_jacobi, regime=(_N_POSITIVE,)),
+    "qderiv-hyper": _Check(_identity_qderiv_hyper, regime=(_N_POSITIVE,)),
+    "recip-1": _Check(_identity_recip1, regime=(_nonzero("b"), _B_POCHHAMMER)),
+    "recip-2": _Check(_identity_recip2, regime=(
+        _Out("a,b≠0", "needs a, b != 0", lambda p: p["a"] == 0 or p["b"] == 0), _B_POCHHAMMER,
+    )),
+    "recip-3": _Check(_identity_recip3, regime=(_nonzero("a"),)),
+    "factor-bneg": _Check(_identity_factor_bneg, regime=(_K_WINDOW,)),
+    "factor-anorm": _Check(_identity_factor_anorm, regime=(_K_WINDOW,)),
+    "qdiff-bessel": _Check(_identity_qdiff_bessel, regime=(_nonzero("b"),)),
+    # at n = 0 every deviation is 0, none decreasing
+    "bessel-limit": _Check(_identity_bessel_limit, regime=(_N_POSITIVE,)),
+    "sw-limit": _Check(_identity_sw_limit, regime=(_N_POSITIVE,)),
     SELFTEST_ID: _Check(_selftest, lambda grid: [dict(_SELFTEST_POINT)]),
 }
 
@@ -667,187 +749,86 @@ def check_identity(check_id: str, params: Mapping[str, object]) -> VerificationR
 # --------------------------------------------------------------------------
 
 
-def _interlaces(pair: tuple[PolyExact, PolyExact], weak_ok: bool = False) -> tuple[Status, dict]:
-    """Pass when the first polynomial is strictly interlaced by the second
-    (or weakly, with ``weak_ok``); the witness names the relation observed."""
-    report = interlace(_roots(pair[0]), _roots(pair[1]))
-    witness = {"relation": report.relation.value}
-    if report.relation is Relation.STRICT_INTERLACE or (
-        weak_ok and report.relation is Relation.WEAK_INTERLACE
-    ):
-        return Status.PASS, witness
-    witness["chain_position"] = report.witness
-    return Status.FAIL, witness
-
-
-def _interlacing(pair: Callable, weak_ok: bool = False) -> _Check:
-    """An interlacing check: ``pair`` tests its regime and builds (p, r); the
-    check takes the keys ``pair`` takes."""
-    return _Check(functools.wraps(pair)(lambda **point: _interlaces(pair(**point), weak_ok)))
-
-
 def _thmA_1(q, n, a, b):
-    _jacobi_regime(q, a, b)
-    return _jac(n + 1, a, b, q), _jac(n, a, q * b, q)
+    return _Interlace(_jac(n + 1, a, b, q), _jac(n, a, q * b, q))
 
 
 def _thmA_2(q, n, a, b):
-    _jacobi_regime(q, a, b)
-    return _jac(n + 1, a, b, q), _jac(n, a, q * q * b, q)
+    return _Interlace(_jac(n + 1, a, b, q), _jac(n, a, q * q * b, q))
 
 
 def _thmA_3(q, n, a, b):
-    _jacobi_regime(q, a, b)
-    return _jac(n, a, q * q * b, q), _jac(n, q * a, q * b, q)
+    return _Interlace(_jac(n, a, q * q * b, q), _jac(n, q * a, q * b, q))
 
 
-def _thm1_monotone(q, n, lo, hi, a=None, b=None):
-    """Zero-wise order of p_n at the ordered pair lo < hi of a (when the point
-    has no a) or of b."""
-    if a is None:
-        _need(0 < lo * q < 1 and 0 < hi * q < 1, "both a values need 0 < aq < 1")
-        _bq_regime(q, b)
-        # zeros decrease with a: larger a sits zero-wise below smaller a
-        first, second = _jac(n, hi, b, q), _jac(n, lo, b, q)
-    else:
-        _aq_regime(q, a)
-        _need(lo * q < 1 and hi * q < 1, "both b values need bq < 1")
-        # zeros increase with b
-        first, second = _jac(n, a, lo, q), _jac(n, a, hi, q)
-    rep = zerowise_compare(_roots(first), _roots(second))
-    witness = {"any_strict_movement": rep.any_strict}
-    if rep.holds:
-        return Status.PASS, witness
-    witness["zero_index"] = rep.witness
-    return Status.FAIL, witness
+def _thm1_monotone_a(q, n, b, lo, hi):
+    # zeros decrease with a: larger a sits zero-wise below smaller a
+    return _Order(_jac(n, hi, b, q), _jac(n, lo, b, q))
 
 
-def _prop_thm2_lmesh(q, n, a, b):
-    _jacobi_regime(q, a, b)
-    rs = _roots(_jac(n, a, b, q))
-    if not rs.certified_real_rooted:
-        return Status.FAIL, {"reason": "not certified real-rooted", "found": rs.total_count}
-    if any(e.multiplicity > 1 for e in rs.roots):
-        return Status.FAIL, {"reason": "multiple zero found"}
-    ok, idx = _root_region(rs, Fraction(0), Fraction(1))
-    if not ok:
-        return Status.FAIL, {"reason": "zero outside (0,1)", "zero_index": idx}
-    ok, detail = _lattice_separated(rs, q)
-    if not ok:
-        return Status.FAIL, {"reason": "lattice cell with two zeros", **(detail or {})}
-    if not in_lmesh_class(rs, q, strict=True):
-        return Status.FAIL, {"reason": "lmesh not strictly below q"}
-    witness = {"lattice": detail} if detail else None
-    return Status.PASS, witness
+def _thm1_monotone_b(q, n, a, lo, hi):
+    # zeros increase with b
+    return _Order(_jac(n, a, lo, q), _jac(n, a, hi, q))
+
+
+def _thm2_lmesh(q, n, a, b):
+    return _ZerosIn(_jac(n, a, b, q), q, True, (Fraction(0), Fraction(1), True, True),
+                    simple=True, lattice=True, region_label="(0,1)", base_label="q")
 
 
 def _thm2_i(q, n, a, b):
-    _need(n >= 1, "needs n >= 1")
-    _jacobi_regime(q, a, b)
-    return _jac(n, a, b, q), _jac(n - 1, q * a, q * b, q)
+    return _Interlace(_jac(n, a, b, q), _jac(n - 1, q * a, q * b, q))
 
 
 def _thm2_ii(q, n, a, b):
-    _jacobi_regime(q, a, b)
-    return _jac(n, a, q * q * b, q), _jac(n, q * q * a, b, q)
+    return _Interlace(_jac(n, a, q * q * b, q), _jac(n, q * q * a, b, q))
 
 
 def _thm2_iii(q, n, a, b):
-    _negative("b", b)
-    _aq_regime(q, a)
-    return _jac(n, a, b, q), _jac(n, a, q * q * b, q)
+    return _Interlace(_jac(n, a, b, q), _jac(n, a, q * q * b, q))
 
 
 def _cor_i(q, n, a, b, t1, t2):
-    _aq_regime(q, a)
-    _need(0 <= b * q < 1, "needs 0 <= qb < 1", "qb", q * b)
-    _t_window(q, t1)
-    _t_window(q, t2)
-    _need(t1 * t2 != 1, "needs t1*t2 != 1")
-    _need(not (b == 0 and t2 == 1), "degenerate point: both sides identical (b=0, t2=1)")
-    return _jac(n, a, t1 * b, q), _jac(n, t2 * a, b, q)
+    return _Interlace(_jac(n, a, t1 * b, q), _jac(n, t2 * a, b, q))
 
 
 def _cor_ii(q, n, a, b, t1):
-    _aq_regime(q, a)
-    _negative("b", b)
-    _t1_window(q, t1)
-    return _jac(n, a, b, q), _jac(n, a, t1 * b, q)
+    return _Interlace(_jac(n, a, b, q), _jac(n, a, t1 * b, q))
 
 
-def _in_class_outcome(
-    p: PolyExact,
-    base: Fraction,
-    strict: bool,
-    region: tuple[Fraction | None, Fraction | None],
-    region_open: tuple[bool, bool] = (True, True),
-) -> tuple[Status, dict | None]:
-    rs = _roots(p)
-    if not rs.certified_real_rooted:
-        return Status.FAIL, {"reason": "not certified real-rooted", "found": rs.total_count}
-    ok, idx = _root_region(rs, region[0], region[1], region_open[0], region_open[1])
-    if not ok:
-        return Status.FAIL, {"reason": "zero outside stated region", "zero_index": idx}
-    if not in_lmesh_class(rs, base, strict=strict):
-        kind = "strictly below" if strict else "at most"
-        return Status.FAIL, {"reason": f"lmesh not {kind} {rat_str(base)}"}
-    return Status.PASS, None
-
-
-def _prop_bessel_lmesh(q, n, b):
-    _negative("b", b)
-    return _in_class_outcome(q_bessel(n, b, q), q, True, (Fraction(0), Fraction(1)))
+def _bessel_lmesh(q, n, b):
+    return _ZerosIn(q_bessel(n, b, q), q, True, (Fraction(0), Fraction(1), True, True))
 
 
 def _bessel_pair(q, n, b, t):
-    _negative("b", b)
-    _t_open(q, t)
-    return q_bessel(n, b, q), q_bessel(n, t * b, q)
+    return _Interlace(q_bessel(n, b, q), q_bessel(n, t * b, q), weak_ok=True)
 
 
-def _prop_qlag_lmesh(q, n, b):
-    _unit("b", b)
-    return _in_class_outcome(q_laguerre(n, b, q), q * q, True, (Fraction(0), None))
+def _qlag_lmesh(q, n, b):
+    return _ZerosIn(q_laguerre(n, b, q), q * q, True, (Fraction(0), None, True, True))
 
 
 def _qlag_pair(q, n, b, t):
-    _unit("b", b)
-    _t_open(q, t)
-    return q_laguerre(n, b, q), q_laguerre(n, t * b, q)
+    return _Interlace(q_laguerre(n, b, q), q_laguerre(n, t * b, q))
 
 
-def _prop_sw_lmesh(q, n):
-    return _in_class_outcome(stieltjes_wigert(n, q), q * q, False, (Fraction(0), None))
+def _sw_lmesh(q, n):
+    return _ZerosIn(stieltjes_wigert(n, q), q * q, False, (Fraction(0), None, True, True))
 
 
 def _phi21_mono1(q, n, a, b, t1, t2):
-    _unit("b", b)
-    _need(0 <= a < b * q ** (n - 1), "needs 0 <= a < b q^(n-1)", "a", a)
-    _t_window(q, t1)
-    _t_window(q, t2)
-    _need(t1 * t2 != 1, "needs t1*t2 != 1")
-    _need(not (a == 0 and t2 == 1), "degenerate point: both sides identical (a=0, t2=1)")
-    return _phi(n, (t1 * a,), (b,), q), _phi(n, (t2 * a,), (t2 * b,), q)
+    return _Interlace(_phi(n, (t1 * a,), (b,), q), _phi(n, (t2 * a,), (t2 * b,), q))
 
 
 def _phi21_mono2(q, n, a, b, t1):
-    _negative("a", a)
-    _unit("b", b)
-    _t1_window(q, t1)
-    return _phi(n, (a,), (b,), q), _phi(n, (t1 * a,), (b,), q)
+    return _Interlace(_phi(n, (a,), (b,), q), _phi(n, (t1 * a,), (b,), q))
 
 
 def _prop_orthogonality(q, a, b, n, m, eps):
-    _jacobi_regime(q, a, b)
     s, tail, cutoff = _orthogonality_sum(n, m, a, b, q, eps)
-    witness = {
-        "abs_sum": f"{float(abs(s)):.3e}",
-        "tail_bound": f"{float(tail):.3e}",
-        "lattice_cutoff": cutoff,
-    }
-    if abs(s) < eps and tail < eps:
-        return Status.PASS, witness
-    return Status.FAIL, witness
+    witness = {"abs_sum": f"{float(abs(s)):.3e}", "tail_bound": f"{float(tail):.3e}",
+               "lattice_cutoff": cutoff}
+    return Status.PASS if abs(s) < eps and tail < eps else Status.FAIL, witness
 
 
 def _mass_bound(q: Fraction, b: Fraction) -> Fraction:
@@ -1054,13 +1035,7 @@ def _table_row_points(row: TableRow, grid: GridSpec) -> list[dict]:
 
 def _table_row(row: TableRow, q, n, a=None, b=None):
     p = _phi(n, () if a is None else (a,), () if b is None else (b,), q)
-    lo, hi, lo_open, hi_open = row.region(q, n)
-    status, witness = _in_class_outcome(
-        p, row.mesh_base(q), row.mesh_strict, (lo, hi), (lo_open, hi_open)
-    )
-    if status is Status.PASS and row.note:
-        witness = {"note": row.note}
-    return status, witness
+    return _ZerosIn(p, row.mesh_base(q), row.mesh_strict, row.region(q, n), note=row.note)
 
 
 def _pair_points(axis: str):
@@ -1090,25 +1065,42 @@ def _orthogonality_points(grid: GridSpec) -> list[dict]:
 
 
 PROPERTY_CHECKS: dict[str, _Check] = {
-    "thmA-1": _interlacing(_thmA_1),
-    "thmA-2": _interlacing(_thmA_2),
-    "thmA-3": _interlacing(_thmA_3),
-    "thm1-monotone-a": _Check(_thm1_monotone, _pair_points("a")),
-    "thm1-monotone-b": _Check(_thm1_monotone, _pair_points("b")),
-    "thm2-lmesh": _Check(_prop_thm2_lmesh),
-    "thm2-i": _interlacing(_thm2_i),
-    "thm2-ii": _interlacing(_thm2_ii),
-    "thm2-iii": _interlacing(_thm2_iii),
-    "cor-i": _interlacing(_cor_i),
-    "cor-ii": _interlacing(_cor_ii),
-    "bessel-lmesh": _Check(_prop_bessel_lmesh),
-    "bessel-interlace": _interlacing(_bessel_pair, weak_ok=True),
-    "qlag-lmesh": _Check(_prop_qlag_lmesh),
-    "qlag-interlace": _interlacing(_qlag_pair),
-    "sw-lmesh": _Check(_prop_sw_lmesh),
-    "phi21-mono-1": _interlacing(_phi21_mono1),
-    "phi21-mono-2": _interlacing(_phi21_mono2),
-    "orthogonality": _Check(_prop_orthogonality, _orthogonality_points),
+    "thmA-1": _Check(_thmA_1, regime=_JACOBI),
+    "thmA-2": _Check(_thmA_2, regime=_JACOBI),
+    "thmA-3": _Check(_thmA_3, regime=_JACOBI),
+    "thm1-monotone-a": _Check(_thm1_monotone_a, _pair_points("a"), regime=(
+        *_both("0<aq<1 at both a", "both a values need 0 < aq < 1", lo=0, hi=1), _BQ,
+    )),
+    "thm1-monotone-b": _Check(_thm1_monotone_b, _pair_points("b"), regime=(
+        _AQ, *_both("bq<1 at both b", "both b values need bq < 1", hi=1),
+    )),
+    "thm2-lmesh": _Check(_thm2_lmesh, regime=_JACOBI),
+    "thm2-i": _Check(_thm2_i, regime=(_N_POSITIVE, *_JACOBI)),
+    "thm2-ii": _Check(_thm2_ii, regime=_JACOBI),
+    "thm2-iii": _Check(_thm2_iii, regime=(_negative("b"), _AQ)),
+    "cor-i": _Check(_cor_i, regime=(
+        _AQ,
+        _In("0≤qb<1", "needs 0 <= qb < 1", lambda p: p["q"] * p["b"], 0, 1, "[)", "qb"),
+        *_T_PAIR,
+        _Out("(b,t₂)≠(0,1)", "degenerate point: both sides identical (b=0, t2=1)",
+             lambda p: p["b"] == 0 and p["t2"] == 1),
+    )),
+    "cor-ii": _Check(_cor_ii, regime=(_AQ, _negative("b"), _T1_HALF_OPEN)),
+    "bessel-lmesh": _Check(_bessel_lmesh, regime=(_negative("b"),)),
+    "bessel-interlace": _Check(_bessel_pair, regime=(_negative("b"), _T_OPEN)),
+    "qlag-lmesh": _Check(_qlag_lmesh, regime=(_unit("b"),)),
+    "qlag-interlace": _Check(_qlag_pair, regime=(_unit("b"), _T_OPEN)),
+    "sw-lmesh": _Check(_sw_lmesh),
+    "phi21-mono-1": _Check(_phi21_mono1, regime=(
+        _unit("b"),
+        _In("0≤a<bq^(n-1)", "needs 0 <= a < b q^(n-1)", itemgetter("a"), 0,
+            lambda p: p["b"] * p["q"] ** (p["n"] - 1), "[)", "a"),
+        *_T_PAIR,
+        _Out("(a,t₂)≠(0,1)", "degenerate point: both sides identical (a=0, t2=1)",
+             lambda p: p["a"] == 0 and p["t2"] == 1),
+    )),
+    "phi21-mono-2": _Check(_phi21_mono2, regime=(_negative("a"), _unit("b"), _T1_HALF_OPEN)),
+    "orthogonality": _Check(_prop_orthogonality, _orthogonality_points, regime=_JACOBI),
     **{
         f"table1-row-{r}": _Check(
             functools.partial(_table_row, row), functools.partial(_table_row_points, row)

@@ -26,7 +26,7 @@ from qzeros import (
     stieltjes_wigert,
 )
 from qzeros import qhyper, roots
-from qzeros.roots import root_bound, simplest_rational_between
+from qzeros.roots import root_bound
 from polyexact_reference import sign_at
 from sturm_reference import isolate_squarefree_sturm
 import vca_reference
@@ -247,6 +247,13 @@ def test_refinement_monotonicity(eps_exp):
         assert a.multiplicity == b.multiplicity
         # the refined interval stays inside the coarse one
         assert a.lo <= b.hi and b.lo <= a.hi
+
+
+def simplest_rational_between(lo, hi) -> F:
+    """The rational of smallest denominator (then numerator) in [lo, hi], by
+    the integer descent ``roots._simplest`` that the snap runs on a frame."""
+    lo, hi = sorted((F(lo), F(hi)))
+    return F(*roots._simplest(lo.numerator, lo.denominator, hi.numerator, hi.denominator))
 
 
 def test_simplest_rational_between():

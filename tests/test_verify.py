@@ -1,5 +1,6 @@
 """Check registry: identities, properties, regimes, witnesses, determinism."""
 
+import ast
 import functools
 import json
 import math
@@ -8,6 +9,7 @@ import os
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -983,7 +985,7 @@ def test_table1_polynomials_match_the_row_shapes(monkeypatch):
     shape in the paper's table."""
     shapes = {**dict.fromkeys(range(1, 7), "2phi1"), 7: "2phi0", **dict.fromkeys((8, 9, 10), "1phi1")}
     built = []
-    monkeypatch.setattr(verify, "_in_class_outcome", lambda p, *args: built.append(p) or (Status.PASS, None))
+    monkeypatch.setattr(verify, "_decide", lambda claim: built.append(claim.p) or (Status.PASS, None))
     grid = GridSpec(q_values=[F(1, 4), F(1, 2), F(3, 4)], n_values=[2, 3, 4, 5])
     compared = 0
     for row, shape in shapes.items():
@@ -1132,3 +1134,151 @@ def test_phi21_mono2_is_decided_at_negative_a():
     skipped = [r for r in records if r.status is Status.SKIPPED]
     assert {(r.params["q"], r.params["t1"]) for r in skipped} == {("3/4", "1/4")}
     assert {r.witness["reason"] for r in skipped} == {"needs q^2 <= t1 < 1 (t1 = 1/4)"}
+
+
+_J = {"q": Q, "n": 2, "a": F(1, 3), "b": F(1, 3)}
+_T = F(1, 2)
+
+# One point per hypothesis of each regime, failing only that hypothesis (or
+# only the two halves of a pair hypothesis), with the reason its Skip gives.
+_SKIPS = [
+    *[(c, {**_J, "n": 0}, "needs n >= 1") for c in ("contig-1", "contig-2", "contig-3", "contig-3-shifted")],
+    *[(c, {**_J, "b": F(4)}, "b = q^-m excluded") for c in ("contig-1", "contig-2", "contig-3", "contig-3-shifted")],
+    ("contig-4", {**_J, "b": F(2)}, "b = q^-m excluded"),
+    ("qderiv-jacobi", {**_J, "n": 0}, "needs n >= 1"),
+    ("qderiv-hyper", {**_J, "n": 0}, "needs n >= 1"),
+    ("recip-1", {"q": Q, "n": 2, "b": F(0)}, "needs b != 0"),
+    ("recip-1", {"q": Q, "n": 2, "b": F(2)}, "(b;q)_n vanishes"),
+    ("recip-2", {**_J, "a": F(0)}, "needs a, b != 0"),
+    ("recip-2", {**_J, "b": F(0)}, "needs a, b != 0"),
+    ("recip-2", {**_J, "b": F(1)}, "(b;q)_n vanishes"),
+    ("recip-3", {"q": Q, "n": 2, "a": F(0)}, "needs a != 0"),
+    ("factor-bneg", {"q": Q, "n": 2, "a": F(1, 3), "k": 0}, "needs 1 <= k <= n"),
+    ("factor-bneg", {"q": Q, "n": 2, "a": F(1, 3), "k": 3}, "needs 1 <= k <= n"),
+    ("factor-anorm", {"q": Q, "n": 2, "b": F(1, 3), "k": 0}, "needs 1 <= k <= n"),
+    ("factor-anorm", {"q": Q, "n": 2, "b": F(1, 3), "k": 3}, "needs 1 <= k <= n"),
+    ("qdiff-bessel", {"q": Q, "n": 2, "b": F(0)}, "needs b != 0"),
+    ("bessel-limit", {"q": Q, "n": 0, "b": F(-1), "eps": F(1, 10**6)}, "needs n >= 1"),
+    ("sw-limit", {"q": Q, "n": 0, "eps": F(1, 10**6)}, "needs n >= 1"),
+    *[(c, {**_J, "a": F(3)}, "needs 0 < aq < 1 (aq = 3/2)")
+      for c in ("thmA-1", "thmA-2", "thmA-3", "thm2-lmesh", "thm2-i", "thm2-ii")],
+    *[(c, {**_J, "b": F(3)}, "needs bq < 1 (bq = 3/2)")
+      for c in ("thmA-1", "thmA-2", "thmA-3", "thm2-lmesh", "thm2-i", "thm2-ii")],
+    ("thm2-i", {**_J, "n": 0}, "needs n >= 1"),
+    ("thm2-iii", _J, "needs b < 0 (b = 1/3)"),
+    ("thm2-iii", {**_J, "a": F(3), "b": F(-1)}, "needs 0 < aq < 1 (aq = 3/2)"),
+    ("thm1-monotone-a", {"q": Q, "n": 2, "b": F(1, 3), "lo": F(-1), "hi": F(1, 3)}, "both a values need 0 < aq < 1"),
+    ("thm1-monotone-a", {"q": Q, "n": 2, "b": F(1, 3), "lo": F(1, 3), "hi": F(3)}, "both a values need 0 < aq < 1"),
+    ("thm1-monotone-a", {"q": Q, "n": 2, "b": F(3), "lo": F(1, 4), "hi": F(1, 3)}, "needs bq < 1 (bq = 3/2)"),
+    ("thm1-monotone-b", {"q": Q, "n": 2, "a": F(3), "lo": F(1, 4), "hi": F(1, 3)}, "needs 0 < aq < 1 (aq = 3/2)"),
+    ("thm1-monotone-b", {"q": Q, "n": 2, "a": F(1, 3), "lo": F(1, 3), "hi": F(3)}, "both b values need bq < 1"),
+    # lo < hi, so the lower b fails only with the upper one
+    ("thm1-monotone-b", {"q": Q, "n": 2, "a": F(1, 3), "lo": F(3), "hi": F(4)}, "both b values need bq < 1"),
+    ("cor-i", {**_J, "a": F(3), "t1": _T, "t2": _T}, "needs 0 < aq < 1 (aq = 3/2)"),
+    ("cor-i", {**_J, "b": F(-1), "t1": _T, "t2": _T}, "needs 0 <= qb < 1 (qb = -1/2)"),
+    ("cor-i", {**_J, "t1": F(1, 8), "t2": _T}, "needs q^2 <= t <= 1 (t = 1/8)"),
+    ("cor-i", {**_J, "t1": _T, "t2": F(1, 8)}, "needs q^2 <= t <= 1 (t = 1/8)"),
+    ("cor-i", {**_J, "t1": F(1), "t2": F(1)}, "needs t1*t2 != 1"),
+    ("cor-i", {**_J, "b": F(0), "t1": _T, "t2": F(1)}, "degenerate point: both sides identical (b=0, t2=1)"),
+    ("cor-ii", {**_J, "a": F(3), "b": F(-1), "t1": _T}, "needs 0 < aq < 1 (aq = 3/2)"),
+    ("cor-ii", {**_J, "t1": _T}, "needs b < 0 (b = 1/3)"),
+    ("cor-ii", {**_J, "b": F(-1), "t1": F(1)}, "needs q^2 <= t1 < 1 (t1 = 1)"),
+    ("bessel-lmesh", {"q": Q, "n": 2, "b": F(1, 3)}, "needs b < 0 (b = 1/3)"),
+    ("bessel-interlace", {"q": Q, "n": 2, "b": F(1, 3), "t": _T}, "needs b < 0 (b = 1/3)"),
+    ("bessel-interlace", {"q": Q, "n": 2, "b": F(-1), "t": F(1, 4)}, "needs q^2 < t < 1 (t = 1/4)"),
+    ("qlag-lmesh", {"q": Q, "n": 2, "b": F(2)}, "needs 0 < b < 1 (b = 2)"),
+    ("qlag-interlace", {"q": Q, "n": 2, "b": F(2), "t": _T}, "needs 0 < b < 1 (b = 2)"),
+    ("qlag-interlace", {"q": Q, "n": 2, "b": _T, "t": F(1)}, "needs q^2 < t < 1 (t = 1)"),
+    ("phi21-mono-1", {"q": Q, "n": 2, "a": F(1, 8), "b": F(2), "t1": _T, "t2": _T}, "needs 0 < b < 1 (b = 2)"),
+    ("phi21-mono-1", {"q": Q, "n": 2, "a": F(1, 3), "b": _T, "t1": _T, "t2": _T},
+     "needs 0 <= a < b q^(n-1) (a = 1/3)"),
+    ("phi21-mono-1", {"q": Q, "n": 2, "a": F(1, 8), "b": _T, "t1": F(1, 8), "t2": _T},
+     "needs q^2 <= t <= 1 (t = 1/8)"),
+    ("phi21-mono-1", {"q": Q, "n": 2, "a": F(1, 8), "b": _T, "t1": _T, "t2": F(1, 8)},
+     "needs q^2 <= t <= 1 (t = 1/8)"),
+    ("phi21-mono-1", {"q": Q, "n": 2, "a": F(1, 8), "b": _T, "t1": F(1), "t2": F(1)}, "needs t1*t2 != 1"),
+    ("phi21-mono-1", {"q": Q, "n": 2, "a": F(0), "b": _T, "t1": _T, "t2": F(1)},
+     "degenerate point: both sides identical (a=0, t2=1)"),
+    ("phi21-mono-2", {"q": Q, "n": 2, "a": F(1, 3), "b": _T, "t1": _T}, "needs a < 0 (a = 1/3)"),
+    ("phi21-mono-2", {"q": Q, "n": 2, "a": F(-1), "b": F(2), "t1": _T}, "needs 0 < b < 1 (b = 2)"),
+    ("phi21-mono-2", {"q": Q, "n": 2, "a": F(-1), "b": _T, "t1": F(1)}, "needs q^2 <= t1 < 1 (t1 = 1)"),
+    ("orthogonality", {"q": Q, "a": F(3), "b": F(1, 3), "n": 0, "m": 1, "eps": F(1, 10**6)},
+     "needs 0 < aq < 1 (aq = 3/2)"),
+    ("orthogonality", {"q": Q, "a": F(1, 3), "b": F(3), "n": 0, "m": 1, "eps": F(1, 10**6)},
+     "needs bq < 1 (bq = 3/2)"),
+]
+_CHECKS = {**verify.IDENTITY_CHECKS, **verify.PROPERTY_CHECKS}
+
+
+@pytest.mark.parametrize("check_id, point, reason", _SKIPS)
+def test_each_hypothesis_skips_with_its_reason(check_id, point, reason):
+    """A point that fails one hypothesis of a check's regime gets a Skipped
+    record with that hypothesis's reason, the value it names included."""
+    rec = verify._record(check_id, _CHECKS[check_id], point)
+    assert (rec.status, rec.witness) == (Status.SKIPPED, {"reason": reason})
+
+
+def test_skip_points_fail_one_hypothesis_each_and_cover_every_regime():
+    """Each pinned point fails one hypothesis only (a pair hypothesis counts
+    once), and every hypothesis of every regime is failed by some pinned
+    point."""
+    failed = {check_id: set() for check_id in _CHECKS}
+    for check_id, point, _ in _SKIPS:
+        regime = _CHECKS[check_id].regime
+        failing = [i for i, hyp in enumerate(regime) if hyp.failure(point) is not None]
+        assert len({regime[i].statement for i in failing}) == 1, (check_id, point)
+        failed[check_id].update(failing)
+    assert {c: sorted(f) for c, f in failed.items()} == {
+        c: list(range(len(check.regime))) for c, check in _CHECKS.items()
+    }
+
+
+def test_skips_come_only_from_regimes_and_library_refusals():
+    """One skip mechanism: ``verify`` has no ``_need`` guard, and ``_Skip``
+    is raised only by the regime evaluator, by ``_jac`` and ``_phi`` (a
+    library refusal) and by the orthogonality sum's tail bound."""
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "_need"]
+    raisers = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and getattr(
+                    node.exc.func, "id", None
+                ) == "_Skip":
+                    raisers.append((fn.name, ast.unparse(node.exc.args[0])))
+    assert sorted(raisers) == [
+        ("_admit", "reason"),
+        ("_jac", "str(exc)"),
+        ("_orthogonality_sum", "'tail bound did not contract'"),
+        ("_phi", "str(exc)"),
+    ]
+
+
+def _readme_regimes() -> dict[str, str]:
+    """Each row of README's zero-distribution table: its check id and the
+    parenthetical that opens its claim, or '' when there is none."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = text.split("Zero-distribution checks (regime hypotheses in parentheses", 1)[1]
+    rows = {}
+    for line in table.split("\n\n", 2)[1].splitlines()[2:]:
+        check_id, claim = (cell.strip() for cell in line.strip("|").split("|"))
+        depth, end = 0, 0
+        for end, ch in enumerate(claim, 1):
+            depth += {"(": 1, ")": -1}.get(ch, 0)
+            if depth == 0:
+                break
+        rows[check_id.strip("`")] = claim[:end] if claim.startswith("(") else ""
+    return rows
+
+
+def test_readme_states_each_regime():
+    """README's zero-distribution table opens each row with its check's
+    regime, the hypotheses' statements in order, a pair hypothesis once."""
+    rows = _readme_regimes()
+    table_rows = [c for c in property_check_ids() if c.startswith("table1-row-")]
+    assert rows.pop("table1-row-1..10") == "" and all(not _CHECKS[c].regime for c in table_rows)
+    assert list(rows) == [c for c in property_check_ids() if c not in table_rows]
+    for check_id, stated in rows.items():
+        statements = dict.fromkeys(hyp.statement for hyp in _CHECKS[check_id].regime)
+        assert stated == (f"({', '.join(statements)})" if statements else ""), check_id
